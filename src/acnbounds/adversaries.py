@@ -92,6 +92,11 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
         s0, s1 = pair.suspects()
         if s0 not in cap.observed_senders or s1 not in cap.observed_senders:
             raise CapabilityError("timing needs both suspects' links watched")
+        # relays=0 is a model without a relay pool, where tracing is timing
+        if v == TRACING and 0 < params.relays < cap.c_p:
+            raise CapabilityError(f"path tracing compromises c_p={cap.c_p} "
+                                  f"relays, but there are only "
+                                  f"{params.relays}")
     elif v == DROP_ATTACK:
         if not (cap.active_drop and cap.knows_expected_reception
                 and cap.receiver_corrupted):
@@ -131,22 +136,24 @@ def timing_decide(trace, pair, params, cap):
     arrival = _challenge_arrival(trace, pair)
     if arrival is None:
         return None
-    # direct delivery keeps the packet id, which identifies the sender
-    for e in trace.events:
-        if e.kind == SEND and e.packet == arrival.packet:
-            if e.location == s0:
-                return 0
-            if e.location == s1:
-                return 1
+    packet = arrival.packet
     lo = arrival.round - params.l_max + 1
     hi = arrival.round - 1
     in_window = [False, False]
     for e in trace.events:
-        if e.kind == SEND and lo <= e.round <= hi:
-            if e.location == s0:
-                in_window[0] = True
-            elif e.location == s1:
-                in_window[1] = True
+        if e.kind != SEND:
+            continue
+        if e.location == s0:
+            who = 0
+        elif e.location == s1:
+            who = 1
+        else:
+            continue
+        # direct delivery keeps the packet id, which identifies the sender
+        if e.packet == packet:
+            return who
+        if lo <= e.round <= hi:
+            in_window[who] = True
     if in_window[0] != in_window[1]:
         return 0 if in_window[0] else 1
     return None

@@ -174,7 +174,8 @@ SEND = "send"
 FORWARD = "forward"
 DELIVER = "deliver"
 DROP = "drop"
-_KIND_ORDER = {SEND: 0, FORWARD: 1, DROP: 2, DELIVER: 3}
+# events of one round sort sends first, deliveries last
+KIND_ORDER = {SEND: 0, FORWARD: 1, DROP: 2, DELIVER: 3}
 
 
 class ObservationEvent(NamedTuple):
@@ -206,7 +207,7 @@ class ObservationTrace:
 
     @staticmethod
     def from_events(events) -> "ObservationTrace":
-        ordered = sorted(events, key=lambda e: (e.round, _KIND_ORDER[e.kind], e.location, e.packet))
+        ordered = sorted(events, key=lambda e: (e.round, KIND_ORDER[e.kind], e.location, e.packet))
         return ObservationTrace(tuple(ordered))
 
 
@@ -219,37 +220,43 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
     deliver events, including the real/dummy flag and payload id; everywhere
     else those two fields are masked.  Total and deterministic, hence
     idempotent.
+
+    One pass, no relabeling: packet ids keep the labels `build_trace` gave
+    them over the full trace, so a filtered trace may skip ids.  A kept
+    event is returned as is when it has nothing to mask; a masked copy is
+    built directly from its fields.
     """
-    seen = capability.c_p if capability.c_p >= capability.c_a else capability.c_a
+    observed = capability.observed_senders
+    receiver = capability.receiver_corrupted
+    active = capability.active_drop
+    c_a = capability.c_a
+    seen = max(capability.c_p, c_a)
+    new = tuple.__new__   # skips the NamedTuple's Python-level __new__
     out = []
+    keep = out.append
     for ev in trace.events:
-        if ev.kind == SEND:
-            if ev.location in capability.observed_senders:
-                if ev.is_real is None and ev.msg is None:
-                    out.append(ev)
-                else:
-                    out.append(ev._replace(is_real=None, msg=None))
-        elif ev.kind == FORWARD:
-            if is_relay_loc(ev.location):
-                visible = -ev.location - 1 < seen
+        kind, t, loc, q, real, origin, inq, msg = ev
+        if kind == SEND:
+            visible = loc in observed
+        elif kind == FORWARD:
+            if is_relay_loc(loc):
+                visible = -loc - 1 < seen
             else:
                 # user-node forwards exist only in the integrated dropping
                 # model; cutting a link needs active control of it
-                visible = capability.active_drop and (
-                    ev.location < capability.c_a
-                    or ev.location in capability.observed_senders)
-            if visible:
-                if ev.is_real is None and ev.msg is None:
-                    out.append(ev)
-                else:
-                    out.append(ev._replace(is_real=None, msg=None))
-        elif ev.kind == DELIVER:
-            if capability.receiver_corrupted:
-                out.append(ev)
-        elif ev.kind == DROP:
-            # drops are the adversary's own doing
-            if capability.active_drop:
-                out.append(ev)
+                visible = active and (loc < c_a or loc in observed)
+        else:
+            # a corrupted receiver opens deliveries, flag and payload
+            # included; drops are the adversary's own doing
+            if (kind == DELIVER and receiver) or (kind == DROP and active):
+                keep(ev)
+            continue
+        if visible:
+            if real is None and msg is None:
+                keep(ev)
+            else:
+                keep(new(ObservationEvent,
+                         (kind, t, loc, q, None, origin, inq, None)))
     return ObservationTrace(tuple(out))
 
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from .adversaries import decide, validate_attack
 from .core import filter_trace
-from .protocols import build_trace, enumerate_outcomes, sample_outcome
+from .protocols import (build_trace, check_schedule, enumerate_outcomes,
+                        sample_outcome)
 
 WORKERS_ENV = "ACNBOUNDS_WORKERS"
 _CHUNK = 2048
@@ -100,6 +101,7 @@ def estimate_advantage(kind, attack, pair, trials: int, master_seed: int,
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful interval")
     validate_attack(attack, pair, kind.params)
+    check_schedule(kind, pair)
     nworkers = resolve_workers(workers)
     spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
     if nworkers == 1:
@@ -134,6 +136,7 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     canonical tie-breaking adversary.
     """
     validate_attack(attack, pair, kind.params)
+    check_schedule(kind, pair)
     cap = attack.capability
     correct = Fraction(0)
     for b in (0, 1):

@@ -14,10 +14,12 @@ Shared conventions:
 * Transit delay is uniform on {1, ..., l_max-1} rounds.  l_max = 1 means
   direct same-round delivery and the delivered packet keeps its id; any
   longer path re-randomizes ids, so linkage exists only via timing.
-* Packet ids are relabeled canonically after construction (first mention
-  in sorted event order).  Ids are therefore a function of the visible
-  geometry of the trace, never of internal construction order, and cannot
-  act as a side channel for the challenge bit.
+* `build_trace` emits each event as a raw row, sorts the rows once in
+  trace order and then relabels packet ids by first mention (`packet`
+  before `in_packet`, over the full sorted trace, before any filtering),
+  building each event exactly once.  Ids are therefore a function of the
+  visible geometry of the trace, never of internal construction order, and
+  cannot act as a side channel for the challenge bit.
 * Cover traffic is modeled on the sending side only.  Dummy packets are
   absorbed unobserved at the far end; receiver-side dummy handling is out
   of scope here.
@@ -25,19 +27,23 @@ Shared conventions:
 Randomness is split three ways so Monte Carlo and exact enumeration share
 one code path: `sample_outcome` draws a hashable outcome, `enumerate_outcomes`
 yields every (probability, outcome) pair with exact fractions, and
-`build_trace` deterministically turns an outcome into events.
+`build_trace` deterministically turns an outcome into events.  All three
+read an arm's schedule from `_schedule`, which is computed once per arm and
+start order and raises ConfigError for a schedule the model cannot run;
+`check_schedule` evaluates it before a game plays its first trial.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import (DELIVER, DROP, FORWARD, NO_COMM, RANDOM_PERM, SEND,
-                   CapabilityError, ConfigError, ObservationEvent,
+from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, RANDOM_PERM,
+                   SEND, CapabilityError, ConfigError, ObservationEvent,
                    ObservationTrace, ResourceLimitError, filter_trace,
                    relay_loc)
 
@@ -80,10 +86,6 @@ class ProtocolKind:
                 raise ConfigError("need at least `copies` distinct first hops")
 
 
-def make_protocol(variant: str, params: ProtocolParams) -> ProtocolKind:
-    return ProtocolKind(variant, params)
-
-
 def _num_dummies(params) -> int:
     # synchronized cover: floor(beta*n) users join each communication round
     return min(int(params.beta * params.n), params.n - 1)
@@ -99,7 +101,7 @@ def _slots(kind: ProtocolKind, batch, perm):
             out.append(t0 + (perm[j] if perm is not None else j))
         else:
             out.append(t0)
-    return out
+    return tuple(out)
 
 
 def _max_delay(kind: ProtocolKind) -> int:
@@ -143,7 +145,38 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
         for u in range(kind.params.n):
             if u not in occupied:
                 out.append((t, u))
-    return out
+    return tuple(out)
+
+
+# models whose cover traffic is one draw per free (round, user) slot
+_SLOT_NOISE = (TRILEMMA_UNSYNC, ONION_PATH)
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(kind: ProtocolKind, batch, perm):
+    """(slots, horizon, noise_slots) of one arm under one start order.
+
+    A pure function of frozen arguments, cached so a trial loop computes
+    it once per arm and permutation instead of once per trial.  Raises
+    ConfigError for a schedule the model cannot run.
+    """
+    slots = _slots(kind, batch, perm)
+    if (kind.variant == THRESHOLD_MIX
+            and sum(s is not None for s in slots) < kind.params.threshold):
+        raise ConfigError("fewer scheduled messages than the threshold, "
+                          "the mix would never flush")
+    horizon = _horizon(kind, batch)
+    noise = (_noise_slots(kind, batch, slots, horizon)
+             if kind.variant in _SLOT_NOISE else ())
+    return slots, horizon, noise
+
+
+def check_schedule(kind: ProtocolKind, pair) -> None:
+    """Raise ConfigError if either arm's schedule cannot run, so a bad
+    threshold or a too-short horizon fails before the first trial."""
+    for b in (0, 1):
+        # neither check depends on the start order
+        _schedule(kind, pair.batch(b), None)
 
 
 def _delay_choices(kind: ProtocolKind):
@@ -167,15 +200,14 @@ def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
     v = kind.variant
     perm = tuple(rng.sample(range(len(batch.rows)), len(batch.rows))) \
         if _needs_perm(kind, batch) else None
-    slots = _slots(kind, batch, perm)
-    horizon = _horizon(kind, batch)
+    slots, _, free = _schedule(kind, batch, perm)
 
     if v == TRILEMMA_UNSYNC:
         delays = tuple(None if s is None else rng.choice(_delay_choices(kind))
                        for s in slots)
         p = params.p
-        fired = tuple(sl for sl in _noise_slots(kind, batch, slots, horizon)
-                      if rng.random() < p)
+        draw = rng.random
+        fired = tuple([sl for sl in free if draw() < p])
         return (perm, delays, fired)
 
     if v == TRILEMMA_SYNC:
@@ -196,7 +228,7 @@ def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
                       for s in slots)
         p = params.p
         noise = []
-        for sl in _noise_slots(kind, batch, slots, horizon):
+        for sl in free:
             if rng.random() < p:
                 noise.append((sl, tuple(rng.sample(range(params.relays), h))))
         return (perm, paths, tuple(noise))
@@ -244,12 +276,10 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
     results = []
     for perm in perm_choices:
         perm_p = Fraction(1, len(perm_choices))
-        slots = _slots(kind, batch, perm)
-        horizon = _horizon(kind, batch)
+        slots, _, free = _schedule(kind, batch, perm)
 
         if v == TRILEMMA_UNSYNC:
             dchoices = _delay_choices(kind)
-            free = _noise_slots(kind, batch, slots, horizon)
             p = Fraction(params.p)
             live = len(dchoices) ** sum(1 for s in slots if s is not None)
             if 0 < p < 1:
@@ -298,7 +328,6 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
             npaths = 1
             for i in range(h):
                 npaths *= params.relays - i
-            free = _noise_slots(kind, batch, slots, horizon)
             p = Fraction(params.p)
             live = npaths ** sum(1 for s in slots if s is not None)
             if 0 < p < 1:
@@ -350,21 +379,9 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
 
 # ---------------------------------------------------------------- building
 
-def _canonical(events) -> ObservationTrace:
-    # relabel packet ids by first mention in sorted order
-    trace = ObservationTrace.from_events(events)
-    ids = {}
-
-    def re(p):
-        if p is None:
-            return None
-        if p not in ids:
-            ids[p] = len(ids)
-        return ids[p]
-
-    return ObservationTrace(tuple(
-        e._replace(packet=re(e.packet), in_packet=re(e.in_packet))
-        for e in trace.events))
+# sort rank of each event kind, the second field of a raw row
+_SEND, _FORWARD, _DROP, _DELIVER = (KIND_ORDER[k]
+                                    for k in (SEND, FORWARD, DROP, DELIVER))
 
 
 def build_trace(kind: ProtocolKind, pair, b: int, outcome,
@@ -374,22 +391,31 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     `capability` only matters for the dropping model, where an active
     adversary physically removes packets; everywhere else observation is
     passive and filtering happens afterwards.
+
+    Events are emitted as raw rows `(round, kind order, location, packet,
+    kind, is_real, origin, in_packet, msg)` with construction-order packet
+    ids.  One sort in native tuple order puts them in trace order, then ids
+    are relabeled by first mention and each event is built once.
     """
     batch = pair.batch(b)
     params = kind.params
     v = kind.variant
-    perm = outcome[0]
-    slots = _slots(kind, batch, perm)
-    horizon = _horizon(kind, batch)
+    slots, horizon, _ = _schedule(kind, batch, outcome[0])
     pid = itertools.count()
     ev = []
 
     def send(t, u, q, real, msg=None):
-        ev.append(ObservationEvent(SEND, t, u, q, is_real=real, msg=msg))
+        ev.append((t, _SEND, u, q, SEND, real, None, None, msg))
+
+    def forward(t, loc, q, origin, in_packet):
+        ev.append((t, _FORWARD, loc, q, FORWARD, None, origin, in_packet,
+                   None))
+
+    def drop(t, loc, q):
+        ev.append((t, _DROP, loc, q, DROP, None, None, None, None))
 
     def deliver(t, u, q, msg, in_packet=None):
-        ev.append(ObservationEvent(DELIVER, t, u, q, is_real=True,
-                                   in_packet=in_packet, msg=msg))
+        ev.append((t, _DELIVER, u, q, DELIVER, True, None, in_packet, msg))
 
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delays = outcome[1]
@@ -405,8 +431,10 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             else:
                 deliver(t + d, row.receiver, next(pid), row.message)
         if v == TRILEMMA_UNSYNC:
-            for (t, u) in outcome[2]:
-                send(t, u, next(pid), False)
+            # cover sends are most of a wide trace: one comprehension, no
+            # call per row
+            ev += [(t, _SEND, u, q, SEND, False, None, None, None)
+                   for (t, u), q in zip(outcome[2], pid)]
         else:
             for (t, cohort) in outcome[2]:
                 for u in cohort:
@@ -421,8 +449,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             prev, ploc = q, u
             for i, k in enumerate(path, start=1):
                 nq = next(pid)
-                ev.append(ObservationEvent(FORWARD, t + i, relay_loc(k), nq,
-                                           origin=ploc, in_packet=prev))
+                forward(t + i, relay_loc(k), nq, ploc, prev)
                 prev, ploc = nq, relay_loc(k)
             if row is not None:
                 if path:
@@ -438,12 +465,9 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             emit(t, u, path, None)
 
     elif v == THRESHOLD_MIX:
-        order = sorted((s, j) for j, s in enumerate(slots) if s is not None)
-        if len(order) < params.threshold:
-            raise ConfigError("fewer scheduled messages than the threshold, "
-                              "the mix would never flush")
         held = []
-        for t, j in order:
+        for t, j in sorted((s, j) for j, s in enumerate(slots)
+                           if s is not None):
             row = batch.rows[j]
             send(t, row.sender, next(pid), True, row.message)
             held.append((t, row))
@@ -490,20 +514,19 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 q = next(pid)
                 send(1, row.sender, q, True, row.message)
                 if row.sender == target and link_drop:
-                    ev.append(ObservationEvent(DROP, 1, row.sender, q))
+                    drop(1, row.sender, q)
                     continue
                 loc = k if params.integrated else relay_loc(k)
                 if link_drop and params.integrated and loc == target:
                     # the cut link also swallows copies the target forwards
                     # for others, so silence can wrongly accuse it
-                    ev.append(ObservationEvent(DROP, 2, loc, q))
+                    drop(2, loc, q)
                     continue
                 if row.sender == target and k in controlled:
-                    ev.append(ObservationEvent(DROP, 2, loc, q))
+                    drop(2, loc, q)
                     continue
                 nq = next(pid)
-                ev.append(ObservationEvent(FORWARD, 2, loc, nq,
-                                           origin=row.sender, in_packet=q))
+                forward(2, loc, nq, row.sender, q)
                 survivors.append(nq)
             if survivors:
                 deliver(3, row.receiver, next(pid), row.message,
@@ -512,7 +535,17 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     else:  # pragma: no cover
         raise AssertionError(v)
 
-    return _canonical(ev)
+    # (round, kind order, location, packet) never repeats, so the sort
+    # never reaches the payload fields
+    ev.sort()
+    ids = {}
+    label = ids.setdefault
+    new = tuple.__new__   # skips the NamedTuple's Python-level __new__
+    return ObservationTrace(tuple([
+        new(ObservationEvent, (kd, t, loc, label(q, len(ids)), real, origin,
+                               None if inq is None else label(inq, len(ids)),
+                               msg))
+        for t, _, loc, q, kd, real, origin, inq, msg in ev]))
 
 
 def run_protocol(kind: ProtocolKind, pair, b: int, capability,

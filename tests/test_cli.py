@@ -168,3 +168,18 @@ def test_bad_parameter_exits_one(capsys):
                         "--lmax", "2", "--trials", "200")
     assert code == 1
     assert "acnbounds:" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
+      "--lmax", "3", "--relays", "2", "--cp", "9", "--beta", "0.25"],
+     "c_p=9"),
+    (["--protocol", "threshold-mix", "--attack", "timing-interval",
+      "--n", "4", "--lmax", "3", "--threshold", "3"], "threshold"),
+    (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
+      "--n", "4", "--lmax", "3", "--rounds", "3"], "too short"),
+], ids=["cp-over-relays", "threshold", "short-rounds"])
+def test_impossible_runs_exit_one(capsys, argv, reason):
+    code, out, err = _run(capsys, "simulate", *argv, "--trials", "200")
+    assert code == 1 and out == ""
+    assert reason in err

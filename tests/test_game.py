@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acnbounds import game
 from acnbounds.adversaries import random_guess_attack, timing_attack
-from acnbounds.core import Communication, ProtocolParams, make_batch
+from acnbounds.core import (Communication, ConfigError, ProtocolParams,
+                            make_batch)
 from acnbounds.game import (AdvantageEstimate, advantage_forms,
                             estimate_advantage, exact_advantage, record_json,
                             resolve_workers, result_record, wilson_interval)
@@ -137,3 +139,21 @@ def test_result_record_shape():
     assert json.loads(text) == rec
     keys = list(json.loads(text).keys())
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("variant,params", [
+    ("threshold-mix", ProtocolParams(n=2, l_max=2, threshold=2)),
+    ("trilemma-unsync", ProtocolParams(n=2, l_max=3, rounds=2)),
+])
+def test_unrunnable_schedules_fail_before_the_first_trial(monkeypatch,
+                                                           variant, params):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(game, "sample_outcome", no_trial)
+    monkeypatch.setattr(game, "enumerate_outcomes", no_trial)
+    _, pair = _setup()
+    kind = ProtocolKind(variant, params)
+    with pytest.raises(ConfigError):
+        estimate_advantage(kind, timing_attack(2), pair, 200, master_seed=0)
+    with pytest.raises(ConfigError):
+        exact_advantage(kind, timing_attack(2), pair)

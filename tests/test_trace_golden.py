@@ -1,0 +1,213 @@
+"""Byte-identity of traces, outcomes and records against pinned digests.
+
+Each digest is the sha256 of the `repr` of what the code produced at fixed
+seeds when the digests were generated. A different digest means the
+adversary now sees a different trace, or `simulate` prints a different
+record, for the same seed. A change that must alter one says why in
+CHANGES.md and regenerates the digest with `golden_digests()`.
+"""
+
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from acnbounds.adversaries import (counting_attack, dropping_attack,
+                                   random_guess_attack, timing_attack,
+                                   tracing_attack)
+from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
+                            AdversaryCapability, Communication,
+                            ProtocolParams, filter_trace, make_batch)
+from acnbounds.game import estimate_advantage, record_json, result_record
+from acnbounds.notions import ScenarioPair, parse_notion
+from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
+                                 VARIANTS, ProtocolKind, build_trace,
+                                 enumerate_outcomes, sample_outcome)
+
+SO = parse_notion("SO")
+MODES = (SIMULTANEOUS, RANDOM_PERM)
+SEEDS = range(6)
+
+# one parameter point every variant accepts; threshold 2 flushes the two
+# real rows of PAIR_ROWS together
+PARAMS = ProtocolParams(n=4, l_max=3, beta=0.5, relays=3, threshold=2,
+                        copies=2)
+KINDS = {v: ProtocolKind(v, PARAMS) for v in VARIANTS}
+KINDS["dropping-model-integrated"] = ProtocolKind(
+    DROPPING, dataclasses.replace(PARAMS, integrated=True))
+PAIR_ROWS = ([Communication(0, 3, 0), Communication(2, 3, 1), NO_COMM],
+             [Communication(1, 3, 0), Communication(2, 3, 1), NO_COMM])
+
+# the capabilities of the stock attacks, plus a partial observer
+CAPS = (
+    counting_attack(4).capability,
+    timing_attack(4).capability,
+    tracing_attack(4, 2).capability,
+    dropping_attack(4).capability,
+    dropping_attack(4, 1).capability,
+    random_guess_attack().capability,
+    AdversaryCapability(observed_senders=frozenset({0, 2}), c_p=1),
+)
+
+# small enough to enumerate every outcome of both arms
+TINY = ProtocolParams(n=2, l_max=2, beta=0.5, relays=2, threshold=1)
+TINY_ROWS = ([Communication(0, 1, 0), NO_COMM],
+             [Communication(1, 1, 0), NO_COMM])
+
+
+def _pair(rows, mode):
+    b0, b1 = (make_batch(r, mode) for r in rows)
+    return ScenarioPair(b0, b1, SO)
+
+
+def trace_digests(name, mode):
+    """(build, filter) digests over every seed, arm and capability."""
+    kind, pair = KINDS[name], _pair(PAIR_ROWS, mode)
+    built, kept = hashlib.sha256(), hashlib.sha256()
+    for seed in SEEDS:
+        for b in (0, 1):
+            outcome = sample_outcome(kind, pair, b, random.Random(seed))
+            for cap in CAPS:
+                trace = build_trace(kind, pair, b, outcome, cap)
+                built.update(repr(trace.events).encode())
+                kept.update(repr(filter_trace(trace, cap).events).encode())
+    return built.hexdigest(), kept.hexdigest()
+
+
+def outcome_digest(variant, mode):
+    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS, mode)
+    h = hashlib.sha256()
+    for b in (0, 1):
+        h.update(repr(enumerate_outcomes(kind, pair, b)).encode())
+    return h.hexdigest()
+
+
+def record_digest(variant):
+    if variant == ONION_PATH:
+        n, params = 8, ProtocolParams(n=8, l_max=3, beta=0.25, relays=4)
+        attack = tracing_attack(n, 2)
+    else:
+        n, params = 10, ProtocolParams(n=10, l_max=3, beta=0.25)
+        attack = timing_attack(n)
+    kind = ProtocolKind(variant, params)
+    pair = _pair(([Communication(0, n - 1, 0)],
+                  [Communication(1, n - 1, 0)]), SIMULTANEOUS)
+    est = estimate_advantage(kind, attack, pair, 2000, master_seed=11)
+    record = record_json(result_record(kind, attack, pair, est, 11))
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def golden_digests():
+    """Recompute every pinned digest, in the layout of the tables below."""
+    return {
+        "traces": {(name, mode): trace_digests(name, mode)
+                   for name in KINDS for mode in MODES},
+        "outcomes": {(v, mode): outcome_digest(v, mode)
+                     for v in VARIANTS for mode in MODES},
+        "records": {v: record_digest(v)
+                    for v in (TRILEMMA_UNSYNC, ONION_PATH)},
+    }
+
+
+TRACES = {
+    ("broadcast-full-dummy", "random-permutation"): (
+        "9b2164c298ef04ccfa97088da13738351b89beb8f7cfb735d35d551cbfd5c2ff",
+        "a09108fc56957142577db2adc7e680abd828c39c424ac0d4427ee6969547bbe6"),
+    ("broadcast-full-dummy", "simultaneous"): (
+        "13606f358f52ab5e7774d6c1a4c5980a7fe7342b45729533942f9a80230e8188",
+        "3710d491fdc514b56796baa4fa67e1c60426aacfed3be6fc28f3cbebe97ee8cb"),
+    ("dcnet-round", "random-permutation"): (
+        "02d8aa9fda823d9305289f9765d2ab53236215d48a5fe731f7784e44cf82ad15",
+        "1729caeb8cd3c05d29e6383dc5ee94ba6096a781c70a91a1d3c5400afebf022e"),
+    ("dcnet-round", "simultaneous"): (
+        "9b489a3c0e17b767005edd277bb9046740d98ef273feea0edfae6f7dbfca8210",
+        "59ea658fa47ebb5cf9b60b6e569722dbe07e1ae466f3624d2b4c8469e9032e54"),
+    ("dropping-model", "random-permutation"): (
+        "6bf844b0713520443a2a0b0ecd5df2d9a0748805871e184da0ccd40ebe43119e",
+        "0e33fb03b69bee70bc4a3b4f4042edc329ba064f0c62a79a3ad8016a532b2861"),
+    ("dropping-model", "simultaneous"): (
+        "6bf844b0713520443a2a0b0ecd5df2d9a0748805871e184da0ccd40ebe43119e",
+        "0e33fb03b69bee70bc4a3b4f4042edc329ba064f0c62a79a3ad8016a532b2861"),
+    ("dropping-model-integrated", "random-permutation"): (
+        "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
+        "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
+    ("dropping-model-integrated", "simultaneous"): (
+        "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
+        "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
+    ("onion-path", "random-permutation"): (
+        "490e2872f17a65bc8693ba33f31ba6eb22493b1663d527b0bf085ffc991e89e8",
+        "1ab58373e899f5b99296493886884e893a4bef30e62d69fddb831af74abb4f96"),
+    ("onion-path", "simultaneous"): (
+        "9bab552b31c4c53b1951fb642e03bcd09d5a80e3490f6f63a582a0849214bd89",
+        "7e1ee80fcb0fa68914f7c076dd5bf4a0d206f15992d2a0f1ff68524711aa384e"),
+    ("threshold-mix", "random-permutation"): (
+        "f4f82b82cd9310eb0d8044837385573890f2697cff197ed9f9ad0af859f5b1b2",
+        "fde46d38b818b43765cd538b41443a850eb9d21674e8b352be80d05f737594fd"),
+    ("threshold-mix", "simultaneous"): (
+        "64d219884958c86dce0122f0c7f8e7a7c62fd536b3e52e5caeed20a507651b96",
+        "5f9c0ec513eb1c2da30f6334f3f05e10366959d222e58b4148f730ec5153b243"),
+    ("trilemma-sync", "random-permutation"): (
+        "1d7eb0b29690d2a2f220566be3fd0ce9105d480b3f131d70a90861a6515099c3",
+        "e2a04881faa06231a95a1d0d83823b45c61d2c2b7febc11e3f7b919402441e2f"),
+    ("trilemma-sync", "simultaneous"): (
+        "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
+        "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),
+    ("trilemma-unsync", "random-permutation"): (
+        "7f66e1c3db97c817d9b2372aa10092803c2da8112fa268cb63e83e045f1b0d37",
+        "facd01327a19baae8011fe32b75599fd1f456188515e6900c2a92367a1671b2f"),
+    ("trilemma-unsync", "simultaneous"): (
+        "3de4cd3a632207fa461e549de71162e148b1fe935175b81bea9bcfa370bf9b86",
+        "6427e7bcd27dd73fa6c5d730180f826505250376bc1fabb7bbbaf440345f6fec"),
+}
+OUTCOMES = {
+    ("broadcast-full-dummy", "random-permutation"):
+        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
+    ("broadcast-full-dummy", "simultaneous"):
+        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
+    ("dcnet-round", "random-permutation"):
+        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
+    ("dcnet-round", "simultaneous"):
+        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
+    ("dropping-model", "random-permutation"):
+        "f5e7fbbd07d7b14cdb5f4ed5247cf713c099f01517f80c295e7276fd6f68f255",
+    ("dropping-model", "simultaneous"):
+        "f5e7fbbd07d7b14cdb5f4ed5247cf713c099f01517f80c295e7276fd6f68f255",
+    ("onion-path", "random-permutation"):
+        "da8ce9e2e00dd9686545d00ff596c9f63fac9779f60925d081b4c7dc187f1deb",
+    ("onion-path", "simultaneous"):
+        "9b4eaf435a1640b74d3168661919b55d7a6b48a18aabc3f653cfe1fd654ad379",
+    ("threshold-mix", "random-permutation"):
+        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
+    ("threshold-mix", "simultaneous"):
+        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
+    ("trilemma-sync", "random-permutation"):
+        "f3ab566767e0a330f1c4675f8e5e8abbb237ef3e688b568011b2fbb15d59ced5",
+    ("trilemma-sync", "simultaneous"):
+        "af3e0b66718a28f6867861cc6488c1effd1cb5e93e345950bace3ab998b6383c",
+    ("trilemma-unsync", "random-permutation"):
+        "40d45fd25cbd8b582f29bdf6dec23e41e50c5c21960ad4d251fb52e1bb351ac8",
+    ("trilemma-unsync", "simultaneous"):
+        "75124d15380accc793e900e1a70576fbc629e6e89d283bc84676d1c413e22251",
+}
+RECORDS = {
+    "onion-path":
+        "f9fc2478354e3dd65ec0311c99d67a6b4e97dd706abb397bea88e2a52d79ebd5",
+    "trilemma-unsync":
+        "e00f025351465f6146b0a0bebdd7b75e4866714c9e119b5ebff812bb5e9e2c75",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(TRACES))
+def test_built_and_filtered_traces_are_byte_identical(name, mode):
+    assert trace_digests(name, mode) == TRACES[name, mode]
+
+
+@pytest.mark.parametrize("variant,mode", sorted(OUTCOMES))
+def test_enumerated_outcomes_are_byte_identical(variant, mode):
+    assert outcome_digest(variant, mode) == OUTCOMES[variant, mode]
+
+
+@pytest.mark.parametrize("variant", sorted(RECORDS))
+def test_simulate_records_are_byte_identical(variant):
+    assert record_digest(variant) == RECORDS[variant]

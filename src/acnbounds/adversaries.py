@@ -131,11 +131,11 @@ def counting_decide(trace, pair, params, cap):
     return None
 
 
-def timing_decide(trace, pair, params, cap):
-    s0, s1 = pair.suspects()
-    arrival = _challenge_arrival(trace, pair)
+def _timing_verdict(trace, pair, params, arrival):
+    """Timing verdict given the challenge arrival found in the trace."""
     if arrival is None:
         return None
+    s0, s1 = pair.suspects()
     packet = arrival.packet
     lo = arrival.round - params.l_max + 1
     hi = arrival.round - 1
@@ -159,11 +159,16 @@ def timing_decide(trace, pair, params, cap):
     return None
 
 
+def timing_decide(trace, pair, params, cap):
+    return _timing_verdict(trace, pair, params,
+                           _challenge_arrival(trace, pair))
+
+
 def tracing_decide(trace, pair, params, cap):
-    s0, s1 = pair.suspects()
     arrival = _challenge_arrival(trace, pair)
     if arrival is None:
         return None
+    s0, s1 = pair.suspects()
     by_packet = {e.packet: e for e in trace.events if e.kind != DELIVER}
     cur = arrival.in_packet
     for _ in range(len(trace.events)):
@@ -179,7 +184,8 @@ def tracing_decide(trace, pair, params, cap):
                 return 1
             break
         cur = e.in_packet
-    return timing_decide(trace, pair, params, cap)
+    # the chain is lost: fall back to timing from the same arrival
+    return _timing_verdict(trace, pair, params, arrival)
 
 
 def dropping_decide(trace, pair, params, cap):

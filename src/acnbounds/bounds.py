@@ -173,7 +173,16 @@ def dropping_min_p(l_max: int, lam: float, poly_lambda: float,
 def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
                          poly_lambda=None, lam=None, c_p: int = 0,
                          out_rate: float = 1.0) -> RegionVerdict:
-    """Classify one parameter point: can strong privacy survive there."""
+    """Classify one parameter point: can strong privacy survive there.
+
+    Raises ValueError for a point no protocol can have: l_max < 1, or a
+    beta or p outside [0, 1].
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+    for name, rate in (("beta", beta), ("p", p)):
+        if rate is not None:
+            _check_rate(name, rate)
     if poly_lambda is None:
         poly_lambda = float(n)
     slack = 1.0 - 1.0 / poly_lambda
@@ -211,8 +220,6 @@ def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
             raise ValueError("dropping region needs p")
         if lam is None:
             raise ValueError("dropping region needs lam")
-        if l_max < 1:
-            return RegionVerdict("not-applicable", math.inf, "no rounds")
         thr = dropping_min_p(l_max, lam, poly_lambda)
         if p <= thr:
             return RegionVerdict("impossible", thr,

@@ -8,7 +8,9 @@ Two routes to the same number:
   per arm.
 * `exact_advantage` enumerates every protocol outcome with exact
   probabilities and returns the advantage as a Fraction, counting ties as
-  one half.
+  one half.  It tallies the probability of the leaves the attack wins and
+  of those it ties, as int numerators per denominator, and returns
+  wins + ties/2 - 1, which equals 2*Pr[correct] - 1.
 
 Determinism contract: all per-trial randomness is derived from
 sha256(master_seed:trial_index), so results are byte-identical no matter
@@ -133,24 +135,32 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     """Advantage of the attack under full enumeration, as an exact Fraction.
 
     Ties contribute a fair coin, so the result is 2*Pr[correct] - 1 for the
-    canonical tie-breaking adversary.
+    canonical tie-breaking adversary.  With a uniform challenge bit that is
+    wins + ties/2 - 1, where wins (ties) sums the probability of every leaf
+    of both arms that the attack gets right (leaves open): each leaf adds
+    its numerator to an int tally per denominator, and only the few
+    distinct denominators become Fractions at the end.
     """
     validate_attack(attack, pair, kind.params)
     check_schedule(kind, pair)
     cap = attack.capability
-    correct = Fraction(0)
+    params = kind.params
+    wins, ties = {}, {}
     for b in (0, 1):
         for prob, outcome in enumerate_outcomes(kind, pair, b):
-            if prob == 0:
-                continue
             trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
-            verdict = decide(attack, trace, pair, kind.params)
+            verdict = decide(attack, trace, pair, params)
             if verdict is None:
-                share = Fraction(1, 2)
+                tally = ties
+            elif verdict == b:
+                tally = wins
             else:
-                share = Fraction(int(verdict == b))
-            correct += Fraction(1, 2) * prob * share
-    return 2 * correct - 1
+                continue
+            den = prob.denominator
+            tally[den] = tally.get(den, 0) + prob.numerator
+    won, tied = (sum((Fraction(num, den) for den, num in tally.items()),
+                     Fraction(0)) for tally in (wins, ties))
+    return won + tied / 2 - 1
 
 
 def advantage_forms(p_guess1_given1: float, p_guess1_given0: float):

@@ -20,6 +20,7 @@ must carry the same payload in both scenarios).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -272,34 +273,56 @@ class ScenarioPair:
     def batch(self, b: int) -> Batch:
         return self.batch1 if b else self.batch0
 
-    def challenge_indices(self):
-        if len(self.batch0.rows) != len(self.batch1.rows):
-            return tuple(range(max(len(self.batch0.rows), len(self.batch1.rows))))
-        return tuple(i for i, (r0, r1) in enumerate(zip(self.batch0.rows, self.batch1.rows))
+    # The challenge fields are read on every trial, so each is computed
+    # once per pair; the pair is frozen, so they never go stale.
+
+    @functools.cached_property
+    def _challenge_indices(self):
+        r0s, r1s = self.batch0.rows, self.batch1.rows
+        if len(r0s) != len(r1s):
+            return tuple(range(max(len(r0s), len(r1s))))
+        return tuple(i for i, (r0, r1) in enumerate(zip(r0s, r1s))
                      if r0 != r1)
+
+    def _differing_rows(self):
+        r0s, r1s = self.batch0.rows, self.batch1.rows
+        for i in self._challenge_indices:
+            yield (r0s[i] if i < len(r0s) else NO_COMM,
+                   r1s[i] if i < len(r1s) else NO_COMM)
+
+    @functools.cached_property
+    def _suspects(self):
+        for r0, r1 in self._differing_rows():
+            if r0 is not NO_COMM and r1 is not NO_COMM:
+                return r0.sender, r1.sender
+        return None
+
+    @functools.cached_property
+    def _challenge_row(self):
+        # the scenario-0 row of the first differing index that has one
+        for r0, _ in self._differing_rows():
+            if r0 is not NO_COMM:
+                return r0
+        return None
+
+    def challenge_indices(self):
+        return self._challenge_indices
 
     def suspects(self):
         """Senders of the first differing row: (accused under 0, under 1)."""
-        for i in self.challenge_indices():
-            r0 = self.batch0.rows[i] if i < len(self.batch0.rows) else NO_COMM
-            r1 = self.batch1.rows[i] if i < len(self.batch1.rows) else NO_COMM
-            if r0 is not NO_COMM and r1 is not NO_COMM:
-                return r0.sender, r1.sender
-        raise ValueError("pair has no differing row with two senders")
+        if self._suspects is None:
+            raise ValueError("pair has no differing row with two senders")
+        return self._suspects
 
     def challenge_receiver(self):
-        for i in self.challenge_indices():
-            r0 = self.batch0.rows[i] if i < len(self.batch0.rows) else NO_COMM
-            if r0 is not NO_COMM:
-                return r0.receiver
-        raise ValueError("pair has no differing row with a receiver")
+        if self._challenge_row is None:
+            raise ValueError("pair has no differing row with a receiver")
+        return self._challenge_row.receiver
 
     def challenge_message(self):
-        for i in self.challenge_indices():
-            r0 = self.batch0.rows[i] if i < len(self.batch0.rows) else NO_COMM
-            if r0 is not NO_COMM:
-                return r0.message
-        raise ValueError("pair has no differing row with a payload")
+        if self._challenge_row is None:
+            raise ValueError("pair has no differing row with a payload")
+        return self._challenge_row.message
 
 
 def _force_differ(senders, n):

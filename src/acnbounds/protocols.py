@@ -26,11 +26,15 @@ Shared conventions:
 
 Randomness is split three ways so Monte Carlo and exact enumeration share
 one code path: `sample_outcome` draws a hashable outcome, `enumerate_outcomes`
-yields every (probability, outcome) pair with exact fractions, and
-`build_trace` deterministically turns an outcome into events.  All three
-read an arm's schedule from `_schedule`, which is computed once per arm and
-start order and raises ConfigError for a schedule the model cannot run;
-`check_schedule` evaluates it before a game plays its first trial.
+lists every (probability, outcome) pair with exact fractions, and
+`build_trace` deterministically turns an outcome into events.  Enumeration
+gives each random axis integer weights over its own denominator, so every
+leaf of an arm shares one denominator, a leaf's weight is an int product,
+and each distinct probability becomes a Fraction once per start order.
+All three read an arm's schedule from `_schedule`, which is computed once
+per arm and start order and raises ConfigError for a schedule the model
+cannot run; `check_schedule` evaluates it before a game plays its first
+trial.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, RANDOM_PERM,
                    SEND, CapabilityError, ConfigError, ObservationEvent,
                    ObservationTrace, ResourceLimitError, filter_trace,
-                   relay_loc)
+                   hash_once, relay_loc)
 
 TRILEMMA_SYNC = "trilemma-sync"
 TRILEMMA_UNSYNC = "trilemma-unsync"
@@ -64,6 +68,7 @@ _SLOTTED = (TRILEMMA_SYNC, DCNET)
 ENUM_LIMIT = 2_000_000
 
 
+@hash_once
 @dataclass(frozen=True)
 class ProtocolKind:
     variant: str
@@ -252,19 +257,59 @@ def _guard(count: int):
                                  f"limit is {ENUM_LIMIT}")
 
 
-def _bernoulli_branches(p: Fraction, on, off):
-    if p == 1:
-        return [(Fraction(1), on)]
-    if p == 0:
-        return [(Fraction(1), off)]
-    return [(1 - p, off), (p, on)]
+# An axis is one independent draw written as (denominator, [(weight,
+# value), ...]) with positive integer weights that sum to the denominator.
+# A leaf's probability is then an integer product over one denominator per
+# start order, so the walk multiplies ints instead of Fractions.
+
+# a row with nothing to draw
+_FIXED = (1, [(1, None)])
+
+
+def _uniform(values):
+    values = list(values)
+    return len(values), [(1, x) for x in values]
+
+
+def _bernoulli(p: Fraction, on):
+    """None with probability 1-p, else `on`; zero branches are pruned."""
+    pn, pd = p.numerator, p.denominator
+    return pd, [(w, x) for w, x in ((pd - pn, None), (pn, on)) if w]
+
+
+def _weighted_product(axes, scale):
+    """Every combination of one value per axis, in `itertools.product`
+    order, as (probability, values) with the probability over `scale`
+    times the axes' denominators.  Each distinct Fraction is built once."""
+    den = scale
+    for d, _ in axes:
+        den *= d
+    made = {}
+    weights = itertools.product(*[[w for w, _ in opts] for _, opts in axes])
+    values = itertools.product(*[[x for _, x in opts] for _, opts in axes])
+    for ws, xs in zip(weights, values):
+        num = prod(ws)
+        prob = made.get(num)
+        if prob is None:
+            prob = made[num] = Fraction(num, den)
+        yield prob, xs
+
+
+def _fired(values):
+    # cover draws that fired; the values are non-empty tuples, so truthy
+    return tuple(filter(None, values))
 
 
 def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
     """Every (probability, outcome) with exact Fraction probabilities.
 
     Mirrors `sample_outcome` exactly; zero-probability branches are pruned
-    so degenerate parameters (p of 0 or 1) stay cheap.
+    so degenerate parameters (p of 0 or 1) stay cheap.  Each axis carries
+    integer weights over its own denominator (a delay weighs 1 of
+    len(delays), a cover draw pd-pn off and pn on of pd, an onion slot
+    (pd-pn)*npaths off and pn per path of pd*npaths; cohorts, dropping
+    paths and start orders weigh 1), so all leaves of an arm share one
+    denominator and a leaf's weight is an integer product.
     """
     batch = pair.batch(b)
     params = kind.params
@@ -272,11 +317,13 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
 
     perm_choices = list(itertools.permutations(range(len(batch.rows)))) \
         if _needs_perm(kind, batch) else [None]
+    nperm = len(perm_choices)
 
     results = []
+    add = results.append
     for perm in perm_choices:
-        perm_p = Fraction(1, len(perm_choices))
         slots, _, free = _schedule(kind, batch, perm)
+        k = len(slots)
 
         if v == TRILEMMA_UNSYNC:
             dchoices = _delay_choices(kind)
@@ -284,18 +331,12 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
             live = len(dchoices) ** sum(1 for s in slots if s is not None)
             if 0 < p < 1:
                 live *= 2 ** len(free)
-            _guard(live * len(perm_choices))
-            row_axes = [[(Fraction(1, len(dchoices)), d) for d in dchoices]
-                        if s is not None else [(Fraction(1), None)]
-                        for s in slots]
-            slot_axes = [_bernoulli_branches(p, sl, None) for sl in free]
-            for combo in itertools.product(*row_axes, *slot_axes):
-                prob = perm_p
-                for q, _ in combo:
-                    prob *= q
-                delays = tuple(x for _, x in combo[:len(slots)])
-                fired = tuple(x for _, x in combo[len(slots):] if x is not None)
-                results.append((prob, (perm, delays, fired)))
+            _guard(live * nperm)
+            delay = _uniform(dchoices)
+            axes = [delay if s is not None else _FIXED for s in slots]
+            axes += [_bernoulli(p, sl) for sl in free]
+            for prob, xs in _weighted_product(axes, nperm):
+                add((prob, (perm, xs[:k], _fired(xs[k:]))))
 
         elif v == TRILEMMA_SYNC:
             dchoices = _delay_choices(kind)
@@ -305,23 +346,15 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
             live = len(dchoices) ** len(sched)
             for _, row in sched:
                 live *= comb(params.n - 1, d)
-            _guard(live * len(perm_choices))
-            row_axes = [[(Fraction(1, len(dchoices)), dd) for dd in dchoices]
-                        if s is not None else [(Fraction(1), None)]
-                        for s in slots]
-            cohort_axes = []
+            _guard(live * nperm)
+            delay = _uniform(dchoices)
+            axes = [delay if s is not None else _FIXED for s in slots]
             for t, row in sched:
                 others = [u for u in range(params.n) if u != row.sender]
-                opts = [(Fraction(1, comb(len(others), d)), (t, c))
-                        for c in itertools.combinations(others, d)]
-                cohort_axes.append(opts)
-            for combo in itertools.product(*row_axes, *cohort_axes):
-                prob = perm_p
-                for q, _ in combo:
-                    prob *= q
-                delays = tuple(x for _, x in combo[:len(slots)])
-                cohorts = tuple(x for _, x in combo[len(slots):])
-                results.append((prob, (perm, delays, cohorts)))
+                axes.append(_uniform((t, c) for c in
+                                     itertools.combinations(others, d)))
+            for prob, xs in _weighted_product(axes, nperm):
+                add((prob, (perm, xs[:k], xs[k:])))
 
         elif v == ONION_PATH:
             h = params.l_exp - 1
@@ -334,45 +367,32 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
                 live *= (1 + npaths) ** len(free)
             elif p == 1:
                 live *= npaths ** len(free)
-            _guard(live * len(perm_choices))
+            _guard(live * nperm)
             allpaths = list(itertools.permutations(range(params.relays), h))
-            row_axes = [[(Fraction(1, npaths), pt) for pt in allpaths]
-                        if s is not None else [(Fraction(1), None)]
-                        for s in slots]
-            slot_axes = []
+            route = _uniform(allpaths)
+            axes = [route if s is not None else _FIXED for s in slots]
+            pn, pd = p.numerator, p.denominator
             for sl in free:
-                on = [(p * Fraction(1, npaths), (sl, pt)) for pt in allpaths]
-                if p == 1:
-                    slot_axes.append(on)
-                elif p == 0:
-                    slot_axes.append([(Fraction(1), None)])
-                else:
-                    slot_axes.append([(1 - p, None)] + on)
-            for combo in itertools.product(*row_axes, *slot_axes):
-                prob = perm_p
-                for q, _ in combo:
-                    prob *= q
-                paths = tuple(x for _, x in combo[:len(slots)])
-                noise = tuple(x for _, x in combo[len(slots):] if x is not None)
-                results.append((prob, (perm, paths, noise)))
+                opts = [((pd - pn) * npaths, None)]
+                opts += [(pn, (sl, pt)) for pt in allpaths]
+                axes.append((pd * npaths, [(w, x) for w, x in opts if w]))
+            for prob, xs in _weighted_product(axes, nperm):
+                add((prob, (perm, xs[:k], _fired(xs[k:]))))
 
         elif v == DROPPING:
             pool = range(params.n) if params.integrated else range(params.relays)
             per_row = comb(len(pool), params.copies)
             live = per_row ** sum(1 for row in batch.rows if row is not NO_COMM)
             _guard(live)
-            axes = [[(Fraction(1, per_row), c)
-                     for c in itertools.combinations(pool, params.copies)]
-                    if row is not NO_COMM else [(Fraction(1), None)]
+            first_hops = _uniform(itertools.combinations(pool, params.copies))
+            axes = [first_hops if row is not NO_COMM else _FIXED
                     for row in batch.rows]
-            for combo in itertools.product(*axes):
-                prob = Fraction(1)
-                for q, _ in combo:
-                    prob *= q
-                results.append((prob, (None, tuple(x for _, x in combo))))
+            for prob, xs in _weighted_product(axes, nperm):
+                add((prob, (None, xs)))
 
         else:
-            results.append((perm_p, (perm,)))
+            for prob, _ in _weighted_product([], nperm):
+                add((prob, (perm,)))
 
     return results
 

@@ -202,6 +202,20 @@ def test_region_verdicts():
         impossibility_region("dropping", n=10, l_max=2, p=0.5)
 
 
+@pytest.mark.parametrize("bound,kw", [
+    ("trilemma", dict(l_max=0, beta=0.2)),
+    ("counting", dict(l_max=0, beta=0.2)),
+    ("dropping", dict(l_max=0, p=0.2, lam=256.0)),
+    ("trilemma", dict(l_max=3, beta=1.5)),
+    ("counting", dict(l_max=3, beta=-0.1)),
+    ("trilemma", dict(l_max=3, p=1.5)),
+    ("dropping", dict(l_max=3, p=-0.5, lam=256.0)),
+])
+def test_region_rejects_impossible_points(bound, kw):
+    with pytest.raises(ValueError):
+        impossibility_region(bound, n=10, **kw)
+
+
 def test_region_uses_n_as_the_default_polynomial():
     strict = impossibility_region("trilemma", n=1000, l_max=2, beta=0.49)
     loose = impossibility_region("trilemma", n=1000, l_max=2, beta=0.49,

@@ -132,6 +132,17 @@ def test_region_defaults_to_a_population(capsys):
     assert rec["threshold"] == pytest.approx(0.4995)
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--lmax", "0", "--beta", "0.2", "--bound", "trilemma"], "l_max"),
+    (["--lmax", "0", "--beta", "0.2", "--bound", "counting"], "l_max"),
+    (["--lmax", "3", "--beta", "1.5", "--bound", "trilemma"], "beta"),
+], ids=["lmax-zero-trilemma", "lmax-zero-counting", "beta-over-one"])
+def test_region_rejects_impossible_points(capsys, argv, reason):
+    code, out, err = _run(capsys, "region", "--n", "10", *argv)
+    assert code == 1 and out == ""
+    assert reason in err
+
+
 def test_atlas_table_and_single_preset(capsys):
     code, out, _ = _run(capsys, "atlas")
     assert code == 0

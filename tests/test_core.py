@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,19 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
 def test_no_comm_is_singleton_with_plain_repr():
     assert repr(NO_COMM) == "NO_COMM"
     assert NO_COMM is not None
+
+
+def test_cached_hashes_stay_out_of_pickles():
+    # str hashes are salted per process, so a pickled hash would be wrong
+    # in the process that loads it
+    from acnbounds.protocols import ProtocolKind
+    kind = ProtocolKind("trilemma-unsync", ProtocolParams(n=2, l_max=2))
+    batch = make_batch([Communication(0, 1, 0), Communication(1, 0, 1)])
+    for obj in (kind, batch):
+        h = hash(obj)
+        copy = pickle.loads(pickle.dumps(obj))
+        assert "_hash" not in vars(copy)
+        assert copy == obj and hash(copy) == h
 
 
 def test_make_batch_validates():

@@ -1,0 +1,308 @@
+"""The exact route against pinned values, closed forms and Monte Carlo.
+
+`PINNED` holds `exact_advantage` for every (variant, stock attack) pair
+that `validate_attack` accepts, at one tiny point per variant and both
+start-order modes, as the code produced it when the values were pinned.
+A change to how enumeration or the game tallies its leaves must leave
+every value equal.
+
+The cross-route property draws tiny random parameters for each accepted
+(protocol, attack) pair and requires the exact advantage to lie inside
+the Monte Carlo interval, widened by `verify`'s default tolerance.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from acnbounds.adversaries import (counting_attack, dropping_attack,
+                                   random_guess_attack, timing_attack,
+                                   tracing_attack, validate_attack)
+from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
+                            CapabilityError, Communication, ProtocolParams,
+                            make_batch)
+from acnbounds.game import estimate_advantage, exact_advantage
+from acnbounds.notions import ScenarioPair, parse_notion
+from acnbounds.protocols import (DROPPING, ONION_PATH, THRESHOLD_MIX,
+                                 TRILEMMA_SYNC, TRILEMMA_UNSYNC, VARIANTS,
+                                 ProtocolKind)
+
+SO = parse_notion("SO")
+MODES = (SIMULTANEOUS, RANDOM_PERM)
+# the default tolerance of `acnbounds verify`
+TOL = 0.02
+
+# one tiny point and pair shape (see SHAPES) per variant: n=2 keeps the
+# cover-traffic models small, n=3 gives the synchronized model a cohort to
+# choose, and onion routing drops the empty row, whose extra start slot
+# would multiply its leaves by 18
+BASE = ProtocolParams(n=2, l_max=2, beta=0.25, relays=2, threshold=1)
+POINTS = {v: (BASE, "skip") for v in VARIANTS}
+POINTS[TRILEMMA_SYNC] = (dataclasses.replace(BASE, n=3, beta=0.5), "skip")
+POINTS[ONION_PATH] = (BASE, "one")
+POINTS["dropping-model-integrated"] = (
+    dataclasses.replace(BASE, integrated=True), "skip")
+
+
+def _variant(name):
+    return DROPPING if name == "dropping-model-integrated" else name
+
+
+def _stock_attacks(n):
+    return {
+        "counting": counting_attack(n),
+        "timing": timing_attack(n),
+        "tracing-1": tracing_attack(n, 1),
+        "tracing-2": tracing_attack(n, 2),
+        "dropping-link": dropping_attack(n),
+        "dropping-relay": dropping_attack(n, 1),
+        "random": random_guess_attack(),
+    }
+
+
+# rows after the challenge row, the same in both scenarios
+SHAPES = {"one": (), "skip": (NO_COMM,), "two": ("context",)}
+
+
+def _pair(n, mode, shape="one"):
+    last = n - 1
+    extra = [Communication(last, 0, 1) if r == "context" else r
+             for r in SHAPES[shape]]
+    b0 = make_batch([Communication(0, last, 0)] + extra, mode)
+    b1 = make_batch([Communication(1, last, 0)] + extra, mode)
+    return ScenarioPair(b0, b1, SO)
+
+
+def _accepted(attack, pair, params):
+    try:
+        validate_attack(attack, pair, params)
+    except CapabilityError:
+        return False
+    return True
+
+
+def pinned_cases():
+    """(name, mode, attack name) -> (kind, attack, pair) over the matrix."""
+    cases = {}
+    for name, (params, shape) in POINTS.items():
+        kind = ProtocolKind(_variant(name), params)
+        for mode in MODES:
+            pair = _pair(params.n, mode, shape)
+            for aname, attack in _stock_attacks(params.n).items():
+                if _accepted(attack, pair, params):
+                    cases[name, mode, aname] = kind, attack, pair
+    return cases
+
+
+def pinned_advantages():
+    """Recompute every pinned value, in the layout of `PINNED`."""
+    return {key: str(exact_advantage(*case))
+            for key, case in pinned_cases().items()}
+
+
+PINNED = {
+    ('broadcast-full-dummy', 'random-permutation', 'counting'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'dropping-link'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'dropping-relay'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'random'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'timing'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'tracing-1'): '0',
+    ('broadcast-full-dummy', 'random-permutation', 'tracing-2'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'counting'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'dropping-link'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'dropping-relay'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'random'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'timing'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'tracing-1'): '0',
+    ('broadcast-full-dummy', 'simultaneous', 'tracing-2'): '0',
+    ('dcnet-round', 'random-permutation', 'counting'): '0',
+    ('dcnet-round', 'random-permutation', 'dropping-link'): '0',
+    ('dcnet-round', 'random-permutation', 'dropping-relay'): '0',
+    ('dcnet-round', 'random-permutation', 'random'): '0',
+    ('dcnet-round', 'random-permutation', 'timing'): '0',
+    ('dcnet-round', 'random-permutation', 'tracing-1'): '0',
+    ('dcnet-round', 'random-permutation', 'tracing-2'): '0',
+    ('dcnet-round', 'simultaneous', 'counting'): '0',
+    ('dcnet-round', 'simultaneous', 'dropping-link'): '0',
+    ('dcnet-round', 'simultaneous', 'dropping-relay'): '0',
+    ('dcnet-round', 'simultaneous', 'random'): '0',
+    ('dcnet-round', 'simultaneous', 'timing'): '0',
+    ('dcnet-round', 'simultaneous', 'tracing-1'): '0',
+    ('dcnet-round', 'simultaneous', 'tracing-2'): '0',
+    ('dropping-model', 'random-permutation', 'counting'): '1',
+    ('dropping-model', 'random-permutation', 'dropping-link'): '1',
+    ('dropping-model', 'random-permutation', 'dropping-relay'): '1/2',
+    ('dropping-model', 'random-permutation', 'random'): '0',
+    ('dropping-model', 'random-permutation', 'timing'): '0',
+    ('dropping-model', 'random-permutation', 'tracing-1'): '1/2',
+    ('dropping-model', 'random-permutation', 'tracing-2'): '1',
+    ('dropping-model', 'simultaneous', 'counting'): '1',
+    ('dropping-model', 'simultaneous', 'dropping-link'): '1',
+    ('dropping-model', 'simultaneous', 'dropping-relay'): '1/2',
+    ('dropping-model', 'simultaneous', 'random'): '0',
+    ('dropping-model', 'simultaneous', 'timing'): '0',
+    ('dropping-model', 'simultaneous', 'tracing-1'): '1/2',
+    ('dropping-model', 'simultaneous', 'tracing-2'): '1',
+    ('dropping-model-integrated', 'random-permutation', 'counting'): '1',
+    ('dropping-model-integrated', 'random-permutation', 'dropping-link'): '1/2',
+    ('dropping-model-integrated', 'random-permutation', 'dropping-relay'): '1/2',
+    ('dropping-model-integrated', 'random-permutation', 'random'): '0',
+    ('dropping-model-integrated', 'random-permutation', 'timing'): '0',
+    ('dropping-model-integrated', 'random-permutation', 'tracing-1'): '0',
+    ('dropping-model-integrated', 'random-permutation', 'tracing-2'): '0',
+    ('dropping-model-integrated', 'simultaneous', 'counting'): '1',
+    ('dropping-model-integrated', 'simultaneous', 'dropping-link'): '1/2',
+    ('dropping-model-integrated', 'simultaneous', 'dropping-relay'): '1/2',
+    ('dropping-model-integrated', 'simultaneous', 'random'): '0',
+    ('dropping-model-integrated', 'simultaneous', 'timing'): '0',
+    ('dropping-model-integrated', 'simultaneous', 'tracing-1'): '0',
+    ('dropping-model-integrated', 'simultaneous', 'tracing-2'): '0',
+    ('onion-path', 'random-permutation', 'counting'): '27/64',
+    ('onion-path', 'random-permutation', 'dropping-link'): '0',
+    ('onion-path', 'random-permutation', 'dropping-relay'): '0',
+    ('onion-path', 'random-permutation', 'random'): '0',
+    ('onion-path', 'random-permutation', 'timing'): '3/4',
+    ('onion-path', 'random-permutation', 'tracing-1'): '7/8',
+    ('onion-path', 'random-permutation', 'tracing-2'): '1',
+    ('onion-path', 'simultaneous', 'counting'): '27/64',
+    ('onion-path', 'simultaneous', 'dropping-link'): '0',
+    ('onion-path', 'simultaneous', 'dropping-relay'): '0',
+    ('onion-path', 'simultaneous', 'random'): '0',
+    ('onion-path', 'simultaneous', 'timing'): '3/4',
+    ('onion-path', 'simultaneous', 'tracing-1'): '7/8',
+    ('onion-path', 'simultaneous', 'tracing-2'): '1',
+    ('threshold-mix', 'random-permutation', 'counting'): '1',
+    ('threshold-mix', 'random-permutation', 'dropping-link'): '0',
+    ('threshold-mix', 'random-permutation', 'dropping-relay'): '0',
+    ('threshold-mix', 'random-permutation', 'random'): '0',
+    ('threshold-mix', 'random-permutation', 'timing'): '1',
+    ('threshold-mix', 'random-permutation', 'tracing-1'): '1',
+    ('threshold-mix', 'random-permutation', 'tracing-2'): '1',
+    ('threshold-mix', 'simultaneous', 'counting'): '1',
+    ('threshold-mix', 'simultaneous', 'dropping-link'): '0',
+    ('threshold-mix', 'simultaneous', 'dropping-relay'): '0',
+    ('threshold-mix', 'simultaneous', 'random'): '0',
+    ('threshold-mix', 'simultaneous', 'timing'): '1',
+    ('threshold-mix', 'simultaneous', 'tracing-1'): '1',
+    ('threshold-mix', 'simultaneous', 'tracing-2'): '1',
+    ('trilemma-sync', 'random-permutation', 'counting'): '1/2',
+    ('trilemma-sync', 'random-permutation', 'dropping-link'): '0',
+    ('trilemma-sync', 'random-permutation', 'dropping-relay'): '0',
+    ('trilemma-sync', 'random-permutation', 'random'): '0',
+    ('trilemma-sync', 'random-permutation', 'timing'): '1/2',
+    ('trilemma-sync', 'random-permutation', 'tracing-1'): '1/2',
+    ('trilemma-sync', 'random-permutation', 'tracing-2'): '1/2',
+    ('trilemma-sync', 'simultaneous', 'counting'): '1/2',
+    ('trilemma-sync', 'simultaneous', 'dropping-link'): '0',
+    ('trilemma-sync', 'simultaneous', 'dropping-relay'): '0',
+    ('trilemma-sync', 'simultaneous', 'random'): '0',
+    ('trilemma-sync', 'simultaneous', 'timing'): '1/2',
+    ('trilemma-sync', 'simultaneous', 'tracing-1'): '1/2',
+    ('trilemma-sync', 'simultaneous', 'tracing-2'): '1/2',
+    ('trilemma-unsync', 'random-permutation', 'counting'): '81/256',
+    ('trilemma-unsync', 'random-permutation', 'dropping-link'): '0',
+    ('trilemma-unsync', 'random-permutation', 'dropping-relay'): '0',
+    ('trilemma-unsync', 'random-permutation', 'random'): '0',
+    ('trilemma-unsync', 'random-permutation', 'timing'): '3/4',
+    ('trilemma-unsync', 'random-permutation', 'tracing-1'): '3/4',
+    ('trilemma-unsync', 'random-permutation', 'tracing-2'): '3/4',
+    ('trilemma-unsync', 'simultaneous', 'counting'): '27/64',
+    ('trilemma-unsync', 'simultaneous', 'dropping-link'): '0',
+    ('trilemma-unsync', 'simultaneous', 'dropping-relay'): '0',
+    ('trilemma-unsync', 'simultaneous', 'random'): '0',
+    ('trilemma-unsync', 'simultaneous', 'timing'): '3/4',
+    ('trilemma-unsync', 'simultaneous', 'tracing-1'): '3/4',
+    ('trilemma-unsync', 'simultaneous', 'tracing-2'): '3/4',
+}
+
+
+def test_every_accepted_pair_is_pinned():
+    assert sorted(PINNED) == sorted(pinned_cases())
+
+
+@pytest.mark.parametrize("name,mode,attack", sorted(PINNED))
+def test_exact_advantage_matches_the_pinned_value(name, mode, attack):
+    kind, att, pair = pinned_cases()[name, mode, attack]
+    got = exact_advantage(kind, att, pair)
+    assert isinstance(got, Fraction)
+    assert str(got) == PINNED[name, mode, attack]
+
+
+@pytest.mark.parametrize("n,l_max,p", [
+    (4, 2, Fraction(1, 4)),
+    (2, 3, Fraction(1, 2)),
+    (3, 2, Fraction(3, 4)),
+])
+def test_unsync_timing_on_one_row_is_the_closed_form(n, l_max, p):
+    # the other suspect has to stay silent for the l_max-1 window rounds
+    kind = ProtocolKind(TRILEMMA_UNSYNC,
+                        ProtocolParams(n=n, l_max=l_max, beta=float(p)))
+    got = exact_advantage(kind, timing_attack(n), _pair(n, SIMULTANEOUS))
+    assert got == (1 - p) ** (l_max - 1)
+
+
+# ---------------------------------------------------------- cross-route
+
+_ATTACKS = ("counting", "timing", "tracing", "dropping", "random")
+_RATES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _cross_params(variant, draw):
+    """Tiny parameters the variant accepts, drawn from hypothesis."""
+    n = draw(st.integers(2, 3))
+    l_max = draw(st.integers(1, 3))
+    kw = dict(n=n, l_max=l_max, beta=draw(_RATES))
+    # leaf counts grow as (options per cover slot) ** (free slots): a
+    # two-relay onion path already has ~39,000 leaves per arm at n=2
+    if variant == ONION_PATH:
+        n = kw["n"] = 2
+        kw["l_max"] = l_max = draw(st.integers(1, 2))
+        kw["relays"] = draw(st.integers(max(1, l_max - 1), 2))
+    elif variant == DROPPING:
+        kw["integrated"] = draw(st.booleans())
+        kw["relays"] = draw(st.integers(1, 3))
+        pool = n if kw["integrated"] else kw["relays"]
+        kw["copies"] = draw(st.integers(1, min(2, pool)))
+    elif variant == THRESHOLD_MIX:
+        kw["threshold"] = draw(st.integers(1, 2))
+    elif variant == TRILEMMA_UNSYNC and n == 3:
+        kw["l_max"] = min(l_max, 2)
+    return ProtocolParams(**kw)
+
+
+def _cross_attack(name, n, draw, relays):
+    if name == "counting":
+        return counting_attack(n)
+    if name == "timing":
+        return timing_attack(n)
+    if name == "tracing":
+        return tracing_attack(n, draw(st.integers(0, max(1, relays))))
+    if name == "dropping":
+        return dropping_attack(n, draw(st.integers(0, 1)))
+    return random_guess_attack()
+
+
+@pytest.mark.parametrize("attack_name", _ATTACKS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=4, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exact_lies_inside_the_monte_carlo_interval(variant, attack_name,
+                                                    data):
+    draw = data.draw
+    params = _cross_params(variant, draw)
+    mode = draw(st.sampled_from(MODES))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    if variant == THRESHOLD_MIX and params.threshold == 2:
+        # the mix must see at least `threshold` scheduled messages
+        shape = "two"
+    pair = _pair(params.n, mode, shape)
+    # every draw is one `validate_attack` accepts, so no pair is skipped
+    attack = _cross_attack(attack_name, params.n, draw, params.relays)
+    kind = ProtocolKind(variant, params)
+    exact = exact_advantage(kind, attack, pair)
+    est = estimate_advantage(kind, attack, pair, 400,
+                             master_seed=draw(st.integers(0, 2**16)))
+    assert est.ci_low - TOL <= exact <= est.ci_high + TOL

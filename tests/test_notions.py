@@ -141,6 +141,22 @@ def test_scenario_pair_checks_validity_and_reports_suspects():
         ScenarioPair(B(C(0, 3, 7)), B(C(0, 3, 8)), so)
 
 
+def test_missing_challenge_fields_raise_on_every_call():
+    # CO lets a row face an empty slot: no second suspect, then no receiver
+    co = parse_notion("CO")
+    pair = ScenarioPair(B(C(0, 3, 7)), B(NO_COMM), co)
+    assert pair.challenge_receiver() == 3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pair.suspects()
+    pair = ScenarioPair(B(NO_COMM), B(C(1, 3, 7)), co)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pair.challenge_receiver()
+        with pytest.raises(ValueError):
+            pair.challenge_message()
+
+
 def test_generated_pairs_are_valid_for_every_kind():
     params = ProtocolParams(n=5, l_max=2)
     specs = ["CO", "RO", "SO", "SML", "(SM)L", "(SR)L", "SO_nmax:2",

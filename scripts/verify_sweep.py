@@ -12,8 +12,8 @@ import itertools
 import sys
 
 from acnbounds.adversaries import (counting_attack, dropping_attack,
-                                   dropping_success_rate, timing_attack)
-from acnbounds.bounds import SYNC, UNSYNC_IMPROVED, trilemma_advantage
+                                   timing_attack)
+from acnbounds.cli import expected_advantage, verify_passes
 from acnbounds.core import Communication, ProtocolParams, make_batch
 from acnbounds.game import estimate_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
@@ -30,43 +30,37 @@ def _pair(n):
 def sweep(trials, seed, tol):
     failures = 0
 
-    def check(label, est, expected, floor):
+    def check(label, kind, attack, n):
+        # the reference value and the pass rule are `acnbounds verify`'s
         nonlocal failures
-        ok = (est.ci_high + tol >= expected) if floor else \
-            (est.ci_low - tol <= expected <= est.ci_high + tol)
+        est = estimate_advantage(kind, attack, _pair(n), trials, seed)
+        expected, rule = expected_advantage(kind, attack)
+        ok = verify_passes(est, expected, rule, tol)
         failures += 0 if ok else 1
         print(f"{label:58} adv={est.point:+.4f} "
               f"ci=[{est.ci_low:+.4f},{est.ci_high:+.4f}] "
               f"ref={expected:.4f} {'ok' if ok else 'FAIL'}")
 
     for n, l_max, p in itertools.product((2, 10), (2, 3), (0.1, 0.5)):
-        params = ProtocolParams(n=n, l_max=l_max, beta=p)
-        kind = ProtocolKind("trilemma-unsync", params)
-        est = estimate_advantage(kind, timing_attack(n), _pair(n), trials, seed)
-        ref = trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p)
+        kind = ProtocolKind("trilemma-unsync",
+                            ProtocolParams(n=n, l_max=l_max, beta=p))
         check(f"trilemma-unsync timing n={n} l_max={l_max} p={p}",
-              est, ref, floor=True)
+              kind, timing_attack(n), n)
 
     for n, beta in ((10, 0.2), (10, 0.9), (20, 0.5)):
-        params = ProtocolParams(n=n, l_max=2, beta=beta)
-        kind = ProtocolKind("trilemma-sync", params)
-        est = estimate_advantage(kind, timing_attack(n), _pair(n), trials, seed)
-        ref = trilemma_advantage(SYNC, 2, beta=beta, n=n)
-        check(f"trilemma-sync timing n={n} beta={beta}", est, ref, floor=True)
+        kind = ProtocolKind("trilemma-sync",
+                            ProtocolParams(n=n, l_max=2, beta=beta))
+        check(f"trilemma-sync timing n={n} beta={beta}",
+              kind, timing_attack(n), n)
 
-    params = ProtocolParams(n=3, l_max=2)
-    kind = ProtocolKind("broadcast-full-dummy", params)
-    est = estimate_advantage(kind, counting_attack(3), _pair(3), trials, seed)
-    check("broadcast counting n=3", est, 0.0, floor=False)
+    kind = ProtocolKind("broadcast-full-dummy", ProtocolParams(n=3, l_max=2))
+    check("broadcast counting n=3", kind, counting_attack(3), 3)
 
     for c_a in (0, 1, 2, 4):
-        params = ProtocolParams(n=3, l_max=1, relays=4, copies=2)
-        kind = ProtocolKind("dropping-model", params)
-        est = estimate_advantage(kind, dropping_attack(3, c_a=c_a), _pair(3),
-                                 trials, seed)
-        ref = dropping_success_rate(c_a, 2, 4)
-        check(f"dropping-model c_a={c_a} copies=2 pool=4", est, ref,
-              floor=False)
+        kind = ProtocolKind("dropping-model",
+                            ProtocolParams(n=3, l_max=1, relays=4, copies=2))
+        check(f"dropping-model c_a={c_a} copies=2 pool=4",
+              kind, dropping_attack(3, c_a=c_a), 3)
 
     return failures
 

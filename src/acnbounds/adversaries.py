@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import (DELIVER, FORWARD, SEND, AdversaryCapability,
-                   CapabilityError, sender_counts)
+from .core import (DELIVER, SEND, AdversaryCapability, CapabilityError,
+                   sender_counts)
 
 COUNTING = "counting"
 TIMING = "timing-interval"
@@ -217,30 +217,3 @@ def dropping_success_rate(c_a: int, copies: int, pool: int):
         return 0.0
     return comb(c_a, copies) / comb(pool, copies)
 
-
-def dropping_actions(events, pair, cap, params):
-    """Fixture policy for DroppingSession: after seeing `events`, which
-    (packet, location) drops to request next.  Mirrors what build_trace
-    applies in one shot."""
-    target = pair.suspects()[1]
-    link = (cap.active_drop and cap.c_a == 0
-            and target in cap.observed_senders)
-    actions = []
-    target_packets = set()
-    for e in events:
-        if e.kind == SEND and e.location == target:
-            target_packets.add(e.packet)
-            if link:
-                actions.append((e.packet, e.location))
-        if (e.kind == FORWARD and link and params.integrated
-                and e.location == target):
-            # integrated model: the target is a first hop, its outbound
-            # link is cut, so forwards for other senders die with it
-            actions.append((e.packet, e.location))
-            continue
-        if e.kind == FORWARD and e.in_packet in target_packets:
-            loc = e.location
-            idx = loc if params.integrated else -loc - 1
-            if cap.active_drop and 0 <= idx < cap.c_a:
-                actions.append((e.packet, loc))
-    return actions

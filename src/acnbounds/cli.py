@@ -233,7 +233,9 @@ def _cmd_simulate(ns) -> int:
     return 0
 
 
-def _expected_advantage(ns, kind, attack):
+def expected_advantage(kind, attack):
+    """(reference value, check) for a protocol and attack: `floor` for a
+    lower bound the attack must reach, `exact` for a combinatorial value."""
     proto, att = kind.variant, attack.variant
     params = kind.params
     if proto == "trilemma-sync" and att == "timing-interval":
@@ -251,15 +253,19 @@ def _expected_advantage(ns, kind, attack):
     raise ConfigError(f"no reference value for {proto} with {att}")
 
 
-def _cmd_verify(ns) -> int:
-    kind, attack, pair, est = _run_game(ns)
-    expected, check = _expected_advantage(ns, kind, attack)
-    tol = ns.tol
+def verify_passes(est, expected, check, tol) -> bool:
+    """`verify`'s pass rule for an estimate against its reference value."""
     if check == "floor":
         # the formula is a lower bound that the built-in attack must reach
-        ok = est.ci_high + tol >= expected
-    else:
-        ok = est.ci_low - tol <= expected <= est.ci_high + tol
+        return est.ci_high + tol >= expected
+    return est.ci_low - tol <= expected <= est.ci_high + tol
+
+
+def _cmd_verify(ns) -> int:
+    kind, attack, pair, est = _run_game(ns)
+    expected, check = expected_advantage(kind, attack)
+    tol = ns.tol
+    ok = verify_passes(est, expected, check, tol)
     record = result_record(kind, attack, pair, est, ns.seed)
     record.update(expected=expected, tolerance=tol, check=check,
                   verdict="pass" if ok else "fail")

@@ -9,6 +9,7 @@ see is produced by filtering the full trace against her capability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 
@@ -29,6 +30,11 @@ class _NoComm:
     __slots__ = ()
 
     def __repr__(self):
+        return "NO_COMM"
+
+    def __reduce__(self):
+        # pickle and deepcopy hand back the module's one instance, so
+        # `row is NO_COMM` holds on a copied batch too
         return "NO_COMM"
 
 
@@ -150,7 +156,7 @@ class ProtocolParams:
             raise ValueError("need l_max >= 1")
         if not (0.0 <= self.beta <= 1.0 and 0.0 <= self.p_real <= 1.0):
             raise ValueError("beta and p_real must lie in [0, 1]")
-        if self.beta + self.p_real > 1.0:
+        if self.beta + self.p_real > 1.0 or self.p_exact > 1:
             raise ValueError("p = p_real + beta may not exceed 1")
         if self.l_exp is None:
             object.__setattr__(self, "l_exp", self.l_max)
@@ -166,6 +172,14 @@ class ProtocolParams:
     @property
     def p(self) -> float:
         return self.beta + self.p_real
+
+    @property
+    def p_exact(self) -> Fraction:
+        """p in the decimals the user typed: Fraction(0.3) would be
+        5404319552844595/2**54, this is 3/10."""
+        # str, not repr: a float prints its shortest decimal, and a Fraction
+        # or int passed through the Python API prints as one Fraction parses
+        return Fraction(str(self.beta)) + Fraction(str(self.p_real))
 
 
 @dataclass(frozen=True)

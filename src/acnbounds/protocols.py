@@ -24,32 +24,45 @@ Shared conventions:
   absorbed unobserved at the far end; receiver-side dummy handling is out
   of scope here.
 
-Randomness is split three ways so Monte Carlo and exact enumeration share
-one code path: `sample_outcome` draws a hashable outcome, `enumerate_outcomes`
-lists every (probability, outcome) pair with exact fractions, and
-`build_trace` deterministically turns an outcome into events.  Enumeration
-gives each random axis integer weights over its own denominator, so every
-leaf of an arm shares one denominator, a leaf's weight is an int product,
-and each distinct probability becomes a Fraction once per start order.
-All three read an arm's schedule from `_schedule`, which is computed once
-per arm and start order and raises ConfigError for a schedule the model
-cannot run; `check_schedule` evaluates it before a game plays its first
-trial.
+Each variant's randomness is written once, in `_fields`, as an ordered
+tuple of *fields of draws* for one arm and start order.  A field is one
+pick per batch row (None for a row with nothing to draw) or the cover
+coins, one per free (round, user) slot.  A pick is a uniform choice (a
+transit delay), a sorted k-subset (a sync cohort tagged with its round, a
+dropping copy's first hops) or an ordered k-sample (an onion path).  An
+outcome is the start order followed by one value per field: unsync
+(perm, delays, fired), sync (perm, delays, cohorts), onion (perm, paths,
+fired with paths), dropping (None, first hops); the other models are
+deterministic given the schedule, (perm,).
+
+Every field has `draw(rng)`, which `sample_outcome` calls in order with a
+fixed rng call sequence, and `options()`, its values with integer weights
+over one denominator, whose product `enumerate_outcomes` streams as exact
+Fractions; so the two routes cannot drift apart.  `size` counts a field's
+values without listing them, so the `ENUM_LIMIT` guard trips before any
+leaf is built.  Exact cover weights use the decimals the user typed
+(beta=0.3 weighs 3/10); Monte Carlo compares against the float.
+
+`build_trace` deterministically turns an outcome into events, applying a
+dropping adversary's drops in the same pass.  It and `_fields` read an
+arm's schedule from `_schedule`, computed once per arm and start order,
+which raises ConfigError for a schedule the model cannot run;
+`check_schedule` evaluates it before a game plays its first trial.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
 from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, RANDOM_PERM,
-                   SEND, CapabilityError, ConfigError, ObservationEvent,
-                   ObservationTrace, ResourceLimitError, filter_trace,
-                   hash_once, relay_loc)
+                   SEND, ConfigError, ObservationEvent, ObservationTrace,
+                   ResourceLimitError, filter_trace, hash_once, relay_loc)
 
 TRILEMMA_SYNC = "trilemma-sync"
 TRILEMMA_UNSYNC = "trilemma-unsync"
@@ -153,13 +166,9 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
     return tuple(out)
 
 
-# models whose cover traffic is one draw per free (round, user) slot
-_SLOT_NOISE = (TRILEMMA_UNSYNC, ONION_PATH)
-
-
 @functools.lru_cache(maxsize=64)
 def _schedule(kind: ProtocolKind, batch, perm):
-    """(slots, horizon, noise_slots) of one arm under one start order.
+    """(slots, horizon) of one arm under one start order.
 
     A pure function of frozen arguments, cached so a trial loop computes
     it once per arm and permutation instead of once per trial.  Raises
@@ -170,10 +179,7 @@ def _schedule(kind: ProtocolKind, batch, perm):
             and sum(s is not None for s in slots) < kind.params.threshold):
         raise ConfigError("fewer scheduled messages than the threshold, "
                           "the mix would never flush")
-    horizon = _horizon(kind, batch)
-    noise = (_noise_slots(kind, batch, slots, horizon)
-             if kind.variant in _SLOT_NOISE else ())
-    return slots, horizon, noise
+    return slots, _horizon(kind, batch)
 
 
 def check_schedule(kind: ProtocolKind, pair) -> None:
@@ -184,216 +190,193 @@ def check_schedule(kind: ProtocolKind, pair) -> None:
         _schedule(kind, pair.batch(b), None)
 
 
-def _delay_choices(kind: ProtocolKind):
-    if kind.params.l_max == 1:
-        return (0,)
-    return tuple(range(1, kind.params.l_max))
-
-
 def _needs_perm(kind: ProtocolKind, batch) -> bool:
     return batch.mode == RANDOM_PERM and kind.variant != DROPPING
 
 
-# ---------------------------------------------------------------- sampling
+# ---------------------------------------------------------- fields of draws
 
-def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
-    """Draw one random outcome.  The draw order is fixed: permutation,
-    then per-row randomness in row order, then cover traffic in slot order.
-    """
-    batch = pair.batch(b)
-    params = kind.params
-    v = kind.variant
-    perm = tuple(rng.sample(range(len(batch.rows)), len(batch.rows))) \
-        if _needs_perm(kind, batch) else None
-    slots, _, free = _schedule(kind, batch, perm)
+def _product(tables):
+    """(weight product, values) for every choice of one (weight, value)
+    per table, in `itertools.product` order."""
+    weights = itertools.product(*[[w for w, _ in t] for t in tables])
+    values = itertools.product(*[[x for _, x in t] for t in tables])
+    return zip(map(prod, weights), values)
 
-    if v == TRILEMMA_UNSYNC:
-        delays = tuple(None if s is None else rng.choice(_delay_choices(kind))
-                       for s in slots)
-        p = params.p
-        draw = rng.random
-        fired = tuple([sl for sl in free if draw() < p])
-        return (perm, delays, fired)
 
-    if v == TRILEMMA_SYNC:
-        delays = tuple(None if s is None else rng.choice(_delay_choices(kind))
-                       for s in slots)
+class _Choice:
+    """A uniform pick from `values` (a transit delay)."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+        self.size = len(self.values)
+
+    def draw(self, rng):
+        return rng.choice(self.values)
+
+    def options(self):
+        return self.size, [(1, x) for x in self.values]
+
+
+class _Subset:
+    """A sorted k-subset of `pool`, as `(tag, subset)` when tagged (a sync
+    cohort tagged with its round, a dropping copy's first hops)."""
+
+    def __init__(self, pool, k, tag=None):
+        self.pool, self.k, self.tag = tuple(pool), k, tag
+        self.size = comb(len(self.pool), k)
+
+    def draw(self, rng):
+        s = tuple(sorted(rng.sample(self.pool, self.k)))
+        return s if self.tag is None else (self.tag, s)
+
+    def options(self):
+        subsets = itertools.combinations(self.pool, self.k)
+        if self.tag is not None:
+            subsets = [(self.tag, s) for s in subsets]
+        return self.size, [(1, s) for s in subsets]
+
+
+class _Sample:
+    """An ordered k-sample of `pool` (an onion path)."""
+
+    def __init__(self, pool, k):
+        self.pool, self.k = tuple(pool), k
+        self.size = math.perm(len(self.pool), k)
+
+    def draw(self, rng):
+        return tuple(rng.sample(self.pool, self.k))
+
+    def options(self):
+        paths = itertools.permutations(self.pool, self.k)
+        return self.size, [(1, s) for s in paths]
+
+
+class _Picks:
+    """A field of independent picks, one per entry; a None entry is fixed
+    at None (a row without a scheduled message)."""
+
+    def __init__(self, picks):
+        self.picks = tuple(picks)
+        self.size = prod(x.size for x in self.picks if x is not None)
+
+    def draw(self, rng):
+        return tuple([None if x is None else x.draw(rng) for x in self.picks])
+
+    def options(self):
+        opts = [(1, [(1, None)]) if x is None else x.options()
+                for x in self.picks]
+        return prod(d for d, _ in opts), list(_product([t for _, t in opts]))
+
+
+class _Cover:
+    """The cover coins: one per free (round, user) slot, in slot order, each
+    firing at rate p.  The field is the tuple of fired slots, each paired
+    with a fresh `payload` pick when there is one (an onion path)."""
+
+    def __init__(self, free, params, payload=None):
+        self.free, self.payload, self.p = free, payload, params.p
+        # exact weights in the decimals the user typed; Monte Carlo keeps
+        # the float
+        self.rate = params.p_exact
+        paths = 1 if payload is None else payload.size
+        self.size = (int(self.rate < 1)
+                     + paths * int(self.rate > 0)) ** len(free)
+
+    def draw(self, rng):
+        p, coin = self.p, rng.random
+        if self.payload is None:
+            return tuple([sl for sl in self.free if coin() < p])
+        pick = self.payload.draw
+        return tuple([(sl, pick(rng)) for sl in self.free if coin() < p])
+
+    def options(self):
+        pn, pd = self.rate.numerator, self.rate.denominator
+        m, on = ((1, [(1, None)]) if self.payload is None
+                 else self.payload.options())
+        tables = []
+        for sl in self.free:
+            opts = [((pd - pn) * m, None)]
+            opts += [(pn * w, sl if x is None else (sl, x)) for w, x in on]
+            tables.append([(w, x) for w, x in opts if w])
+        # a slot that did not fire leaves None, and fired values are truthy
+        return (pd * m) ** len(self.free), [
+            (w, tuple(filter(None, xs))) for w, xs in _product(tables)]
+
+
+@functools.lru_cache(maxsize=64)
+def _fields(kind: ProtocolKind, batch, perm):
+    """The randomness of one arm under one start order, as the ordered
+    fields of draws an outcome holds after its start order."""
+    v, params = kind.variant, kind.params
+    slots, horizon = _schedule(kind, batch, perm)
+    if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
+        delay = _Choice(range(1, params.l_max) if params.l_max > 1 else (0,))
+        delays = _Picks(None if s is None else delay for s in slots)
+        if v == TRILEMMA_UNSYNC:
+            return delays, _Cover(_noise_slots(kind, batch, slots, horizon),
+                                  params)
         d = _num_dummies(params)
-        cohorts = []
-        for j, row in enumerate(batch.rows):
-            if slots[j] is None:
-                continue
-            others = [u for u in range(params.n) if u != row.sender]
-            cohorts.append((slots[j], tuple(sorted(rng.sample(others, d)))))
-        return (perm, delays, tuple(cohorts))
-
+        return delays, _Picks(
+            _Subset([u for u in range(params.n) if u != row.sender], d, s)
+            for s, row in zip(slots, batch.rows) if s is not None)
     if v == ONION_PATH:
-        h = params.l_exp - 1
-        paths = tuple(None if s is None else tuple(rng.sample(range(params.relays), h))
-                      for s in slots)
-        p = params.p
-        noise = []
-        for sl in free:
-            if rng.random() < p:
-                noise.append((sl, tuple(rng.sample(range(params.relays), h))))
-        return (perm, paths, tuple(noise))
-
+        path = _Sample(range(params.relays), params.l_exp - 1)
+        return (_Picks(None if s is None else path for s in slots),
+                _Cover(_noise_slots(kind, batch, slots, horizon), params,
+                       path))
     if v == DROPPING:
         pool = range(params.n) if params.integrated else range(params.relays)
-        paths = tuple(None if row is NO_COMM
-                      else tuple(sorted(rng.sample(pool, params.copies)))
-                      for row in batch.rows)
-        return (None, paths)
-
+        first_hops = _Subset(pool, params.copies)
+        return (_Picks(None if row is NO_COMM else first_hops
+                       for row in batch.rows),)
     # threshold mix, dc-net and broadcast are deterministic given the schedule
-    return (perm,)
+    return ()
 
 
-# ------------------------------------------------------------- enumeration
-
-def _guard(count: int):
-    if count > ENUM_LIMIT:
-        raise ResourceLimitError(f"outcome space has {count} leaves, "
-                                 f"limit is {ENUM_LIMIT}")
-
-
-# An axis is one independent draw written as (denominator, [(weight,
-# value), ...]) with positive integer weights that sum to the denominator.
-# A leaf's probability is then an integer product over one denominator per
-# start order, so the walk multiplies ints instead of Fractions.
-
-# a row with nothing to draw
-_FIXED = (1, [(1, None)])
-
-
-def _uniform(values):
-    values = list(values)
-    return len(values), [(1, x) for x in values]
-
-
-def _bernoulli(p: Fraction, on):
-    """None with probability 1-p, else `on`; zero branches are pruned."""
-    pn, pd = p.numerator, p.denominator
-    return pd, [(w, x) for w, x in ((pd - pn, None), (pn, on)) if w]
-
-
-def _weighted_product(axes, scale):
-    """Every combination of one value per axis, in `itertools.product`
-    order, as (probability, values) with the probability over `scale`
-    times the axes' denominators.  Each distinct Fraction is built once."""
-    den = scale
-    for d, _ in axes:
-        den *= d
-    made = {}
-    weights = itertools.product(*[[w for w, _ in opts] for _, opts in axes])
-    values = itertools.product(*[[x for _, x in opts] for _, opts in axes])
-    for ws, xs in zip(weights, values):
-        num = prod(ws)
-        prob = made.get(num)
-        if prob is None:
-            prob = made[num] = Fraction(num, den)
-        yield prob, xs
-
-
-def _fired(values):
-    # cover draws that fired; the values are non-empty tuples, so truthy
-    return tuple(filter(None, values))
+def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
+    """Draw one random outcome: the start order, then each field in turn."""
+    batch = pair.batch(b)
+    rows = len(batch.rows)
+    perm = (tuple(rng.sample(range(rows), rows))
+            if _needs_perm(kind, batch) else None)
+    return (perm, *[f.draw(rng) for f in _fields(kind, batch, perm)])
 
 
 def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
-    """Every (probability, outcome) with exact Fraction probabilities.
+    """Every (probability, outcome) with exact Fraction probabilities, in
+    the order of the start orders and then of each field's options.
 
-    Mirrors `sample_outcome` exactly; zero-probability branches are pruned
-    so degenerate parameters (p of 0 or 1) stay cheap.  Each axis carries
-    integer weights over its own denominator (a delay weighs 1 of
-    len(delays), a cover draw pd-pn off and pn on of pd, an onion slot
-    (pd-pn)*npaths off and pn per path of pd*npaths; cohorts, dropping
-    paths and start orders weigh 1), so all leaves of an arm share one
-    denominator and a leaf's weight is an integer product.
+    The leaves of each field are listed once, then their product is
+    streamed; zero-weight options are pruned, so degenerate rates (p of 0
+    or 1) stay cheap.  All leaves of an arm share one denominator, so a
+    leaf's weight is an int product and each distinct probability becomes
+    a Fraction once per start order.
     """
     batch = pair.batch(b)
-    params = kind.params
-    v = kind.variant
-
-    perm_choices = list(itertools.permutations(range(len(batch.rows)))) \
-        if _needs_perm(kind, batch) else [None]
-    nperm = len(perm_choices)
-
+    rows = len(batch.rows)
+    first = tuple(range(rows)) if _needs_perm(kind, batch) else None
+    nperm = 1 if first is None else math.factorial(rows)
+    # counted before anything is listed, start orders included; field
+    # sizes do not depend on the start order
+    count = nperm * prod(f.size for f in _fields(kind, batch, first))
+    if count > ENUM_LIMIT:
+        raise ResourceLimitError(f"outcome space has {count} leaves, "
+                                 f"limit is {ENUM_LIMIT}")
     results = []
     add = results.append
-    for perm in perm_choices:
-        slots, _, free = _schedule(kind, batch, perm)
-        k = len(slots)
-
-        if v == TRILEMMA_UNSYNC:
-            dchoices = _delay_choices(kind)
-            p = Fraction(params.p)
-            live = len(dchoices) ** sum(1 for s in slots if s is not None)
-            if 0 < p < 1:
-                live *= 2 ** len(free)
-            _guard(live * nperm)
-            delay = _uniform(dchoices)
-            axes = [delay if s is not None else _FIXED for s in slots]
-            axes += [_bernoulli(p, sl) for sl in free]
-            for prob, xs in _weighted_product(axes, nperm):
-                add((prob, (perm, xs[:k], _fired(xs[k:]))))
-
-        elif v == TRILEMMA_SYNC:
-            dchoices = _delay_choices(kind)
-            d = _num_dummies(params)
-            sched = [(slots[j], row) for j, row in enumerate(batch.rows)
-                     if slots[j] is not None]
-            live = len(dchoices) ** len(sched)
-            for _, row in sched:
-                live *= comb(params.n - 1, d)
-            _guard(live * nperm)
-            delay = _uniform(dchoices)
-            axes = [delay if s is not None else _FIXED for s in slots]
-            for t, row in sched:
-                others = [u for u in range(params.n) if u != row.sender]
-                axes.append(_uniform((t, c) for c in
-                                     itertools.combinations(others, d)))
-            for prob, xs in _weighted_product(axes, nperm):
-                add((prob, (perm, xs[:k], xs[k:])))
-
-        elif v == ONION_PATH:
-            h = params.l_exp - 1
-            npaths = 1
-            for i in range(h):
-                npaths *= params.relays - i
-            p = Fraction(params.p)
-            live = npaths ** sum(1 for s in slots if s is not None)
-            if 0 < p < 1:
-                live *= (1 + npaths) ** len(free)
-            elif p == 1:
-                live *= npaths ** len(free)
-            _guard(live * nperm)
-            allpaths = list(itertools.permutations(range(params.relays), h))
-            route = _uniform(allpaths)
-            axes = [route if s is not None else _FIXED for s in slots]
-            pn, pd = p.numerator, p.denominator
-            for sl in free:
-                opts = [((pd - pn) * npaths, None)]
-                opts += [(pn, (sl, pt)) for pt in allpaths]
-                axes.append((pd * npaths, [(w, x) for w, x in opts if w]))
-            for prob, xs in _weighted_product(axes, nperm):
-                add((prob, (perm, xs[:k], _fired(xs[k:]))))
-
-        elif v == DROPPING:
-            pool = range(params.n) if params.integrated else range(params.relays)
-            per_row = comb(len(pool), params.copies)
-            live = per_row ** sum(1 for row in batch.rows if row is not NO_COMM)
-            _guard(live)
-            first_hops = _uniform(itertools.combinations(pool, params.copies))
-            axes = [first_hops if row is not NO_COMM else _FIXED
-                    for row in batch.rows]
-            for prob, xs in _weighted_product(axes, nperm):
-                add((prob, (None, xs)))
-
-        else:
-            for prob, _ in _weighted_product([], nperm):
-                add((prob, (perm,)))
-
+    for perm in [None] if first is None else itertools.permutations(first):
+        den, tables = nperm, []
+        for field in _fields(kind, batch, perm):
+            d, leaves = field.options()
+            den *= d
+            tables.append(leaves)
+        made = {}
+        for num, xs in _product(tables):
+            prob = made.get(num)
+            if prob is None:
+                prob = made[num] = Fraction(num, den)
+            add((prob, (perm, *xs)))
     return results
 
 
@@ -420,7 +403,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     batch = pair.batch(b)
     params = kind.params
     v = kind.variant
-    slots, horizon, _ = _schedule(kind, batch, outcome[0])
+    slots, horizon = _schedule(kind, batch, outcome[0])
     pid = itertools.count()
     ev = []
 
@@ -575,87 +558,3 @@ def run_protocol(kind: ProtocolKind, pair, b: int, capability,
     outcome = sample_outcome(kind, pair, b, rng)
     trace = build_trace(kind, pair, b, outcome, capability)
     return filter_trace(trace, capability)
-
-
-# ------------------------------------------------------- interactive drops
-
-class DroppingSession:
-    """Round-by-round interface to the dropping model.
-
-    The batch is sent in round 1, first hops forward in round 2, delivery
-    happens in round 3.  Between rounds the adversary may drop packets at
-    locations it controls; anything else raises CapabilityError.  The
-    fixed policy in `adversaries.dropping_actions` reproduces exactly what
-    `build_trace` does in one shot, and a test holds the two together.
-    """
-
-    def __init__(self, kind: ProtocolKind, pair, b: int, outcome, capability):
-        if kind.variant != DROPPING:
-            raise ConfigError("interactive stepping only models dropping")
-        self.kind = kind
-        self.capability = capability
-        self.round = 0
-        self._dead = set()
-        batch = pair.batch(b)
-        params = kind.params
-        paths = outcome[1]
-        pid = itertools.count()
-        self._sends = []    # (event, first_hop, row)
-        for j, row in enumerate(batch.rows):
-            if row is NO_COMM:
-                continue
-            for k in paths[j]:
-                e = ObservationEvent(SEND, 1, row.sender, next(pid),
-                                     is_real=True, msg=row.message)
-                self._sends.append((e, k, row))
-        self._forwards = []  # (event, send_packet, row)
-        self._pid = pid
-
-    def _controls(self, location) -> bool:
-        cap = self.capability
-        if not cap.active_drop:
-            return False
-        if location < 0:
-            return -location - 1 < cap.c_a
-        if self.kind.params.integrated and location < cap.c_a:
-            return True
-        return location in cap.observed_senders
-
-    def step(self, actions=()):
-        """Advance one round; `actions` is an iterable of (packet, location)
-        drops to apply before the round plays out.  Returns the new events,
-        filtered to what the adversary sees."""
-        for packet, location in actions:
-            if not self._controls(location):
-                raise CapabilityError(f"no control over location {location}")
-            self._dead.add(packet)
-        self.round += 1
-        params = self.kind.params
-        new = []
-        if self.round == 1:
-            new = [e for (e, _, _) in self._sends]
-        elif self.round == 2:
-            for e, k, row in self._sends:
-                if e.packet in self._dead:
-                    new.append(ObservationEvent(DROP, 1, e.location, e.packet))
-                    continue
-                loc = k if params.integrated else relay_loc(k)
-                f = ObservationEvent(FORWARD, 2, loc, next(self._pid),
-                                     origin=e.location, in_packet=e.packet)
-                self._forwards.append((f, e.packet, row))
-                new.append(f)
-        elif self.round == 3:
-            by_row = {}
-            for f, sp, row in self._forwards:
-                if f.packet in self._dead:
-                    new.append(ObservationEvent(DROP, 2, f.location, f.packet))
-                    continue
-                by_row.setdefault(id(row), (row, []))[1].append(f.packet)
-            for row, alive in by_row.values():
-                new.append(ObservationEvent(DELIVER, 3, row.receiver,
-                                            next(self._pid), is_real=True,
-                                            in_packet=alive[0], msg=row.message))
-        else:
-            raise ConfigError("session is over")
-        return filter_trace(ObservationTrace.from_events(new),
-                            self.capability).events

@@ -1,4 +1,6 @@
+import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +29,13 @@ def test_cached_hashes_stay_out_of_pickles():
         copy = pickle.loads(pickle.dumps(obj))
         assert "_hash" not in vars(copy)
         assert copy == obj and hash(copy) == h
+
+
+def test_no_comm_survives_pickle_and_deepcopy():
+    batch = make_batch([Communication(0, 1, 0), NO_COMM])
+    for copied in (pickle.loads(pickle.dumps(batch)), copy.deepcopy(batch)):
+        assert copied == batch
+        assert copied.rows[1] is NO_COMM
 
 
 def test_make_batch_validates():
@@ -58,6 +67,16 @@ def test_params_validation():
         ProtocolParams(n=4, l_max=2, beta=0.8, p_real=0.4)
     with pytest.raises(ValueError):
         ProtocolParams(n=4, l_max=2, l_exp=5)
+
+
+def test_params_reject_typed_rates_above_one():
+    # the float sum rounds to 1.0, but the decimals as typed exceed it, and
+    # exact enumeration weighs the cover coins by those decimals
+    with pytest.raises(ValueError):
+        ProtocolParams(n=4, l_max=2, beta=0.84442185152505,
+                       p_real=0.1555781484749501)
+    assert ProtocolParams(n=4, l_max=2, beta=0.1, p_real=0.2).p_exact \
+        == Fraction(3, 10)
 
 
 def test_capability_requires_a_vantage_point_for_drops():

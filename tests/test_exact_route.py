@@ -243,6 +243,16 @@ def test_unsync_timing_on_one_row_is_the_closed_form(n, l_max, p):
     assert got == (1 - p) ** (l_max - 1)
 
 
+@pytest.mark.parametrize("l_max", [2, 3])
+@pytest.mark.parametrize("beta,p_real", [(0.3, 0.0), (0.1, 0.2)])
+def test_exact_cover_rate_is_the_typed_decimal(beta, p_real, l_max):
+    # as binary floats neither 0.3 nor 0.1 + 0.2 is 3/10
+    kind = ProtocolKind(TRILEMMA_UNSYNC, ProtocolParams(
+        n=2, l_max=l_max, beta=beta, p_real=p_real))
+    got = exact_advantage(kind, timing_attack(2), _pair(2, SIMULTANEOUS))
+    assert got == Fraction(7, 10) ** (l_max - 1)
+
+
 # ---------------------------------------------------------- cross-route
 
 _ATTACKS = ("counting", "timing", "tracing", "dropping", "random")

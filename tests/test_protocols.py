@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, RANDOM_PERM,
                             SEND, AdversaryCapability, Communication,
                             ConfigError, ProtocolParams, ResourceLimitError,
-                            filter_trace, make_batch, relay_loc)
+                            make_batch)
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import (DroppingSession, ProtocolKind, build_trace,
+from acnbounds.protocols import (ProtocolKind, build_trace,
                                  enumerate_outcomes, run_protocol,
                                  sample_outcome)
 
@@ -236,69 +237,6 @@ def test_dropping_relay_control_needs_full_coverage():
         assert any(e.kind == DELIVER for e in evs)
 
 
-def test_interactive_session_matches_the_one_shot_policy():
-    from acnbounds.adversaries import dropping_actions
-    params = ProtocolParams(n=3, l_max=1, relays=4, copies=2)
-    kind = ProtocolKind("dropping-model", params)
-    pair = _pair(3)
-    cap = AdversaryCapability(observed_senders=frozenset(range(3)),
-                              receiver_corrupted=True, active_drop=True,
-                              c_a=2, knows_expected_reception=True)
-    for _, outcome in enumerate_outcomes(kind, pair, 1):
-        oneshot = filter_trace(build_trace(kind, pair, 1, outcome, cap), cap)
-        session = DroppingSession(kind, pair, 1, outcome, cap)
-        seen = []
-        actions = []
-        for _ in range(3):
-            new = session.step(actions)
-            seen.extend(new)
-            actions = dropping_actions(seen, pair, cap, params)
-        assert (any(e.kind == DELIVER for e in seen)
-                == any(e.kind == DELIVER for e in oneshot.events))
-        assert (sum(1 for e in seen if e.kind == DROP)
-                == sum(1 for e in oneshot.events if e.kind == DROP))
-
-
-def test_interactive_session_agrees_on_the_integrated_link_cut():
-    from acnbounds.adversaries import dropping_actions
-    params = ProtocolParams(n=3, l_max=1, relays=4, copies=1,
-                            integrated=True)
-    kind = ProtocolKind("dropping-model", params)
-    pair = _pair(3)
-    cap = AdversaryCapability(observed_senders=frozenset(range(3)),
-                              receiver_corrupted=True, active_drop=True,
-                              c_a=0, knows_expected_reception=True)
-    for b in (0, 1):
-        for _, outcome in enumerate_outcomes(kind, pair, b):
-            oneshot = filter_trace(build_trace(kind, pair, b, outcome, cap),
-                                   cap)
-            session = DroppingSession(kind, pair, b, outcome, cap)
-            seen = []
-            actions = []
-            for _ in range(3):
-                seen.extend(session.step(actions))
-                actions = dropping_actions(seen, pair, cap, params)
-            assert (any(e.kind == DELIVER for e in seen)
-                    == any(e.kind == DELIVER for e in oneshot.events)), (b, outcome)
-            assert (sum(1 for e in seen if e.kind == DROP)
-                    == sum(1 for e in oneshot.events if e.kind == DROP)), (b, outcome)
-
-
-def test_interactive_session_rejects_uncontrolled_drops():
-    from acnbounds.core import CapabilityError
-    params = ProtocolParams(n=3, l_max=1, relays=4, copies=1)
-    kind = ProtocolKind("dropping-model", params)
-    pair = _pair(3)
-    cap = AdversaryCapability(observed_senders=frozenset({1}),
-                              receiver_corrupted=True, active_drop=True,
-                              c_a=1, knows_expected_reception=True)
-    outcome = enumerate_outcomes(kind, pair, 1)[0][1]
-    session = DroppingSession(kind, pair, 1, outcome, cap)
-    sends = session.step()
-    with pytest.raises(CapabilityError):
-        session.step([(sends[0].packet, relay_loc(3))])
-
-
 def test_random_permutation_mode_spreads_the_schedule():
     params = ProtocolParams(n=4, l_max=2)
     kind = ProtocolKind("trilemma-unsync", params)
@@ -325,6 +263,31 @@ def test_enumeration_guard_trips_on_large_spaces():
                                                           beta=0.5))
     with pytest.raises(ResourceLimitError):
         enumerate_outcomes(kind, _pair(10), 0)
+
+
+# a random-permutation pair of 11 rows, 11! start orders
+_CONTEXT = [Communication(j, 12, j) for j in range(2, 12)]
+_ELEVEN_ROWS = _pair(13, RANDOM_PERM, ([Communication(0, 12, 0)] + _CONTEXT,
+                                      [Communication(1, 12, 0)] + _CONTEXT))
+
+
+@pytest.mark.parametrize("variant,params,pair", [
+    # comb(39, 20) cohorts per row
+    ("trilemma-sync", ProtocolParams(n=40, l_max=2, beta=0.5), _pair(40)),
+    # 337 options per cover slot, over 69 free slots
+    ("onion-path", ProtocolParams(n=10, l_max=4, beta=0.5, relays=8),
+     _pair(10)),
+    ("dcnet-round", ProtocolParams(n=13, l_max=1), _ELEVEN_ROWS),
+])
+def test_enumeration_guard_trips_before_listing_anything(monkeypatch, variant,
+                                                         params, pair):
+    def listed(*args):
+        raise AssertionError("outcomes listed before the guard")
+
+    for name in ("combinations", "permutations", "product"):
+        monkeypatch.setattr(itertools, name, listed)
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(ProtocolKind(variant, params), pair, 0)
 
 
 def test_run_protocol_applies_the_filter():

@@ -5,6 +5,9 @@ seeds when the digests were generated. A different digest means the
 adversary now sees a different trace, or `simulate` prints a different
 record, for the same seed. A change that must alter one says why in
 CHANGES.md and regenerates the digest with `golden_digests()`.
+
+At the same seeds, every outcome `sample_outcome` draws must also be one
+that `enumerate_outcomes` lists.
 """
 
 import dataclasses
@@ -211,3 +214,16 @@ def test_enumerated_outcomes_are_byte_identical(variant, mode):
 @pytest.mark.parametrize("variant", sorted(RECORDS))
 def test_simulate_records_are_byte_identical(variant):
     assert record_digest(variant) == RECORDS[variant]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sampled_outcomes_are_among_the_enumerated(variant, mode):
+    # both routes read one description of the randomness
+    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS, mode)
+    for b in (0, 1):
+        outs = enumerate_outcomes(kind, pair, b)
+        assert sum(p for p, _ in outs) == 1
+        listed = {o for _, o in outs}
+        for seed in SEEDS:
+            assert sample_outcome(kind, pair, b, random.Random(seed)) in listed

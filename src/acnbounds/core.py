@@ -207,10 +207,6 @@ def relay_loc(k: int) -> int:
     return -(k + 1)
 
 
-def is_relay_loc(loc) -> bool:
-    return isinstance(loc, int) and loc < 0
-
-
 SEND = "send"
 FORWARD = "forward"
 DELIVER = "deliver"
@@ -280,7 +276,7 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
         if kind == SEND:
             visible = loc in observed
         elif kind == FORWARD:
-            if is_relay_loc(loc):
+            if loc < 0:   # a relay, see relay_loc
                 visible = -loc - 1 < seen
             else:
                 # user-node forwards exist only in the integrated dropping

@@ -72,6 +72,15 @@ def resolve_workers(workers=None) -> int:
     return 1
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the OS reports
+    one, else `os.cpu_count()`; None when neither is known.  CPU quotas
+    (cgroups) are not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _trial_seed(master_seed: int, i: int) -> bytes:
     return hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
 
@@ -104,8 +113,11 @@ def estimate_advantage(kind, attack, pair, trials: int, master_seed: int,
         raise ValueError("need at least 100 trials for a meaningful interval")
     validate_attack(attack, pair, kind.params)
     check_schedule(kind, pair)
-    nworkers = resolve_workers(workers)
     spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
+    # no more threads than chunks to run or CPUs to run them on; an unknown
+    # CPU count caps nothing
+    nworkers = resolve_workers(workers)
+    nworkers = min(nworkers, len(spans), _usable_cpus() or nworkers)
     if nworkers == 1:
         parts = [_run_chunk(kind, attack, pair, master_seed, a, b)
                  for a, b in spans]

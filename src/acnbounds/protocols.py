@@ -38,7 +38,12 @@ deterministic given the schedule, (perm,).
 Every field has `draw(rng)`, which `sample_outcome` calls in order with a
 fixed rng call sequence, and `options()`, its values with integer weights
 over one denominator, whose product `enumerate_outcomes` streams as exact
-Fractions; so the two routes cannot drift apart.  `size` counts a field's
+Fractions; so the two routes cannot drift apart.  A draw takes the same
+numbers from the rng stream as the `random` call it stands for: a k-sample
+(an onion path, a sync cohort, a dropping copy's first hops) equals
+`rng.sample` and leaves the rng in the same state, also where `_sampler`
+runs `Random.sample`'s small-pool loop itself.  A faster draw therefore
+never changes a sampled outcome for a given seed.  `size` counts a field's
 values without listing them, so the `ENUM_LIMIT` guard trips before any
 leaf is built.  Exact cover weights use the decimals the user typed
 (beta=0.3 weighs 3/10); Monte Carlo compares against the float.
@@ -218,6 +223,40 @@ class _Choice:
         return self.size, [(1, x) for x in self.values]
 
 
+def _sampler(pool, k):
+    """A function `rng -> tuple(rng.sample(pool, k))` that takes the same
+    numbers from the same rng stream as `rng.sample` does.
+
+    For a small pool (the branch of `Random.sample` with `len(pool) <= 21`
+    and `k <= 5`) it runs that branch's rejection loop and pool swap on
+    `rng.getrandbits` directly, with each step's range and bit width
+    computed here once.  That skips `sample`'s argument checks (an ABC
+    `isinstance` among them), which cost more than the draw.  Larger draws
+    are left to `rng.sample`.  `rng` is a plain `random.Random`, as in
+    `sample_outcome`: a subclass that redefines `sample` is not consulted.
+    """
+    pool = tuple(pool)
+    n = len(pool)
+    if not (0 <= k <= n <= 21 and k <= 5):
+        return lambda rng: tuple(rng.sample(pool, k))
+    steps = tuple((m, m.bit_length()) for m in range(n, n - k, -1))
+
+    def draw(rng):
+        bits = rng.getrandbits
+        left = list(pool)
+        out = []
+        for m, width in steps:
+            j = bits(width)
+            while j >= m:
+                j = bits(width)
+            out.append(left[j])
+            # move the last unpicked item into the vacancy
+            left[j] = left[m - 1]
+        return tuple(out)
+
+    return draw
+
+
 class _Subset:
     """A sorted k-subset of `pool`, as `(tag, subset)` when tagged (a sync
     cohort tagged with its round, a dropping copy's first hops)."""
@@ -225,9 +264,10 @@ class _Subset:
     def __init__(self, pool, k, tag=None):
         self.pool, self.k, self.tag = tuple(pool), k, tag
         self.size = comb(len(self.pool), k)
+        self._sample = _sampler(self.pool, k)
 
     def draw(self, rng):
-        s = tuple(sorted(rng.sample(self.pool, self.k)))
+        s = tuple(sorted(self._sample(rng)))
         return s if self.tag is None else (self.tag, s)
 
     def options(self):
@@ -243,9 +283,8 @@ class _Sample:
     def __init__(self, pool, k):
         self.pool, self.k = tuple(pool), k
         self.size = math.perm(len(self.pool), k)
-
-    def draw(self, rng):
-        return tuple(rng.sample(self.pool, self.k))
+        # the sampler is the draw: no method call between it and the field
+        self.draw = _sampler(self.pool, k)
 
     def options(self):
         paths = itertools.permutations(self.pool, self.k)
@@ -335,7 +374,8 @@ def _fields(kind: ProtocolKind, batch, perm):
 
 
 def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
-    """Draw one random outcome: the start order, then each field in turn."""
+    """Draw one random outcome: the start order, then each field in turn.
+    `rng` is a plain `random.Random` (see `_sampler`)."""
     batch = pair.batch(b)
     rows = len(batch.rows)
     perm = (tuple(rng.sample(range(rows), rows))
@@ -445,27 +485,30 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
 
     elif v == ONION_PATH:
         paths = outcome[1]
-
-        def emit(t, u, path, row):
+        relay = [relay_loc(k) for k in range(params.relays)]
+        add = ev.append
+        # real rows first, then cover sends, each with its path; one loop
+        # appends every hop, so a trial's cost is the events it emits
+        starts = [(slots[j], row.sender, paths[j], row)
+                  for j, row in enumerate(batch.rows) if slots[j] is not None]
+        starts += [(t, u, path, None) for (t, u), path in outcome[2]]
+        for t, u, path, row in starts:
             q = next(pid)
-            send(t, u, q, row is not None, row.message if row else None)
+            if row is None:
+                add((t, _SEND, u, q, SEND, False, None, None, None))
+            else:
+                add((t, _SEND, u, q, SEND, True, None, None, row.message))
             prev, ploc = q, u
-            for i, k in enumerate(path, start=1):
-                nq = next(pid)
-                forward(t + i, relay_loc(k), nq, ploc, prev)
-                prev, ploc = nq, relay_loc(k)
+            for k in path:
+                t += 1
+                nq, loc = next(pid), relay[k]
+                add((t, _FORWARD, loc, nq, FORWARD, None, ploc, prev, None))
+                prev, ploc = nq, loc
             if row is not None:
-                if path:
-                    deliver(t + len(path), row.receiver, next(pid),
-                            row.message, in_packet=prev)
-                else:
-                    deliver(t, row.receiver, q, row.message, in_packet=q)
-
-        for j, row in enumerate(batch.rows):
-            if slots[j] is not None:
-                emit(slots[j], row.sender, paths[j], row)
-        for (t, u), path in outcome[2]:
-            emit(t, u, path, None)
+                # t is now the last hop's round; a direct delivery keeps
+                # the sent id
+                add((t, _DELIVER, row.receiver, next(pid) if path else q,
+                     DELIVER, True, None, prev, row.message))
 
     elif v == THRESHOLD_MIX:
         held = []

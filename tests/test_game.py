@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,53 @@ def test_estimate_is_identical_across_worker_counts():
     many = estimate_advantage(kind, attack, pair, 3000, master_seed=7,
                               workers=4)
     assert one == many
+
+
+@pytest.mark.parametrize("workers,cpus,threads", [
+    (64, 8, 3),      # capped by the 3 chunks of 4200 trials
+    (64, 2, 2),      # capped by the CPUs
+    (2, 8, 2),
+    (64, None, 3),   # unknown CPU count: capped by the chunks only
+    (64, 1, 1),
+])
+def test_thread_pool_is_capped_by_chunks_and_cpus(monkeypatch, workers, cpus,
+                                                  threads):
+    kind, pair = _setup()
+    attack = timing_attack(2)
+    serial = estimate_advantage(kind, attack, pair, 4200, master_seed=7)
+    pools = []
+
+    class InlinePool:
+        # records the pool size and runs each chunk in the calling thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(game, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
+    got = estimate_advantage(kind, attack, pair, 4200, master_seed=7,
+                             workers=workers)
+    assert pools == ([] if threads == 1 else [threads])
+    assert got == serial
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(game.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(game.os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert game._usable_cpus() == 2
+    monkeypatch.delattr(game.os, "sched_getaffinity")
+    assert game._usable_cpus() == 64
 
 
 def test_estimate_depends_on_the_seed():

@@ -9,6 +9,7 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, RANDOM_PERM,
                             SEND, AdversaryCapability, Communication,
                             ConfigError, ProtocolParams, ResourceLimitError,
                             make_batch)
+from acnbounds import protocols
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, build_trace,
                                  enumerate_outcomes, run_protocol,
@@ -307,3 +308,52 @@ def test_unsync_enumeration_is_a_distribution(n, l_max, beta, b):
     outs = enumerate_outcomes(kind, _pair(n), b)
     assert sum(p for p, _ in outs) == Fraction(1)
     assert len({o for _, o in outs}) == len(outs)
+
+
+# every pool and sample size in the small-pool branch of `Random.sample`
+_SMALL_DRAWS = [(n, k) for n in range(22) for k in range(min(n, 5) + 1)]
+
+
+def _same_stream(draw, reference):
+    """Each seed's draw equals the reference drawn from a twin rng, and
+    both rngs are left in the same state."""
+    for seed in range(8):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert draw(mine) == reference(theirs), seed
+        assert mine.random() == theirs.random(), seed
+
+
+def test_draws_take_the_same_numbers_as_rng_sample(monkeypatch):
+    cases = []
+    for n, k in _SMALL_DRAWS:
+        # labels unlike their positions, so a swapped index shows
+        pool = tuple(range(100, 100 + n))
+        cases.append((protocols._Sample(pool, k),
+                      lambda rng, pool=pool, k=k: tuple(rng.sample(pool, k))))
+        cases.append((protocols._Subset(pool, k, tag=n),
+                      lambda rng, pool=pool, k=k, n=n: (
+                          n, tuple(sorted(rng.sample(pool, k))))))
+    expected = []
+    for field, reference in cases:
+        _same_stream(field.draw, reference)
+        expected.append([field.draw(random.Random(s)) for s in range(8)])
+
+    # the small-pool draws never go through `rng.sample`
+    def no_sample(*args, **kwargs):
+        raise AssertionError("rng.sample called")
+    monkeypatch.setattr(random.Random, "sample", no_sample)
+    for (field, _), want in zip(cases, expected):
+        assert [field.draw(random.Random(s)) for s in range(8)] == want
+
+
+@pytest.mark.parametrize("field,reference", [
+    # a sync cohort of 25 drawn from 99 users
+    (protocols._Subset(range(99), 25),
+     lambda rng: tuple(sorted(rng.sample(tuple(range(99)), 25)))),
+    (protocols._Sample(range(22), 2),
+     lambda rng: tuple(rng.sample(tuple(range(22)), 2))),
+    (protocols._Sample(range(8), 6),
+     lambda rng: tuple(rng.sample(tuple(range(8)), 6))),
+])
+def test_large_draws_fall_back_to_rng_sample(field, reference):
+    _same_stream(field.draw, reference)

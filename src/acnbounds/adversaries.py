@@ -10,6 +10,13 @@ Attacks never look at unfiltered state.  What they may use is declared in
 their AdversaryCapability, and `validate_attack` rejects pair/attack
 combinations whose decision rule would need more than the capability
 grants.
+
+Each rule also declares the events it reads: `attack_view`, next to
+`decide`, gives them as a `core.View` already cut down to the capability,
+and the game asks `build_trace` for that view alone.  A rule compares
+packet ids only for equality, so the verdict on the view's few events,
+relabelled among themselves, equals the verdict on the full filtered
+trace.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (DELIVER, SEND, AdversaryCapability, CapabilityError,
-                   sender_counts)
+                   View, sender_counts)
 
 COUNTING = "counting"
 TIMING = "timing-interval"
@@ -206,6 +213,40 @@ def decide(attack: AttackKind, trace, pair, params):
     if v == RANDOM_GUESS:
         return None
     raise ValueError(v)  # pragma: no cover
+
+
+def attack_view(attack: AttackKind, pair):
+    """The events `decide` reads for this attack and pair, as a View within
+    what the capability sees; None for a rule that needs the full filtered
+    trace.
+
+    timing    the two suspects' sends and the challenge receiver's deliveries
+    tracing   the same, plus forwards at the relays the capability sees
+    counting  sends of the watched users that either batch claims
+    dropping  the challenge receiver's deliveries
+    """
+    cap = attack.capability
+    v = attack.variant
+    if v == RANDOM_GUESS:
+        return View()
+    if v == COUNTING:
+        claimed = set(sender_counts(pair.batch(0)))
+        claimed.update(sender_counts(pair.batch(1)))
+        return View(senders=frozenset(claimed) & cap.observed_senders)
+    receivers = (frozenset([pair.challenge_receiver()])
+                 if cap.receiver_corrupted else frozenset())
+    if v == DROP_ATTACK:
+        return View(receivers=receivers)
+    if v == TRACING and cap.active_drop:
+        # an active tracer's chain can also pass drops and the user-node
+        # forwards of the integrated dropping model, which no view holds
+        return None
+    senders = frozenset(pair.suspects()) & cap.observed_senders
+    # the chain is followed through every relay the filter shows: the
+    # passively compromised ones and, for a custom capability, the
+    # controlled ones
+    relays = max(cap.c_p, cap.c_a) if v == TRACING else 0
+    return View(senders, relays, receivers)
 
 
 def dropping_success_rate(c_a: int, copies: int, pool: int):

@@ -238,6 +238,23 @@ class ObservationEvent(NamedTuple):
     msg: Optional[int] = None
 
 
+class View(NamedTuple):
+    """The events an attack reads, as `build_trace` should emit them.
+
+    senders    users whose SENDs to build
+    relays     relay k's FORWARDs are built for k < relays
+    receivers  users whose DELIVERs to build
+
+    Drops and the user-node forwards of the integrated dropping model are
+    in no view.  A view built by `adversaries.attack_view` is already cut
+    down to what the capability sees, so filtering it removes nothing.
+    """
+
+    senders: frozenset = frozenset()
+    relays: int = 0
+    receivers: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class ObservationTrace:
     events: tuple

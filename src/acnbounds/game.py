@@ -12,6 +12,11 @@ Two routes to the same number:
   of those it ties, as int numerators per denominator, and returns
   wins + ties/2 - 1, which equals 2*Pr[correct] - 1.
 
+Both routes ask `adversaries.attack_view` once per solve for the events
+the attack reads, and each trial or leaf has `build_trace` emit only
+those, then calls `filter_trace` and `decide` as usual.  The verdict is
+the one the full filtered trace would give.
+
 Determinism contract: all per-trial randomness is derived from
 sha256(master_seed:trial_index), so results are byte-identical no matter
 how trials are batched across workers.
@@ -28,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .adversaries import decide, validate_attack
+from .adversaries import attack_view, decide, validate_attack
 from .core import filter_trace
 from .protocols import (build_trace, check_schedule, enumerate_outcomes,
                         sample_outcome)
@@ -85,7 +90,7 @@ def _trial_seed(master_seed: int, i: int) -> bytes:
     return hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
 
 
-def _run_chunk(kind, attack, pair, master_seed, start, stop):
+def _run_chunk(kind, attack, pair, view, master_seed, start, stop):
     cap = attack.capability
     params = kind.params
     n0 = k0 = n1 = k1 = 0
@@ -94,7 +99,10 @@ def _run_chunk(kind, attack, pair, master_seed, start, stop):
         b = h[0] & 1
         rng = random.Random(int.from_bytes(h[1:9], "big"))
         outcome = sample_outcome(kind, pair, b, rng)
-        trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
+        # the layers are called by their module-global names, with
+        # positional arguments, so perfbench's tracer can wrap them
+        trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),
+                             cap)
         verdict = decide(attack, trace, pair, params)
         if verdict is None:
             verdict = h[9] & 1
@@ -113,18 +121,19 @@ def estimate_advantage(kind, attack, pair, trials: int, master_seed: int,
         raise ValueError("need at least 100 trials for a meaningful interval")
     validate_attack(attack, pair, kind.params)
     check_schedule(kind, pair)
+    view = attack_view(attack, pair)
     spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
     # no more threads than chunks to run or CPUs to run them on; an unknown
     # CPU count caps nothing
     nworkers = resolve_workers(workers)
     nworkers = min(nworkers, len(spans), _usable_cpus() or nworkers)
     if nworkers == 1:
-        parts = [_run_chunk(kind, attack, pair, master_seed, a, b)
+        parts = [_run_chunk(kind, attack, pair, view, master_seed, a, b)
                  for a, b in spans]
     else:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = [pool.submit(_run_chunk, kind, attack, pair, master_seed,
-                                a, b) for a, b in spans]
+            futs = [pool.submit(_run_chunk, kind, attack, pair, view,
+                                master_seed, a, b) for a, b in spans]
             parts = [f.result() for f in futs]
     n0 = sum(p[0] for p in parts)
     k0 = sum(p[1] for p in parts)
@@ -157,10 +166,12 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     check_schedule(kind, pair)
     cap = attack.capability
     params = kind.params
+    view = attack_view(attack, pair)
     wins, ties = {}, {}
     for b in (0, 1):
         for prob, outcome in enumerate_outcomes(kind, pair, b):
-            trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
+            trace = filter_trace(build_trace(kind, pair, b, outcome, cap,
+                                             view), cap)
             verdict = decide(attack, trace, pair, params)
             if verdict is None:
                 tally = ties

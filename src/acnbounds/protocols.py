@@ -16,10 +16,11 @@ Shared conventions:
   longer path re-randomizes ids, so linkage exists only via timing.
 * `build_trace` emits each event as a raw row, sorts the rows once in
   trace order and then relabels packet ids by first mention (`packet`
-  before `in_packet`, over the full sorted trace, before any filtering),
-  building each event exactly once.  Ids are therefore a function of the
-  visible geometry of the trace, never of internal construction order, and
-  cannot act as a side channel for the challenge bit.
+  before `in_packet`, over the sorted rows it emitted, before any
+  filtering), building each event exactly once.  Ids are therefore a
+  function of the visible geometry of the trace, never of internal
+  construction order, and cannot act as a side channel for the challenge
+  bit.
 * Cover traffic is modeled on the sending side only.  Dummy packets are
   absorbed unobserved at the far end; receiver-side dummy handling is out
   of scope here.
@@ -49,10 +50,15 @@ leaf is built.  Exact cover weights use the decimals the user typed
 (beta=0.3 weighs 3/10); Monte Carlo compares against the float.
 
 `build_trace` deterministically turns an outcome into events, applying a
-dropping adversary's drops in the same pass.  It and `_fields` read an
-arm's schedule from `_schedule`, computed once per arm and start order,
-which raises ConfigError for a schedule the model cannot run;
-`check_schedule` evaluates it before a game plays its first trial.
+dropping adversary's drops in the same pass.  Given a `core.View` (from
+`adversaries.attack_view`) it emits only the events the view names: the
+game builds just what its attack reads, so a trial costs what the
+adversary looks at rather than `n x horizon` events, and the relabel and
+`filter_trace` run over those few rows.  Without a view it builds the
+full trace.  It and `_fields` read an arm's schedule from `_schedule`,
+computed once per arm and start order, which raises ConfigError for a
+schedule the model cannot run; `check_schedule` evaluates it before a
+game plays its first trial.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from math import comb, prod
 
 from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, RANDOM_PERM,
                    SEND, ConfigError, ObservationEvent, ObservationTrace,
-                   ResourceLimitError, filter_trace, hash_once, relay_loc)
+                   ResourceLimitError, View, hash_once, relay_loc)
 
 TRILEMMA_SYNC = "trilemma-sync"
 TRILEMMA_UNSYNC = "trilemma-unsync"
@@ -428,12 +434,19 @@ _SEND, _FORWARD, _DROP, _DELIVER = (KIND_ORDER[k]
 
 
 def build_trace(kind: ProtocolKind, pair, b: int, outcome,
-                capability=None) -> ObservationTrace:
-    """Deterministically expand an outcome into the full (unfiltered) trace.
+                capability=None, view=None) -> ObservationTrace:
+    """Deterministically expand an outcome into a trace.
 
     `capability` only matters for the dropping model, where an active
     adversary physically removes packets; everywhere else observation is
     passive and filtering happens afterwards.
+
+    With `view=None` the trace is the full (unfiltered) one.  With a
+    `View`, only the events it names are emitted: the senders' sends, the
+    forwards at relays below `view.relays` and the receivers' deliveries;
+    drops and user-node forwards are left out.  The ids of the events kept
+    come from the same counter as in the full trace, so they stay unique,
+    and the dropping model still applies its drops.
 
     Events are emitted as raw rows `(round, kind order, location, packet,
     kind, is_real, origin, in_packet, msg)` with construction-order packet
@@ -444,21 +457,27 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     params = kind.params
     v = kind.variant
     slots, horizon = _schedule(kind, batch, outcome[0])
+    full = view is None
+    if full:
+        users = frozenset(range(params.n))
+        view = View(users, params.relays, users)
+    senders, relays, receivers = view
     pid = itertools.count()
     ev = []
 
     def send(t, u, q, real, msg=None):
-        ev.append((t, _SEND, u, q, SEND, real, None, None, msg))
-
-    def forward(t, loc, q, origin, in_packet):
-        ev.append((t, _FORWARD, loc, q, FORWARD, None, origin, in_packet,
-                   None))
+        if u in senders:
+            ev.append((t, _SEND, u, q, SEND, real, None, None, msg))
 
     def drop(t, loc, q):
-        ev.append((t, _DROP, loc, q, DROP, None, None, None, None))
+        # drops are in no view
+        if full:
+            ev.append((t, _DROP, loc, q, DROP, None, None, None, None))
 
     def deliver(t, u, q, msg, in_packet=None):
-        ev.append((t, _DELIVER, u, q, DELIVER, True, None, in_packet, msg))
+        if u in receivers:
+            ev.append((t, _DELIVER, u, q, DELIVER, True, None, in_packet,
+                       msg))
 
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delays = outcome[1]
@@ -477,7 +496,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             # cover sends are most of a wide trace: one comprehension, no
             # call per row
             ev += [(t, _SEND, u, q, SEND, False, None, None, None)
-                   for (t, u), q in zip(outcome[2], pid)]
+                   for (t, u), q in zip(outcome[2], pid) if u in senders]
         else:
             for (t, cohort) in outcome[2]:
                 for u in cohort:
@@ -494,17 +513,21 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         starts += [(t, u, path, None) for (t, u), path in outcome[2]]
         for t, u, path, row in starts:
             q = next(pid)
-            if row is None:
-                add((t, _SEND, u, q, SEND, False, None, None, None))
-            else:
-                add((t, _SEND, u, q, SEND, True, None, None, row.message))
+            if u in senders:
+                if row is None:
+                    add((t, _SEND, u, q, SEND, False, None, None, None))
+                else:
+                    add((t, _SEND, u, q, SEND, True, None, None,
+                         row.message))
             prev, ploc = q, u
             for k in path:
                 t += 1
                 nq, loc = next(pid), relay[k]
-                add((t, _FORWARD, loc, nq, FORWARD, None, ploc, prev, None))
+                if k < relays:
+                    add((t, _FORWARD, loc, nq, FORWARD, None, ploc, prev,
+                         None))
                 prev, ploc = nq, loc
-            if row is not None:
+            if row is not None and row.receiver in receivers:
                 # t is now the last hop's round; a direct delivery keeps
                 # the sent id
                 add((t, _DELIVER, row.receiver, next(pid) if path else q,
@@ -572,7 +595,10 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                     drop(2, loc, q)
                     continue
                 nq = next(pid)
-                forward(2, loc, nq, row.sender, q)
+                # user-node forwards (integrated first hops) are in no view
+                if full or (not params.integrated and k < relays):
+                    ev.append((2, _FORWARD, loc, nq, FORWARD, None,
+                               row.sender, q, None))
                 survivors.append(nq)
             if survivors:
                 deliver(3, row.receiver, next(pid), row.message,
@@ -592,12 +618,3 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                                None if inq is None else label(inq, len(ids)),
                                msg))
         for t, _, loc, q, kd, real, origin, inq, msg in ev]))
-
-
-def run_protocol(kind: ProtocolKind, pair, b: int, capability,
-                 seed: int) -> ObservationTrace:
-    """One full protocol run as the given adversary sees it."""
-    rng = random.Random(seed)
-    outcome = sample_outcome(kind, pair, b, rng)
-    trace = build_trace(kind, pair, b, outcome, capability)
-    return filter_trace(trace, capability)

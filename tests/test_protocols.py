@@ -12,8 +12,7 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, RANDOM_PERM,
 from acnbounds import protocols
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, build_trace,
-                                 enumerate_outcomes, run_protocol,
-                                 sample_outcome)
+                                 enumerate_outcomes, sample_outcome)
 
 SO = parse_notion("SO")
 
@@ -289,14 +288,6 @@ def test_enumeration_guard_trips_before_listing_anything(monkeypatch, variant,
         monkeypatch.setattr(itertools, name, listed)
     with pytest.raises(ResourceLimitError):
         enumerate_outcomes(ProtocolKind(variant, params), pair, 0)
-
-
-def test_run_protocol_applies_the_filter():
-    kind = ProtocolKind("trilemma-unsync", ProtocolParams(n=3, l_max=2,
-                                                          beta=0.5))
-    cap = AdversaryCapability(observed_senders=frozenset({0}))
-    trace = run_protocol(kind, _pair(3), 0, cap, seed=5)
-    assert all(e.kind == SEND and e.location == 0 for e in trace.events)
 
 
 @settings(max_examples=30, deadline=None)

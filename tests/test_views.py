@@ -1,0 +1,154 @@
+"""The game builds only the events its attack reads (`attack_view`).
+
+The verdict on that projected trace must equal the verdict on the full
+filtered trace, over the golden grid of `test_trace_golden` and every
+exactly enumerated outcome at its TINY point.  A view must also stay
+within what the capability sees: filtering it removes nothing, and with
+packet ids set aside its events are among the full filtered ones.
+"""
+
+import dataclasses
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from acnbounds.adversaries import (TRACING, AttackKind, attack_view,
+                                   counting_attack, decide, dropping_attack,
+                                   random_guess_attack, timing_attack,
+                                   tracing_attack)
+from acnbounds.core import AdversaryCapability, View, filter_trace
+from acnbounds.protocols import (DROPPING, VARIANTS, ProtocolKind,
+                                 build_trace, enumerate_outcomes,
+                                 sample_outcome)
+from test_trace_golden import (KINDS, MODES, PAIR_ROWS, PARAMS, SEEDS, TINY,
+                               TINY_ROWS, _pair)
+
+
+def stock_attacks(params):
+    """Every stock attack, with path tracing at each c_p <= relays."""
+    n = params.n
+    return ([counting_attack(n), timing_attack(n)]
+            + [tracing_attack(n, c) for c in range(params.relays + 1)]
+            + [dropping_attack(n), dropping_attack(n, 1),
+               random_guess_attack()])
+
+
+TINY_KINDS = {v: ProtocolKind(v, TINY) for v in VARIANTS}
+TINY_KINDS["dropping-model-integrated"] = ProtocolKind(
+    DROPPING, dataclasses.replace(TINY, integrated=True))
+
+
+def _without_ids(events):
+    return {(kind, t, loc, real, origin, msg)
+            for kind, t, loc, _, real, origin, _, msg in events}
+
+
+def check_projection(kind, pair, b, outcome, attacks, whole=None):
+    """Assert, for each (attack, view) in `attacks`, that the projected
+    verdict is the full one and that the view shows nothing the capability
+    hides.  `whole` is the unfiltered trace when the caller has built it
+    already (only the dropping model's build reads the capability)."""
+    for attack, view in attacks:
+        cap, params = attack.capability, kind.params
+        full = filter_trace(whole or build_trace(kind, pair, b, outcome, cap),
+                            cap)
+        built = build_trace(kind, pair, b, outcome, cap, view)
+        projected = filter_trace(built, cap)
+        if view is not None:
+            assert len(projected.events) == len(built.events)
+        assert _without_ids(projected.events) <= _without_ids(full.events)
+        assert (decide(attack, projected, pair, params)
+                == decide(attack, full, pair, params))
+
+
+def _with_views(params, pair, attacks=()):
+    return [(a, attack_view(a, pair))
+            for a in stock_attacks(params) + list(attacks)]
+
+
+# a tracer that also sees the relays it controls, and one that drops:
+# no stock attack, but the view must hold for them too
+CUSTOM_TRACERS = [
+    AttackKind(TRACING, AdversaryCapability(
+        observed_senders=frozenset(range(PARAMS.n)), receiver_corrupted=True,
+        c_p=1, c_a=2)),
+    AttackKind(TRACING, AdversaryCapability(
+        observed_senders=frozenset(range(PARAMS.n)), receiver_corrupted=True,
+        c_p=1, c_a=1, active_drop=True)),
+]
+
+
+def test_projected_verdicts_equal_full_ones_on_the_golden_grid():
+    for kind in KINDS.values():
+        for mode in MODES:
+            pair = _pair(PAIR_ROWS, mode)
+            attacks = _with_views(PARAMS, pair, CUSTOM_TRACERS)
+            for seed in SEEDS:
+                for b in (0, 1):
+                    outcome = sample_outcome(kind, pair, b,
+                                             random.Random(seed))
+                    check_projection(kind, pair, b, outcome, attacks)
+
+
+@pytest.mark.parametrize("name", sorted(TINY_KINDS))
+def test_projected_verdicts_equal_full_ones_on_every_tiny_leaf(name):
+    kind = TINY_KINDS[name]
+    for mode in MODES:
+        pair = _pair(TINY_ROWS, mode)
+        attacks = _with_views(TINY, pair)
+        for b in (0, 1):
+            for _, outcome in enumerate_outcomes(kind, pair, b):
+                whole = (None if kind.variant == DROPPING else
+                         build_trace(kind, pair, b, outcome))
+                check_projection(kind, pair, b, outcome, attacks, whole)
+
+
+def test_each_rule_reads_its_declared_events():
+    pair = _pair(PAIR_ROWS, MODES[0])
+    suspects, receiver = frozenset({0, 1}), frozenset({3})
+    assert attack_view(timing_attack(4), pair) == View(suspects, 0, receiver)
+    assert attack_view(tracing_attack(4, 2), pair) == \
+        View(suspects, 2, receiver)
+    # user 2 sends in both batches, user 3 in neither
+    assert attack_view(counting_attack(4), pair) == \
+        View(frozenset({0, 1, 2}))
+    assert attack_view(dropping_attack(4, 1), pair) == View(receivers=receiver)
+    assert attack_view(random_guess_attack(), pair) == View()
+    assert attack_view(CUSTOM_TRACERS[0], pair) == View(suspects, 2, receiver)
+    # an active tracer's chain may pass drops: it reads the full trace
+    assert attack_view(CUSTOM_TRACERS[1], pair) is None
+    # a view crosses process boundaries with the rest of a chunk's inputs
+    view = attack_view(tracing_attack(4, 2), pair)
+    assert pickle.loads(pickle.dumps(view)) == view
+
+
+def _relabel(trace, ids):
+    return dataclasses.replace(trace, events=tuple(
+        e._replace(packet=ids[e.packet],
+                   in_packet=None if e.in_packet is None
+                   else ids[e.in_packet])
+        for e in trace.events))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(KINDS)), mode=st.sampled_from(MODES),
+       seed=st.sampled_from(SEEDS), b=st.integers(0, 1),
+       attack=st.sampled_from(stock_attacks(PARAMS)), data=st.data())
+def test_verdicts_ignore_which_ids_packets_carry(name, mode, seed, b, attack,
+                                                 data):
+    # every rule compares packet ids only for equality, which is why the
+    # relabel of a projected trace cannot change a verdict
+    kind, pair = KINDS[name], _pair(PAIR_ROWS, mode)
+    cap = attack.capability
+    outcome = sample_outcome(kind, pair, b, random.Random(seed))
+    trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
+    used = sorted({e.packet for e in trace.events}
+                  | {e.in_packet for e in trace.events} - {None})
+    # a bijection onto ids that need not be dense or start at 0
+    shift = data.draw(st.integers(0, 1000))
+    image = data.draw(st.permutations([i + shift for i in range(len(used))]))
+    ids = dict(zip(used, image))
+    assert (decide(attack, _relabel(trace, ids), pair, kind.params)
+            == decide(attack, trace, pair, kind.params))

@@ -259,11 +259,6 @@ class View(NamedTuple):
 class ObservationTrace:
     events: tuple
 
-    @staticmethod
-    def from_events(events) -> "ObservationTrace":
-        ordered = sorted(events, key=lambda e: (e.round, KIND_ORDER[e.kind], e.location, e.packet))
-        return ObservationTrace(tuple(ordered))
-
 
 def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> ObservationTrace:
     """Reduce a full trace to exactly what the capability permits.

@@ -13,9 +13,11 @@ Two routes to the same number:
   wins + ties/2 - 1, which equals 2*Pr[correct] - 1.
 
 Both routes ask `adversaries.attack_view` once per solve for the events
-the attack reads, and each trial or leaf has `build_trace` emit only
-those, then calls `filter_trace` and `decide` as usual.  The verdict is
-the one the full filtered trace would give.
+the attack reads.  The view reaches `sample_outcome` and
+`enumerate_outcomes`, which draw or list only the randomness it shows,
+and `build_trace`, which emits only its events; then `filter_trace` and
+`decide` run as usual.  The verdict is the one the full filtered trace
+would give, and the exact route sums the same probabilities.
 
 Determinism contract: all per-trial randomness is derived from
 sha256(master_seed:trial_index), so results are byte-identical no matter
@@ -98,7 +100,7 @@ def _run_chunk(kind, attack, pair, view, master_seed, start, stop):
         h = _trial_seed(master_seed, i)
         b = h[0] & 1
         rng = random.Random(int.from_bytes(h[1:9], "big"))
-        outcome = sample_outcome(kind, pair, b, rng)
+        outcome = sample_outcome(kind, pair, b, rng, view)
         # the layers are called by their module-global names, with
         # positional arguments, so perfbench's tracer can wrap them
         trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),
@@ -169,7 +171,7 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     view = attack_view(attack, pair)
     wins, ties = {}, {}
     for b in (0, 1):
-        for prob, outcome in enumerate_outcomes(kind, pair, b):
+        for prob, outcome in enumerate_outcomes(kind, pair, b, view):
             trace = filter_trace(build_trace(kind, pair, b, outcome, cap,
                                              view), cap)
             verdict = decide(attack, trace, pair, params)

@@ -305,9 +305,6 @@ class ScenarioPair:
                 return r0
         return None
 
-    def challenge_indices(self):
-        return self._challenge_indices
-
     def suspects(self):
         """Senders of the first differing row: (accused under 0, under 1)."""
         if self._suspects is None:

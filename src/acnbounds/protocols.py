@@ -49,6 +49,16 @@ values without listing them, so the `ENUM_LIMIT` guard trips before any
 leaf is built.  Exact cover weights use the decimals the user typed
 (beta=0.3 weighs 3/10); Monte Carlo compares against the float.
 
+An outcome drawn or listed under a view (`sample_outcome` and
+`enumerate_outcomes` take the `view` that `build_trace` takes) holds only
+the watched senders' unsync cover slots.  The same-stream contract covers
+the coins it skips: each skipped run still takes its words from the rng,
+so every watched coin reads the value it reads in the full draw and the
+rng ends in the same state.  Enumeration lists the watched slots' exact
+marginal, so its leaf count grows with the view, not with `n x horizon`.
+The onion cover is always drawn in full: its coins carry paths that take
+a varying number of words.
+
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Given a `core.View` (from
 `adversaries.attack_view`) it emits only the events the view names: the
@@ -317,10 +327,33 @@ class _Picks:
 class _Cover:
     """The cover coins: one per free (round, user) slot, in slot order, each
     firing at rate p.  The field is the tuple of fired slots, each paired
-    with a fresh `payload` pick when there is one (an onion path)."""
+    with a fresh `payload` pick when there is one (an onion path).
 
-    def __init__(self, free, params, payload=None):
-        self.free, self.payload, self.p = free, payload, params.p
+    Without a payload the field can be projected onto the users in `watch`:
+    it then holds only their slots.  `draw` still takes every coin's two
+    words from the rng, skipping each run of k unwatched coins with one
+    `getrandbits(64 * k)`, so a watched coin reads the value it reads in
+    the full draw and the rng ends in the same state; `options` lists the
+    watched slots' exact marginal.
+    """
+
+    def __init__(self, free, params, payload=None, watch=None):
+        self.payload, self.p = payload, params.p
+        # (bits of the unwatched coins before it, slot) per watched slot,
+        # and the bits of those after the last; None when none is skipped
+        self.runs = self.tail = None
+        if watch is not None:
+            runs, skipped = [], 0
+            for sl in free:
+                if sl[1] in watch:
+                    runs.append((64 * skipped, sl))
+                    skipped = 0
+                else:
+                    skipped += 1
+            if len(runs) < len(free):
+                self.runs, self.tail = tuple(runs), 64 * skipped
+            free = tuple(sl for _, sl in runs)
+        self.free = free
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
         self.rate = params.p_exact
@@ -330,6 +363,16 @@ class _Cover:
 
     def draw(self, rng):
         p, coin = self.p, rng.random
+        if self.runs is not None:
+            skip, fired = rng.getrandbits, []
+            for bits, sl in self.runs:
+                if bits:
+                    skip(bits)
+                if coin() < p:
+                    fired.append(sl)
+            if self.tail:
+                skip(self.tail)
+            return tuple(fired)
         if self.payload is None:
             return tuple([sl for sl in self.free if coin() < p])
         pick = self.payload.draw
@@ -350,9 +393,11 @@ class _Cover:
 
 
 @functools.lru_cache(maxsize=64)
-def _fields(kind: ProtocolKind, batch, perm):
+def _fields(kind: ProtocolKind, batch, perm, watch=None):
     """The randomness of one arm under one start order, as the ordered
-    fields of draws an outcome holds after its start order."""
+    fields of draws an outcome holds after its start order.  With `watch`,
+    a view's senders, the unsync cover holds only the watched users'
+    slots (see `_Cover`); every other field is drawn in full."""
     v, params = kind.variant, kind.params
     slots, horizon = _schedule(kind, batch, perm)
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
@@ -360,7 +405,7 @@ def _fields(kind: ProtocolKind, batch, perm):
         delays = _Picks(None if s is None else delay for s in slots)
         if v == TRILEMMA_UNSYNC:
             return delays, _Cover(_noise_slots(kind, batch, slots, horizon),
-                                  params)
+                                  params, watch=watch)
         d = _num_dummies(params)
         return delays, _Picks(
             _Subset([u for u in range(params.n) if u != row.sender], d, s)
@@ -379,19 +424,32 @@ def _fields(kind: ProtocolKind, batch, perm):
     return ()
 
 
-def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random):
+def _watch(view):
+    return None if view is None else view.senders
+
+
+def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
+                   view=None):
     """Draw one random outcome: the start order, then each field in turn.
-    `rng` is a plain `random.Random` (see `_sampler`)."""
+    `rng` is a plain `random.Random` (see `_sampler`).
+
+    With a `View` the outcome is projected onto it, for `build_trace` with
+    the same view: the unsync cover holds only the view's senders' slots,
+    each drawn as in the full outcome, and the rng ends in the same state.
+    """
     batch = pair.batch(b)
     rows = len(batch.rows)
     perm = (tuple(rng.sample(range(rows), rows))
             if _needs_perm(kind, batch) else None)
-    return (perm, *[f.draw(rng) for f in _fields(kind, batch, perm)])
+    return (perm, *[f.draw(rng)
+                    for f in _fields(kind, batch, perm, _watch(view))])
 
 
-def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
+def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     """Every (probability, outcome) with exact Fraction probabilities, in
-    the order of the start orders and then of each field's options.
+    the order of the start orders and then of each field's options.  With
+    a `View` the outcomes are projected as in `sample_outcome`, and their
+    probabilities are the exact marginals of the full ones.
 
     The leaves of each field are listed once, then their product is
     streamed; zero-weight options are pruned, so degenerate rates (p of 0
@@ -401,11 +459,12 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
     """
     batch = pair.batch(b)
     rows = len(batch.rows)
+    watch = _watch(view)
     first = tuple(range(rows)) if _needs_perm(kind, batch) else None
     nperm = 1 if first is None else math.factorial(rows)
     # counted before anything is listed, start orders included; field
     # sizes do not depend on the start order
-    count = nperm * prod(f.size for f in _fields(kind, batch, first))
+    count = nperm * prod(f.size for f in _fields(kind, batch, first, watch))
     if count > ENUM_LIMIT:
         raise ResourceLimitError(f"outcome space has {count} leaves, "
                                  f"limit is {ENUM_LIMIT}")
@@ -413,7 +472,7 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int):
     add = results.append
     for perm in [None] if first is None else itertools.permutations(first):
         den, tables = nperm, []
-        for field in _fields(kind, batch, perm):
+        for field in _fields(kind, batch, perm, watch):
             d, leaves = field.options()
             den *= d
             tables.append(leaves)

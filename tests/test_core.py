@@ -92,14 +92,15 @@ def test_relay_locations_are_negative():
 
 
 def _sample_trace():
-    return ObservationTrace.from_events([
+    # in trace order: by round, then kind, location and packet
+    return ObservationTrace((
         ObservationEvent(SEND, 1, 0, 0, is_real=True, msg=7),
         ObservationEvent(SEND, 1, 1, 1, is_real=False),
-        ObservationEvent(FORWARD, 2, relay_loc(0), 2, in_packet=0, origin=0),
         ObservationEvent(FORWARD, 2, relay_loc(1), 3, in_packet=1, origin=1),
+        ObservationEvent(FORWARD, 2, relay_loc(0), 2, in_packet=0, origin=0),
         ObservationEvent(DROP, 2, relay_loc(0), 4),
         ObservationEvent(DELIVER, 3, 2, 5, is_real=True, msg=7),
-    ])
+    ))
 
 
 def test_filter_masks_send_payloads():
@@ -140,22 +141,6 @@ def test_traffic_stats():
     assert stats.L == {0: 1, 1: 1}
     assert stats.out == 1
     assert stats.com == 2
-
-
-def test_events_sort_by_round_then_kind():
-    t = _sample_trace()
-    rounds = [e.round for e in t.events]
-    assert rounds == sorted(rounds)
-    assert t.events[-1].kind == DELIVER
-
-
-@given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3),
-                          st.integers(0, 9)), min_size=1, max_size=20))
-def test_from_events_is_order_insensitive(specs):
-    evs = [ObservationEvent(SEND, r, u, q) for (r, u, q) in specs]
-    a = ObservationTrace.from_events(evs)
-    b = ObservationTrace.from_events(list(reversed(evs)))
-    assert a == b
 
 
 @given(st.sets(st.integers(0, 5)), st.booleans(), st.integers(0, 3),

@@ -8,7 +8,10 @@ every value equal.
 
 The cross-route property draws tiny random parameters for each accepted
 (protocol, attack) pair and requires the exact advantage to lie inside
-the Monte Carlo interval, widened by `verify`'s default tolerance.
+the Monte Carlo interval, widened by `verify`'s default tolerance.  A
+second draw takes the unsync model up to n=6 and l_max=3, where only the
+projected enumeration (the cover slots the attack's view holds) is small
+enough to list.
 """
 
 import dataclasses
@@ -17,9 +20,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from acnbounds.adversaries import (counting_attack, dropping_attack,
-                                   random_guess_attack, timing_attack,
-                                   tracing_attack, validate_attack)
+from acnbounds.adversaries import (attack_view, counting_attack,
+                                   dropping_attack, random_guess_attack,
+                                   timing_attack, tracing_attack,
+                                   validate_attack)
 from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
                             CapabilityError, Communication, ProtocolParams,
                             make_batch)
@@ -312,6 +316,34 @@ def test_exact_lies_inside_the_monte_carlo_interval(variant, attack_name,
     # every draw is one `validate_attack` accepts, so no pair is skipped
     attack = _cross_attack(attack_name, params.n, draw, params.relays)
     kind = ProtocolKind(variant, params)
+    exact = exact_advantage(kind, attack, pair)
+    est = estimate_advantage(kind, attack, pair, 400,
+                             master_seed=draw(st.integers(0, 2**16)))
+    assert est.ci_low - TOL <= exact <= est.ci_high + TOL
+
+
+@pytest.mark.parametrize("attack_name", _ATTACKS)
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_projected_exact_lies_inside_the_monte_carlo_interval(attack_name,
+                                                              data):
+    # past the unsync draws above, whose full leaf count reaches 2**30 per
+    # arm at n=6, l_max=3; every stock attack has a view, so its
+    # enumeration lists only the watched senders' cover slots
+    draw = data.draw
+    n = draw(st.integers(4, 6))
+    l_max = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(MODES))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    if attack_name == "counting" and shape == "two":
+        # the context row's sender is watched too, a third user's slots
+        l_max = min(l_max, 2)
+    params = ProtocolParams(n=n, l_max=l_max, beta=draw(_RATES))
+    pair = _pair(n, mode, shape)
+    attack = _cross_attack(attack_name, n, draw, params.relays)
+    assert attack_view(attack, pair) is not None
+    kind = ProtocolKind(TRILEMMA_UNSYNC, params)
     exact = exact_advantage(kind, attack, pair)
     est = estimate_advantage(kind, attack, pair, 400,
                              master_seed=draw(st.integers(0, 2**16)))

@@ -136,7 +136,6 @@ def test_scenario_pair_checks_validity_and_reports_suspects():
     assert pair.suspects() == (0, 2)
     assert pair.challenge_receiver() == 3
     assert pair.challenge_message() == 7
-    assert pair.challenge_indices() == (0,)
     with pytest.raises(ValueError):
         ScenarioPair(B(C(0, 3, 7)), B(C(0, 3, 8)), so)
 

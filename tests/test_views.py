@@ -5,23 +5,33 @@ filtered trace, over the golden grid of `test_trace_golden` and every
 exactly enumerated outcome at its TINY point.  A view must also stay
 within what the capability sees: filtering it removes nothing, and with
 packet ids set aside its events are among the full filtered ones.
+
+The unsync cover is drawn and listed under the view too: a projected draw
+holds the full draw's fired slots of the watched senders and leaves the
+rng where the full draw does, and projected leaves are the exact
+marginals of the full ones.
 """
 
 import dataclasses
+import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds.adversaries import (TRACING, AttackKind, attack_view,
-                                   counting_attack, decide, dropping_attack,
-                                   random_guess_attack, timing_attack,
-                                   tracing_attack)
-from acnbounds.core import AdversaryCapability, View, filter_trace
-from acnbounds.protocols import (DROPPING, VARIANTS, ProtocolKind,
-                                 build_trace, enumerate_outcomes,
-                                 sample_outcome)
+from acnbounds.adversaries import (COUNTING, TRACING, AttackKind,
+                                   attack_view, counting_attack, decide,
+                                   dropping_attack, random_guess_attack,
+                                   timing_attack, tracing_attack)
+from acnbounds.core import (NO_COMM, AdversaryCapability, Communication,
+                            ProtocolParams, ResourceLimitError, View,
+                            filter_trace)
+from acnbounds.game import exact_advantage
+from acnbounds.protocols import (DROPPING, TRILEMMA_UNSYNC, VARIANTS,
+                                 ProtocolKind, build_trace,
+                                 enumerate_outcomes, sample_outcome)
 from test_trace_golden import (KINDS, MODES, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair)
 
@@ -152,3 +162,101 @@ def test_verdicts_ignore_which_ids_packets_carry(name, mode, seed, b, attack,
     ids = dict(zip(used, image))
     assert (decide(attack, _relabel(trace, ids), pair, kind.params)
             == decide(attack, trace, pair, kind.params))
+
+
+# ---------------------------------------------- the unsync cover, projected
+
+def _unsync(n, l_max, beta):
+    return ProtocolKind(TRILEMMA_UNSYNC,
+                        ProtocolParams(n=n, l_max=l_max, beta=beta))
+
+
+def _one_row_pair(n, mode=MODES[0]):
+    return _pair(([Communication(0, n - 1, 0)],
+                  [Communication(1, n - 1, 0)]), mode)
+
+
+def _unsync_pairs(n):
+    """A one-row pair and one with a context row and an empty row, in
+    each start-order mode."""
+    last = n - 1
+    context = [Communication(last, 0, 1), NO_COMM]
+    rows = ([Communication(0, last, 0)] + context,
+            [Communication(1, last, 0)] + context)
+    return ([_one_row_pair(n, mode) for mode in MODES]
+            + [_pair(rows, mode) for mode in MODES])
+
+
+def _unsync_views(n, pair):
+    """The view of every stock attack: timing, counting with a watched
+    subset, dropping, random guess (empty) and an active tracer (None,
+    the full draw)."""
+    watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
+                                  receiver_corrupted=True,
+                                  knows_total_real=True)
+    attacks = [timing_attack(n), AttackKind(COUNTING, watched),
+               dropping_attack(n), random_guess_attack(),
+               AttackKind(TRACING, AdversaryCapability(
+                   observed_senders=frozenset(range(n)),
+                   receiver_corrupted=True, c_p=1, c_a=1,
+                   active_drop=True))]
+    return [attack_view(a, pair) for a in attacks]
+
+
+def _project(outcome, view):
+    """The full outcome as its projection onto `view` reads it."""
+    if view is None:
+        return outcome
+    perm, delays, fired = outcome
+    return perm, delays, tuple(sl for sl in fired if sl[1] in view.senders)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100])
+def test_projected_cover_takes_the_full_draws_numbers(n):
+    # a skipped run of k coins takes `getrandbits(64 * k)`, which must use
+    # the 2k words of k `random()` calls on every supported CPython
+    for l_max, beta in itertools.product((1, 2, 3, 5), (0.0, 0.3, 0.25, 1.0)):
+        kind = _unsync(n, l_max, beta)
+        for pair in _unsync_pairs(n):
+            views = _unsync_views(n, pair)
+            for b, seed in itertools.product((0, 1), range(3)):
+                whole = random.Random(seed)
+                full = sample_outcome(kind, pair, b, whole)
+                for view in views:
+                    rng = random.Random(seed)
+                    got = sample_outcome(kind, pair, b, rng, view)
+                    assert got == _project(full, view), (l_max, beta, view)
+                    assert rng.getstate() == whole.getstate()
+
+
+@pytest.mark.parametrize("n,l_max,beta", [
+    (2, 2, 0.5), (2, 2, 0.3), (3, 2, 0.25), (3, 1, 1.0), (4, 2, 0.0)])
+def test_projected_leaves_are_the_exact_marginals(n, l_max, beta):
+    kind = _unsync(n, l_max, beta)
+    for pair in _unsync_pairs(n):
+        views = _unsync_views(n, pair)
+        for b in (0, 1):
+            full = enumerate_outcomes(kind, pair, b)
+            for view in views:
+                marginal = {}
+                for prob, outcome in full:
+                    key = _project(outcome, view)
+                    marginal[key] = marginal.get(key, 0) + prob
+                leaves = enumerate_outcomes(kind, pair, b, view)
+                assert sum(prob for prob, _ in leaves) == 1
+                assert {o: prob for prob, o in leaves} == marginal
+                assert len(leaves) == len(marginal)
+                rng = random.Random(b)
+                for _ in range(20):
+                    assert sample_outcome(kind, pair, b, rng, view) in \
+                        marginal
+
+
+def test_projection_reaches_a_point_past_the_leaf_limit():
+    # 29 free cover slots per arm: 2**30 full leaves, 2**10 watched ones
+    kind = _unsync(6, 3, 0.25)
+    pair = _one_row_pair(6)
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(kind, pair, 0)
+    # the other suspect stays silent for the l_max-1 rounds of the window
+    assert exact_advantage(kind, timing_attack(6), pair) == Fraction(9, 16)

@@ -221,9 +221,14 @@ def attack_view(attack: AttackKind, pair):
     trace.
 
     timing    the two suspects' sends and the challenge receiver's deliveries
-    tracing   the same, plus forwards at the relays the capability sees
+    tracing   the same, plus batch rows' forwards at the relays the
+              capability sees
     counting  sends of the watched users that either batch claims
     dropping  the challenge receiver's deliveries
+
+    Tracing walks back from the challenge delivery's `in_packet`, and each
+    hop of that chain is a batch row's packet: a cover packet never feeds a
+    delivery, so its forwards are in no view (see `core.View`).
     """
     cap = attack.capability
     v = attack.variant

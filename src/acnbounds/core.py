@@ -242,12 +242,17 @@ class View(NamedTuple):
     """The events an attack reads, as `build_trace` should emit them.
 
     senders    users whose SENDs to build
-    relays     relay k's FORWARDs are built for k < relays
+    relays     relay k's FORWARDs of batch rows' packets are built for
+               k < relays
     receivers  users whose DELIVERs to build
 
-    Drops and the user-node forwards of the integrated dropping model are
-    in no view.  A view built by `adversaries.attack_view` is already cut
-    down to what the capability sees, so filtering it removes nothing.
+    Drops, the user-node forwards of the integrated dropping model and the
+    forwards of onion cover packets are in no view.  A rule that follows a
+    packet walks back from a delivery, and a cover packet feeds none, so
+    its hops are never on the chain; leaving them out lets a projected
+    outcome skip building cover paths at all.  A view built by
+    `adversaries.attack_view` is already cut down to what the capability
+    sees, so filtering it removes nothing.
     """
 
     senders: frozenset = frozenset()

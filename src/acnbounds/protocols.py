@@ -51,13 +51,16 @@ leaf is built.  Exact cover weights use the decimals the user typed
 
 An outcome drawn or listed under a view (`sample_outcome` and
 `enumerate_outcomes` take the `view` that `build_trace` takes) holds only
-the watched senders' unsync cover slots.  The same-stream contract covers
-the coins it skips: each skipped run still takes its words from the rng,
-so every watched coin reads the value it reads in the full draw and the
-rng ends in the same state.  Enumeration lists the watched slots' exact
-marginal, so its leaf count grows with the view, not with `n x horizon`.
-The onion cover is always drawn in full: its coins carry paths that take
-a varying number of words.
+the watched senders' cover slots, and an onion cover slot holds
+`(slot, None)` in place of its path: a cover packet feeds no delivery, so
+no rule reads its hops.  The same-stream contract covers what the
+projection skips.  A run of unwatched unsync coins still takes its words
+from the rng; the onion cover flips every coin, since a path takes a
+varying number of words, and a fired coin's path takes its words through
+the sampler's `skip`.  So every watched coin reads the value it reads in
+the full draw and the rng ends in the same state.  Enumeration lists the
+watched slots' exact marginal, so its leaf count grows with the view, not
+with `n x horizon` or with the paths a cover packet could take.
 
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Given a `core.View` (from
@@ -240,21 +243,27 @@ class _Choice:
 
 
 def _sampler(pool, k):
-    """A function `rng -> tuple(rng.sample(pool, k))` that takes the same
-    numbers from the same rng stream as `rng.sample` does.
+    """Two functions of an rng: `draw`, which returns
+    `tuple(rng.sample(pool, k))` and takes the same numbers from the same
+    rng stream as `rng.sample` does, and `skip`, which takes those numbers
+    and builds nothing.
 
     For a small pool (the branch of `Random.sample` with `len(pool) <= 21`
-    and `k <= 5`) it runs that branch's rejection loop and pool swap on
+    and `k <= 5`) `draw` runs that branch's rejection loop and pool swap on
     `rng.getrandbits` directly, with each step's range and bit width
-    computed here once.  That skips `sample`'s argument checks (an ABC
-    `isinstance` among them), which cost more than the draw.  Larger draws
-    are left to `rng.sample`.  `rng` is a plain `random.Random`, as in
+    computed here once, and `skip` runs the rejection loop alone.  That
+    skips `sample`'s argument checks (an ABC `isinstance` among them),
+    which cost more than the draw.  Larger draws are left to `rng.sample`,
+    whose result `skip` discards.  `rng` is a plain `random.Random`, as in
     `sample_outcome`: a subclass that redefines `sample` is not consulted.
     """
     pool = tuple(pool)
     n = len(pool)
     if not (0 <= k <= n <= 21 and k <= 5):
-        return lambda rng: tuple(rng.sample(pool, k))
+        def skip(rng):
+            rng.sample(pool, k)
+
+        return (lambda rng: tuple(rng.sample(pool, k))), skip
     steps = tuple((m, m.bit_length()) for m in range(n, n - k, -1))
 
     def draw(rng):
@@ -270,7 +279,13 @@ def _sampler(pool, k):
             left[j] = left[m - 1]
         return tuple(out)
 
-    return draw
+    def skip(rng):
+        bits = rng.getrandbits
+        for m, width in steps:
+            while bits(width) >= m:
+                pass
+
+    return draw, skip
 
 
 class _Subset:
@@ -280,7 +295,7 @@ class _Subset:
     def __init__(self, pool, k, tag=None):
         self.pool, self.k, self.tag = tuple(pool), k, tag
         self.size = comb(len(self.pool), k)
-        self._sample = _sampler(self.pool, k)
+        self._sample, _ = _sampler(self.pool, k)
 
     def draw(self, rng):
         s = tuple(sorted(self._sample(rng)))
@@ -294,13 +309,14 @@ class _Subset:
 
 
 class _Sample:
-    """An ordered k-sample of `pool` (an onion path)."""
+    """An ordered k-sample of `pool` (an onion path).  `skip(rng)` takes
+    the numbers `draw(rng)` takes without building the sample."""
 
     def __init__(self, pool, k):
         self.pool, self.k = tuple(pool), k
         self.size = math.perm(len(self.pool), k)
         # the sampler is the draw: no method call between it and the field
-        self.draw = _sampler(self.pool, k)
+        self.draw, self.skip = _sampler(self.pool, k)
 
     def options(self):
         paths = itertools.permutations(self.pool, self.k)
@@ -329,20 +345,30 @@ class _Cover:
     firing at rate p.  The field is the tuple of fired slots, each paired
     with a fresh `payload` pick when there is one (an onion path).
 
-    Without a payload the field can be projected onto the users in `watch`:
-    it then holds only their slots.  `draw` still takes every coin's two
-    words from the rng, skipping each run of k unwatched coins with one
-    `getrandbits(64 * k)`, so a watched coin reads the value it reads in
-    the full draw and the rng ends in the same state; `options` lists the
-    watched slots' exact marginal.
+    The field can be projected onto the users in `watch`: it then holds
+    only their slots, and `options` lists the watched slots' exact
+    marginal.  `draw` still takes every word the full draw takes, so a
+    watched coin reads the value it reads in the full draw and the rng ends
+    in the same state.  Without a payload it skips each run of k unwatched
+    coins with one `getrandbits(64 * k)`.  With one it flips every coin,
+    since a path takes a varying number of words, and passes each fired
+    coin's path to the payload's `skip`; a watched slot keeps
+    `(slot, None)`, because no rule reads a cover packet's hops.
     """
 
     def __init__(self, free, params, payload=None, watch=None):
-        self.payload, self.p = payload, params.p
-        # (bits of the unwatched coins before it, slot) per watched slot,
-        # and the bits of those after the last; None when none is skipped
-        self.runs = self.tail = None
-        if watch is not None:
+        self.p = params.p
+        self.paired = payload is not None
+        # unsync: (bits of the unwatched coins before it, slot) per watched
+        # slot, and the bits of those after the last; None when none is
+        # skipped.  onion: per free slot its entry, None when unwatched
+        self.runs = self.tail = self.marks = None
+        if watch is not None and payload is not None:
+            self.marks = tuple((sl, None) if sl[1] in watch else None
+                               for sl in free)
+            self.skip, payload = payload.skip, None
+            free = tuple(sl for sl in free if sl[1] in watch)
+        elif watch is not None:
             runs, skipped = [], 0
             for sl in free:
                 if sl[1] in watch:
@@ -353,7 +379,7 @@ class _Cover:
             if len(runs) < len(free):
                 self.runs, self.tail = tuple(runs), 64 * skipped
             free = tuple(sl for _, sl in runs)
-        self.free = free
+        self.payload, self.free = payload, free
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
         self.rate = params.p_exact
@@ -373,6 +399,14 @@ class _Cover:
             if self.tail:
                 skip(self.tail)
             return tuple(fired)
+        if self.marks is not None:
+            skip, fired = self.skip, []
+            for entry in self.marks:
+                if coin() < p:
+                    skip(rng)
+                    if entry is not None:
+                        fired.append(entry)
+            return tuple(fired)
         if self.payload is None:
             return tuple([sl for sl in self.free if coin() < p])
         pick = self.payload.draw
@@ -385,7 +419,7 @@ class _Cover:
         tables = []
         for sl in self.free:
             opts = [((pd - pn) * m, None)]
-            opts += [(pn * w, sl if x is None else (sl, x)) for w, x in on]
+            opts += [(pn * w, (sl, x) if self.paired else sl) for w, x in on]
             tables.append([(w, x) for w, x in opts if w])
         # a slot that did not fire leaves None, and fired values are truthy
         return (pd * m) ** len(self.free), [
@@ -396,8 +430,9 @@ class _Cover:
 def _fields(kind: ProtocolKind, batch, perm, watch=None):
     """The randomness of one arm under one start order, as the ordered
     fields of draws an outcome holds after its start order.  With `watch`,
-    a view's senders, the unsync cover holds only the watched users'
-    slots (see `_Cover`); every other field is drawn in full."""
+    a view's senders, the cover holds only the watched users' slots, and
+    an onion cover no paths (see `_Cover`); every other field is drawn in
+    full."""
     v, params = kind.variant, kind.params
     slots, horizon = _schedule(kind, batch, perm)
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
@@ -414,7 +449,7 @@ def _fields(kind: ProtocolKind, batch, perm, watch=None):
         path = _Sample(range(params.relays), params.l_exp - 1)
         return (_Picks(None if s is None else path for s in slots),
                 _Cover(_noise_slots(kind, batch, slots, horizon), params,
-                       path))
+                       path, watch))
     if v == DROPPING:
         pool = range(params.n) if params.integrated else range(params.relays)
         first_hops = _Subset(pool, params.copies)
@@ -434,8 +469,9 @@ def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
     `rng` is a plain `random.Random` (see `_sampler`).
 
     With a `View` the outcome is projected onto it, for `build_trace` with
-    the same view: the unsync cover holds only the view's senders' slots,
-    each drawn as in the full outcome, and the rng ends in the same state.
+    the same view: the cover holds only the view's senders' slots, each
+    drawn as in the full outcome (an onion cover's without its path), and
+    the rng ends in the same state.
     """
     batch = pair.batch(b)
     rows = len(batch.rows)
@@ -502,10 +538,12 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
 
     With `view=None` the trace is the full (unfiltered) one.  With a
     `View`, only the events it names are emitted: the senders' sends, the
-    forwards at relays below `view.relays` and the receivers' deliveries;
-    drops and user-node forwards are left out.  The ids of the events kept
-    come from the same counter as in the full trace, so they stay unique,
-    and the dropping model still applies its drops.
+    forwards of batch rows' packets at relays below `view.relays` and the
+    receivers' deliveries; drops, user-node forwards and an onion cover
+    packet's hops are left out, so a projected outcome (cover paths None)
+    builds as well as a full one.  The ids of the events kept come from
+    the same counter as in the full trace, so they stay unique, and the
+    dropping model still applies its drops.
 
     Events are emitted as raw rows `(round, kind order, location, packet,
     kind, is_real, origin, in_packet, msg)` with construction-order packet
@@ -565,11 +603,13 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         paths = outcome[1]
         relay = [relay_loc(k) for k in range(params.relays)]
         add = ev.append
-        # real rows first, then cover sends, each with its path; one loop
-        # appends every hop, so a trial's cost is the events it emits
+        # real rows first, then (in the full trace) cover sends, each with
+        # its path; one loop appends every hop, so a trial's cost is the
+        # events it emits
         starts = [(slots[j], row.sender, paths[j], row)
                   for j, row in enumerate(batch.rows) if slots[j] is not None]
-        starts += [(t, u, path, None) for (t, u), path in outcome[2]]
+        if full:
+            starts += [(t, u, path, None) for (t, u), path in outcome[2]]
         for t, u, path, row in starts:
             q = next(pid)
             if u in senders:
@@ -591,6 +631,11 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 # the sent id
                 add((t, _DELIVER, row.receiver, next(pid) if path else q,
                      DELIVER, True, None, prev, row.message))
+        if not full:
+            # a cover packet feeds no delivery, so no rule reads its hops:
+            # a view holds its send alone
+            ev += [(t, _SEND, u, q, SEND, False, None, None, None)
+                   for ((t, u), _), q in zip(outcome[2], pid) if u in senders]
 
     elif v == THRESHOLD_MIX:
         held = []

@@ -8,10 +8,11 @@ every value equal.
 
 The cross-route property draws tiny random parameters for each accepted
 (protocol, attack) pair and requires the exact advantage to lie inside
-the Monte Carlo interval, widened by `verify`'s default tolerance.  A
-second draw takes the unsync model up to n=6 and l_max=3, where only the
-projected enumeration (the cover slots the attack's view holds) is small
-enough to list.
+the Monte Carlo interval, widened by `verify`'s default tolerance.  Two
+more draws take the unsync model up to n=6 and l_max=3, and onion routing
+up to n=4, l_max=3 and four relays (paths of two relays), where only the
+projected enumeration (the cover slots the attack's view holds, an onion
+cover's without their paths) is small enough to list.
 """
 
 import dataclasses
@@ -344,6 +345,38 @@ def test_projected_exact_lies_inside_the_monte_carlo_interval(attack_name,
     attack = _cross_attack(attack_name, n, draw, params.relays)
     assert attack_view(attack, pair) is not None
     kind = ProtocolKind(TRILEMMA_UNSYNC, params)
+    exact = exact_advantage(kind, attack, pair)
+    est = estimate_advantage(kind, attack, pair, 400,
+                             master_seed=draw(st.integers(0, 2**16)))
+    assert est.ci_low - TOL <= exact <= est.ci_high + TOL
+
+
+@pytest.mark.parametrize("attack_name", _ATTACKS)
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_projected_onion_exact_lies_inside_the_monte_carlo_interval(
+        attack_name, data):
+    # past the onion draws above, which stop at one-relay paths: a two-relay
+    # path has 12 options at four relays, and a full cover slot 13; every
+    # stock attack has a view, so a cover slot lists only whether a watched
+    # sender's coin fired
+    draw = data.draw
+    n = draw(st.integers(2, 4))
+    # the draws above already reach l_max=1 and one-relay paths at n=2
+    l_max = draw(st.integers(2, 3))
+    relays = draw(st.integers(l_max - 1, 4))
+    mode = draw(st.sampled_from(MODES))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    if shape == "two":
+        # a second path multiplies the leaves by up to 12
+        l_max = min(l_max, 2)
+    params = ProtocolParams(n=n, l_max=l_max, beta=draw(_RATES),
+                            relays=relays)
+    pair = _pair(n, mode, shape)
+    attack = _cross_attack(attack_name, n, draw, relays)
+    assert attack_view(attack, pair) is not None
+    kind = ProtocolKind(ONION_PATH, params)
     exact = exact_advantage(kind, attack, pair)
     est = estimate_advantage(kind, attack, pair, 400,
                              master_seed=draw(st.integers(0, 2**16)))

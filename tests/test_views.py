@@ -6,14 +6,15 @@ exactly enumerated outcome at its TINY point.  A view must also stay
 within what the capability sees: filtering it removes nothing, and with
 packet ids set aside its events are among the full filtered ones.
 
-The unsync cover is drawn and listed under the view too: a projected draw
-holds the full draw's fired slots of the watched senders and leaves the
-rng where the full draw does, and projected leaves are the exact
-marginals of the full ones.
+The cover is drawn and listed under the view too: a projected draw holds
+the full draw's fired slots of the watched senders (an onion cover's
+without their paths) and leaves the rng where the full draw does, and
+projected leaves are the exact marginals of the full ones.
 """
 
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -29,8 +30,8 @@ from acnbounds.core import (NO_COMM, AdversaryCapability, Communication,
                             ProtocolParams, ResourceLimitError, View,
                             filter_trace)
 from acnbounds.game import exact_advantage
-from acnbounds.protocols import (DROPPING, TRILEMMA_UNSYNC, VARIANTS,
-                                 ProtocolKind, build_trace,
+from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
+                                 VARIANTS, ProtocolKind, build_trace,
                                  enumerate_outcomes, sample_outcome)
 from test_trace_golden import (KINDS, MODES, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair)
@@ -176,7 +177,7 @@ def _one_row_pair(n, mode=MODES[0]):
                   [Communication(1, n - 1, 0)]), mode)
 
 
-def _unsync_pairs(n):
+def _cover_pairs(n):
     """A one-row pair and one with a context row and an empty row, in
     each start-order mode."""
     last = n - 1
@@ -203,12 +204,16 @@ def _unsync_views(n, pair):
     return [attack_view(a, pair) for a in attacks]
 
 
-def _project(outcome, view):
-    """The full outcome as its projection onto `view` reads it."""
+def _project(outcome, view, onion=False):
+    """The full outcome as its projection onto `view` reads it: the watched
+    senders' fired slots, an onion cover's paired with None."""
     if view is None:
         return outcome
-    perm, delays, fired = outcome
-    return perm, delays, tuple(sl for sl in fired if sl[1] in view.senders)
+    perm, picks, fired = outcome
+    if onion:
+        return perm, picks, tuple((sl, None) for sl, _ in fired
+                                  if sl[1] in view.senders)
+    return perm, picks, tuple(sl for sl in fired if sl[1] in view.senders)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100])
@@ -217,7 +222,7 @@ def test_projected_cover_takes_the_full_draws_numbers(n):
     # the 2k words of k `random()` calls on every supported CPython
     for l_max, beta in itertools.product((1, 2, 3, 5), (0.0, 0.3, 0.25, 1.0)):
         kind = _unsync(n, l_max, beta)
-        for pair in _unsync_pairs(n):
+        for pair in _cover_pairs(n):
             views = _unsync_views(n, pair)
             for b, seed in itertools.product((0, 1), range(3)):
                 whole = random.Random(seed)
@@ -233,7 +238,7 @@ def test_projected_cover_takes_the_full_draws_numbers(n):
     (2, 2, 0.5), (2, 2, 0.3), (3, 2, 0.25), (3, 1, 1.0), (4, 2, 0.0)])
 def test_projected_leaves_are_the_exact_marginals(n, l_max, beta):
     kind = _unsync(n, l_max, beta)
-    for pair in _unsync_pairs(n):
+    for pair in _cover_pairs(n):
         views = _unsync_views(n, pair)
         for b in (0, 1):
             full = enumerate_outcomes(kind, pair, b)
@@ -260,3 +265,99 @@ def test_projection_reaches_a_point_past_the_leaf_limit():
         enumerate_outcomes(kind, pair, 0)
     # the other suspect stays silent for the l_max-1 rounds of the window
     assert exact_advantage(kind, timing_attack(6), pair) == Fraction(9, 16)
+
+
+# ----------------------------------------------- the onion cover, projected
+
+def _onion(n, l_max, beta, relays, l_exp=None):
+    return ProtocolKind(ONION_PATH, ProtocolParams(
+        n=n, l_max=l_max, beta=beta, relays=relays, l_exp=l_exp))
+
+
+def _onion_attacks(n, relays):
+    """Path tracing at every c_p, timing, counting with a watched subset and
+    random guess: every stock rule that reads a sender's cover sends, and
+    one that reads nothing."""
+    watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
+                                  receiver_corrupted=True,
+                                  knows_total_real=True)
+    return ([tracing_attack(n, c) for c in range(relays + 1)]
+            + [timing_attack(n), AttackKind(COUNTING, watched),
+               random_guess_attack()])
+
+
+@pytest.mark.parametrize("relays", [1, 2, 6, 25])
+def test_projected_onion_cover_takes_the_full_draws_numbers(relays):
+    # a fired coin's path is skipped with the sampler's `skip`, which must
+    # take the words its draw takes: the small-pool rejection loop, or
+    # `rng.sample` itself past 21 relays
+    n = 4
+    for l_exp, beta in itertools.product(range(1, min(4, relays + 1) + 1),
+                                         (0.0, 0.25, 1.0)):
+        kind = _onion(n, 4, beta, relays, l_exp)
+        for pair in _cover_pairs(n):
+            attacks = [(a, attack_view(a, pair))
+                       for a in _onion_attacks(n, relays)]
+            for b, seed in itertools.product((0, 1), range(3)):
+                whole = random.Random(seed)
+                full = sample_outcome(kind, pair, b, whole)
+                for attack, view in attacks:
+                    rng = random.Random(seed)
+                    got = sample_outcome(kind, pair, b, rng, view)
+                    assert got == _project(full, view, onion=True), \
+                        (l_exp, beta, view)
+                    assert rng.getstate() == whole.getstate()
+                    # a projected outcome builds the verdict of the full one
+                    cap = attack.capability
+                    projected = filter_trace(
+                        build_trace(kind, pair, b, got, cap, view), cap)
+                    assert (decide(attack, projected, pair, kind.params)
+                            == decide(attack, filter_trace(build_trace(
+                                kind, pair, b, full, cap), cap),
+                                pair, kind.params))
+
+
+@pytest.mark.parametrize("n,l_max,beta,relays", [
+    (2, 2, 0.5, 2), (2, 2, 0.3, 1), (3, 1, 0.25, 2), (2, 3, 1.0, 2)])
+def test_projected_onion_leaves_are_the_exact_marginals(n, l_max, beta,
+                                                         relays):
+    kind = _onion(n, l_max, beta, relays)
+    for pair in _cover_pairs(n):
+        # a projection depends on the view's senders alone
+        views = {view.senders: view for view in
+                 (attack_view(a, pair) for a in _onion_attacks(n, relays))}
+        for b in (0, 1):
+            full = enumerate_outcomes(kind, pair, b)
+            for view in views.values():
+                marginal = {}
+                for prob, outcome in full:
+                    key = _project(outcome, view, onion=True)
+                    marginal[key] = marginal.get(key, 0) + prob
+                leaves = enumerate_outcomes(kind, pair, b, view)
+                assert sum(prob for prob, _ in leaves) == 1
+                assert {o: prob for prob, o in leaves} == marginal
+                assert len(leaves) == len(marginal)
+                rng = random.Random(b)
+                for _ in range(20):
+                    assert sample_outcome(kind, pair, b, rng, view) in \
+                        marginal
+
+
+@pytest.mark.parametrize("n,l_max,p,relays,c_p", [
+    (2, 3, Fraction(1, 2), 3, 2),
+    (4, 3, Fraction(1, 4), 4, 2),
+    (6, 3, Fraction(1, 4), 6, 3),
+])
+def test_projection_reaches_onion_points_past_the_leaf_limit(n, l_max, p,
+                                                             relays, c_p):
+    # a cover slot has 1 + relays!/(relays-2)! options in full, 2 projected
+    kind = _onion(n, l_max, float(p), relays)
+    pair = _one_row_pair(n)
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(kind, pair, 0)
+    # the chain reaches its sender when every relay on the path is
+    # compromised; otherwise timing decides
+    hops = l_max - 1
+    hit = Fraction(math.comb(c_p, hops), math.comb(relays, hops))
+    assert (exact_advantage(kind, tracing_attack(n, c_p), pair)
+            == hit + (1 - hit) * (1 - p) ** hops)

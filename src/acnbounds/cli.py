@@ -12,7 +12,8 @@ Exit codes: 0 on success, 2 when a verification check fails, 1 for usage
 or configuration errors.
 
 A JSON file given via --config supplies flat key/value defaults (keys are
-the option names with underscores); explicit flags always win.
+the option names with underscores); explicit flags always win.  Each value
+must have the type its flag takes in the running subcommand.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from types import SimpleNamespace
 
 from . import atlas as atlas_mod
 from . import bounds
@@ -45,31 +45,26 @@ _BOUND_KINDS = ("trilemma-sync", "trilemma-unsync-original",
                 "compromising-unsync", "counting", "optimality",
                 "onion-cost")
 
-_ATTACKS = ("counting", "timing-interval", "path-tracing", "dropping",
-            "random-guess")
-
-_DEFAULTS = {
-    "n": 2, "lmax": 1, "beta": None, "p": None, "p_real": None,
-    "lexp": None, "relays": 0, "threshold": 0, "copies": 1, "rounds": None,
-    "integrated": False, "cp": 0, "ca": 0, "out": 1, "hops": 1, "mu": 1,
-    "lam": 256.0, "poly_lambda": None, "notion": "SO", "length": None,
-    "trials": 10000, "seed": 0, "workers": None, "tol": 0.02,
-    "mode": "general", "preset": None, "grid": False,
-    "lmax_range": "2:10", "beta_range": "0.01:0.99:25", "basis": "trilemma",
-    "bound": None, "kind": None, "protocol": None, "attack": None,
+_ATTACKS = {
+    "counting": lambda ns: counting_attack(ns.n),
+    "timing-interval": lambda ns: timing_attack(ns.n),
+    "path-tracing": lambda ns: tracing_attack(ns.n, ns.cp),
+    "dropping": lambda ns: dropping_attack(ns.n, ns.ca),
+    "random-guess": lambda ns: random_guess_attack(),
 }
 
 
-def _add_common(sp):
+def _add_common(sp, n=2):
     sp.add_argument("--config", help="JSON file with flat default values")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--lmax", type=int)
+    sp.add_argument("--n", type=int, default=n)
+    sp.add_argument("--lmax", type=int, default=1)
     sp.add_argument("--beta", type=float)
     sp.add_argument("--p", type=float,
                     help="total send rate; shorthand for beta=p, p-real=0")
-    sp.add_argument("--lam", type=float)
+    sp.add_argument("--lam", type=float, default=256.0)
     sp.add_argument("--poly-lambda", dest="poly_lambda", type=float)
-    sp.add_argument("--cp", type=int, help="passively compromised relays")
+    sp.add_argument("--cp", type=int, default=0,
+                    help="passively compromised relays")
 
 
 def _build_parser():
@@ -79,75 +74,87 @@ def _build_parser():
     b = sub.add_parser("bound", help="evaluate a closed-form bound")
     _add_common(b)
     b.add_argument("--kind", choices=_BOUND_KINDS)
-    b.add_argument("--relays", type=int)
-    b.add_argument("--out", type=int, help="delivered messages")
-    b.add_argument("--hops", type=int)
-    b.add_argument("--mu", type=int, help="messages per user")
+    b.add_argument("--relays", type=int, default=0)
+    b.add_argument("--out", type=int, default=1, help="delivered messages")
+    b.add_argument("--hops", type=int, default=1)
+    b.add_argument("--mu", type=int, default=1, help="messages per user")
     b.add_argument("--lexp", type=float)
-    b.add_argument("--basis", choices=("trilemma", "counting", "dropping"))
+    b.add_argument("--basis", choices=("trilemma", "counting", "dropping"),
+                   default="trilemma")
 
     for name in ("simulate", "verify"):
         s = sub.add_parser(name, help=f"{name} an attack's advantage")
         _add_common(s)
         s.add_argument("--protocol", choices=VARIANTS)
         s.add_argument("--attack", choices=_ATTACKS)
-        s.add_argument("--notion")
+        s.add_argument("--notion", default="SO")
         s.add_argument("--length", type=int)
         s.add_argument("--p-real", dest="p_real", type=float)
         s.add_argument("--lexp", type=int)
-        s.add_argument("--relays", type=int)
-        s.add_argument("--threshold", type=int)
-        s.add_argument("--copies", type=int)
+        s.add_argument("--relays", type=int, default=0)
+        s.add_argument("--threshold", type=int, default=0)
+        s.add_argument("--copies", type=int, default=1)
         s.add_argument("--rounds", type=int)
-        s.add_argument("--integrated", action="store_true", default=None)
-        s.add_argument("--ca", type=int, help="actively controlled relays")
-        s.add_argument("--trials", type=int)
-        s.add_argument("--seed", type=int)
-        s.add_argument("--workers", type=int)
+        s.add_argument("--integrated", action="store_true")
+        s.add_argument("--ca", type=int, default=0,
+                       help="actively controlled relays")
+        s.add_argument("--trials", type=int, default=10000)
+        s.add_argument("--seed", type=int, default=0)
         if name == "verify":
-            s.add_argument("--tol", type=float)
+            s.add_argument("--tol", type=float, default=0.02)
 
     r = sub.add_parser("region", help="possible/impossible at a point")
-    _add_common(r)
+    _add_common(r, n=1000)
     r.add_argument("--bound", choices=("counting", "trilemma", "dropping"))
 
     a = sub.add_parser("atlas", help="preset verdicts or a CSV grid")
-    _add_common(a)
-    a.add_argument("--mode", choices=atlas_mod.MODES)
+    _add_common(a, n=1000)
+    a.add_argument("--mode", choices=atlas_mod.MODES, default="general")
     a.add_argument("--preset", choices=sorted(atlas_mod.PRESETS))
-    a.add_argument("--grid", action="store_true", default=None)
-    a.add_argument("--lmax-range", dest="lmax_range",
+    a.add_argument("--grid", action="store_true")
+    a.add_argument("--lmax-range", dest="lmax_range", default="2:10",
                    help="lo:hi inclusive integer range")
     a.add_argument("--beta-range", dest="beta_range",
-                   help="lo:hi:steps linear range")
-    return top
+                   default="0.01:0.99:25", help="lo:hi:steps linear range")
+    return top, sub.choices
 
 
-_PER_COMMAND = {
-    "atlas": {"n": 1000},
-    "region": {"n": 1000},
-}
-
-
-def _resolve(args) -> SimpleNamespace:
-    merged = dict(_DEFAULTS)
-    merged.update(_PER_COMMAND.get(args.command, {}))
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a flat JSON object")
-        unknown = set(cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    for k, v in vars(args).items():
-        if k in ("command", "config"):
+def _load_config(path, commands, command):
+    """A --config file's values, each held to the flag of the same dest in
+    the running subcommand: an int flag takes a JSON integer, a float flag
+    a number, a switch a bool, a flag with choices one of them, any other
+    flag a string.  null is taken only where the default is None.  A key
+    no subcommand has a flag for is rejected; one only another subcommand
+    has is not read."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a flat JSON object")
+    flags = {name: {a.dest: a for a in sp._actions if a.option_strings}
+             for name, sp in commands.items()}
+    known = set().union(*flags.values()) - {"help", "config"}
+    unknown = set(cfg) - known
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        flag = flags[command].get(key)
+        if flag is None or (value is None and flag.default is None):
             continue
-        if v is not None:
-            merged[k] = v
-    return SimpleNamespace(**merged)
+        if flag.choices is not None:
+            want = "one of " + ", ".join(flag.choices)
+            ok = isinstance(value, str) and value in flag.choices
+        elif flag.nargs == 0:
+            want, ok = "true or false", isinstance(value, bool)
+        elif flag.type is int:
+            want, ok = "an integer", type(value) is int
+        elif flag.type is float:
+            want, ok = "a number", type(value) in (int, float)
+        else:
+            want, ok = "a string", isinstance(value, str)
+        if not ok:
+            raise ConfigError(f"config key {key!r} needs {want}, "
+                              f"got {json.dumps(value)}")
+    return cfg
 
 
 def _protocol_params(ns) -> ProtocolParams:
@@ -160,21 +167,6 @@ def _protocol_params(ns) -> ProtocolParams:
         l_exp=ns.lexp, relays=ns.relays or 0, threshold=ns.threshold or 0,
         copies=ns.copies or 1, rounds=ns.rounds,
         integrated=bool(ns.integrated))
-
-
-def _make_attack(ns):
-    a = ns.attack
-    if a == "counting":
-        return counting_attack(ns.n)
-    if a == "timing-interval":
-        return timing_attack(ns.n)
-    if a == "path-tracing":
-        return tracing_attack(ns.n, ns.cp)
-    if a == "dropping":
-        return dropping_attack(ns.n, ns.ca)
-    if a == "random-guess":
-        return random_guess_attack()
-    raise ConfigError("simulate needs --attack")
 
 
 def _cmd_bound(ns) -> int:
@@ -221,9 +213,10 @@ def _run_game(ns):
     kind = ProtocolKind(ns.protocol, params)
     notion = parse_notion(ns.notion)
     pair = generate_pair(notion, params, ns.seed, length=ns.length)
-    attack = _make_attack(ns)
-    est = estimate_advantage(kind, attack, pair, ns.trials, ns.seed,
-                             workers=ns.workers)
+    if ns.attack is None:
+        raise ConfigError("simulate needs --attack")
+    attack = _ATTACKS[ns.attack](ns)
+    est = estimate_advantage(kind, attack, pair, ns.trials, ns.seed)
     return kind, attack, pair, est
 
 
@@ -313,25 +306,25 @@ def _cmd_atlas(ns) -> int:
     return 0
 
 
+_COMMANDS = {"bound": _cmd_bound, "simulate": _cmd_simulate,
+             "verify": _cmd_verify, "region": _cmd_region,
+             "atlas": _cmd_atlas}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 1
     try:
-        ns = _resolve(args)
-        if args.command == "bound":
-            return _cmd_bound(ns)
-        if args.command == "simulate":
-            return _cmd_simulate(ns)
-        if args.command == "verify":
-            return _cmd_verify(ns)
-        if args.command == "region":
-            return _cmd_region(ns)
-        if args.command == "atlas":
-            return _cmd_atlas(ns)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.config:
+            # the file's values become the subcommand's defaults; parsing
+            # again lets explicit flags win over them
+            commands[args.command].set_defaults(
+                **_load_config(args.config, commands, args.command))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (ConfigError, CapabilityError, ValueError, OSError) as exc:
         print(f"acnbounds: {exc}", file=sys.stderr)
         return 1

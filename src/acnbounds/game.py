@@ -20,8 +20,8 @@ and `build_trace`, which emits only its events; then `filter_trace` and
 would give, and the exact route sums the same probabilities.
 
 Determinism contract: all per-trial randomness is derived from
-sha256(master_seed:trial_index), so results are byte-identical no matter
-how trials are batched across workers.
+sha256(master_seed:trial_index), so results are set by the master seed
+and nothing else.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -40,8 +38,6 @@ from .core import filter_trace
 from .protocols import (build_trace, check_schedule, enumerate_outcomes,
                         sample_outcome)
 
-WORKERS_ENV = "ACNBOUNDS_WORKERS"
-_CHUNK = 2048
 # two-sided 95%
 _Z = 1.959963984540054
 
@@ -70,33 +66,21 @@ class AdvantageEstimate:
     definition: str = "counting-form"
 
 
-def resolve_workers(workers=None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity set where the OS reports
-    one, else `os.cpu_count()`; None when neither is known.  CPU quotas
-    (cgroups) are not seen."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def _trial_seed(master_seed: int, i: int) -> bytes:
     return hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
 
 
-def _run_chunk(kind, attack, pair, view, master_seed, start, stop):
+def estimate_advantage(kind, attack, pair, trials: int,
+                       master_seed: int) -> AdvantageEstimate:
+    if trials < 100:
+        raise ValueError("need at least 100 trials for a meaningful interval")
+    validate_attack(attack, pair, kind.params)
+    check_schedule(kind, pair)
+    view = attack_view(attack, pair)
     cap = attack.capability
     params = kind.params
     n0 = k0 = n1 = k1 = 0
-    for i in range(start, stop):
+    for i in range(trials):
         h = _trial_seed(master_seed, i)
         b = h[0] & 1
         rng = random.Random(int.from_bytes(h[1:9], "big"))
@@ -114,33 +98,6 @@ def _run_chunk(kind, attack, pair, view, master_seed, start, stop):
         else:
             n0 += 1
             k0 += verdict
-    return n0, k0, n1, k1
-
-
-def estimate_advantage(kind, attack, pair, trials: int, master_seed: int,
-                       workers=None) -> AdvantageEstimate:
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful interval")
-    validate_attack(attack, pair, kind.params)
-    check_schedule(kind, pair)
-    view = attack_view(attack, pair)
-    spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
-    # no more threads than chunks to run or CPUs to run them on; an unknown
-    # CPU count caps nothing
-    nworkers = resolve_workers(workers)
-    nworkers = min(nworkers, len(spans), _usable_cpus() or nworkers)
-    if nworkers == 1:
-        parts = [_run_chunk(kind, attack, pair, view, master_seed, a, b)
-                 for a, b in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futs = [pool.submit(_run_chunk, kind, attack, pair, view,
-                                master_seed, a, b) for a, b in spans]
-            parts = [f.result() for f in futs]
-    n0 = sum(p[0] for p in parts)
-    k0 = sum(p[1] for p in parts)
-    n1 = sum(p[2] for p in parts)
-    k1 = sum(p[3] for p in parts)
     if n0 == 0 or n1 == 0:
         raise ValueError("degenerate challenge-bit split, use more trials")
     lo0, hi0 = wilson_interval(k0, n0)

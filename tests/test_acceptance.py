@@ -11,13 +11,16 @@ Run with -v to get one pass/fail line per criterion.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from acnbounds import cli
 from acnbounds.adversaries import (counting_attack, dropping_attack,
                                    timing_attack)
 from acnbounds.atlas import classify_all
@@ -34,6 +37,7 @@ from acnbounds.notions import (ScenarioPair, generate_pair,
 from acnbounds.protocols import ProtocolKind
 
 SO = parse_notion("SO")
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _so_pair(n):
@@ -230,20 +234,28 @@ def test_c12_both_advantage_definitions_agree():
     _report(12, "guess-rate difference equals the correctness form", ok)
 
 
-def test_c13_cli_output_is_deterministic_across_workers(capsys):
-    sim = ["simulate", "--protocol", "trilemma-unsync", "--attack",
-           "timing-interval", "--n", "4", "--lmax", "2", "--p", "0.4",
-           "--trials", "5000", "--seed", "7"]
-    ver = ["verify", "--protocol", "trilemma-unsync", "--attack",
-           "timing-interval", "--n", "4", "--lmax", "2", "--p", "0.4",
-           "--trials", "5000", "--seed", "7"]
-    outs = {}
-    for label, argv in (("sim", sim), ("ver", ver)):
-        for w in ("1", "3"):
-            code = cli.main(argv + ["--workers", w])
-            outs[label, w] = (code, capsys.readouterr().out)
-    ok = (outs["sim", "1"] == outs["sim", "3"]
-          and outs["ver", "1"] == outs["ver", "3"]
-          and outs["sim", "1"][0] == 0 and outs["ver", "1"][0] == 0
-          and json.loads(outs["ver", "1"][1])["verdict"] == "pass")
-    _report(13, "identical records and verdicts for 1 and 3 workers", ok)
+def _cli_in_fresh_interpreter(argv, hash_seed):
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONHASHSEED=hash_seed)
+    run = subprocess.run([sys.executable, "-m", "acnbounds.cli", *argv],
+                         capture_output=True, env=env, check=False)
+    return run.returncode, run.stdout
+
+
+def test_c13_cli_output_is_set_by_the_seed_alone():
+    # fresh interpreters with different str hash salts: anything that leaked
+    # set or dict iteration order into a draw or a record would show here
+    point = ["--protocol", "trilemma-unsync", "--attack", "timing-interval",
+             "--n", "4", "--lmax", "2", "--p", "0.4", "--trials", "5000"]
+    sim = ["simulate", *point, "--seed", "7"]
+    ver = ["verify", *point, "--seed", "7"]
+    outs = {(argv[0], salt): _cli_in_fresh_interpreter(argv, salt)
+            for argv in (sim, ver) for salt in ("0", "12345")}
+    other = _cli_in_fresh_interpreter(["simulate", *point, "--seed", "8"],
+                                      "0")
+    ok = (outs["simulate", "0"] == outs["simulate", "12345"]
+          and outs["verify", "0"] == outs["verify", "12345"]
+          and outs["simulate", "0"][0] == 0 and outs["verify", "0"][0] == 0
+          and json.loads(outs["verify", "0"][1])["verdict"] == "pass"
+          and other[0] == 0 and other[1] != outs["simulate", "0"][1])
+    _report(13, "identical records and verdicts across hash seeds, and a "
+            "different record for another seed", ok)

@@ -81,13 +81,37 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert json.loads(out)["delta"] == 0.0
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["warp", "workers", "config"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, key):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"n": 10, "warp": 9}))
+    cfg.write_text(json.dumps({"n": 10, key: 9}))
     code, _, err = _run(capsys, "bound", "--kind", "trilemma-sync",
                         "--config", str(cfg))
     assert code == 1
-    assert "warp" in err
+    assert key in err
+
+
+_SIMULATE = ["simulate", "--protocol", "trilemma-unsync", "--attack",
+             "timing-interval", "--n", "4", "--lmax", "2", "--p", "0.4",
+             "--trials", "200"]
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"integrated": "no"}, "integrated"),
+    ({"seed": "7"}, "seed"),
+    ({"trials": "5000"}, "trials"),
+    ({"n": 4.0}, "n"),
+    ({"beta": "0.3"}, "beta"),
+    ({"trials": None}, "trials"),
+], ids=["bool-as-string", "seed-as-string", "trials-as-string",
+        "n-as-float", "beta-as-string", "null-without-null-default"])
+def test_config_values_must_have_their_flags_type(tmp_path, capsys, cfg,
+                                                  key):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, *_SIMULATE, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"acnbounds: config key {key!r} ")
 
 
 def test_config_must_be_an_object(tmp_path, capsys):
@@ -164,13 +188,12 @@ def test_atlas_grid(capsys):
     assert len(lines) == 1 + 2 * 3
 
 
-def test_simulate_is_byte_identical_across_workers(capsys):
-    argv = ["simulate", "--protocol", "trilemma-unsync", "--attack",
-            "timing-interval", "--n", "2", "--lmax", "2", "--p", "0.5",
-            "--trials", "3000", "--seed", "42"]
-    _, out1, _ = _run(capsys, *argv, "--workers", "1")
-    _, out3, _ = _run(capsys, *argv, "--workers", "3")
-    assert out1 == out3
+def test_workers_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_SIMULATE + ["--workers", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_bad_parameter_exits_one(capsys):

@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from acnbounds.core import (Communication, ConfigError, ProtocolParams,
                             make_batch)
 from acnbounds.game import (AdvantageEstimate, advantage_forms,
                             estimate_advantage, exact_advantage, record_json,
-                            resolve_workers, result_record, wilson_interval)
+                            result_record, wilson_interval)
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import ProtocolKind
 
@@ -42,63 +41,6 @@ def test_wilson_contains_the_point(n, frac):
     k = min(n, round(frac * n))
     lo, hi = wilson_interval(k, n)
     assert 0.0 <= lo <= k / n <= hi <= 1.0
-
-
-def test_estimate_is_identical_across_worker_counts():
-    kind, pair = _setup()
-    attack = timing_attack(2)
-    one = estimate_advantage(kind, attack, pair, 3000, master_seed=7,
-                             workers=1)
-    many = estimate_advantage(kind, attack, pair, 3000, master_seed=7,
-                              workers=4)
-    assert one == many
-
-
-@pytest.mark.parametrize("workers,cpus,threads", [
-    (64, 8, 3),      # capped by the 3 chunks of 4200 trials
-    (64, 2, 2),      # capped by the CPUs
-    (2, 8, 2),
-    (64, None, 3),   # unknown CPU count: capped by the chunks only
-    (64, 1, 1),
-])
-def test_thread_pool_is_capped_by_chunks_and_cpus(monkeypatch, workers, cpus,
-                                                  threads):
-    kind, pair = _setup()
-    attack = timing_attack(2)
-    serial = estimate_advantage(kind, attack, pair, 4200, master_seed=7)
-    pools = []
-
-    class InlinePool:
-        # records the pool size and runs each chunk in the calling thread
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(game, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
-    got = estimate_advantage(kind, attack, pair, 4200, master_seed=7,
-                             workers=workers)
-    assert pools == ([] if threads == 1 else [threads])
-    assert got == serial
-
-
-def test_usable_cpus_follow_the_affinity_set(monkeypatch):
-    monkeypatch.setattr(game.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(game.os, "sched_getaffinity", lambda pid: {0, 3},
-                        raising=False)
-    assert game._usable_cpus() == 2
-    monkeypatch.delattr(game.os, "sched_getaffinity")
-    assert game._usable_cpus() == 64
 
 
 def test_estimate_depends_on_the_seed():
@@ -160,15 +102,6 @@ def test_advantage_forms_agree_everywhere(p1, p0):
     forms = advantage_forms(p1, p0)
     assert forms["counting-form"] == pytest.approx(forms["optimality-form"],
                                                    abs=1e-12)
-
-
-def test_resolve_workers_priority(monkeypatch):
-    monkeypatch.delenv("ACNBOUNDS_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("ACNBOUNDS_WORKERS", "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2
-    assert resolve_workers(0) == 1
 
 
 def test_result_record_shape():

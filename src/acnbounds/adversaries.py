@@ -109,6 +109,11 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
                 and cap.receiver_corrupted):
             raise CapabilityError("dropping needs active control, the "
                                   "receiver, and the expected reception")
+        # as for tracing, relays=0 is a model without a relay pool
+        pool = params.n if params.integrated else params.relays
+        if 0 < pool < cap.c_a:
+            raise CapabilityError(f"dropping controls c_a={cap.c_a} first "
+                                  f"hops, but the pool has only {pool}")
         pair.suspects()
 
 
@@ -257,6 +262,8 @@ def attack_view(attack: AttackKind, pair):
 def dropping_success_rate(c_a: int, copies: int, pool: int):
     """Chance that relay control with c_a relays kills every copy; link
     control (c_a = 0) always succeeds."""
+    if c_a > pool:
+        raise ValueError(f"c_a={c_a} exceeds the first-hop pool of {pool}")
     if c_a == 0:
         return 1.0
     if c_a < copies:

@@ -123,6 +123,8 @@ def classify(preset: AcnPreset, mode: str = "general", n: int = 1000,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     dummy, comms = preset.dummy, preset.comms
     if mode == "special":
         dummy = preset.dummy_special or dummy
@@ -175,8 +177,11 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
     """CSV lines mapping (l_max, beta) points to thresholds and verdicts.
 
     The beta axis doubles as the send rate for the dropping test, so one
-    grid shows all three bounds side by side.
+    grid shows all three bounds side by side.  Raises ValueError for n < 1
+    before the header.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if poly_lambda is None:
         poly_lambda = float(n)
     yield GRID_HEADER

@@ -175,9 +175,11 @@ def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
                          out_rate: float = 1.0) -> RegionVerdict:
     """Classify one parameter point: can strong privacy survive there.
 
-    Raises ValueError for a point no protocol can have: l_max < 1, or a
-    beta or p outside [0, 1].
+    Raises ValueError for a point no protocol can have: n < 1, l_max < 1,
+    or a beta or p outside [0, 1].
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
     for name, rate in (("beta", beta), ("p", p)):

@@ -40,10 +40,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_BOUND_KINDS = ("trilemma-sync", "trilemma-unsync-original",
-                "trilemma-unsync-improved", "compromising-sync",
-                "compromising-unsync", "counting", "optimality",
-                "onion-cost")
+# --kind -> the fields `bound` prints beside the kind, from the parsed
+# flags and the rates beta and p (0.0 when not given)
+_BOUNDS = {
+    "trilemma-sync": lambda ns, beta, p: {
+        "delta": bounds.trilemma_advantage(bounds.SYNC, ns.lmax, beta=beta,
+                                           n=ns.n)},
+    "trilemma-unsync-original": lambda ns, beta, p: {
+        "delta": bounds.trilemma_advantage(bounds.UNSYNC_ORIGINAL, ns.lmax,
+                                           p=p)},
+    "trilemma-unsync-improved": lambda ns, beta, p: {
+        "delta": bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED, ns.lmax,
+                                           p=p)},
+    "compromising-sync": lambda ns, beta, p: {
+        "delta": bounds.trilemma_compromising(
+            bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
+            relays=ns.relays or max(ns.cp, 1))},
+    "compromising-unsync": lambda ns, beta, p: {
+        "delta": bounds.trilemma_compromising(
+            bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
+            relays=ns.relays or max(ns.cp, 1))},
+    "counting": lambda ns, beta, p: _counting(ns.out, ns.hops),
+    "optimality": lambda ns, beta, p: {
+        "total": bounds.optimality_overhead(ns.n, ns.mu)},
+    "onion-cost": lambda ns, beta, p: bounds.onion_cost(
+        ns.basis, ns.n, ns.lam, p=p or 1.0, l_exp=ns.lexp),
+}
 
 _ATTACKS = {
     "counting": lambda ns: counting_attack(ns.n),
@@ -73,7 +95,7 @@ def _build_parser():
 
     b = sub.add_parser("bound", help="evaluate a closed-form bound")
     _add_common(b)
-    b.add_argument("--kind", choices=_BOUND_KINDS)
+    b.add_argument("--kind", choices=_BOUNDS)
     b.add_argument("--relays", type=int, default=0)
     b.add_argument("--out", type=int, default=1, help="delivered messages")
     b.add_argument("--hops", type=int, default=1)
@@ -169,39 +191,18 @@ def _protocol_params(ns) -> ProtocolParams:
         integrated=bool(ns.integrated))
 
 
+def _counting(out, hops):
+    r = bounds.counting_bound(out, hops)
+    return {"min_messages": r.min_messages,
+            "overhead_fraction": r.overhead_fraction}
+
+
 def _cmd_bound(ns) -> int:
-    kind = ns.kind
-    if kind is None:
+    if ns.kind is None:
         raise ConfigError("bound needs --kind")
     beta = ns.beta if ns.beta is not None else 0.0
     p = ns.p if ns.p is not None else 0.0
-    out = {"kind": kind}
-    if kind == "trilemma-sync":
-        out["delta"] = bounds.trilemma_advantage(bounds.SYNC, ns.lmax,
-                                                 beta=beta, n=ns.n)
-    elif kind == "trilemma-unsync-original":
-        out["delta"] = bounds.trilemma_advantage(bounds.UNSYNC_ORIGINAL,
-                                                 ns.lmax, p=p)
-    elif kind == "trilemma-unsync-improved":
-        out["delta"] = bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED,
-                                                 ns.lmax, p=p)
-    elif kind == "compromising-sync":
-        out["delta"] = bounds.trilemma_compromising(
-            bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
-            relays=ns.relays or max(ns.cp, 1))
-    elif kind == "compromising-unsync":
-        out["delta"] = bounds.trilemma_compromising(
-            bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
-            relays=ns.relays or max(ns.cp, 1))
-    elif kind == "counting":
-        r = bounds.counting_bound(ns.out, ns.hops)
-        out.update(min_messages=r.min_messages,
-                   overhead_fraction=r.overhead_fraction)
-    elif kind == "optimality":
-        out["total"] = bounds.optimality_overhead(ns.n, ns.mu)
-    elif kind == "onion-cost":
-        out.update(bounds.onion_cost(ns.basis, ns.n, ns.lam, p=p or 1.0,
-                                     l_exp=ns.lexp))
+    out = {"kind": ns.kind, **_BOUNDS[ns.kind](ns, beta, p)}
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -352,6 +352,9 @@ def generate_pair(notion: Notion, params: ProtocolParams, seed: int,
         length = n
     elif length is None:
         length = 2 if notion.kind in (SWAP_SM, SWAP_SR, SML) else 1
+    if length < 1:
+        raise ValueError(f"a batch needs at least one row, got length "
+                         f"{length}")
     if notion.kind in (SWAP_SM, SWAP_SR, SML) and length < 2:
         raise ValueError(f"{notion.kind} needs at least two rows to differ")
 

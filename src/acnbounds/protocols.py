@@ -10,7 +10,7 @@ Shared conventions:
 * Rounds are integers starting at 1.  Batch rows enter the network at
   t0 = l_max (simultaneous batches all at t0, slotted models one row per
   round from t0 on), which leaves room below t0 for every transit window
-  an attack may inspect.
+  an attack may inspect.  Each variant's timing is one row of `_TIMING`.
 * Transit delay is uniform on {1, ..., l_max-1} rounds.  l_max = 1 means
   direct same-round delivery and the delivered packet keeps its id; any
   longer path re-randomizes ids, so linkage exists only via timing.
@@ -53,14 +53,16 @@ An outcome drawn or listed under a view (`sample_outcome` and
 `enumerate_outcomes` take the `view` that `build_trace` takes) holds only
 the watched senders' cover slots, and an onion cover slot holds
 `(slot, None)` in place of its path: a cover packet feeds no delivery, so
-no rule reads its hops.  The same-stream contract covers what the
-projection skips.  A run of unwatched unsync coins still takes its words
-from the rng; the onion cover flips every coin, since a path takes a
-varying number of words, and a fired coin's path takes its words through
-the sampler's `skip`.  So every watched coin reads the value it reads in
-the full draw and the rng ends in the same state.  Enumeration lists the
-watched slots' exact marginal, so its leaf count grows with the view, not
-with `n x horizon` or with the paths a cover packet could take.
+no rule reads its hops.  The full cover is the same draw with every user
+watched, so one loop per cover kind serves both, and the same-stream
+contract covers what the projection skips.  A run of unwatched unsync
+coins still takes its words from the rng; the onion cover flips every
+coin, since a path takes a varying number of words, and a fired coin's
+path takes its words through the sampler's `draw`, or its `skip` under a
+view.  So every watched coin reads the value it reads in the full draw
+and the rng ends in the same state.  Enumeration lists the watched slots'
+exact marginal, so its leaf count grows with the view, not with
+`n x horizon` or with the paths a cover packet could take.
 
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Given a `core.View` (from
@@ -69,9 +71,9 @@ game builds just what its attack reads, so a trial costs what the
 adversary looks at rather than `n x horizon` events, and the relabel and
 `filter_trace` run over those few rows.  Without a view it builds the
 full trace.  It and `_fields` read an arm's schedule from `_schedule`,
-computed once per arm and start order, which raises ConfigError for a
-schedule the model cannot run; `check_schedule` evaluates it before a
-game plays its first trial.
+which applies the variant's `_TIMING` row once per arm and start order
+and raises ConfigError for a schedule the model cannot run;
+`check_schedule` evaluates it before a game plays its first trial.
 """
 
 from __future__ import annotations
@@ -99,8 +101,19 @@ DROPPING = "dropping-model"
 VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, THRESHOLD_MIX,
             DCNET, BROADCAST, DROPPING)
 
-# slotted models place one batch row per round; the rest send simultaneously
-_SLOTTED = (TRILEMMA_SYNC, DCNET)
+# Per variant: whether batch rows start one per round from t0 (else all at
+# t0, unless the pair asks for a random start order), and the longest
+# transit in rounds.  The dropping model (no transit) sends in round 1,
+# forwards in round 2 and delivers in round 3 whatever the schedule.
+_TIMING = {
+    TRILEMMA_SYNC: (True, lambda p: p.l_max - 1),
+    TRILEMMA_UNSYNC: (False, lambda p: p.l_max - 1),
+    ONION_PATH: (False, lambda p: p.l_exp - 1),
+    THRESHOLD_MIX: (False, lambda p: 1),
+    DCNET: (True, lambda p: 0),
+    BROADCAST: (False, lambda p: 1),
+    DROPPING: (False, None),
+}
 
 ENUM_LIMIT = 2_000_000
 
@@ -133,77 +146,43 @@ def _num_dummies(params) -> int:
     return min(int(params.beta * params.n), params.n - 1)
 
 
-def _slots(kind: ProtocolKind, batch, perm):
-    t0 = kind.params.l_max
-    out = []
-    for j, row in enumerate(batch.rows):
-        if row is NO_COMM:
-            out.append(None)
-        elif kind.variant in _SLOTTED or batch.mode == RANDOM_PERM:
-            out.append(t0 + (perm[j] if perm is not None else j))
-        else:
-            out.append(t0)
-    return tuple(out)
-
-
-def _max_delay(kind: ProtocolKind) -> int:
-    v, p = kind.variant, kind.params
-    if v in (TRILEMMA_SYNC, TRILEMMA_UNSYNC):
-        return p.l_max - 1
-    if v == ONION_PATH:
-        return p.l_exp - 1
-    if v == THRESHOLD_MIX:
-        return 1
-    if v == BROADCAST:
-        return 1
-    return 0
-
-
-def _horizon(kind: ProtocolKind, batch) -> int:
-    if kind.variant == DROPPING:
-        needed = 3
-    else:
-        t0 = kind.params.l_max
-        span = len(batch.rows) - 1 if (kind.variant in _SLOTTED or
-                                       batch.mode == RANDOM_PERM) else 0
-        needed = t0 + span + _max_delay(kind)
-    if kind.params.rounds is not None:
-        if kind.params.rounds < needed:
-            raise ConfigError(f"rounds={kind.params.rounds} too short, "
-                              f"need at least {needed}")
-        return kind.params.rounds
-    return needed
-
-
 def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
     """(round, user) pairs free for cover traffic, in draw order."""
-    busy = {}
-    for j, row in enumerate(batch.rows):
-        if slots[j] is not None:
-            busy.setdefault(slots[j], set()).add(row.sender)
-    out = []
-    for t in range(1, horizon + 1):
-        occupied = busy.get(t, ())
-        for u in range(kind.params.n):
-            if u not in occupied:
-                out.append((t, u))
-    return tuple(out)
+    busy = {(t, row.sender) for t, row in zip(slots, batch.rows)
+            if t is not None}
+    return tuple((t, u) for t in range(1, horizon + 1)
+                 for u in range(kind.params.n) if (t, u) not in busy)
 
 
 @functools.lru_cache(maxsize=64)
 def _schedule(kind: ProtocolKind, batch, perm):
-    """(slots, horizon) of one arm under one start order.
+    """(slots, horizon) of one arm under one start order, read off the
+    variant's `_TIMING` row: each batch row's start round (None for a row
+    with nothing to send) and the last round the run needs, or `rounds`
+    when the user set it.
 
     A pure function of frozen arguments, cached so a trial loop computes
     it once per arm and permutation instead of once per trial.  Raises
     ConfigError for a schedule the model cannot run.
     """
-    slots = _slots(kind, batch, perm)
+    params = kind.params
+    per_round, transit = _TIMING[kind.variant]
+    t0 = params.l_max
+    stagger = per_round or batch.mode == RANDOM_PERM
+    order = range(len(batch.rows)) if perm is None else perm
+    starts = [t0 + k for k in order] if stagger else [t0] * len(order)
+    slots = tuple(None if row is NO_COMM else t
+                  for row, t in zip(batch.rows, starts))
+    needed = (3 if transit is None else
+              t0 + (len(order) - 1 if stagger else 0) + transit(params))
     if (kind.variant == THRESHOLD_MIX
-            and sum(s is not None for s in slots) < kind.params.threshold):
+            and sum(s is not None for s in slots) < params.threshold):
         raise ConfigError("fewer scheduled messages than the threshold, "
                           "the mix would never flush")
-    return slots, _horizon(kind, batch)
+    if params.rounds is not None and params.rounds < needed:
+        raise ConfigError(f"rounds={params.rounds} too short, "
+                          f"need at least {needed}")
+    return slots, needed if params.rounds is None else params.rounds
 
 
 def check_schedule(kind: ProtocolKind, pair) -> None:
@@ -215,7 +194,7 @@ def check_schedule(kind: ProtocolKind, pair) -> None:
 
 
 def _needs_perm(kind: ProtocolKind, batch) -> bool:
-    return batch.mode == RANDOM_PERM and kind.variant != DROPPING
+    return batch.mode == RANDOM_PERM and _TIMING[kind.variant][1] is not None
 
 
 # ---------------------------------------------------------- fields of draws
@@ -345,52 +324,54 @@ class _Cover:
     firing at rate p.  The field is the tuple of fired slots, each paired
     with a fresh `payload` pick when there is one (an onion path).
 
-    The field can be projected onto the users in `watch`: it then holds
-    only their slots, and `options` lists the watched slots' exact
-    marginal.  `draw` still takes every word the full draw takes, so a
-    watched coin reads the value it reads in the full draw and the rng ends
-    in the same state.  Without a payload it skips each run of k unwatched
-    coins with one `getrandbits(64 * k)`.  With one it flips every coin,
-    since a path takes a varying number of words, and passes each fired
-    coin's path to the payload's `skip`; a watched slot keeps
+    The field is the projection onto the users in `watch`, and the full
+    cover is the projection onto every user (`watch=None`): it holds only
+    the watched slots, and `options` lists their exact marginal.  `draw`
+    takes every word the full draw takes, so a watched coin reads the value
+    it reads in the full draw and the rng ends in the same state.  Without
+    a payload it walks `runs`, skipping each run of k unwatched coins with
+    one `getrandbits(64 * k)`.  With one it walks `marks`, flipping every
+    coin, since a path takes a varying number of words: a fired coin's path
+    is picked with the payload's `draw` when nothing is projected, and
+    otherwise its words go to the payload's `skip`, leaving a watched slot
     `(slot, None)`, because no rule reads a cover packet's hops.
     """
 
     def __init__(self, free, params, payload=None, watch=None):
         self.p = params.p
         self.paired = payload is not None
-        # unsync: (bits of the unwatched coins before it, slot) per watched
-        # slot, and the bits of those after the last; None when none is
-        # skipped.  onion: per free slot its entry, None when unwatched
-        self.runs = self.tail = self.marks = None
-        if watch is not None and payload is not None:
-            self.marks = tuple((sl, None) if sl[1] in watch else None
-                               for sl in free)
-            self.skip, payload = payload.skip, None
-            free = tuple(sl for sl in free if sl[1] in watch)
-        elif watch is not None:
+        seen = [watch is None or u in watch for _, u in free]
+        if payload is None:
+            # (bits of the unwatched coins before it, slot) per watched
+            # slot, and the bits of those after the last
             runs, skipped = [], 0
-            for sl in free:
-                if sl[1] in watch:
+            for sl, watched in zip(free, seen):
+                if watched:
                     runs.append((64 * skipped, sl))
                     skipped = 0
                 else:
                     skipped += 1
-            if len(runs) < len(free):
-                self.runs, self.tail = tuple(runs), 64 * skipped
-            free = tuple(sl for _, sl in runs)
-        self.payload, self.free = payload, free
+            self.runs, self.tail = tuple(runs), 64 * skipped
+        else:
+            # per free slot, the slot when watched, else None
+            self.marks = tuple(sl if watched else None
+                               for sl, watched in zip(free, seen))
+            self.pick = payload.draw
+            if watch is not None:
+                self.pick, payload = payload.skip, None
+        self.payload = payload
+        self.free = tuple(sl for sl, watched in zip(free, seen) if watched)
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
         self.rate = params.p_exact
         paths = 1 if payload is None else payload.size
         self.size = (int(self.rate < 1)
-                     + paths * int(self.rate > 0)) ** len(free)
+                     + paths * int(self.rate > 0)) ** len(self.free)
 
     def draw(self, rng):
-        p, coin = self.p, rng.random
-        if self.runs is not None:
-            skip, fired = rng.getrandbits, []
+        p, coin, fired = self.p, rng.random, []
+        if not self.paired:
+            skip = rng.getrandbits
             for bits, sl in self.runs:
                 if bits:
                     skip(bits)
@@ -398,19 +379,15 @@ class _Cover:
                     fired.append(sl)
             if self.tail:
                 skip(self.tail)
-            return tuple(fired)
-        if self.marks is not None:
-            skip, fired = self.skip, []
-            for entry in self.marks:
+        else:
+            pick = self.pick
+            for sl in self.marks:
                 if coin() < p:
-                    skip(rng)
-                    if entry is not None:
-                        fired.append(entry)
-            return tuple(fired)
-        if self.payload is None:
-            return tuple([sl for sl in self.free if coin() < p])
-        pick = self.payload.draw
-        return tuple([(sl, pick(rng)) for sl in self.free if coin() < p])
+                    # None when projected: `skip` returns nothing
+                    path = pick(rng)
+                    if sl is not None:
+                        fired.append((sl, path))
+        return tuple(fired)
 
     def options(self):
         pn, pd = self.rate.numerator, self.rate.denominator
@@ -603,13 +580,11 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         paths = outcome[1]
         relay = [relay_loc(k) for k in range(params.relays)]
         add = ev.append
-        # real rows first, then (in the full trace) cover sends, each with
-        # its path; one loop appends every hop, so a trial's cost is the
-        # events it emits
+        # real rows first, then cover sends, each with its path; one loop
+        # appends every hop, so a trial's cost is the events it emits
         starts = [(slots[j], row.sender, paths[j], row)
                   for j, row in enumerate(batch.rows) if slots[j] is not None]
-        if full:
-            starts += [(t, u, path, None) for (t, u), path in outcome[2]]
+        starts += [(t, u, path, None) for (t, u), path in outcome[2]]
         for t, u, path, row in starts:
             q = next(pid)
             if u in senders:
@@ -618,6 +593,10 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 else:
                     add((t, _SEND, u, q, SEND, True, None, None,
                          row.message))
+            if row is None and not full:
+                # a cover packet feeds no delivery, so no rule reads its
+                # hops: a view holds its send alone
+                continue
             prev, ploc = q, u
             for k in path:
                 t += 1
@@ -631,11 +610,6 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 # the sent id
                 add((t, _DELIVER, row.receiver, next(pid) if path else q,
                      DELIVER, True, None, prev, row.message))
-        if not full:
-            # a cover packet feeds no delivery, so no rule reads its hops:
-            # a view holds its send alone
-            ev += [(t, _SEND, u, q, SEND, False, None, None, None)
-                   for ((t, u), _), q in zip(outcome[2], pid) if u in senders]
 
     elif v == THRESHOLD_MIX:
         held = []
@@ -650,27 +624,21 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                     deliver(flush, r.receiver, next(pid), r.message)
                 held = []
 
-    elif v == DCNET:
-        real_at = {slots[j]: batch.rows[j] for j in range(len(slots))
-                   if slots[j] is not None}
-        for t in range(1, horizon + 1):
-            row = real_at.get(t)
-            for u in range(params.n):
-                send(t, u, next(pid), row is not None and u == row.sender)
-            if row is not None:
-                deliver(t, row.receiver, next(pid), row.message)
-
-    elif v == BROADCAST:
-        real_slots = {}
+    elif v in (DCNET, BROADCAST):
+        # every user sends every round, the real senders among them; each
+        # real message is delivered after the variant's transit
+        lag = _TIMING[v][1](params)
+        real_at = {}
         for j, s in enumerate(slots):
             if s is not None:
-                real_slots.setdefault(s, []).append(batch.rows[j])
+                real_at.setdefault(s, []).append(batch.rows[j])
         for t in range(1, horizon + 1):
-            senders_now = {r.sender for r in real_slots.get(t, ())}
+            rows = real_at.get(t, ())
+            real = {r.sender for r in rows}
             for u in range(params.n):
-                send(t, u, next(pid), u in senders_now)
-            for r in real_slots.get(t, ()):
-                deliver(t + 1, r.receiver, next(pid), r.message)
+                send(t, u, next(pid), u in real)
+            for r in rows:
+                deliver(t + lag, r.receiver, next(pid), r.message)
 
     elif v == DROPPING:
         paths = outcome[1]

@@ -143,6 +143,8 @@ def test_dropping_success_rate_cases():
     assert dropping_success_rate(c_a=1, copies=2, pool=4) == 0.0
     assert dropping_success_rate(c_a=2, copies=2, pool=4) == pytest.approx(1 / 6)
     assert dropping_success_rate(c_a=4, copies=2, pool=4) == 1.0
+    with pytest.raises(ValueError, match="pool"):
+        dropping_success_rate(c_a=9, copies=2, pool=4)
 
 
 def test_dropping_success_rate_matches_the_simulator():

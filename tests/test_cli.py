@@ -212,8 +212,26 @@ def test_bad_parameter_exits_one(capsys):
       "--n", "4", "--lmax", "3", "--threshold", "3"], "threshold"),
     (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
       "--n", "4", "--lmax", "3", "--rounds", "3"], "too short"),
-], ids=["cp-over-relays", "threshold", "short-rounds"])
+    (["--protocol", "dropping-model", "--attack", "dropping", "--n", "3",
+      "--relays", "4", "--copies", "2", "--ca", "9"], "c_a=9"),
+    (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
+      "--n", "4", "--lmax", "2", "--length", "0"], "at least one row"),
+], ids=["cp-over-relays", "threshold", "short-rounds", "ca-over-pool",
+        "no-rows"])
 def test_impossible_runs_exit_one(capsys, argv, reason):
     code, out, err = _run(capsys, "simulate", *argv, "--trials", "200")
     assert code == 1 and out == ""
     assert reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--bound", "counting", "--n", "0", "--beta", "0.3"],
+    ["region", "--bound", "trilemma", "--n", "0", "--lmax", "2",
+     "--beta", "0.3", "--poly-lambda", "10"],
+    ["atlas", "--n", "0", "--poly-lambda", "10"],
+    ["atlas", "--grid", "--n", "0"],
+], ids=["region-counting", "region-trilemma", "atlas", "atlas-grid"])
+def test_zero_users_exit_one_before_any_output(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "acnbounds: need n >= 1\n"

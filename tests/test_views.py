@@ -191,7 +191,8 @@ def _cover_pairs(n):
 def _unsync_views(n, pair):
     """The view of every stock attack: timing, counting with a watched
     subset, dropping, random guess (empty) and an active tracer (None,
-    the full draw)."""
+    the full draw); and one that watches every user, which draws the full
+    cover through the projected loop."""
     watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
                                   receiver_corrupted=True,
                                   knows_total_real=True)
@@ -201,7 +202,8 @@ def _unsync_views(n, pair):
                    observed_senders=frozenset(range(n)),
                    receiver_corrupted=True, c_p=1, c_a=1,
                    active_drop=True))]
-    return [attack_view(a, pair) for a in attacks]
+    return ([attack_view(a, pair) for a in attacks]
+            + [View(frozenset(range(n)))])
 
 
 def _project(outcome, view, onion=False):
@@ -296,8 +298,11 @@ def test_projected_onion_cover_takes_the_full_draws_numbers(relays):
                                          (0.0, 0.25, 1.0)):
         kind = _onion(n, 4, beta, relays, l_exp)
         for pair in _cover_pairs(n):
+            everyone = frozenset(range(n))
+            # a view of every user still skips each cover path
             attacks = [(a, attack_view(a, pair))
-                       for a in _onion_attacks(n, relays)]
+                       for a in _onion_attacks(n, relays)] + [
+                (tracing_attack(n, relays), View(everyone, relays, everyone))]
             for b, seed in itertools.product((0, 1), range(3)):
                 whole = random.Random(seed)
                 full = sample_outcome(kind, pair, b, whole)

@@ -177,14 +177,15 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
     """CSV lines mapping (l_max, beta) points to thresholds and verdicts.
 
     The beta axis doubles as the send rate for the dropping test, so one
-    grid shows all three bounds side by side.  Raises ValueError for n < 1
-    before the header.
+    grid shows all three bounds side by side.  Every row is computed before
+    the header is yielded, so a bad value raises ValueError before any
+    output.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if poly_lambda is None:
         poly_lambda = float(n)
-    yield GRID_HEADER
+    rows = []
     for l_max in l_max_values:
         cb = counting_min_beta(poly_lambda)
         tb = trilemma_min_beta(l_max, poly_lambda)
@@ -196,7 +197,9 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
                                       poly_lambda=poly_lambda)
             dv = impossibility_region("dropping", n, l_max, p=beta,
                                       poly_lambda=poly_lambda, lam=lam)
-            yield ",".join([
+            rows.append(",".join([
                 str(l_max), _fmt(beta), _fmt(cb), _fmt(tb), _fmt(dp),
                 cv.verdict, tv.verdict, dv.verdict,
-            ])
+            ]))
+    yield GRID_HEADER
+    yield from rows

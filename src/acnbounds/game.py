@@ -19,9 +19,12 @@ and `build_trace`, which emits only its events; then `filter_trace` and
 `decide` run as usual.  The verdict is the one the full filtered trace
 would give, and the exact route sums the same probabilities.
 
-Determinism contract: all per-trial randomness is derived from
-sha256(master_seed:trial_index), so results are set by the master seed
-and nothing else.
+Determinism contract: a solve builds one `random.Random(master_seed)` and
+draws every trial's start order and non-cover fields from it, in trial
+order.  Trial i's hash h = sha256(master_seed:i) gives the challenge bit
+(h[0] & 1), the tie-break bit (h[9] & 1) and the key of the trial's
+per-user cover streams (h[10:]).  The trials run in one serial loop, so
+results are set by the master seed and nothing else.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class AdvantageEstimate:
     definition: str = "counting-form"
 
 
-def _trial_seed(master_seed: int, i: int) -> bytes:
+def _trial_hash(master_seed: int, i: int) -> bytes:
     return hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
 
 
@@ -80,11 +83,13 @@ def estimate_advantage(kind, attack, pair, trials: int,
     cap = attack.capability
     params = kind.params
     n0 = k0 = n1 = k1 = 0
+    # one rng per solve, read in trial order; the cover's streams are
+    # keyed per trial
+    rng = random.Random(master_seed)
     for i in range(trials):
-        h = _trial_seed(master_seed, i)
+        h = _trial_hash(master_seed, i)
         b = h[0] & 1
-        rng = random.Random(int.from_bytes(h[1:9], "big"))
-        outcome = sample_outcome(kind, pair, b, rng, view)
+        outcome = sample_outcome(kind, pair, b, rng, view, h[10:])
         # the layers are called by their module-global names, with
         # positional arguments, so perfbench's tracer can wrap them
         trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),

@@ -36,31 +36,32 @@ outcome is the start order followed by one value per field: unsync
 fired with paths), dropping (None, first hops); the other models are
 deterministic given the schedule, (perm,).
 
-Every field has `draw(rng)`, which `sample_outcome` calls in order with a
-fixed rng call sequence, and `options()`, its values with integer weights
-over one denominator, whose product `enumerate_outcomes` streams as exact
-Fractions; so the two routes cannot drift apart.  A draw takes the same
-numbers from the rng stream as the `random` call it stands for: a k-sample
-(an onion path, a sync cohort, a dropping copy's first hops) equals
-`rng.sample` and leaves the rng in the same state, also where `_sampler`
-runs `Random.sample`'s small-pool loop itself.  A faster draw therefore
-never changes a sampled outcome for a given seed.  `size` counts a field's
-values without listing them, so the `ENUM_LIMIT` guard trips before any
-leaf is built.  Exact cover weights use the decimals the user typed
-(beta=0.3 weighs 3/10); Monte Carlo compares against the float.
+Every field has `draw(rng, key)`, which `sample_outcome` calls in order,
+and `options()`, its values with integer weights over one denominator,
+whose product `enumerate_outcomes` streams as exact Fractions; so the two
+routes cannot drift apart.  The picks read the solve's `random.Random`
+with a fixed call sequence, and a k-sample (an onion path, a sync cohort,
+a dropping copy's first hops) equals `rng.sample` and leaves the rng in
+the same state, also where `_sampler` runs `Random.sample`'s small-pool
+loop itself.  The cover reads no rng: each user's coins come from their
+own stream under the per-trial `key`, the words of
+shake_128(key + tag(user)), one 64-bit word per free slot in round order,
+and a coin fires when `random() < p` would on that word's top 53 bits.  A
+full onion cover's paths come from a `random.Random` seeded by the firing
+user's own path stream.  `size` counts a field's values without listing
+them, so the `ENUM_LIMIT` guard trips before any leaf is built.  Exact
+cover weights use the decimals the user typed (beta=0.3 weighs 3/10);
+Monte Carlo compares against the float.
 
 An outcome drawn or listed under a view (`sample_outcome` and
 `enumerate_outcomes` take the `view` that `build_trace` takes) holds only
 the watched senders' cover slots, and an onion cover slot holds
 `(slot, None)` in place of its path: a cover packet feeds no delivery, so
-no rule reads its hops.  The full cover is the same draw with every user
-watched, so one loop per cover kind serves both, and the same-stream
-contract covers what the projection skips.  A run of unwatched unsync
-coins still takes its words from the rng; the onion cover flips every
-coin, since a path takes a varying number of words, and a fired coin's
-path takes its words through the sampler's `draw`, or its `skip` under a
-view.  So every watched coin reads the value it reads in the full draw
-and the rng ends in the same state.  Enumeration lists the watched slots'
+no rule reads its hops.  A projected draw reads only the watched users'
+streams, and the full cover is the same draw over every user, so a
+watched user's fired slots are the same under every view that watches
+them, and the rng ends where the full draw leaves it.  A trial's cover
+costs what the view watches, and enumeration lists the watched slots'
 exact marginal, so its leaf count grows with the view, not with
 `n x horizon` or with the paths a cover packet could take.
 
@@ -79,9 +80,11 @@ and raises ConfigError for a schedule the model cannot run;
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -146,8 +149,10 @@ def _num_dummies(params) -> int:
     return min(int(params.beta * params.n), params.n - 1)
 
 
+@functools.lru_cache(maxsize=64)
 def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
-    """(round, user) pairs free for cover traffic, in draw order."""
+    """(round, user) pairs free for cover traffic, in slot order; cached,
+    so each view of an arm projects one tuple."""
     busy = {(t, row.sender) for t, row in zip(slots, batch.rows)
             if t is not None}
     return tuple((t, u) for t in range(1, horizon + 1)
@@ -222,27 +227,21 @@ class _Choice:
 
 
 def _sampler(pool, k):
-    """Two functions of an rng: `draw`, which returns
-    `tuple(rng.sample(pool, k))` and takes the same numbers from the same
-    rng stream as `rng.sample` does, and `skip`, which takes those numbers
-    and builds nothing.
+    """A function of an rng that returns `tuple(rng.sample(pool, k))` and
+    takes the same numbers from the same rng stream as `rng.sample` does.
 
     For a small pool (the branch of `Random.sample` with `len(pool) <= 21`
-    and `k <= 5`) `draw` runs that branch's rejection loop and pool swap on
+    and `k <= 5`) it runs that branch's rejection loop and pool swap on
     `rng.getrandbits` directly, with each step's range and bit width
-    computed here once, and `skip` runs the rejection loop alone.  That
-    skips `sample`'s argument checks (an ABC `isinstance` among them),
-    which cost more than the draw.  Larger draws are left to `rng.sample`,
-    whose result `skip` discards.  `rng` is a plain `random.Random`, as in
+    computed here once.  That skips `sample`'s argument checks (an ABC
+    `isinstance` among them), which cost more than the draw.  Larger draws
+    are left to `rng.sample`.  `rng` is a plain `random.Random`, as in
     `sample_outcome`: a subclass that redefines `sample` is not consulted.
     """
     pool = tuple(pool)
     n = len(pool)
     if not (0 <= k <= n <= 21 and k <= 5):
-        def skip(rng):
-            rng.sample(pool, k)
-
-        return (lambda rng: tuple(rng.sample(pool, k))), skip
+        return lambda rng: tuple(rng.sample(pool, k))
     steps = tuple((m, m.bit_length()) for m in range(n, n - k, -1))
 
     def draw(rng):
@@ -258,13 +257,7 @@ def _sampler(pool, k):
             left[j] = left[m - 1]
         return tuple(out)
 
-    def skip(rng):
-        bits = rng.getrandbits
-        for m, width in steps:
-            while bits(width) >= m:
-                pass
-
-    return draw, skip
+    return draw
 
 
 class _Subset:
@@ -274,7 +267,7 @@ class _Subset:
     def __init__(self, pool, k, tag=None):
         self.pool, self.k, self.tag = tuple(pool), k, tag
         self.size = comb(len(self.pool), k)
-        self._sample, _ = _sampler(self.pool, k)
+        self._sample = _sampler(self.pool, k)
 
     def draw(self, rng):
         s = tuple(sorted(self._sample(rng)))
@@ -288,14 +281,13 @@ class _Subset:
 
 
 class _Sample:
-    """An ordered k-sample of `pool` (an onion path).  `skip(rng)` takes
-    the numbers `draw(rng)` takes without building the sample."""
+    """An ordered k-sample of `pool` (an onion path)."""
 
     def __init__(self, pool, k):
         self.pool, self.k = tuple(pool), k
         self.size = math.perm(len(self.pool), k)
         # the sampler is the draw: no method call between it and the field
-        self.draw, self.skip = _sampler(self.pool, k)
+        self.draw = _sampler(self.pool, k)
 
     def options(self):
         paths = itertools.permutations(self.pool, self.k)
@@ -310,7 +302,7 @@ class _Picks:
         self.picks = tuple(picks)
         self.size = prod(x.size for x in self.picks if x is not None)
 
-    def draw(self, rng):
+    def draw(self, rng, key):
         return tuple([None if x is None else x.draw(rng) for x in self.picks])
 
     def options(self):
@@ -319,48 +311,57 @@ class _Picks:
         return prod(d for d, _ in opts), list(_product([t for _, t in opts]))
 
 
+# a user's stream tag: the stream's domain byte, then the user as a
+# little-endian 64-bit int
+_TAG = struct.Struct("<cQ").pack
+_COINS, _PATHS = b"c", b"p"
+
+
+def _threshold(p: float) -> int:
+    """The 64-bit words below which a cover coin fires: `random()` reads
+    the top 53 bits of a word, r = w >> 11, and r * 2**-53 < p holds
+    exactly when r < ceil(p * 2**53), so a word fires with the probability
+    `random() < p` has.  p * 2**53 is exact in floating point."""
+    return math.ceil(p * 2 ** 53) << 11
+
+
 class _Cover:
-    """The cover coins: one per free (round, user) slot, in slot order, each
-    firing at rate p.  The field is the tuple of fired slots, each paired
-    with a fresh `payload` pick when there is one (an onion path).
+    """The cover coins: one per free (round, user) slot, each firing at rate
+    p.  The field is the tuple of fired slots in (round, user) order, each
+    paired with a fresh `payload` pick when there is one (an onion path).
+
+    Each user's coins come from their own stream, not from the solve's
+    rng: user u's are the little-endian 64-bit words of
+    shake_128(key + tag(u)), one per free slot of u in round order, and a
+    word fires below `_threshold(p)`.  An onion cover path is drawn with
+    the payload's `draw` from a `random.Random` seeded by the firing
+    user's path stream, one per user that fired, in round order.
 
     The field is the projection onto the users in `watch`, and the full
-    cover is the projection onto every user (`watch=None`): it holds only
-    the watched slots, and `options` lists their exact marginal.  `draw`
-    takes every word the full draw takes, so a watched coin reads the value
-    it reads in the full draw and the rng ends in the same state.  Without
-    a payload it walks `runs`, skipping each run of k unwatched coins with
-    one `getrandbits(64 * k)`.  With one it walks `marks`, flipping every
-    coin, since a path takes a varying number of words: a fired coin's path
-    is picked with the payload's `draw` when nothing is projected, and
-    otherwise its words go to the payload's `skip`, leaving a watched slot
-    `(slot, None)`, because no rule reads a cover packet's hops.
+    cover is the projection onto every user (`watch=None`): it reads only
+    the watched users' streams, so a watched user's fired slots are the
+    ones the full draw gives, and `options` lists their exact marginal.
+    Under a view an onion slot is `(slot, None)` and no path stream is
+    read, because no rule reads a cover packet's hops.
     """
 
     def __init__(self, free, params, payload=None, watch=None):
-        self.p = params.p
         self.paired = payload is not None
-        seen = [watch is None or u in watch for _, u in free]
-        if payload is None:
-            # (bits of the unwatched coins before it, slot) per watched
-            # slot, and the bits of those after the last
-            runs, skipped = [], 0
-            for sl, watched in zip(free, seen):
-                if watched:
-                    runs.append((64 * skipped, sl))
-                    skipped = 0
-                else:
-                    skipped += 1
-            self.runs, self.tail = tuple(runs), 64 * skipped
-        else:
-            # per free slot, the slot when watched, else None
-            self.marks = tuple(sl if watched else None
-                               for sl, watched in zip(free, seen))
-            self.pick = payload.draw
-            if watch is not None:
-                self.pick, payload = payload.skip, None
+        if watch is not None:
+            payload = None
         self.payload = payload
-        self.free = tuple(sl for sl, watched in zip(free, seen) if watched)
+        self.free = (tuple(free) if watch is None else
+                     tuple([sl for sl in free if sl[1] in watch]))
+        mine = {}
+        for sl in self.free:
+            mine.setdefault(sl[1], []).append(sl)
+        # per watched user: the tag of their coin stream, its length in
+        # bytes, its parser into words, their slots and their path tag
+        self.users = tuple(
+            (_TAG(_COINS, u), 8 * len(sl),
+             struct.Struct(f"<{len(sl)}Q").unpack, tuple(sl), _TAG(_PATHS, u))
+            for u, sl in sorted(mine.items()))
+        self.cut = _threshold(params.p)
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
         self.rate = params.p_exact
@@ -368,25 +369,27 @@ class _Cover:
         self.size = (int(self.rate < 1)
                      + paths * int(self.rate > 0)) ** len(self.free)
 
-    def draw(self, rng):
-        p, coin, fired = self.p, rng.random, []
-        if not self.paired:
-            skip = rng.getrandbits
-            for bits, sl in self.runs:
-                if bits:
-                    skip(bits)
-                if coin() < p:
-                    fired.append(sl)
-            if self.tail:
-                skip(self.tail)
-        else:
-            pick = self.pick
-            for sl in self.marks:
-                if coin() < p:
-                    # None when projected: `skip` returns nothing
-                    path = pick(rng)
-                    if sl is not None:
-                        fired.append((sl, path))
+    def draw(self, rng, key):
+        """The fired slots under the per-trial `key`; with no key, one of
+        16 bytes is taken from `rng`."""
+        if key is None:
+            key = rng.randbytes(16)
+        cut, shake, fired = self.cut, hashlib.shake_128, []
+        for tag, size, words, slots, path_tag in self.users:
+            hits = [sl for sl, w in zip(slots,
+                                        words(shake(key + tag).digest(size)))
+                    if w < cut]
+            if not self.paired or not hits:
+                fired += hits
+            elif self.payload is None:
+                fired += [(sl, None) for sl in hits]
+            else:
+                pick = self.payload.draw
+                own = random.Random(int.from_bytes(
+                    shake(key + path_tag).digest(16), "little"))
+                fired += [(sl, pick(own)) for sl in hits]
+        # slots never repeat, so the sort never compares two paths
+        fired.sort()
         return tuple(fired)
 
     def options(self):
@@ -441,9 +444,12 @@ def _watch(view):
 
 
 def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
-                   view=None):
+                   view=None, key: bytes | None = None):
     """Draw one random outcome: the start order, then each field in turn.
-    `rng` is a plain `random.Random` (see `_sampler`).
+    `rng` is a plain `random.Random` (see `_sampler`) and gives the start
+    order and every field but the cover, whose coins come from per-user
+    streams under `key` (see `_Cover`); without a key the cover takes one
+    from `rng`.
 
     With a `View` the outcome is projected onto it, for `build_trace` with
     the same view: the cover holds only the view's senders' slots, each
@@ -454,7 +460,7 @@ def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
     rows = len(batch.rows)
     perm = (tuple(rng.sample(range(rows), rows))
             if _needs_perm(kind, batch) else None)
-    return (perm, *[f.draw(rng)
+    return (perm, *[f.draw(rng, key)
                     for f in _fields(kind, batch, perm, _watch(view))])
 
 

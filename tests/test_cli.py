@@ -235,3 +235,16 @@ def test_zero_users_exit_one_before_any_output(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "acnbounds: need n >= 1\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "1"],
+    ["--poly-lambda", "0.5"],
+    ["--lam", "1"],
+    ["--lmax-range", "0:2"],
+    ["--beta-range", "0:2:3"],
+], ids=["one-user", "poly-lambda", "lam", "lmax-range", "beta-range"])
+def test_bad_grid_values_exit_one_before_any_output(capsys, flags):
+    code, out, err = _run(capsys, "atlas", "--grid", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("acnbounds: ")

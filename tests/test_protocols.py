@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, RANDOM_PERM,
                             SEND, AdversaryCapability, Communication,
                             ConfigError, ProtocolParams, ResourceLimitError,
-                            make_batch)
+                            View, make_batch)
 from acnbounds import protocols
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, build_trace,
@@ -348,3 +350,52 @@ def test_draws_take_the_same_numbers_as_rng_sample(monkeypatch):
 ])
 def test_large_draws_fall_back_to_rng_sample(field, reference):
     _same_stream(field.draw, reference)
+
+
+# ------------------------------------------------------------- cover coins
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.3, 1.0])
+def test_a_cover_coin_fires_exactly_when_random_would(monkeypatch, p):
+    # `random()` reads a word's top 53 bits; the word at the threshold and
+    # the one below it (where they are 64-bit words) decide the boundary
+    cut = protocols._threshold(p)
+    words = [w for w in (cut - 1, cut) if 0 <= w < 2 ** 64]
+    assert words
+
+    class Fixed:
+        def __init__(self, data):
+            pass
+
+        def digest(self, size):
+            return struct.pack(f"<{len(words)}Q", *words)
+
+    monkeypatch.setattr(hashlib, "shake_128", Fixed)
+    free = tuple((t, 0) for t in range(1, len(words) + 1))
+    cover = protocols._Cover(free, ProtocolParams(n=2, l_max=2, beta=p))
+    fired = cover.draw(None, b"key")
+    assert [sl in fired for sl in free] == \
+        [(w >> 11) * 2 ** -53 < p for w in words]
+
+
+def test_cover_coins_are_pinned_for_one_key_and_user():
+    # user 1's coins are the little-endian 64-bit words of
+    # shake_128(key + b"c" + u64le(1)), one per free slot in round order
+    key = b"known-answer key"
+    kind = ProtocolKind("trilemma-unsync",
+                        ProtocolParams(n=3, l_max=3, beta=0.5, rounds=40))
+    view = View(frozenset({1}))
+    outcome = sample_outcome(kind, _pair(3), 0, random.Random(0), view, key)
+    rounds = [2, 6, 7, 8, 10, 12, 13, 15, 16, 18, 19, 20, 22, 25, 26, 27,
+              30, 32, 36, 37, 38, 39]
+    assert outcome[2] == tuple((t, 1) for t in rounds)
+    stream = hashlib.shake_128(key + b"c" + (1).to_bytes(8, "little"))
+    words = struct.unpack("<40Q", stream.digest(320))
+    assert rounds == [t for t, w in zip(range(1, 41), words)
+                      if (w >> 11) * 2 ** -53 < 0.5]
+    # a full onion draw picks each path from the firing user's own stream
+    kind = ProtocolKind("onion-path", ProtocolParams(
+        n=3, l_max=3, beta=0.5, relays=4, rounds=12))
+    outcome = sample_outcome(kind, _pair(3), 0, random.Random(0), None, key)
+    assert [x for x in outcome[2] if x[0][1] == 1] == [
+        ((2, 1), (3, 1)), ((6, 1), (3, 0)), ((7, 1), (2, 3)),
+        ((8, 1), (1, 2)), ((10, 1), (3, 1)), ((12, 1), (2, 3))]

@@ -139,11 +139,11 @@ TRACES = {
         "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
         "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
     ("onion-path", "random-permutation"): (
-        "490e2872f17a65bc8693ba33f31ba6eb22493b1663d527b0bf085ffc991e89e8",
-        "1ab58373e899f5b99296493886884e893a4bef30e62d69fddb831af74abb4f96"),
+        "d69a33a74700f16fca3bc49358f32cff4e75a105e814d7aeda9da5df9eee7ce8",
+        "13af59e988885a987d236c091cd1dd3418c16da707bb7673dadc26c0b8759202"),
     ("onion-path", "simultaneous"): (
-        "9bab552b31c4c53b1951fb642e03bcd09d5a80e3490f6f63a582a0849214bd89",
-        "7e1ee80fcb0fa68914f7c076dd5bf4a0d206f15992d2a0f1ff68524711aa384e"),
+        "9f584cdb48cbe5a454d736f1a3077c257f7d933e177c3aabf65f69d68cdc7cd1",
+        "b8bab36fc89ec6a6eb6fa6549c8ab21252a788f09a392b1ef053760a1e4ea0dc"),
     ("threshold-mix", "random-permutation"): (
         "f4f82b82cd9310eb0d8044837385573890f2697cff197ed9f9ad0af859f5b1b2",
         "fde46d38b818b43765cd538b41443a850eb9d21674e8b352be80d05f737594fd"),
@@ -157,11 +157,11 @@ TRACES = {
         "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
         "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),
     ("trilemma-unsync", "random-permutation"): (
-        "7f66e1c3db97c817d9b2372aa10092803c2da8112fa268cb63e83e045f1b0d37",
-        "facd01327a19baae8011fe32b75599fd1f456188515e6900c2a92367a1671b2f"),
+        "f5a3d41d9b9f711fdb9328e729ba2c96d330547bc9375d55453093b833080805",
+        "e09cbc961b8a65630ef91bf131941bdd2286aaad89536fabe4318c141c6291c2"),
     ("trilemma-unsync", "simultaneous"): (
-        "3de4cd3a632207fa461e549de71162e148b1fe935175b81bea9bcfa370bf9b86",
-        "6427e7bcd27dd73fa6c5d730180f826505250376bc1fabb7bbbaf440345f6fec"),
+        "4661eef5d8f67a3e47e87f4e7edcbc3ebcf18e218223b83c3fc6527565568568",
+        "5b0f829d33573bcb3da6788958e209c4ea538830ab98f7187a3d9dfeb61afb68"),
 }
 OUTCOMES = {
     ("broadcast-full-dummy", "random-permutation"):
@@ -195,9 +195,9 @@ OUTCOMES = {
 }
 RECORDS = {
     "onion-path":
-        "f9fc2478354e3dd65ec0311c99d67a6b4e97dd706abb397bea88e2a52d79ebd5",
+        "99b1493335a23f6a2357f5d07ee8eb768751542d9c24ba66dc6e1a8360a76047",
     "trilemma-unsync":
-        "e00f025351465f6146b0a0bebdd7b75e4866714c9e119b5ebff812bb5e9e2c75",
+        "9201c011d812d269b561ee18da5847b211f09f2530dbbe8fe9f3e1f8992a054c",
 }
 
 

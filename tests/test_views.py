@@ -8,11 +8,13 @@ packet ids set aside its events are among the full filtered ones.
 
 The cover is drawn and listed under the view too: a projected draw holds
 the full draw's fired slots of the watched senders (an onion cover's
-without their paths) and leaves the rng where the full draw does, and
+without their paths) and leaves the solve's rng where the full draw does,
+a watched user's fired slots do not depend on who else is watched, and
 projected leaves are the exact marginals of the full ones.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -218,22 +220,62 @@ def _project(outcome, view, onion=False):
     return perm, picks, tuple(sl for sl in fired if sl[1] in view.senders)
 
 
+def _keys(seed):
+    """A per-trial key as the game derives it, and none: the cover then
+    takes its key from the rng."""
+    return hashlib.sha256(f"{seed}:0".encode()).digest()[10:], None
+
+
+def _fired_by(outcome, onion=False):
+    """Each user's fired cover slots, without any path."""
+    mine = {}
+    for sl in (sl for sl, _ in outcome[2]) if onion else outcome[2]:
+        mine.setdefault(sl[1], []).append(sl)
+    return mine
+
+
+def check_same_draw(kind, pair, b, seed, views, onion=False):
+    """Per key: every view's draw is the full draw restricted to its
+    senders and leaves the rng where the full draw does, and each user's
+    fired slots are the same under {u}, the suspects and every user.
+    Returns the full draws."""
+    n = kind.params.n
+    suspects = frozenset(pair.suspects())
+    fulls = []
+    for key in _keys(seed):
+        whole = random.Random(seed)
+        full = sample_outcome(kind, pair, b, whole, None, key)
+        fulls.append(full)
+        for view in views:
+            rng = random.Random(seed)
+            got = sample_outcome(kind, pair, b, rng, view, key)
+            assert got == _project(full, view, onion), view
+            assert rng.getstate() == whole.getstate()
+
+        def draw(senders):
+            return sample_outcome(kind, pair, b, random.Random(seed),
+                                  View(senders), key)
+
+        shared = [(s, _fired_by(draw(s), onion))
+                  for s in (frozenset(range(n)), suspects)]
+        fired = _fired_by(full, onion)
+        for u in range(n):
+            mine = fired.get(u)
+            assert _fired_by(draw(frozenset({u})), onion).get(u) == mine
+            for senders, got in shared:
+                if u in senders:
+                    assert got.get(u) == mine
+    return fulls
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 100])
-def test_projected_cover_takes_the_full_draws_numbers(n):
-    # a skipped run of k coins takes `getrandbits(64 * k)`, which must use
-    # the 2k words of k `random()` calls on every supported CPython
+def test_projected_cover_is_the_full_draw_restricted(n):
     for l_max, beta in itertools.product((1, 2, 3, 5), (0.0, 0.3, 0.25, 1.0)):
         kind = _unsync(n, l_max, beta)
         for pair in _cover_pairs(n):
             views = _unsync_views(n, pair)
             for b, seed in itertools.product((0, 1), range(3)):
-                whole = random.Random(seed)
-                full = sample_outcome(kind, pair, b, whole)
-                for view in views:
-                    rng = random.Random(seed)
-                    got = sample_outcome(kind, pair, b, rng, view)
-                    assert got == _project(full, view), (l_max, beta, view)
-                    assert rng.getstate() == whole.getstate()
+                check_same_draw(kind, pair, b, seed, views)
 
 
 @pytest.mark.parametrize("n,l_max,beta", [
@@ -289,37 +331,36 @@ def _onion_attacks(n, relays):
 
 
 @pytest.mark.parametrize("relays", [1, 2, 6, 25])
-def test_projected_onion_cover_takes_the_full_draws_numbers(relays):
-    # a fired coin's path is skipped with the sampler's `skip`, which must
-    # take the words its draw takes: the small-pool rejection loop, or
-    # `rng.sample` itself past 21 relays
+def test_projected_onion_cover_is_the_full_draw_restricted(relays):
+    # full cover paths come from the firing users' own streams, so a
+    # projected draw reads none of them: small pools and `rng.sample`
+    # past 21 relays alike
     n = 4
     for l_exp, beta in itertools.product(range(1, min(4, relays + 1) + 1),
                                          (0.0, 0.25, 1.0)):
         kind = _onion(n, 4, beta, relays, l_exp)
         for pair in _cover_pairs(n):
             everyone = frozenset(range(n))
-            # a view of every user still skips each cover path
+            # a view of every user holds each cover path as None
             attacks = [(a, attack_view(a, pair))
                        for a in _onion_attacks(n, relays)] + [
                 (tracing_attack(n, relays), View(everyone, relays, everyone))]
             for b, seed in itertools.product((0, 1), range(3)):
-                whole = random.Random(seed)
-                full = sample_outcome(kind, pair, b, whole)
-                for attack, view in attacks:
-                    rng = random.Random(seed)
-                    got = sample_outcome(kind, pair, b, rng, view)
-                    assert got == _project(full, view, onion=True), \
-                        (l_exp, beta, view)
-                    assert rng.getstate() == whole.getstate()
-                    # a projected outcome builds the verdict of the full one
-                    cap = attack.capability
-                    projected = filter_trace(
-                        build_trace(kind, pair, b, got, cap, view), cap)
-                    assert (decide(attack, projected, pair, kind.params)
-                            == decide(attack, filter_trace(build_trace(
-                                kind, pair, b, full, cap), cap),
-                                pair, kind.params))
+                fulls = check_same_draw(kind, pair, b, seed,
+                                        [v for _, v in attacks], onion=True)
+                for full, key in zip(fulls, _keys(seed)):
+                    for attack, view in attacks:
+                        # a projected outcome builds the verdict of the
+                        # full one
+                        got = sample_outcome(kind, pair, b,
+                                             random.Random(seed), view, key)
+                        cap = attack.capability
+                        projected = filter_trace(
+                            build_trace(kind, pair, b, got, cap, view), cap)
+                        assert (decide(attack, projected, pair, kind.params)
+                                == decide(attack, filter_trace(build_trace(
+                                    kind, pair, b, full, cap), cap),
+                                    pair, kind.params))
 
 
 @pytest.mark.parametrize("n,l_max,beta,relays", [

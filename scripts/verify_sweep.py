@@ -8,6 +8,7 @@ gate a CI job.
 """
 
 import argparse
+import hashlib
 import itertools
 import sys
 
@@ -27,13 +28,23 @@ def _pair(n):
                         make_batch([Communication(1, n - 1, 0)]), SO)
 
 
+def _point_seed(seed, label):
+    """Each point's own seed, from the sweep's seed and the point's label.
+    Solves at one seed share their randomness (a watched user's cover coins
+    do not depend on n), so a shared seed would make points repeat one
+    another's draws instead of checking independently."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def sweep(trials, seed, tol):
     failures = 0
 
     def check(label, kind, attack, n):
         # the reference value and the pass rule are `acnbounds verify`'s
         nonlocal failures
-        est = estimate_advantage(kind, attack, _pair(n), trials, seed)
+        est = estimate_advantage(kind, attack, _pair(n), trials,
+                                 _point_seed(seed, label))
         expected, rule = expected_advantage(kind, attack)
         ok = verify_passes(est, expected, rule, tol)
         failures += 0 if ok else 1

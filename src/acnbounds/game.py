@@ -19,12 +19,16 @@ and `build_trace`, which emits only its events; then `filter_trace` and
 `decide` run as usual.  The verdict is the one the full filtered trace
 would give, and the exact route sums the same probabilities.
 
-Determinism contract: a solve builds one `random.Random(master_seed)` and
-draws every trial's start order and non-cover fields from it, in trial
-order.  Trial i's hash h = sha256(master_seed:i) gives the challenge bit
+Determinism contract: a solve builds one `random.Random(str(master_seed))`
+(a str seed keeps the sign, which an int seed drops) and draws every
+trial's start order and non-cover fields from it, in trial order.  Trial
+i's hash h = sha256(f"{master_seed}:{i}") gives the challenge bit
 (h[0] & 1), the tie-break bit (h[9] & 1) and the key of the trial's
 per-user cover streams (h[10:]).  The trials run in one serial loop, so
-results are set by the master seed and nothing else.
+results are set by the master seed and nothing else.  Solves at one seed
+share their trials' randomness: attacks on one protocol play the same
+outcomes, and a user's cover coins do not depend on n, so points meant
+as independent checks need seeds of their own.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def estimate_advantage(kind, attack, pair, trials: int,
     n0 = k0 = n1 = k1 = 0
     # one rng per solve, read in trial order; the cover's streams are
     # keyed per trial
-    rng = random.Random(master_seed)
+    rng = random.Random(str(master_seed))
     for i in range(trials):
         h = _trial_hash(master_seed, i)
         b = h[0] & 1

@@ -149,10 +149,8 @@ def _num_dummies(params) -> int:
     return min(int(params.beta * params.n), params.n - 1)
 
 
-@functools.lru_cache(maxsize=64)
 def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
-    """(round, user) pairs free for cover traffic, in slot order; cached,
-    so each view of an arm projects one tuple."""
+    """(round, user) pairs free for cover traffic, in slot order."""
     busy = {(t, row.sender) for t, row in zip(slots, batch.rows)
             if t is not None}
     return tuple((t, u) for t in range(1, horizon + 1)
@@ -370,10 +368,7 @@ class _Cover:
                      + paths * int(self.rate > 0)) ** len(self.free)
 
     def draw(self, rng, key):
-        """The fired slots under the per-trial `key`; with no key, one of
-        16 bytes is taken from `rng`."""
-        if key is None:
-            key = rng.randbytes(16)
+        """The fired slots under the per-trial `key`; `rng` is not read."""
         cut, shake, fired = self.cut, hashlib.shake_128, []
         for tag, size, words, slots, path_tag in self.users:
             hits = [sl for sl, w in zip(slots,
@@ -444,14 +439,13 @@ def _watch(view):
 
 
 def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
-                   view=None, key: bytes | None = None):
+                   view, key: bytes):
     """Draw one random outcome: the start order, then each field in turn.
     `rng` is a plain `random.Random` (see `_sampler`) and gives the start
     order and every field but the cover, whose coins come from per-user
-    streams under `key` (see `_Cover`); without a key the cover takes one
-    from `rng`.
+    streams under the trial's `key` (see `_Cover`).
 
-    With a `View` the outcome is projected onto it, for `build_trace` with
+    With a `View` (None for the full outcome) the outcome is projected onto it, for `build_trace` with
     the same view: the cover holds only the view's senders' slots, each
     drawn as in the full outcome (an onion cover's without its path), and
     the rng ends in the same state.

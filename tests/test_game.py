@@ -51,6 +51,29 @@ def test_estimate_depends_on_the_seed():
     assert a.arms != b.arms
 
 
+def test_a_seed_and_its_negation_draw_different_trials(monkeypatch):
+    # `random.Random` seeded with an int drops its sign; the solve's rng
+    # must tell 5 from -5 in the fields it draws (here the delays)
+    kind, pair = _setup(l_max=5)
+    attack = timing_attack(2)
+    sample = game.sample_outcome
+    delays = []
+
+    def recorded(*args):
+        outcome = sample(*args)
+        delays.append(outcome[1])
+        return outcome
+
+    monkeypatch.setattr(game, "sample_outcome", recorded)
+    records = []
+    for seed in (5, -5):
+        est = estimate_advantage(kind, attack, pair, 200, master_seed=seed)
+        records.append(record_json(result_record(kind, attack, pair, est,
+                                                 seed)))
+    assert records[0] != records[1]
+    assert delays[:200] != delays[200:]
+
+
 def test_too_few_trials_is_an_error():
     kind, pair = _setup()
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from acnbounds import protocols
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, build_trace,
                                  enumerate_outcomes, sample_outcome)
+from test_trace_golden import trial_key
 
 SO = parse_notion("SO")
 
@@ -30,7 +31,7 @@ def _pair(n, mode="simultaneous", rows=None):
 
 def _events(kind, pair, b=0, seed=1, cap=None):
     rng = random.Random(seed)
-    outcome = sample_outcome(kind, pair, b, rng)
+    outcome = sample_outcome(kind, pair, b, rng, None, trial_key(seed))
     return build_trace(kind, pair, b, outcome, cap).events
 
 
@@ -73,8 +74,9 @@ def test_sampled_outcomes_live_in_the_enumerated_support():
     pair = _pair(2)
     support = {o for _, o in enumerate_outcomes(kind, pair, 0)}
     rng = random.Random(0)
-    for _ in range(50):
-        assert sample_outcome(kind, pair, 0, rng) in support
+    for i in range(50):
+        assert sample_outcome(kind, pair, 0, rng, None, trial_key(0, i)) in \
+            support
 
 
 def test_trace_build_is_deterministic():
@@ -82,7 +84,7 @@ def test_trace_build_is_deterministic():
                                                         beta=0.4))
     pair = _pair(5)
     rng = random.Random(3)
-    outcome = sample_outcome(kind, pair, 0, rng)
+    outcome = sample_outcome(kind, pair, 0, rng, None, trial_key(3))
     assert build_trace(kind, pair, 0, outcome) == build_trace(kind, pair, 0,
                                                               outcome)
 
@@ -257,7 +259,8 @@ def test_short_horizon_is_rejected():
     params = ProtocolParams(n=2, l_max=3, rounds=2)
     kind = ProtocolKind("trilemma-unsync", params)
     with pytest.raises(ConfigError):
-        sample_outcome(kind, _pair(2), 0, random.Random(0))
+        sample_outcome(kind, _pair(2), 0, random.Random(0), None,
+                       trial_key(0))
 
 
 def test_enumeration_guard_trips_on_large_spaces():

@@ -59,6 +59,12 @@ TINY_ROWS = ([Communication(0, 1, 0), NO_COMM],
              [Communication(1, 1, 0), NO_COMM])
 
 
+def trial_key(seed, i=0):
+    """A cover key for trial i at a seed, shaped like the game's: the tail
+    of a sha256."""
+    return hashlib.sha256(f"{seed}:{i}".encode()).digest()[10:]
+
+
 def _pair(rows, mode):
     b0, b1 = (make_batch(r, mode) for r in rows)
     return ScenarioPair(b0, b1, SO)
@@ -70,7 +76,8 @@ def trace_digests(name, mode):
     built, kept = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         for b in (0, 1):
-            outcome = sample_outcome(kind, pair, b, random.Random(seed))
+            outcome = sample_outcome(kind, pair, b, random.Random(seed),
+                                     None, trial_key(seed))
             for cap in CAPS:
                 trace = build_trace(kind, pair, b, outcome, cap)
                 built.update(repr(trace.events).encode())
@@ -139,11 +146,11 @@ TRACES = {
         "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
         "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
     ("onion-path", "random-permutation"): (
-        "d69a33a74700f16fca3bc49358f32cff4e75a105e814d7aeda9da5df9eee7ce8",
-        "13af59e988885a987d236c091cd1dd3418c16da707bb7673dadc26c0b8759202"),
+        "8c1c16d05d380c4f78969506a957b449b7ec52293424c93deb729a8cdb6ba798",
+        "2546e6c498f8db54f6ad3e52c217f699f442318c4becfa9b4fb195173b662a5b"),
     ("onion-path", "simultaneous"): (
-        "9f584cdb48cbe5a454d736f1a3077c257f7d933e177c3aabf65f69d68cdc7cd1",
-        "b8bab36fc89ec6a6eb6fa6549c8ab21252a788f09a392b1ef053760a1e4ea0dc"),
+        "b89788a5996b8f0f6f990638e8884d51d340cdaf610c803b2c4c09c4c4016f42",
+        "2f36dbf2191b15b3923de4127d7139375d1614c6cb2c3055ece88bc2f564e0fc"),
     ("threshold-mix", "random-permutation"): (
         "f4f82b82cd9310eb0d8044837385573890f2697cff197ed9f9ad0af859f5b1b2",
         "fde46d38b818b43765cd538b41443a850eb9d21674e8b352be80d05f737594fd"),
@@ -157,11 +164,11 @@ TRACES = {
         "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
         "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),
     ("trilemma-unsync", "random-permutation"): (
-        "f5a3d41d9b9f711fdb9328e729ba2c96d330547bc9375d55453093b833080805",
-        "e09cbc961b8a65630ef91bf131941bdd2286aaad89536fabe4318c141c6291c2"),
+        "6132ed1e02a0ca0c587f7e4000cb3c6318beb0eb234992f68700449019ff6665",
+        "09fce5017439dfcfa41a294ad4f7018353746641ad52d394ed4330e613c8db1e"),
     ("trilemma-unsync", "simultaneous"): (
-        "4661eef5d8f67a3e47e87f4e7edcbc3ebcf18e218223b83c3fc6527565568568",
-        "5b0f829d33573bcb3da6788958e209c4ea538830ab98f7187a3d9dfeb61afb68"),
+        "32083dc60314d6c24e1c02b982d675c424686524c302745bdb65d811940572dd",
+        "010950c8d20bdccb406f5a123f58a6744295852f5113320995137196453131a3"),
 }
 OUTCOMES = {
     ("broadcast-full-dummy", "random-permutation"):
@@ -195,9 +202,9 @@ OUTCOMES = {
 }
 RECORDS = {
     "onion-path":
-        "99b1493335a23f6a2357f5d07ee8eb768751542d9c24ba66dc6e1a8360a76047",
+        "26ce675a5247a1a8867e8d3c136127346cf7fb864c02d509cb1549bdc5bf7147",
     "trilemma-unsync":
-        "9201c011d812d269b561ee18da5847b211f09f2530dbbe8fe9f3e1f8992a054c",
+        "f2fe52db1a823d9367ce1d7b1ec9d5b4434f26c887fcbeb0864ed6fc1cd63bc1",
 }
 
 
@@ -226,4 +233,5 @@ def test_sampled_outcomes_are_among_the_enumerated(variant, mode):
         assert sum(p for p, _ in outs) == 1
         listed = {o for _, o in outs}
         for seed in SEEDS:
-            assert sample_outcome(kind, pair, b, random.Random(seed)) in listed
+            assert sample_outcome(kind, pair, b, random.Random(seed), None,
+                                  trial_key(seed)) in listed

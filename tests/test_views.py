@@ -14,7 +14,6 @@ projected leaves are the exact marginals of the full ones.
 """
 
 import dataclasses
-import hashlib
 import itertools
 import math
 import pickle
@@ -36,7 +35,7 @@ from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
                                  VARIANTS, ProtocolKind, build_trace,
                                  enumerate_outcomes, sample_outcome)
 from test_trace_golden import (KINDS, MODES, PAIR_ROWS, PARAMS, SEEDS, TINY,
-                               TINY_ROWS, _pair)
+                               TINY_ROWS, _pair, trial_key)
 
 
 def stock_attacks(params):
@@ -101,7 +100,8 @@ def test_projected_verdicts_equal_full_ones_on_the_golden_grid():
             for seed in SEEDS:
                 for b in (0, 1):
                     outcome = sample_outcome(kind, pair, b,
-                                             random.Random(seed))
+                                             random.Random(seed), None,
+                                             trial_key(seed))
                     check_projection(kind, pair, b, outcome, attacks)
 
 
@@ -155,7 +155,8 @@ def test_verdicts_ignore_which_ids_packets_carry(name, mode, seed, b, attack,
     # relabel of a projected trace cannot change a verdict
     kind, pair = KINDS[name], _pair(PAIR_ROWS, mode)
     cap = attack.capability
-    outcome = sample_outcome(kind, pair, b, random.Random(seed))
+    outcome = sample_outcome(kind, pair, b, random.Random(seed), None,
+                             trial_key(seed))
     trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
     used = sorted({e.packet for e in trace.events}
                   | {e.in_packet for e in trace.events} - {None})
@@ -220,12 +221,6 @@ def _project(outcome, view, onion=False):
     return perm, picks, tuple(sl for sl in fired if sl[1] in view.senders)
 
 
-def _keys(seed):
-    """A per-trial key as the game derives it, and none: the cover then
-    takes its key from the rng."""
-    return hashlib.sha256(f"{seed}:0".encode()).digest()[10:], None
-
-
 def _fired_by(outcome, onion=False):
     """Each user's fired cover slots, without any path."""
     mine = {}
@@ -235,37 +230,35 @@ def _fired_by(outcome, onion=False):
 
 
 def check_same_draw(kind, pair, b, seed, views, onion=False):
-    """Per key: every view's draw is the full draw restricted to its
-    senders and leaves the rng where the full draw does, and each user's
-    fired slots are the same under {u}, the suspects and every user.
-    Returns the full draws."""
+    """Every view's draw is the full draw restricted to its senders and
+    leaves the rng where the full draw does, and each user's fired slots
+    are the same under {u}, the suspects and every user.  Returns the
+    full draw."""
     n = kind.params.n
     suspects = frozenset(pair.suspects())
-    fulls = []
-    for key in _keys(seed):
-        whole = random.Random(seed)
-        full = sample_outcome(kind, pair, b, whole, None, key)
-        fulls.append(full)
-        for view in views:
-            rng = random.Random(seed)
-            got = sample_outcome(kind, pair, b, rng, view, key)
-            assert got == _project(full, view, onion), view
-            assert rng.getstate() == whole.getstate()
+    key = trial_key(seed)
+    whole = random.Random(seed)
+    full = sample_outcome(kind, pair, b, whole, None, key)
+    for view in views:
+        rng = random.Random(seed)
+        got = sample_outcome(kind, pair, b, rng, view, key)
+        assert got == _project(full, view, onion), view
+        assert rng.getstate() == whole.getstate()
 
-        def draw(senders):
-            return sample_outcome(kind, pair, b, random.Random(seed),
-                                  View(senders), key)
+    def draw(senders):
+        return sample_outcome(kind, pair, b, random.Random(seed),
+                              View(senders), key)
 
-        shared = [(s, _fired_by(draw(s), onion))
-                  for s in (frozenset(range(n)), suspects)]
-        fired = _fired_by(full, onion)
-        for u in range(n):
-            mine = fired.get(u)
-            assert _fired_by(draw(frozenset({u})), onion).get(u) == mine
-            for senders, got in shared:
-                if u in senders:
-                    assert got.get(u) == mine
-    return fulls
+    shared = [(s, _fired_by(draw(s), onion))
+              for s in (frozenset(range(n)), suspects)]
+    fired = _fired_by(full, onion)
+    for u in range(n):
+        mine = fired.get(u)
+        assert _fired_by(draw(frozenset({u})), onion).get(u) == mine
+        for senders, got in shared:
+            if u in senders:
+                assert got.get(u) == mine
+    return full
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100])
@@ -296,9 +289,9 @@ def test_projected_leaves_are_the_exact_marginals(n, l_max, beta):
                 assert {o: prob for prob, o in leaves} == marginal
                 assert len(leaves) == len(marginal)
                 rng = random.Random(b)
-                for _ in range(20):
-                    assert sample_outcome(kind, pair, b, rng, view) in \
-                        marginal
+                for i in range(20):
+                    assert sample_outcome(kind, pair, b, rng, view,
+                                          trial_key(b, i)) in marginal
 
 
 def test_projection_reaches_a_point_past_the_leaf_limit():
@@ -346,21 +339,19 @@ def test_projected_onion_cover_is_the_full_draw_restricted(relays):
                        for a in _onion_attacks(n, relays)] + [
                 (tracing_attack(n, relays), View(everyone, relays, everyone))]
             for b, seed in itertools.product((0, 1), range(3)):
-                fulls = check_same_draw(kind, pair, b, seed,
-                                        [v for _, v in attacks], onion=True)
-                for full, key in zip(fulls, _keys(seed)):
-                    for attack, view in attacks:
-                        # a projected outcome builds the verdict of the
-                        # full one
-                        got = sample_outcome(kind, pair, b,
-                                             random.Random(seed), view, key)
-                        cap = attack.capability
-                        projected = filter_trace(
-                            build_trace(kind, pair, b, got, cap, view), cap)
-                        assert (decide(attack, projected, pair, kind.params)
-                                == decide(attack, filter_trace(build_trace(
-                                    kind, pair, b, full, cap), cap),
-                                    pair, kind.params))
+                full = check_same_draw(kind, pair, b, seed,
+                                       [v for _, v in attacks], onion=True)
+                for attack, view in attacks:
+                    # a projected outcome builds the verdict of the full one
+                    got = sample_outcome(kind, pair, b, random.Random(seed),
+                                         view, trial_key(seed))
+                    cap = attack.capability
+                    projected = filter_trace(
+                        build_trace(kind, pair, b, got, cap, view), cap)
+                    assert (decide(attack, projected, pair, kind.params)
+                            == decide(attack, filter_trace(build_trace(
+                                kind, pair, b, full, cap), cap),
+                                pair, kind.params))
 
 
 @pytest.mark.parametrize("n,l_max,beta,relays", [
@@ -384,9 +375,9 @@ def test_projected_onion_leaves_are_the_exact_marginals(n, l_max, beta,
                 assert {o: prob for prob, o in leaves} == marginal
                 assert len(leaves) == len(marginal)
                 rng = random.Random(b)
-                for _ in range(20):
-                    assert sample_outcome(kind, pair, b, rng, view) in \
-                        marginal
+                for i in range(20):
+                    assert sample_outcome(kind, pair, b, rng, view,
+                                          trial_key(b, i)) in marginal
 
 
 @pytest.mark.parametrize("n,l_max,p,relays,c_p", [

@@ -259,14 +259,29 @@ def attack_view(attack: AttackKind, pair):
     return View(senders, relays, receivers)
 
 
-def dropping_success_rate(c_a: int, copies: int, pool: int):
-    """Chance that relay control with c_a relays kills every copy; link
-    control (c_a = 0) always succeeds."""
+def dropping_success_rate(c_a: int, copies: int, pool: int,
+                          integrated: bool = False):
+    """The dropping attack's advantage: the chance that its drops kill
+    every copy of the target's message, less the chance that they kill
+    every copy of an innocent sender's.  Each message goes out as `copies`
+    copies with distinct first hops, a uniform subset of the pool.
+
+    Relay control (c_a >= 1) drops only the target's copies, and only at
+    its c_a relays, so it wins with comb(c_a, copies) / comb(pool, copies).
+    Link control (c_a = 0) kills every copy the target sends.  With
+    dedicated relays that always wins.  In the integrated model the first
+    hops are users, so the cut link also swallows an innocent copy whose
+    first hop is the target: the innocent message is lost, and its silence
+    accuses the target, when all of its first hops are the target.  A
+    subset of distinct hops lies inside that one node with chance
+    comb(1, copies) / comb(pool, copies), i.e. 1/pool for a single copy
+    and 0 for two or more, so link control wins with one minus that."""
     if c_a > pool:
         raise ValueError(f"c_a={c_a} exceeds the first-hop pool of {pool}")
+    if c_a == 0 and integrated:
+        return 1 - comb(1, copies) / comb(pool, copies)
     if c_a == 0:
         return 1.0
     if c_a < copies:
         return 0.0
     return comb(c_a, copies) / comb(pool, copies)
-

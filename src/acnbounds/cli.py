@@ -4,7 +4,8 @@ Subcommands:
 
   bound      evaluate a closed-form bound at a parameter point
   simulate   run the distinguishing game and report the advantage
-  verify     simulate, then check the estimate against the formula
+  verify     simulate, then check the estimate against its reference
+             value; with --sweep, check every reference row's points
   region     classify a parameter point as possible / impossible
   atlas      preset verdict table, or a CSV grid over (l_max, beta)
 
@@ -19,6 +20,8 @@ must have the type its flag takes in the running subcommand.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import sys
 
@@ -27,9 +30,10 @@ from . import bounds
 from .adversaries import (counting_attack, dropping_attack,
                           dropping_success_rate, random_guess_attack,
                           timing_attack, tracing_attack)
-from .core import CapabilityError, ConfigError, ProtocolParams
+from .core import (CapabilityError, Communication, ConfigError,
+                   ProtocolParams, make_batch)
 from .game import estimate_advantage, record_json, result_record
-from .notions import generate_pair, parse_notion
+from .notions import ScenarioPair, generate_pair, parse_notion
 from .protocols import ProtocolKind, VARIANTS
 
 
@@ -73,6 +77,39 @@ _ATTACKS = {
     "path-tracing": lambda ns: tracing_attack(ns.n, ns.cp),
     "dropping": lambda ns: dropping_attack(ns.n, ns.ca),
     "random-guess": lambda ns: random_guess_attack(),
+}
+
+# (protocol, attack) -> (check, value(params, capability), label, points):
+# `verify` holds a run to its row's value, `floor` a lower bound the
+# attack must reach and `exact` a combinatorial value.  `verify --sweep`
+# runs each point (the flags of one `verify` run) on the one-row SO pair
+# (0 -> n-1) vs (1 -> n-1), and names it by `label` over its flags.
+_REFERENCES = {
+    ("trilemma-unsync", "timing-interval"): (
+        "floor",
+        lambda p, cap: bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED,
+                                                 p.l_max, p=p.p),
+        "trilemma-unsync timing n={n} l_max={lmax} p={p}",
+        [f"--n {n} --lmax {l_max} --p {p}" for n, l_max, p
+         in itertools.product((2, 10), (2, 3), (0.1, 0.5))]),
+    ("trilemma-sync", "timing-interval"): (
+        "floor",
+        lambda p, cap: bounds.trilemma_advantage(bounds.SYNC, p.l_max,
+                                                 beta=p.beta, n=p.n),
+        "trilemma-sync timing n={n} beta={beta}",
+        [f"--n {n} --lmax 2 --beta {beta}"
+         for n, beta in ((10, 0.2), (10, 0.9), (20, 0.5))]),
+    ("broadcast-full-dummy", "counting"): (
+        "exact", lambda p, cap: 0.0,
+        "broadcast counting n={n}", ["--n 3 --lmax 2"]),
+    ("dropping-model", "dropping"): (
+        "exact",
+        lambda p, cap: dropping_success_rate(
+            cap.c_a, p.copies, p.n if p.integrated else p.relays,
+            p.integrated),
+        "dropping-model c_a={ca} copies={copies} pool={relays}",
+        [f"--n 3 --lmax 1 --relays 4 --copies 2 --ca {c_a}"
+         for c_a in (0, 1, 2, 4)]),
 }
 
 
@@ -124,6 +161,8 @@ def _build_parser():
         s.add_argument("--seed", type=int, default=0)
         if name == "verify":
             s.add_argument("--tol", type=float, default=0.02)
+            s.add_argument("--sweep", action="store_true",
+                           help="check every reference row's points")
 
     r = sub.add_parser("region", help="possible/impossible at a point")
     _add_common(r, n=1000)
@@ -207,64 +246,101 @@ def _cmd_bound(ns) -> int:
     return 0
 
 
-def _run_game(ns):
+def _game(ns):
+    """The protocol and attack the flags name."""
     params = _protocol_params(ns)
     if ns.protocol is None:
         raise ConfigError("need --protocol")
     kind = ProtocolKind(ns.protocol, params)
-    notion = parse_notion(ns.notion)
-    pair = generate_pair(notion, params, ns.seed, length=ns.length)
     if ns.attack is None:
         raise ConfigError("simulate needs --attack")
-    attack = _ATTACKS[ns.attack](ns)
-    est = estimate_advantage(kind, attack, pair, ns.trials, ns.seed)
-    return kind, attack, pair, est
+    return kind, _ATTACKS[ns.attack](ns)
+
+
+def _pair(ns, params):
+    return generate_pair(parse_notion(ns.notion), params, ns.seed,
+                         length=ns.length)
 
 
 def _cmd_simulate(ns) -> int:
-    kind, attack, pair, est = _run_game(ns)
+    kind, attack = _game(ns)
+    pair = _pair(ns, kind.params)
+    est = estimate_advantage(kind, attack, pair, ns.trials, ns.seed)
     print(record_json(result_record(kind, attack, pair, est, ns.seed)))
     return 0
 
 
-def expected_advantage(kind, attack):
-    """(reference value, check) for a protocol and attack: `floor` for a
-    lower bound the attack must reach, `exact` for a combinatorial value."""
-    proto, att = kind.variant, attack.variant
-    params = kind.params
-    if proto == "trilemma-sync" and att == "timing-interval":
-        return bounds.trilemma_advantage(bounds.SYNC, params.l_max,
-                                         beta=params.beta, n=params.n), "floor"
-    if proto == "trilemma-unsync" and att == "timing-interval":
-        return bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED, params.l_max,
-                                         p=params.p), "floor"
-    if proto == "broadcast-full-dummy" and att == "counting":
-        return 0.0, "exact"
-    if proto == "dropping-model" and att == "dropping":
-        pool = params.n if params.integrated else params.relays
-        return dropping_success_rate(attack.capability.c_a, params.copies,
-                                     pool), "exact"
-    raise ConfigError(f"no reference value for {proto} with {att}")
-
-
-def verify_passes(est, expected, check, tol) -> bool:
-    """`verify`'s pass rule for an estimate against its reference value."""
+def _check(kind, attack, pair, trials, seed, tol):
+    """(estimate, expected, check, passed) for one game against its
+    `_REFERENCES` row, which is looked up and evaluated before the first
+    trial, so a pair with no reference fails at once."""
+    ref = _REFERENCES.get((kind.variant, attack.variant))
+    if ref is None:
+        raise ConfigError(f"no reference value for {kind.variant} with "
+                          f"{attack.variant}")
+    check, value = ref[:2]
+    expected = value(kind.params, attack.capability)
+    est = estimate_advantage(kind, attack, pair, trials, seed)
     if check == "floor":
         # the formula is a lower bound that the built-in attack must reach
-        return est.ci_high + tol >= expected
-    return est.ci_low - tol <= expected <= est.ci_high + tol
+        ok = est.ci_high + tol >= expected
+    else:
+        ok = est.ci_low - tol <= expected <= est.ci_high + tol
+    return est, expected, check, ok
 
 
 def _cmd_verify(ns) -> int:
-    kind, attack, pair, est = _run_game(ns)
-    expected, check = expected_advantage(kind, attack)
-    tol = ns.tol
-    ok = verify_passes(est, expected, check, tol)
+    if ns.sweep:
+        return _sweep(ns)
+    kind, attack = _game(ns)
+    pair = _pair(ns, kind.params)
+    est, expected, check, ok = _check(kind, attack, pair, ns.trials,
+                                      ns.seed, ns.tol)
     record = result_record(kind, attack, pair, est, ns.seed)
-    record.update(expected=expected, tolerance=tol, check=check,
+    record.update(expected=expected, tolerance=ns.tol, check=check,
                   verdict="pass" if ok else "fail")
     print(record_json(record))
     return 0 if ok else 2
+
+
+def _point_seed(seed, label):
+    """Each sweep point's own seed, from the sweep's seed and the point's
+    label.  Solves at one seed share their randomness (a watched user's
+    cover coins do not depend on n), so a shared seed would make points
+    repeat one another's draws instead of checking independently."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _sweep(ns) -> int:
+    """One line per `_REFERENCES` point, in table order; exit 2 if any
+    check fails."""
+    if ns.protocol or ns.attack:
+        raise ConfigError("verify --sweep runs every reference row; drop "
+                          "--protocol and --attack")
+    parser, _ = _build_parser()
+    so = parse_notion("SO")
+    failures = 0
+    for (proto, att), (_, _, label, points) in _REFERENCES.items():
+        for flags in points:
+            point = parser.parse_args(["verify", "--protocol", proto,
+                                       "--attack", att, *flags.split()])
+            name = label.format(**vars(point))
+            kind, attack = _game(point)
+            last = point.n - 1
+            pair = ScenarioPair(make_batch([Communication(0, last, 0)]),
+                                make_batch([Communication(1, last, 0)]), so)
+            est, expected, _, ok = _check(kind, attack, pair, ns.trials,
+                                          _point_seed(ns.seed, name), ns.tol)
+            failures += not ok
+            print(f"{name:58} adv={est.point:+.4f} "
+                  f"ci=[{est.ci_low:+.4f},{est.ci_high:+.4f}] "
+                  f"ref={expected:.4f} {'ok' if ok else 'FAIL'}")
+    if failures:
+        print(f"{failures} check(s) failed", file=sys.stderr)
+        return 2
+    print("all checks passed")
+    return 0
 
 
 def _cmd_region(ns) -> int:
@@ -285,6 +361,9 @@ def _parse_ranges(ns):
     lmaxes = range(lo, hi + 1)
     a, b, steps = ns.beta_range.split(":")
     a, b, steps = float(a), float(b), int(steps)
+    if hi < lo or b < a or steps < 1:
+        raise ConfigError("a range lo:hi[:steps] needs lo <= hi and at "
+                          "least one step")
     if steps < 2:
         betas = [a]
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,12 +139,50 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
-def test_verify_rejects_unknown_combo(capsys):
+def test_verify_rejects_unknown_combo(capsys, monkeypatch):
+    # the reference is looked up before the game, so no trial is played
+    def no_game(*args):
+        raise AssertionError("the game ran before the reference lookup")
+
+    monkeypatch.setattr(cli, "estimate_advantage", no_game)
     code, _, err = _run(capsys, "verify", "--protocol", "dcnet-round",
                         "--attack", "dropping", "--n", "3", "--lmax", "1",
                         "--trials", "200")
     assert code == 1
     assert "reference" in err
+
+
+# sha256 of the sweep's stdout at --trials 2000 --seed 0, as the sweep
+# printed it when it was a standalone script
+SWEEP_SHA256 = ("5223951157ef593839d38f8178d1f6b6"
+                "a5ae2be589449be5bd045235ed71593b")
+
+
+def test_verify_sweep_prints_the_pinned_lines(capsys):
+    code, out, err = _run(capsys, "verify", "--sweep", "--trials", "2000",
+                          "--seed", "0")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 17
+    assert out.endswith("\nall checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256
+
+
+def test_verify_sweep_failure_exits_two(capsys):
+    code, out, err = _run(capsys, "verify", "--sweep", "--trials", "200",
+                          "--tol", "-2")
+    assert code == 2
+    assert err == "16 check(s) failed\n"
+    assert out.count(" FAIL\n") == 16
+
+
+@pytest.mark.parametrize("flags", [
+    ["--protocol", "trilemma-sync"],
+    ["--attack", "timing-interval"],
+], ids=["protocol", "attack"])
+def test_verify_sweep_takes_no_protocol_or_attack(capsys, flags):
+    code, out, err = _run(capsys, "verify", "--sweep", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("acnbounds: verify --sweep ")
 
 
 def test_region_defaults_to_a_population(capsys):
@@ -243,7 +282,11 @@ def test_zero_users_exit_one_before_any_output(capsys, argv):
     ["--lam", "1"],
     ["--lmax-range", "0:2"],
     ["--beta-range", "0:2:3"],
-], ids=["one-user", "poly-lambda", "lam", "lmax-range", "beta-range"])
+    ["--lmax-range", "3:2"],
+    ["--beta-range", "0.9:0.1:3"],
+    ["--beta-range", "0:1:0"],
+], ids=["one-user", "poly-lambda", "lam", "lmax-range", "beta-range",
+        "lmax-hi-below-lo", "beta-hi-below-lo", "no-beta-steps"])
 def test_bad_grid_values_exit_one_before_any_output(capsys, flags):
     code, out, err = _run(capsys, "atlas", "--grid", *flags)
     assert code == 1 and out == ""

@@ -6,6 +6,10 @@ start-order modes, as the code produced it when the values were pinned.
 A change to how enumeration or the game tallies its leaves must leave
 every value equal.
 
+Every row of `verify`'s reference table is held to the exact route over
+tiny points: a `floor` may not exceed the exact advantage, and an `exact`
+value must equal it.
+
 The cross-route property draws tiny random parameters for each accepted
 (protocol, attack) pair and requires the exact advantage to lie inside
 the Monte Carlo interval, widened by `verify`'s default tolerance.  Two
@@ -21,7 +25,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from acnbounds.adversaries import (attack_view, counting_attack,
+from acnbounds import cli
+from acnbounds.adversaries import (COUNTING, DROP_ATTACK, TIMING,
+                                   attack_view, counting_attack,
                                    dropping_attack, random_guess_attack,
                                    timing_attack, tracing_attack,
                                    validate_attack)
@@ -30,9 +36,9 @@ from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
                             make_batch)
 from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import (DROPPING, ONION_PATH, THRESHOLD_MIX,
-                                 TRILEMMA_SYNC, TRILEMMA_UNSYNC, VARIANTS,
-                                 ProtocolKind)
+from acnbounds.protocols import (BROADCAST, DROPPING, ONION_PATH,
+                                 THRESHOLD_MIX, TRILEMMA_SYNC,
+                                 TRILEMMA_UNSYNC, VARIANTS, ProtocolKind)
 
 SO = parse_notion("SO")
 MODES = (SIMULTANEOUS, RANDOM_PERM)
@@ -256,6 +262,45 @@ def test_exact_cover_rate_is_the_typed_decimal(beta, p_real, l_max):
         n=2, l_max=l_max, beta=beta, p_real=p_real))
     got = exact_advantage(kind, timing_attack(2), _pair(2, SIMULTANEOUS))
     assert got == Fraction(7, 10) ** (l_max - 1)
+
+
+# ------------------------------------------------------ reference table
+
+_GRID_RATES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _timing_points(ns):
+    return [(ProtocolParams(n=n, l_max=l_max, beta=beta), timing_attack(n))
+            for n in ns for l_max in (1, 2, 3) for beta in _GRID_RATES]
+
+
+# tiny (params, attack) points for each row of `verify`'s reference table
+REFERENCE_POINTS = {
+    (TRILEMMA_SYNC, TIMING): _timing_points((2, 3, 4)),
+    (TRILEMMA_UNSYNC, TIMING): _timing_points((2, 3)),
+    (BROADCAST, COUNTING): [
+        (ProtocolParams(n=n, l_max=l_max), counting_attack(n))
+        for n in (2, 3) for l_max in (1, 2, 3)],
+    (DROPPING, DROP_ATTACK): [
+        (ProtocolParams(n=n, l_max=1, relays=n, copies=copies,
+                        integrated=integrated), dropping_attack(n, c_a))
+        for n in (2, 3, 4, 5) for copies in range(1, min(3, n) + 1)
+        for integrated in (False, True) for c_a in range(n + 1)],
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._REFERENCES), ids="/".join)
+def test_reference_values_hold_on_the_exact_route(key):
+    # a row without tiny points fails here, so each new row is checked
+    check, value = cli._REFERENCES[key][:2]
+    for params, attack in REFERENCE_POINTS[key]:
+        kind = ProtocolKind(key[0], params)
+        exact = exact_advantage(kind, attack, _pair(params.n, SIMULTANEOUS))
+        ref = value(params, attack.capability)
+        if check == "floor":
+            assert ref <= exact, (params, attack)
+        else:
+            assert ref == pytest.approx(exact), (params, attack)
 
 
 # ---------------------------------------------------------- cross-route

@@ -110,7 +110,7 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
             raise CapabilityError("dropping needs active control, the "
                                   "receiver, and the expected reception")
         # as for tracing, relays=0 is a model without a relay pool
-        pool = params.n if params.integrated else params.relays
+        pool = params.first_hops
         if 0 < pool < cap.c_a:
             raise CapabilityError(f"dropping controls c_a={cap.c_a} first "
                                   f"hops, but the pool has only {pool}")

@@ -38,6 +38,10 @@ from .protocols import ProtocolKind, VARIANTS
 
 
 class _Parser(argparse.ArgumentParser):
+    # a flag matches only as typed, never by a prefix of its name
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on bad usage; the contract reserves 2 for failed
     # verification, so usage problems leave with 1 instead
     def error(self, message):
@@ -68,7 +72,7 @@ _BOUNDS = {
     "optimality": lambda ns, beta, p: {
         "total": bounds.optimality_overhead(ns.n, ns.mu)},
     "onion-cost": lambda ns, beta, p: bounds.onion_cost(
-        ns.basis, ns.n, ns.lam, p=p or 1.0, l_exp=ns.lexp),
+        ns.basis, ns.n, ns.lam, p=1.0 if ns.p is None else p, l_exp=ns.lexp),
 }
 
 _ATTACKS = {
@@ -105,25 +109,27 @@ _REFERENCES = {
     ("dropping-model", "dropping"): (
         "exact",
         lambda p, cap: dropping_success_rate(
-            cap.c_a, p.copies, p.n if p.integrated else p.relays,
-            p.integrated),
+            cap.c_a, p.copies, p.first_hops, p.integrated),
         "dropping-model c_a={ca} copies={copies} pool={relays}",
         [f"--n 3 --lmax 1 --relays 4 --copies 2 --ca {c_a}"
          for c_a in (0, 1, 2, 4)]),
 }
 
 
-def _add_common(sp, n=2):
+def _add_common(sp, n=2, point=True, lam=True, poly_lambda=True):
     sp.add_argument("--config", help="JSON file with flat default values")
     sp.add_argument("--n", type=int, default=n)
-    sp.add_argument("--lmax", type=int, default=1)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--p", type=float,
-                    help="total send rate; shorthand for beta=p, p-real=0")
-    sp.add_argument("--lam", type=float, default=256.0)
-    sp.add_argument("--poly-lambda", dest="poly_lambda", type=float)
-    sp.add_argument("--cp", type=int, default=0,
-                    help="passively compromised relays")
+    if point:
+        sp.add_argument("--lmax", type=int, default=1)
+        sp.add_argument("--beta", type=float)
+        sp.add_argument("--p", type=float,
+                        help="total send rate; shorthand for beta=p, p-real=0")
+        sp.add_argument("--cp", type=int, default=0,
+                        help="passively compromised relays")
+    if lam:
+        sp.add_argument("--lam", type=float, default=256.0)
+    if poly_lambda:
+        sp.add_argument("--poly-lambda", dest="poly_lambda", type=float)
 
 
 def _build_parser():
@@ -131,7 +137,7 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
 
     b = sub.add_parser("bound", help="evaluate a closed-form bound")
-    _add_common(b)
+    _add_common(b, poly_lambda=False)
     b.add_argument("--kind", choices=_BOUNDS)
     b.add_argument("--relays", type=int, default=0)
     b.add_argument("--out", type=int, default=1, help="delivered messages")
@@ -143,7 +149,7 @@ def _build_parser():
 
     for name in ("simulate", "verify"):
         s = sub.add_parser(name, help=f"{name} an attack's advantage")
-        _add_common(s)
+        _add_common(s, lam=False, poly_lambda=False)
         s.add_argument("--protocol", choices=VARIANTS)
         s.add_argument("--attack", choices=_ATTACKS)
         s.add_argument("--notion", default="SO")
@@ -169,7 +175,7 @@ def _build_parser():
     r.add_argument("--bound", choices=("counting", "trilemma", "dropping"))
 
     a = sub.add_parser("atlas", help="preset verdicts or a CSV grid")
-    _add_common(a, n=1000)
+    _add_common(a, n=1000, point=False)
     a.add_argument("--mode", choices=atlas_mod.MODES, default="general")
     a.add_argument("--preset", choices=sorted(atlas_mod.PRESETS))
     a.add_argument("--grid", action="store_true")
@@ -218,16 +224,32 @@ def _load_config(path, commands, command):
     return cfg
 
 
-def _protocol_params(ns) -> ProtocolParams:
-    beta = ns.beta
-    p_real = ns.p_real
-    if ns.p is not None and beta is None and p_real is None:
+def _given(ns, sp):
+    """The flags typed off the subcommand's defaults (config values count
+    as defaults), so a mode can refuse a flag that it does not read."""
+    return {dest for dest, value in vars(ns).items()
+            if value != sp.get_default(dest)} - {"command", "config"}
+
+
+def _refuse(what, dests):
+    """Exit 1 before any output when `what` is given flags it cannot read."""
+    if dests:
+        raise ConfigError(f"{what} takes no " + ", ".join(
+            "--" + d.replace("_", "-") for d in sorted(dests)))
+
+
+def _protocol_params(ns, given) -> ProtocolParams:
+    beta, p_real = ns.beta, ns.p_real
+    if "p" in given:
+        _refuse("--p (shorthand for --beta with --p-real 0)",
+                given & {"beta", "p_real"})
+    # a typed --p wins over a config-file beta or p_real
+    if ns.p is not None and ("p" in given or beta is None and p_real is None):
         beta, p_real = ns.p, 0.0
     return ProtocolParams(
         n=ns.n, l_max=ns.lmax, beta=beta or 0.0, p_real=p_real or 0.0,
-        l_exp=ns.lexp, relays=ns.relays or 0, threshold=ns.threshold or 0,
-        copies=ns.copies or 1, rounds=ns.rounds,
-        integrated=bool(ns.integrated))
+        l_exp=ns.lexp, relays=ns.relays, threshold=ns.threshold,
+        copies=ns.copies, rounds=ns.rounds, integrated=ns.integrated)
 
 
 def _counting(out, hops):
@@ -236,7 +258,7 @@ def _counting(out, hops):
             "overhead_fraction": r.overhead_fraction}
 
 
-def _cmd_bound(ns) -> int:
+def _cmd_bound(ns, given) -> int:
     if ns.kind is None:
         raise ConfigError("bound needs --kind")
     beta = ns.beta if ns.beta is not None else 0.0
@@ -246,9 +268,9 @@ def _cmd_bound(ns) -> int:
     return 0
 
 
-def _game(ns):
+def _game(ns, given):
     """The protocol and attack the flags name."""
-    params = _protocol_params(ns)
+    params = _protocol_params(ns, given)
     if ns.protocol is None:
         raise ConfigError("need --protocol")
     kind = ProtocolKind(ns.protocol, params)
@@ -262,8 +284,8 @@ def _pair(ns, params):
                          length=ns.length)
 
 
-def _cmd_simulate(ns) -> int:
-    kind, attack = _game(ns)
+def _cmd_simulate(ns, given) -> int:
+    kind, attack = _game(ns, given)
     pair = _pair(ns, kind.params)
     est = estimate_advantage(kind, attack, pair, ns.trials, ns.seed)
     print(record_json(result_record(kind, attack, pair, est, ns.seed)))
@@ -289,10 +311,10 @@ def _check(kind, attack, pair, trials, seed, tol):
     return est, expected, check, ok
 
 
-def _cmd_verify(ns) -> int:
+def _cmd_verify(ns, given) -> int:
     if ns.sweep:
-        return _sweep(ns)
-    kind, attack = _game(ns)
+        return _sweep(ns, given)
+    kind, attack = _game(ns, given)
     pair = _pair(ns, kind.params)
     est, expected, check, ok = _check(kind, attack, pair, ns.trials,
                                       ns.seed, ns.tol)
@@ -312,13 +334,11 @@ def _point_seed(seed, label):
     return int.from_bytes(digest[:8], "big")
 
 
-def _sweep(ns) -> int:
+def _sweep(ns, given) -> int:
     """One line per `_REFERENCES` point, in table order; exit 2 if any
     check fails."""
-    if ns.protocol or ns.attack:
-        raise ConfigError("verify --sweep runs every reference row; drop "
-                          "--protocol and --attack")
-    parser, _ = _build_parser()
+    _refuse("verify --sweep", given - {"sweep", "trials", "seed", "tol"})
+    parser, commands = _build_parser()
     so = parse_notion("SO")
     failures = 0
     for (proto, att), (_, _, label, points) in _REFERENCES.items():
@@ -326,7 +346,7 @@ def _sweep(ns) -> int:
             point = parser.parse_args(["verify", "--protocol", proto,
                                        "--attack", att, *flags.split()])
             name = label.format(**vars(point))
-            kind, attack = _game(point)
+            kind, attack = _game(point, _given(point, commands["verify"]))
             last = point.n - 1
             pair = ScenarioPair(make_batch([Communication(0, last, 0)]),
                                 make_batch([Communication(1, last, 0)]), so)
@@ -343,7 +363,7 @@ def _sweep(ns) -> int:
     return 0
 
 
-def _cmd_region(ns) -> int:
+def _cmd_region(ns, given) -> int:
     if ns.bound is None:
         raise ConfigError("region needs --bound")
     verdict = bounds.impossibility_region(
@@ -371,13 +391,15 @@ def _parse_ranges(ns):
     return lmaxes, betas
 
 
-def _cmd_atlas(ns) -> int:
+def _cmd_atlas(ns, given) -> int:
     if ns.grid:
+        _refuse("atlas --grid", given & {"mode", "preset"})
         lmaxes, betas = _parse_ranges(ns)
         for line in atlas_mod.emit_grid(lmaxes, betas, n=ns.n, lam=ns.lam,
                                         poly_lambda=ns.poly_lambda):
             print(line)
         return 0
+    _refuse("atlas without --grid", given & {"lmax_range", "beta_range"})
     names = [ns.preset] if ns.preset else sorted(atlas_mod.PRESETS)
     rows = [atlas_mod.classify(atlas_mod.PRESETS[x], ns.mode, n=ns.n,
                                lam=ns.lam, poly_lambda=ns.poly_lambda)
@@ -404,7 +426,8 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(
                 **_load_config(args.config, commands, args.command))
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](
+            args, _given(args, commands[args.command]))
     except (ConfigError, CapabilityError, ValueError, OSError) as exc:
         print(f"acnbounds: {exc}", file=sys.stderr)
         return 1

@@ -174,6 +174,10 @@ class ProtocolParams:
         return self.beta + self.p_real
 
     @property
+    def first_hops(self) -> int:  # the dropping model's first-hop pool
+        return self.n if self.integrated else self.relays
+
+    @property
     def p_exact(self) -> Fraction:
         """p in the decimals the user typed: Fraction(0.3) would be
         5404319552844595/2**54, this is 3/10."""

@@ -139,8 +139,7 @@ class ProtocolKind:
         if v == THRESHOLD_MIX and p.threshold < 1:
             raise ConfigError("threshold mix needs threshold >= 1")
         if v == DROPPING:
-            pool = p.n if p.integrated else p.relays
-            if pool < p.copies:
+            if p.first_hops < p.copies:
                 raise ConfigError("need at least `copies` distinct first hops")
 
 
@@ -426,8 +425,7 @@ def _fields(kind: ProtocolKind, batch, perm, watch=None):
                 _Cover(_noise_slots(kind, batch, slots, horizon), params,
                        path, watch))
     if v == DROPPING:
-        pool = range(params.n) if params.integrated else range(params.relays)
-        first_hops = _Subset(pool, params.copies)
+        first_hops = _Subset(range(params.first_hops), params.copies)
         return (_Picks(None if row is NO_COMM else first_hops
                        for row in batch.rows),)
     # threshold mix, dc-net and broadcast are deterministic given the schedule

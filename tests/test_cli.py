@@ -291,3 +291,128 @@ def test_bad_grid_values_exit_one_before_any_output(capsys, flags):
     code, out, err = _run(capsys, "atlas", "--grid", *flags)
     assert code == 1 and out == ""
     assert err.startswith("acnbounds: ")
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+_BOUND = ["bound", "--kind", "trilemma-sync", "--n", "10", "--lmax", "2",
+          "--beta", "0.1"]
+_DROPPING = ["--protocol", "dropping-model", "--attack", "dropping",
+             "--n", "3", "--lmax", "1", "--relays", "4", "--trials", "200"]
+_VERIFY = ["verify", *_DROPPING, "--copies", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _BOUND + ["--poly-lambda", "5"],
+    _SIMULATE + ["--lam", "5"],
+    _SIMULATE + ["--poly-lambda", "5"],
+    _VERIFY + ["--lam", "5"],
+    _VERIFY + ["--poly-lambda", "5"],
+    ["atlas", "--lmax", "3"],
+    ["atlas", "--beta", "0.7"],
+    ["atlas", "--p", "0.5"],
+    ["atlas", "--cp", "2"],
+], ids=["bound-poly-lambda", "simulate-lam", "simulate-poly-lambda",
+        "verify-lam", "verify-poly-lambda", "atlas-lmax", "atlas-beta",
+        "atlas-p", "atlas-cp"])
+def test_unread_flags_are_not_declared(capsys, argv):
+    code, out, err = _usage_error(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE + ["--tri", "300"],
+    ["verify", "--sw", "--trials", "200"],
+    ["simulate", *_DROPPING, "--int"],
+    ["atlas", "--beta", "0.7"],
+], ids=["trials", "sweep", "integrated", "beta-range"])
+def test_flags_match_only_as_typed(capsys, argv):
+    code, out, err = _usage_error(capsys, argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_zero_copies_is_not_read_as_one(capsys):
+    code, out, err = _run(capsys, "simulate", *_DROPPING, "--copies", "0")
+    assert code == 1 and out == ""
+    assert "copies" in err
+
+
+def test_onion_cost_takes_a_typed_zero_rate(capsys):
+    argv = ["bound", "--kind", "onion-cost", "--n", "10"]
+    code, out, _ = _run(capsys, *argv, "--p", "0")
+    assert code == 0 and json.loads(out)["per-user"] == 0.0
+    # without --p every user sends in every round
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and json.loads(out)["per-user"] == 80.0
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE + ["--beta", "0.1"],
+    _SIMULATE + ["--p-real", "0.1"],
+    ["verify", *_SIMULATE[1:], "--beta", "0.2"],
+], ids=["simulate-beta", "simulate-p-real", "verify-beta"])
+def test_typed_p_with_another_rate_exits_one(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("acnbounds: --p ")
+
+
+def test_config_rates_yield_to_typed_rates(tmp_path, capsys):
+    argv = [x for x in _SIMULATE if x not in ("--p", "0.4")]
+    _, plain, _ = _run(capsys, *argv, "--p", "0.3")
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"p": 0.3}))
+    code, out, _ = _run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out == plain
+    code, out, _ = _run(capsys, *argv, "--config", str(cfg), "--beta", "0.2")
+    assert code == 0 and json.loads(out)["params"]["beta"] == 0.2
+    # a typed --p wins over a config-file beta, as every typed flag does
+    cfg.write_text(json.dumps({"beta": 0.1}))
+    code, out, _ = _run(capsys, *argv, "--config", str(cfg), "--p", "0.3")
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--sweep", "--n", "50", "--p", "0.9", "--notion", "SML"],
+    ["atlas", "--grid", "--preset", "tor", "--mode", "special"],
+    ["atlas", "--lmax-range", "2:3"],
+], ids=["sweep-point-flags", "grid-preset", "range-without-grid"])
+def test_flags_a_mode_does_not_read_exit_one(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert " takes no --" in err
+
+
+# sha256 of README's command examples' stdout; a change to the flags must
+# leave every documented invocation's output as it was
+README_SHA256 = {
+    "bound --kind trilemma-sync --n 10 --lmax 2 --beta 0.1":
+        "230910ba4806ad2dcf21809605c041241030f0417252e439e04ec60c55766eb9",
+    "simulate --protocol trilemma-unsync --attack timing-interval --n 10 "
+    "--lmax 3 --p 0.3 --trials 100000 --seed 0":
+        "70262af77bef4e1137051a786c744db1c0891a0c79c16e1cc17c0400ea2b9604",
+    "verify --protocol trilemma-unsync --attack timing-interval --n 10 "
+    "--lmax 3 --p 0.3 --trials 20000 --seed 0 --tol 0.02":
+        "cd8b04634cfdba9cece6c0862b6106a10c598a492f2f58f0acb255252567be28",
+    "region --bound trilemma --lmax 2 --beta 0.3":
+        "5b4a28aecf48bc0df6a03448bc811d5a2223b37c54693456e6ecd161dda80a45",
+    "atlas":
+        "3d6d6b4671568c04f83999bdec1b0b4294b1a30dd17972476a75fb0d34d6f33d",
+    "atlas --grid --lmax-range 2:10 --beta-range 0.01:0.99:25":
+        "d033ee17b139592bac1dcaa65809c187a6f74f541c16dea28cdeb234585eaab3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(README_SHA256), ids=[
+    "atlas", "atlas-grid", "bound", "region", "simulate", "verify"])
+def test_readme_examples_print_the_pinned_output(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == README_SHA256[argv]

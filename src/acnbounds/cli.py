@@ -63,11 +63,11 @@ _BOUNDS = {
     "compromising-sync": lambda ns, beta, p: {
         "delta": bounds.trilemma_compromising(
             bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
-            relays=ns.relays or max(ns.cp, 1))},
+            relays=ns.relays)},
     "compromising-unsync": lambda ns, beta, p: {
         "delta": bounds.trilemma_compromising(
             bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
-            relays=ns.relays or max(ns.cp, 1))},
+            relays=ns.relays)},
     "counting": lambda ns, beta, p: _counting(ns.out, ns.hops),
     "optimality": lambda ns, beta, p: {
         "total": bounds.optimality_overhead(ns.n, ns.mu)},
@@ -75,12 +75,24 @@ _BOUNDS = {
         ns.basis, ns.n, ns.lam, p=1.0 if ns.p is None else p, l_exp=ns.lexp),
 }
 
+# --attack -> (the flags of `_MODEL_FLAGS` it reads, the attack)
 _ATTACKS = {
-    "counting": lambda ns: counting_attack(ns.n),
-    "timing-interval": lambda ns: timing_attack(ns.n),
-    "path-tracing": lambda ns: tracing_attack(ns.n, ns.cp),
-    "dropping": lambda ns: dropping_attack(ns.n, ns.ca),
-    "random-guess": lambda ns: random_guess_attack(),
+    "counting": ((), lambda ns: counting_attack(ns.n)),
+    "timing-interval": ((), lambda ns: timing_attack(ns.n)),
+    "path-tracing": (("cp",), lambda ns: tracing_attack(ns.n, ns.cp)),
+    "dropping": (("ca",), lambda ns: dropping_attack(ns.n, ns.ca)),
+    "random-guess": ((), lambda ns: random_guess_attack()),
+}
+
+# the `simulate` flags that only some protocols or attacks read
+_MODEL_FLAGS = set("relays lexp threshold copies integrated cp ca".split())
+
+# --protocol -> the flags of `_MODEL_FLAGS` it reads; the dropping model
+# reads --relays only as its first-hop pool, which --integrated replaces
+_PROTOCOL_READS = {
+    "onion-path": ("relays", "lexp"),
+    "threshold-mix": ("threshold",),
+    "dropping-model": ("relays", "copies", "integrated"),
 }
 
 # (protocol, attack) -> (check, value(params, capability), label, points):
@@ -139,7 +151,8 @@ def _build_parser():
     b = sub.add_parser("bound", help="evaluate a closed-form bound")
     _add_common(b, poly_lambda=False)
     b.add_argument("--kind", choices=_BOUNDS)
-    b.add_argument("--relays", type=int, default=0)
+    b.add_argument("--relays", type=int,
+                   help="relay pool size; default max(cp, 1)")
     b.add_argument("--out", type=int, default=1, help="delivered messages")
     b.add_argument("--hops", type=int, default=1)
     b.add_argument("--mu", type=int, default=1, help="messages per user")
@@ -263,20 +276,29 @@ def _cmd_bound(ns, given) -> int:
         raise ConfigError("bound needs --kind")
     beta = ns.beta if ns.beta is not None else 0.0
     p = ns.p if ns.p is not None else 0.0
+    if ns.relays is None:
+        # the smallest pool that holds the c_p compromised relays
+        ns.relays = max(ns.cp, 1)
     out = {"kind": ns.kind, **_BOUNDS[ns.kind](ns, beta, p)}
     print(json.dumps(out, sort_keys=True))
     return 0
 
 
 def _game(ns, given):
-    """The protocol and attack the flags name."""
+    """The protocol and attack the flags name; a flag of `_MODEL_FLAGS`
+    that neither reads exits 1."""
     params = _protocol_params(ns, given)
     if ns.protocol is None:
         raise ConfigError("need --protocol")
     kind = ProtocolKind(ns.protocol, params)
     if ns.attack is None:
         raise ConfigError("simulate needs --attack")
-    return kind, _ATTACKS[ns.attack](ns)
+    reads, attack = _ATTACKS[ns.attack]
+    reads = {*reads, *_PROTOCOL_READS.get(ns.protocol, ())}
+    if ns.integrated and "integrated" in reads:
+        reads.remove("relays")
+    _refuse(f"{ns.protocol} with {ns.attack}", given & _MODEL_FLAGS - reads)
+    return kind, attack(ns)
 
 
 def _pair(ns, params):

@@ -40,10 +40,6 @@ class _NoComm:
 
 NO_COMM = _NoComm()
 
-SIMULTANEOUS = "simultaneous"
-RANDOM_PERM = "random-permutation"
-_MODES = (SIMULTANEOUS, RANDOM_PERM)
-
 
 @dataclass(frozen=True)
 class Communication:
@@ -87,23 +83,21 @@ def hash_once(cls):
 @hash_once
 @dataclass(frozen=True)
 class Batch:
-    """Ordered rows handed to the challenger; start order depends on mode."""
+    """Ordered rows handed to the challenger; the protocol variant's
+    schedule sets the round each row starts in."""
 
     rows: tuple
-    mode: str = SIMULTANEOUS
 
 
-def make_batch(comms, mode=SIMULTANEOUS) -> Batch:
+def make_batch(comms) -> Batch:
     """Build a batch from a sequence of Communication/NO_COMM rows."""
     rows = tuple(comms)
     if not rows:
         raise ValueError("batch needs at least one row")
-    if mode not in _MODES:
-        raise ValueError(f"unknown ordering mode {mode!r}")
     for r in rows:
         if not isinstance(r, (Communication, _NoComm)):
             raise ValueError(f"not a batch row: {r!r}")
-    return Batch(rows, mode)
+    return Batch(rows)
 
 
 def sender_counts(batch: Batch) -> dict:

@@ -21,10 +21,10 @@ would give, and the exact route sums the same probabilities.
 
 Determinism contract: a solve builds one `random.Random(str(master_seed))`
 (a str seed keeps the sign, which an int seed drops) and draws every
-trial's start order and non-cover fields from it, in trial order.  Trial
-i's hash h = sha256(f"{master_seed}:{i}") gives the challenge bit
-(h[0] & 1), the tie-break bit (h[9] & 1) and the key of the trial's
-per-user cover streams (h[10:]).  The trials run in one serial loop, so
+trial's non-cover fields from it, in trial order.  Trial i's hash
+h = sha256(f"{master_seed}:{i}") gives the challenge bit (h[0] & 1), the
+tie-break bit (h[9] & 1) and the key of the trial's per-user cover
+streams (h[10:]).  The trials run in one serial loop, so
 results are set by the master seed and nothing else.  Solves at one seed
 share their trials' randomness: attacks on one protocol play the same
 outcomes, and a user's cover coins do not depend on n, so points meant

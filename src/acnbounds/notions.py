@@ -207,13 +207,14 @@ def valid_under_reindexing(notion: Notion, b0: Batch, b1: Batch):
     """Search permutations of b1's rows; return the first (lexicographically
     smallest in index order) that makes the pair valid, or None.
 
-    Batches model communications that start in an unpredictable order, so
-    two pairs that differ only by the recorded order of batch1 describe the
-    same challenge.
+    A notion constrains which communications each scenario holds, not
+    where a row is recorded, so reordering batch1 asks the notion the same
+    question.  A game plays a pair's rows in the order given, which a
+    slotted protocol model reads as one start round per row.
     """
     n = len(b1.rows)
     for perm in itertools.permutations(range(n)):
-        candidate = Batch(tuple(b1.rows[i] for i in perm), b1.mode)
+        candidate = Batch(tuple(b1.rows[i] for i in perm))
         if is_valid_pair(notion, b0, candidate):
             return perm
     return None

@@ -26,15 +26,15 @@ Shared conventions:
   of scope here.
 
 Each variant's randomness is written once, in `_fields`, as an ordered
-tuple of *fields of draws* for one arm and start order.  A field is one
-pick per batch row (None for a row with nothing to draw) or the cover
-coins, one per free (round, user) slot.  A pick is a uniform choice (a
-transit delay), a sorted k-subset (a sync cohort tagged with its round, a
-dropping copy's first hops) or an ordered k-sample (an onion path).  An
-outcome is the start order followed by one value per field: unsync
-(perm, delays, fired), sync (perm, delays, cohorts), onion (perm, paths,
-fired with paths), dropping (None, first hops); the other models are
-deterministic given the schedule, (perm,).
+tuple of *fields of draws* for one arm.  A field is one pick per batch
+row (None for a row with nothing to draw) or the cover coins, one per
+free (round, user) slot.  A pick is a uniform choice (a transit delay), a
+sorted k-subset (a sync cohort tagged with its round, a dropping copy's
+first hops) or an ordered k-sample (an onion path).  An outcome is one
+value per field: unsync (delays, fired), sync (delays, cohorts), onion
+(paths, fired with paths), dropping (first hops,); the other models are
+deterministic given the schedule, ().  A random send time, too, would be
+a field of draws.
 
 Every field has `draw(rng, key)`, which `sample_outcome` calls in order,
 and `options()`, its values with integer weights over one denominator,
@@ -72,8 +72,8 @@ game builds just what its attack reads, so a trial costs what the
 adversary looks at rather than `n x horizon` events, and the relabel and
 `filter_trace` run over those few rows.  Without a view it builds the
 full trace.  It and `_fields` read an arm's schedule from `_schedule`,
-which applies the variant's `_TIMING` row once per arm and start order
-and raises ConfigError for a schedule the model cannot run;
+which applies the variant's `_TIMING` row once per arm and raises
+ConfigError for a schedule the model cannot run;
 `check_schedule` evaluates it before a game plays its first trial.
 """
 
@@ -89,8 +89,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, RANDOM_PERM,
-                   SEND, ConfigError, ObservationEvent, ObservationTrace,
+from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, SEND,
+                   ConfigError, ObservationEvent, ObservationTrace,
                    ResourceLimitError, View, hash_once, relay_loc)
 
 TRILEMMA_SYNC = "trilemma-sync"
@@ -104,18 +104,18 @@ DROPPING = "dropping-model"
 VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, THRESHOLD_MIX,
             DCNET, BROADCAST, DROPPING)
 
-# Per variant: whether batch rows start one per round from t0 (else all at
-# t0, unless the pair asks for a random start order), and the longest
-# transit in rounds.  The dropping model (no transit) sends in round 1,
-# forwards in round 2 and delivers in round 3 whatever the schedule.
+# Per variant: the rounds between successive batch rows' starts (1: one
+# per round from t0, 0: all at t0), and the longest transit in rounds.
+# The dropping model (no transit) sends in round 1, forwards in round 2
+# and delivers in round 3 whatever the schedule.
 _TIMING = {
-    TRILEMMA_SYNC: (True, lambda p: p.l_max - 1),
-    TRILEMMA_UNSYNC: (False, lambda p: p.l_max - 1),
-    ONION_PATH: (False, lambda p: p.l_exp - 1),
-    THRESHOLD_MIX: (False, lambda p: 1),
-    DCNET: (True, lambda p: 0),
-    BROADCAST: (False, lambda p: 1),
-    DROPPING: (False, None),
+    TRILEMMA_SYNC: (1, lambda p: p.l_max - 1),
+    TRILEMMA_UNSYNC: (0, lambda p: p.l_max - 1),
+    ONION_PATH: (0, lambda p: p.l_exp - 1),
+    THRESHOLD_MIX: (0, lambda p: 1),
+    DCNET: (1, lambda p: 0),
+    BROADCAST: (0, lambda p: 1),
+    DROPPING: (0, None),
 }
 
 ENUM_LIMIT = 2_000_000
@@ -157,26 +157,22 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(kind: ProtocolKind, batch, perm):
-    """(slots, horizon) of one arm under one start order, read off the
-    variant's `_TIMING` row: each batch row's start round (None for a row
-    with nothing to send) and the last round the run needs, or `rounds`
-    when the user set it.
+def _schedule(kind: ProtocolKind, batch):
+    """(slots, horizon) of one arm, read off the variant's `_TIMING` row:
+    each batch row's start round (None for a row with nothing to send) and
+    the last round the run needs, or `rounds` when the user set it.
 
     A pure function of frozen arguments, cached so a trial loop computes
-    it once per arm and permutation instead of once per trial.  Raises
-    ConfigError for a schedule the model cannot run.
+    it once per arm instead of once per trial.  Raises ConfigError for a
+    schedule the model cannot run.
     """
     params = kind.params
-    per_round, transit = _TIMING[kind.variant]
+    step, transit = _TIMING[kind.variant]
     t0 = params.l_max
-    stagger = per_round or batch.mode == RANDOM_PERM
-    order = range(len(batch.rows)) if perm is None else perm
-    starts = [t0 + k for k in order] if stagger else [t0] * len(order)
-    slots = tuple(None if row is NO_COMM else t
-                  for row, t in zip(batch.rows, starts))
+    slots = tuple(None if row is NO_COMM else t0 + step * k
+                  for k, row in enumerate(batch.rows))
     needed = (3 if transit is None else
-              t0 + (len(order) - 1 if stagger else 0) + transit(params))
+              t0 + step * (len(batch.rows) - 1) + transit(params))
     if (kind.variant == THRESHOLD_MIX
             and sum(s is not None for s in slots) < params.threshold):
         raise ConfigError("fewer scheduled messages than the threshold, "
@@ -191,12 +187,7 @@ def check_schedule(kind: ProtocolKind, pair) -> None:
     """Raise ConfigError if either arm's schedule cannot run, so a bad
     threshold or a too-short horizon fails before the first trial."""
     for b in (0, 1):
-        # neither check depends on the start order
-        _schedule(kind, pair.batch(b), None)
-
-
-def _needs_perm(kind: ProtocolKind, batch) -> bool:
-    return batch.mode == RANDOM_PERM and _TIMING[kind.variant][1] is not None
+        _schedule(kind, pair.batch(b))
 
 
 # ---------------------------------------------------------- fields of draws
@@ -401,14 +392,13 @@ class _Cover:
 
 
 @functools.lru_cache(maxsize=64)
-def _fields(kind: ProtocolKind, batch, perm, watch=None):
-    """The randomness of one arm under one start order, as the ordered
-    fields of draws an outcome holds after its start order.  With `watch`,
-    a view's senders, the cover holds only the watched users' slots, and
-    an onion cover no paths (see `_Cover`); every other field is drawn in
-    full."""
+def _fields(kind: ProtocolKind, batch, watch=None):
+    """The randomness of one arm, as the ordered fields of draws an
+    outcome holds.  With `watch`, a view's senders, the cover holds only
+    the watched users' slots, and an onion cover no paths (see `_Cover`);
+    every other field is drawn in full."""
     v, params = kind.variant, kind.params
-    slots, horizon = _schedule(kind, batch, perm)
+    slots, horizon = _schedule(kind, batch)
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delay = _Choice(range(1, params.l_max) if params.l_max > 1 else (0,))
         delays = _Picks(None if s is None else delay for s in slots)
@@ -438,61 +428,51 @@ def _watch(view):
 
 def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
                    view, key: bytes):
-    """Draw one random outcome: the start order, then each field in turn.
-    `rng` is a plain `random.Random` (see `_sampler`) and gives the start
-    order and every field but the cover, whose coins come from per-user
-    streams under the trial's `key` (see `_Cover`).
+    """Draw one random outcome, each field in turn.  `rng` is a plain
+    `random.Random` (see `_sampler`) and gives every field but the cover,
+    whose coins come from per-user streams under the trial's `key` (see
+    `_Cover`).
 
-    With a `View` (None for the full outcome) the outcome is projected onto it, for `build_trace` with
-    the same view: the cover holds only the view's senders' slots, each
-    drawn as in the full outcome (an onion cover's without its path), and
-    the rng ends in the same state.
+    With a `View` (None for the full outcome) the outcome is projected
+    onto it, for `build_trace` with the same view: the cover holds only
+    the view's senders' slots, each drawn as in the full outcome (an onion
+    cover's without its path), and the rng ends in the same state.
     """
-    batch = pair.batch(b)
-    rows = len(batch.rows)
-    perm = (tuple(rng.sample(range(rows), rows))
-            if _needs_perm(kind, batch) else None)
-    return (perm, *[f.draw(rng, key)
-                    for f in _fields(kind, batch, perm, _watch(view))])
+    return tuple([f.draw(rng, key)
+                  for f in _fields(kind, pair.batch(b), _watch(view))])
 
 
 def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     """Every (probability, outcome) with exact Fraction probabilities, in
-    the order of the start orders and then of each field's options.  With
-    a `View` the outcomes are projected as in `sample_outcome`, and their
-    probabilities are the exact marginals of the full ones.
+    the order of each field's options.  With a `View` the outcomes are
+    projected as in `sample_outcome`, and their probabilities are the
+    exact marginals of the full ones.
 
     The leaves of each field are listed once, then their product is
     streamed; zero-weight options are pruned, so degenerate rates (p of 0
     or 1) stay cheap.  All leaves of an arm share one denominator, so a
     leaf's weight is an int product and each distinct probability becomes
-    a Fraction once per start order.
+    a Fraction once.
     """
-    batch = pair.batch(b)
-    rows = len(batch.rows)
-    watch = _watch(view)
-    first = tuple(range(rows)) if _needs_perm(kind, batch) else None
-    nperm = 1 if first is None else math.factorial(rows)
-    # counted before anything is listed, start orders included; field
-    # sizes do not depend on the start order
-    count = nperm * prod(f.size for f in _fields(kind, batch, first, watch))
+    fields = _fields(kind, pair.batch(b), _watch(view))
+    # counted before anything is listed
+    count = prod(f.size for f in fields)
     if count > ENUM_LIMIT:
         raise ResourceLimitError(f"outcome space has {count} leaves, "
                                  f"limit is {ENUM_LIMIT}")
+    den, tables = 1, []
+    for field in fields:
+        d, leaves = field.options()
+        den *= d
+        tables.append(leaves)
     results = []
     add = results.append
-    for perm in [None] if first is None else itertools.permutations(first):
-        den, tables = nperm, []
-        for field in _fields(kind, batch, perm, watch):
-            d, leaves = field.options()
-            den *= d
-            tables.append(leaves)
-        made = {}
-        for num, xs in _product(tables):
-            prob = made.get(num)
-            if prob is None:
-                prob = made[num] = Fraction(num, den)
-            add((prob, (perm, *xs)))
+    made = {}
+    for num, xs in _product(tables):
+        prob = made.get(num)
+        if prob is None:
+            prob = made[num] = Fraction(num, den)
+        add((prob, xs))
     return results
 
 
@@ -528,7 +508,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     batch = pair.batch(b)
     params = kind.params
     v = kind.variant
-    slots, horizon = _schedule(kind, batch, outcome[0])
+    slots, horizon = _schedule(kind, batch)
     full = view is None
     if full:
         users = frozenset(range(params.n))
@@ -552,7 +532,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                        msg))
 
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
-        delays = outcome[1]
+        delays = outcome[0]
         for j, row in enumerate(batch.rows):
             if slots[j] is None:
                 continue
@@ -568,21 +548,21 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             # cover sends are most of a wide trace: one comprehension, no
             # call per row
             ev += [(t, _SEND, u, q, SEND, False, None, None, None)
-                   for (t, u), q in zip(outcome[2], pid) if u in senders]
+                   for (t, u), q in zip(outcome[1], pid) if u in senders]
         else:
-            for (t, cohort) in outcome[2]:
+            for (t, cohort) in outcome[1]:
                 for u in cohort:
                     send(t, u, next(pid), False)
 
     elif v == ONION_PATH:
-        paths = outcome[1]
+        paths = outcome[0]
         relay = [relay_loc(k) for k in range(params.relays)]
         add = ev.append
         # real rows first, then cover sends, each with its path; one loop
         # appends every hop, so a trial's cost is the events it emits
         starts = [(slots[j], row.sender, paths[j], row)
                   for j, row in enumerate(batch.rows) if slots[j] is not None]
-        starts += [(t, u, path, None) for (t, u), path in outcome[2]]
+        starts += [(t, u, path, None) for (t, u), path in outcome[1]]
         for t, u, path, row in starts:
             q = next(pid)
             if u in senders:
@@ -639,7 +619,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 deliver(t + lag, r.receiver, next(pid), r.message)
 
     elif v == DROPPING:
-        paths = outcome[1]
+        paths = outcome[0]
         target = pair.suspects()[1]
         cap = capability
         link_drop = bool(cap and cap.active_drop and cap.c_a == 0

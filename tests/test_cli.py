@@ -390,6 +390,79 @@ def test_flags_a_mode_does_not_read_exit_one(capsys, argv):
     assert " takes no --" in err
 
 
+_COMPROMISING = ["bound", "--kind", "compromising-sync", "--n", "10",
+                 "--lmax", "3", "--beta", "0.2"]
+
+
+def test_bound_takes_a_typed_zero_relays(capsys):
+    code, out, err = _run(capsys, *_COMPROMISING, "--cp", "2",
+                          "--relays", "0")
+    assert code == 1 and out == ""
+    assert "need 0 <= c_p <= relays" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (_COMPROMISING + ["--cp", "2"],
+     '{"delta": 1.0, "kind": "compromising-sync"}\n'),
+    (_COMPROMISING + ["--cp", "1"],
+     '{"delta": 0.6666666666666667, "kind": "compromising-sync"}\n'),
+    (["bound", "--kind", "compromising-unsync", "--n", "10", "--lmax", "3",
+      "--p", "0.2", "--cp", "1"],
+     '{"delta": 0.8, "kind": "compromising-unsync"}\n'),
+], ids=["sync-cp-2", "sync-cp-1", "unsync-cp-1"])
+def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
+                                                           want):
+    # without --relays the pool is max(c_p, 1) relays
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == want
+
+
+_UNSYNC = ["--protocol", "trilemma-unsync", "--attack", "timing-interval",
+           "--n", "4", "--lmax", "3", "--p", "0.4", "--trials", "200"]
+_INTEGRATED = ["--protocol", "dropping-model", "--attack", "dropping",
+               "--integrated", "--n", "3", "--lmax", "1", "--trials", "200"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["simulate", *_UNSYNC, "--copies", "3"], "--copies"),
+    (["verify", *_UNSYNC, "--copies", "3"], "--copies"),
+    (["simulate", *_UNSYNC, "--relays", "3"], "--relays"),
+    (["simulate", *_UNSYNC, "--lexp", "2"], "--lexp"),
+    (["simulate", *_UNSYNC, "--threshold", "2"], "--threshold"),
+    (["simulate", *_UNSYNC, "--integrated"], "--integrated"),
+    (["simulate", *_UNSYNC, "--cp", "3"], "--cp"),
+    (["simulate", *_UNSYNC, "--ca", "1"], "--ca"),
+    (["simulate", *_UNSYNC, "--copies", "3", "--cp", "3"], "--copies, --cp"),
+    (["simulate", *_INTEGRATED, "--relays", "4"], "--relays"),
+    (["simulate", *_DROPPING, "--cp", "1"], "--cp"),
+    (["simulate", "--protocol", "onion-path", "--attack", "path-tracing",
+      "--n", "4", "--lmax", "3", "--relays", "3", "--trials", "200",
+      "--ca", "1"], "--ca"),
+], ids=["copies", "verify-copies", "relays", "lexp", "threshold",
+        "integrated", "cp", "ca", "copies-and-cp", "integrated-relays",
+        "dropping-cp", "tracing-ca"])
+def test_flags_a_protocol_or_attack_does_not_read_exit_one(capsys, argv,
+                                                           flags):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.endswith(f" takes no {flags}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
+     "--lmax", "3", "--relays", "3", "--lexp", "2", "--cp", "1",
+     "--trials", "200"],
+    ["--protocol", "threshold-mix", "--attack", "counting", "--n", "4",
+     "--lmax", "2", "--threshold", "1", "--trials", "200"],
+    [*_INTEGRATED, "--copies", "2", "--ca", "1"],
+    [*_DROPPING, "--copies", "2", "--ca", "1"],
+], ids=["onion-tracing", "threshold", "integrated", "dropping"])
+def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
+    code, out, err = _run(capsys, "simulate", *argv)
+    assert code == 0 and err == ""
+
+
 # sha256 of README's command examples' stdout; a change to the flags must
 # leave every documented invocation's output as it was
 README_SHA256 = {

@@ -44,8 +44,6 @@ def test_make_batch_validates():
     with pytest.raises(ValueError):
         make_batch([])
     with pytest.raises(ValueError):
-        make_batch([Communication(0, 1, 0)], mode="shuffled")
-    with pytest.raises(ValueError):
         make_batch([(0, 1, 0)])
 
 

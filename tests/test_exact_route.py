@@ -1,8 +1,8 @@
 """The exact route against pinned values, closed forms and Monte Carlo.
 
 `PINNED` holds `exact_advantage` for every (variant, stock attack) pair
-that `validate_attack` accepts, at one tiny point per variant and both
-start-order modes, as the code produced it when the values were pinned.
+that `validate_attack` accepts, at one tiny point per variant, as the
+code produced it when the values were pinned.
 A change to how enumeration or the game tallies its leaves must leave
 every value equal.
 
@@ -31,9 +31,8 @@ from acnbounds.adversaries import (COUNTING, DROP_ATTACK, TIMING,
                                    dropping_attack, random_guess_attack,
                                    timing_attack, tracing_attack,
                                    validate_attack)
-from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
-                            CapabilityError, Communication, ProtocolParams,
-                            make_batch)
+from acnbounds.core import (NO_COMM, CapabilityError, Communication,
+                            ProtocolParams, make_batch)
 from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (BROADCAST, DROPPING, ONION_PATH,
@@ -41,14 +40,12 @@ from acnbounds.protocols import (BROADCAST, DROPPING, ONION_PATH,
                                  TRILEMMA_UNSYNC, VARIANTS, ProtocolKind)
 
 SO = parse_notion("SO")
-MODES = (SIMULTANEOUS, RANDOM_PERM)
 # the default tolerance of `acnbounds verify`
 TOL = 0.02
 
 # one tiny point and pair shape (see SHAPES) per variant: n=2 keeps the
 # cover-traffic models small, n=3 gives the synchronized model a cohort to
-# choose, and onion routing drops the empty row, whose extra start slot
-# would multiply its leaves by 18
+# choose, and onion routing is pinned on the one-row pair
 BASE = ProtocolParams(n=2, l_max=2, beta=0.25, relays=2, threshold=1)
 POINTS = {v: (BASE, "skip") for v in VARIANTS}
 POINTS[TRILEMMA_SYNC] = (dataclasses.replace(BASE, n=3, beta=0.5), "skip")
@@ -77,12 +74,12 @@ def _stock_attacks(n):
 SHAPES = {"one": (), "skip": (NO_COMM,), "two": ("context",)}
 
 
-def _pair(n, mode, shape="one"):
+def _pair(n, shape="one"):
     last = n - 1
     extra = [Communication(last, 0, 1) if r == "context" else r
              for r in SHAPES[shape]]
-    b0 = make_batch([Communication(0, last, 0)] + extra, mode)
-    b1 = make_batch([Communication(1, last, 0)] + extra, mode)
+    b0 = make_batch([Communication(0, last, 0)] + extra)
+    b1 = make_batch([Communication(1, last, 0)] + extra)
     return ScenarioPair(b0, b1, SO)
 
 
@@ -95,15 +92,14 @@ def _accepted(attack, pair, params):
 
 
 def pinned_cases():
-    """(name, mode, attack name) -> (kind, attack, pair) over the matrix."""
+    """(name, attack name) -> (kind, attack, pair) over the matrix."""
     cases = {}
     for name, (params, shape) in POINTS.items():
         kind = ProtocolKind(_variant(name), params)
-        for mode in MODES:
-            pair = _pair(params.n, mode, shape)
-            for aname, attack in _stock_attacks(params.n).items():
-                if _accepted(attack, pair, params):
-                    cases[name, mode, aname] = kind, attack, pair
+        pair = _pair(params.n, shape)
+        for aname, attack in _stock_attacks(params.n).items():
+            if _accepted(attack, pair, params):
+                cases[name, aname] = kind, attack, pair
     return cases
 
 
@@ -114,118 +110,62 @@ def pinned_advantages():
 
 
 PINNED = {
-    ('broadcast-full-dummy', 'random-permutation', 'counting'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'dropping-link'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'dropping-relay'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'random'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'timing'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'tracing-1'): '0',
-    ('broadcast-full-dummy', 'random-permutation', 'tracing-2'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'counting'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'dropping-link'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'dropping-relay'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'random'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'timing'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'tracing-1'): '0',
-    ('broadcast-full-dummy', 'simultaneous', 'tracing-2'): '0',
-    ('dcnet-round', 'random-permutation', 'counting'): '0',
-    ('dcnet-round', 'random-permutation', 'dropping-link'): '0',
-    ('dcnet-round', 'random-permutation', 'dropping-relay'): '0',
-    ('dcnet-round', 'random-permutation', 'random'): '0',
-    ('dcnet-round', 'random-permutation', 'timing'): '0',
-    ('dcnet-round', 'random-permutation', 'tracing-1'): '0',
-    ('dcnet-round', 'random-permutation', 'tracing-2'): '0',
-    ('dcnet-round', 'simultaneous', 'counting'): '0',
-    ('dcnet-round', 'simultaneous', 'dropping-link'): '0',
-    ('dcnet-round', 'simultaneous', 'dropping-relay'): '0',
-    ('dcnet-round', 'simultaneous', 'random'): '0',
-    ('dcnet-round', 'simultaneous', 'timing'): '0',
-    ('dcnet-round', 'simultaneous', 'tracing-1'): '0',
-    ('dcnet-round', 'simultaneous', 'tracing-2'): '0',
-    ('dropping-model', 'random-permutation', 'counting'): '1',
-    ('dropping-model', 'random-permutation', 'dropping-link'): '1',
-    ('dropping-model', 'random-permutation', 'dropping-relay'): '1/2',
-    ('dropping-model', 'random-permutation', 'random'): '0',
-    ('dropping-model', 'random-permutation', 'timing'): '0',
-    ('dropping-model', 'random-permutation', 'tracing-1'): '1/2',
-    ('dropping-model', 'random-permutation', 'tracing-2'): '1',
-    ('dropping-model', 'simultaneous', 'counting'): '1',
-    ('dropping-model', 'simultaneous', 'dropping-link'): '1',
-    ('dropping-model', 'simultaneous', 'dropping-relay'): '1/2',
-    ('dropping-model', 'simultaneous', 'random'): '0',
-    ('dropping-model', 'simultaneous', 'timing'): '0',
-    ('dropping-model', 'simultaneous', 'tracing-1'): '1/2',
-    ('dropping-model', 'simultaneous', 'tracing-2'): '1',
-    ('dropping-model-integrated', 'random-permutation', 'counting'): '1',
-    ('dropping-model-integrated', 'random-permutation', 'dropping-link'): '1/2',
-    ('dropping-model-integrated', 'random-permutation', 'dropping-relay'): '1/2',
-    ('dropping-model-integrated', 'random-permutation', 'random'): '0',
-    ('dropping-model-integrated', 'random-permutation', 'timing'): '0',
-    ('dropping-model-integrated', 'random-permutation', 'tracing-1'): '0',
-    ('dropping-model-integrated', 'random-permutation', 'tracing-2'): '0',
-    ('dropping-model-integrated', 'simultaneous', 'counting'): '1',
-    ('dropping-model-integrated', 'simultaneous', 'dropping-link'): '1/2',
-    ('dropping-model-integrated', 'simultaneous', 'dropping-relay'): '1/2',
-    ('dropping-model-integrated', 'simultaneous', 'random'): '0',
-    ('dropping-model-integrated', 'simultaneous', 'timing'): '0',
-    ('dropping-model-integrated', 'simultaneous', 'tracing-1'): '0',
-    ('dropping-model-integrated', 'simultaneous', 'tracing-2'): '0',
-    ('onion-path', 'random-permutation', 'counting'): '27/64',
-    ('onion-path', 'random-permutation', 'dropping-link'): '0',
-    ('onion-path', 'random-permutation', 'dropping-relay'): '0',
-    ('onion-path', 'random-permutation', 'random'): '0',
-    ('onion-path', 'random-permutation', 'timing'): '3/4',
-    ('onion-path', 'random-permutation', 'tracing-1'): '7/8',
-    ('onion-path', 'random-permutation', 'tracing-2'): '1',
-    ('onion-path', 'simultaneous', 'counting'): '27/64',
-    ('onion-path', 'simultaneous', 'dropping-link'): '0',
-    ('onion-path', 'simultaneous', 'dropping-relay'): '0',
-    ('onion-path', 'simultaneous', 'random'): '0',
-    ('onion-path', 'simultaneous', 'timing'): '3/4',
-    ('onion-path', 'simultaneous', 'tracing-1'): '7/8',
-    ('onion-path', 'simultaneous', 'tracing-2'): '1',
-    ('threshold-mix', 'random-permutation', 'counting'): '1',
-    ('threshold-mix', 'random-permutation', 'dropping-link'): '0',
-    ('threshold-mix', 'random-permutation', 'dropping-relay'): '0',
-    ('threshold-mix', 'random-permutation', 'random'): '0',
-    ('threshold-mix', 'random-permutation', 'timing'): '1',
-    ('threshold-mix', 'random-permutation', 'tracing-1'): '1',
-    ('threshold-mix', 'random-permutation', 'tracing-2'): '1',
-    ('threshold-mix', 'simultaneous', 'counting'): '1',
-    ('threshold-mix', 'simultaneous', 'dropping-link'): '0',
-    ('threshold-mix', 'simultaneous', 'dropping-relay'): '0',
-    ('threshold-mix', 'simultaneous', 'random'): '0',
-    ('threshold-mix', 'simultaneous', 'timing'): '1',
-    ('threshold-mix', 'simultaneous', 'tracing-1'): '1',
-    ('threshold-mix', 'simultaneous', 'tracing-2'): '1',
-    ('trilemma-sync', 'random-permutation', 'counting'): '1/2',
-    ('trilemma-sync', 'random-permutation', 'dropping-link'): '0',
-    ('trilemma-sync', 'random-permutation', 'dropping-relay'): '0',
-    ('trilemma-sync', 'random-permutation', 'random'): '0',
-    ('trilemma-sync', 'random-permutation', 'timing'): '1/2',
-    ('trilemma-sync', 'random-permutation', 'tracing-1'): '1/2',
-    ('trilemma-sync', 'random-permutation', 'tracing-2'): '1/2',
-    ('trilemma-sync', 'simultaneous', 'counting'): '1/2',
-    ('trilemma-sync', 'simultaneous', 'dropping-link'): '0',
-    ('trilemma-sync', 'simultaneous', 'dropping-relay'): '0',
-    ('trilemma-sync', 'simultaneous', 'random'): '0',
-    ('trilemma-sync', 'simultaneous', 'timing'): '1/2',
-    ('trilemma-sync', 'simultaneous', 'tracing-1'): '1/2',
-    ('trilemma-sync', 'simultaneous', 'tracing-2'): '1/2',
-    ('trilemma-unsync', 'random-permutation', 'counting'): '81/256',
-    ('trilemma-unsync', 'random-permutation', 'dropping-link'): '0',
-    ('trilemma-unsync', 'random-permutation', 'dropping-relay'): '0',
-    ('trilemma-unsync', 'random-permutation', 'random'): '0',
-    ('trilemma-unsync', 'random-permutation', 'timing'): '3/4',
-    ('trilemma-unsync', 'random-permutation', 'tracing-1'): '3/4',
-    ('trilemma-unsync', 'random-permutation', 'tracing-2'): '3/4',
-    ('trilemma-unsync', 'simultaneous', 'counting'): '27/64',
-    ('trilemma-unsync', 'simultaneous', 'dropping-link'): '0',
-    ('trilemma-unsync', 'simultaneous', 'dropping-relay'): '0',
-    ('trilemma-unsync', 'simultaneous', 'random'): '0',
-    ('trilemma-unsync', 'simultaneous', 'timing'): '3/4',
-    ('trilemma-unsync', 'simultaneous', 'tracing-1'): '3/4',
-    ('trilemma-unsync', 'simultaneous', 'tracing-2'): '3/4',
+    ('broadcast-full-dummy', 'counting'): '0',
+    ('broadcast-full-dummy', 'dropping-link'): '0',
+    ('broadcast-full-dummy', 'dropping-relay'): '0',
+    ('broadcast-full-dummy', 'random'): '0',
+    ('broadcast-full-dummy', 'timing'): '0',
+    ('broadcast-full-dummy', 'tracing-1'): '0',
+    ('broadcast-full-dummy', 'tracing-2'): '0',
+    ('dcnet-round', 'counting'): '0',
+    ('dcnet-round', 'dropping-link'): '0',
+    ('dcnet-round', 'dropping-relay'): '0',
+    ('dcnet-round', 'random'): '0',
+    ('dcnet-round', 'timing'): '0',
+    ('dcnet-round', 'tracing-1'): '0',
+    ('dcnet-round', 'tracing-2'): '0',
+    ('dropping-model', 'counting'): '1',
+    ('dropping-model', 'dropping-link'): '1',
+    ('dropping-model', 'dropping-relay'): '1/2',
+    ('dropping-model', 'random'): '0',
+    ('dropping-model', 'timing'): '0',
+    ('dropping-model', 'tracing-1'): '1/2',
+    ('dropping-model', 'tracing-2'): '1',
+    ('dropping-model-integrated', 'counting'): '1',
+    ('dropping-model-integrated', 'dropping-link'): '1/2',
+    ('dropping-model-integrated', 'dropping-relay'): '1/2',
+    ('dropping-model-integrated', 'random'): '0',
+    ('dropping-model-integrated', 'timing'): '0',
+    ('dropping-model-integrated', 'tracing-1'): '0',
+    ('dropping-model-integrated', 'tracing-2'): '0',
+    ('onion-path', 'counting'): '27/64',
+    ('onion-path', 'dropping-link'): '0',
+    ('onion-path', 'dropping-relay'): '0',
+    ('onion-path', 'random'): '0',
+    ('onion-path', 'timing'): '3/4',
+    ('onion-path', 'tracing-1'): '7/8',
+    ('onion-path', 'tracing-2'): '1',
+    ('threshold-mix', 'counting'): '1',
+    ('threshold-mix', 'dropping-link'): '0',
+    ('threshold-mix', 'dropping-relay'): '0',
+    ('threshold-mix', 'random'): '0',
+    ('threshold-mix', 'timing'): '1',
+    ('threshold-mix', 'tracing-1'): '1',
+    ('threshold-mix', 'tracing-2'): '1',
+    ('trilemma-sync', 'counting'): '1/2',
+    ('trilemma-sync', 'dropping-link'): '0',
+    ('trilemma-sync', 'dropping-relay'): '0',
+    ('trilemma-sync', 'random'): '0',
+    ('trilemma-sync', 'timing'): '1/2',
+    ('trilemma-sync', 'tracing-1'): '1/2',
+    ('trilemma-sync', 'tracing-2'): '1/2',
+    ('trilemma-unsync', 'counting'): '27/64',
+    ('trilemma-unsync', 'dropping-link'): '0',
+    ('trilemma-unsync', 'dropping-relay'): '0',
+    ('trilemma-unsync', 'random'): '0',
+    ('trilemma-unsync', 'timing'): '3/4',
+    ('trilemma-unsync', 'tracing-1'): '3/4',
+    ('trilemma-unsync', 'tracing-2'): '3/4',
 }
 
 
@@ -233,12 +173,12 @@ def test_every_accepted_pair_is_pinned():
     assert sorted(PINNED) == sorted(pinned_cases())
 
 
-@pytest.mark.parametrize("name,mode,attack", sorted(PINNED))
-def test_exact_advantage_matches_the_pinned_value(name, mode, attack):
-    kind, att, pair = pinned_cases()[name, mode, attack]
+@pytest.mark.parametrize("name,attack", sorted(PINNED))
+def test_exact_advantage_matches_the_pinned_value(name, attack):
+    kind, att, pair = pinned_cases()[name, attack]
     got = exact_advantage(kind, att, pair)
     assert isinstance(got, Fraction)
-    assert str(got) == PINNED[name, mode, attack]
+    assert str(got) == PINNED[name, attack]
 
 
 @pytest.mark.parametrize("n,l_max,p", [
@@ -250,7 +190,7 @@ def test_unsync_timing_on_one_row_is_the_closed_form(n, l_max, p):
     # the other suspect has to stay silent for the l_max-1 window rounds
     kind = ProtocolKind(TRILEMMA_UNSYNC,
                         ProtocolParams(n=n, l_max=l_max, beta=float(p)))
-    got = exact_advantage(kind, timing_attack(n), _pair(n, SIMULTANEOUS))
+    got = exact_advantage(kind, timing_attack(n), _pair(n))
     assert got == (1 - p) ** (l_max - 1)
 
 
@@ -260,7 +200,7 @@ def test_exact_cover_rate_is_the_typed_decimal(beta, p_real, l_max):
     # as binary floats neither 0.3 nor 0.1 + 0.2 is 3/10
     kind = ProtocolKind(TRILEMMA_UNSYNC, ProtocolParams(
         n=2, l_max=l_max, beta=beta, p_real=p_real))
-    got = exact_advantage(kind, timing_attack(2), _pair(2, SIMULTANEOUS))
+    got = exact_advantage(kind, timing_attack(2), _pair(2))
     assert got == Fraction(7, 10) ** (l_max - 1)
 
 
@@ -295,7 +235,7 @@ def test_reference_values_hold_on_the_exact_route(key):
     check, value = cli._REFERENCES[key][:2]
     for params, attack in REFERENCE_POINTS[key]:
         kind = ProtocolKind(key[0], params)
-        exact = exact_advantage(kind, attack, _pair(params.n, SIMULTANEOUS))
+        exact = exact_advantage(kind, attack, _pair(params.n))
         ref = value(params, attack.capability)
         if check == "floor":
             assert ref <= exact, (params, attack)
@@ -353,12 +293,11 @@ def test_exact_lies_inside_the_monte_carlo_interval(variant, attack_name,
                                                     data):
     draw = data.draw
     params = _cross_params(variant, draw)
-    mode = draw(st.sampled_from(MODES))
     shape = draw(st.sampled_from(sorted(SHAPES)))
     if variant == THRESHOLD_MIX and params.threshold == 2:
         # the mix must see at least `threshold` scheduled messages
         shape = "two"
-    pair = _pair(params.n, mode, shape)
+    pair = _pair(params.n, shape)
     # every draw is one `validate_attack` accepts, so no pair is skipped
     attack = _cross_attack(attack_name, params.n, draw, params.relays)
     kind = ProtocolKind(variant, params)
@@ -380,13 +319,12 @@ def test_projected_exact_lies_inside_the_monte_carlo_interval(attack_name,
     draw = data.draw
     n = draw(st.integers(4, 6))
     l_max = draw(st.integers(1, 3))
-    mode = draw(st.sampled_from(MODES))
     shape = draw(st.sampled_from(sorted(SHAPES)))
     if attack_name == "counting" and shape == "two":
         # the context row's sender is watched too, a third user's slots
         l_max = min(l_max, 2)
     params = ProtocolParams(n=n, l_max=l_max, beta=draw(_RATES))
-    pair = _pair(n, mode, shape)
+    pair = _pair(n, shape)
     attack = _cross_attack(attack_name, n, draw, params.relays)
     assert attack_view(attack, pair) is not None
     kind = ProtocolKind(TRILEMMA_UNSYNC, params)
@@ -411,14 +349,13 @@ def test_projected_onion_exact_lies_inside_the_monte_carlo_interval(
     # the draws above already reach l_max=1 and one-relay paths at n=2
     l_max = draw(st.integers(2, 3))
     relays = draw(st.integers(l_max - 1, 4))
-    mode = draw(st.sampled_from(MODES))
     shape = draw(st.sampled_from(sorted(SHAPES)))
     if shape == "two":
         # a second path multiplies the leaves by up to 12
         l_max = min(l_max, 2)
     params = ProtocolParams(n=n, l_max=l_max, beta=draw(_RATES),
                             relays=relays)
-    pair = _pair(n, mode, shape)
+    pair = _pair(n, shape)
     attack = _cross_attack(attack_name, n, draw, relays)
     assert attack_view(attack, pair) is not None
     kind = ProtocolKind(ONION_PATH, params)

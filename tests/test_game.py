@@ -61,7 +61,7 @@ def test_a_seed_and_its_negation_draw_different_trials(monkeypatch):
 
     def recorded(*args):
         outcome = sample(*args)
-        delays.append(outcome[1])
+        delays.append(outcome[0])
         return outcome
 
     monkeypatch.setattr(game, "sample_outcome", recorded)

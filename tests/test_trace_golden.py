@@ -19,8 +19,7 @@ import pytest
 from acnbounds.adversaries import (counting_attack, dropping_attack,
                                    random_guess_attack, timing_attack,
                                    tracing_attack)
-from acnbounds.core import (NO_COMM, RANDOM_PERM, SIMULTANEOUS,
-                            AdversaryCapability, Communication,
+from acnbounds.core import (NO_COMM, AdversaryCapability, Communication,
                             ProtocolParams, filter_trace, make_batch)
 from acnbounds.game import estimate_advantage, record_json, result_record
 from acnbounds.notions import ScenarioPair, parse_notion
@@ -29,7 +28,6 @@ from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
                                  enumerate_outcomes, sample_outcome)
 
 SO = parse_notion("SO")
-MODES = (SIMULTANEOUS, RANDOM_PERM)
 SEEDS = range(6)
 
 # one parameter point every variant accepts; threshold 2 flushes the two
@@ -65,14 +63,14 @@ def trial_key(seed, i=0):
     return hashlib.sha256(f"{seed}:{i}".encode()).digest()[10:]
 
 
-def _pair(rows, mode):
-    b0, b1 = (make_batch(r, mode) for r in rows)
+def _pair(rows):
+    b0, b1 = (make_batch(r) for r in rows)
     return ScenarioPair(b0, b1, SO)
 
 
-def trace_digests(name, mode):
+def trace_digests(name):
     """(build, filter) digests over every seed, arm and capability."""
-    kind, pair = KINDS[name], _pair(PAIR_ROWS, mode)
+    kind, pair = KINDS[name], _pair(PAIR_ROWS)
     built, kept = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         for b in (0, 1):
@@ -85,8 +83,8 @@ def trace_digests(name, mode):
     return built.hexdigest(), kept.hexdigest()
 
 
-def outcome_digest(variant, mode):
-    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS, mode)
+def outcome_digest(variant):
+    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS)
     h = hashlib.sha256()
     for b in (0, 1):
         h.update(repr(enumerate_outcomes(kind, pair, b)).encode())
@@ -102,7 +100,7 @@ def record_digest(variant):
         attack = timing_attack(n)
     kind = ProtocolKind(variant, params)
     pair = _pair(([Communication(0, n - 1, 0)],
-                  [Communication(1, n - 1, 0)]), SIMULTANEOUS)
+                  [Communication(1, n - 1, 0)]))
     est = estimate_advantage(kind, attack, pair, 2000, master_seed=11)
     record = record_json(result_record(kind, attack, pair, est, 11))
     return hashlib.sha256(record.encode()).hexdigest()
@@ -111,94 +109,54 @@ def record_digest(variant):
 def golden_digests():
     """Recompute every pinned digest, in the layout of the tables below."""
     return {
-        "traces": {(name, mode): trace_digests(name, mode)
-                   for name in KINDS for mode in MODES},
-        "outcomes": {(v, mode): outcome_digest(v, mode)
-                     for v in VARIANTS for mode in MODES},
+        "traces": {name: trace_digests(name) for name in KINDS},
+        "outcomes": {v: outcome_digest(v) for v in VARIANTS},
         "records": {v: record_digest(v)
                     for v in (TRILEMMA_UNSYNC, ONION_PATH)},
     }
 
 
 TRACES = {
-    ("broadcast-full-dummy", "random-permutation"): (
-        "9b2164c298ef04ccfa97088da13738351b89beb8f7cfb735d35d551cbfd5c2ff",
-        "a09108fc56957142577db2adc7e680abd828c39c424ac0d4427ee6969547bbe6"),
-    ("broadcast-full-dummy", "simultaneous"): (
+    "broadcast-full-dummy": (
         "13606f358f52ab5e7774d6c1a4c5980a7fe7342b45729533942f9a80230e8188",
         "3710d491fdc514b56796baa4fa67e1c60426aacfed3be6fc28f3cbebe97ee8cb"),
-    ("dcnet-round", "random-permutation"): (
-        "02d8aa9fda823d9305289f9765d2ab53236215d48a5fe731f7784e44cf82ad15",
-        "1729caeb8cd3c05d29e6383dc5ee94ba6096a781c70a91a1d3c5400afebf022e"),
-    ("dcnet-round", "simultaneous"): (
+    "dcnet-round": (
         "9b489a3c0e17b767005edd277bb9046740d98ef273feea0edfae6f7dbfca8210",
         "59ea658fa47ebb5cf9b60b6e569722dbe07e1ae466f3624d2b4c8469e9032e54"),
-    ("dropping-model", "random-permutation"): (
+    "dropping-model": (
         "6bf844b0713520443a2a0b0ecd5df2d9a0748805871e184da0ccd40ebe43119e",
         "0e33fb03b69bee70bc4a3b4f4042edc329ba064f0c62a79a3ad8016a532b2861"),
-    ("dropping-model", "simultaneous"): (
-        "6bf844b0713520443a2a0b0ecd5df2d9a0748805871e184da0ccd40ebe43119e",
-        "0e33fb03b69bee70bc4a3b4f4042edc329ba064f0c62a79a3ad8016a532b2861"),
-    ("dropping-model-integrated", "random-permutation"): (
+    "dropping-model-integrated": (
         "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
         "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
-    ("dropping-model-integrated", "simultaneous"): (
-        "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
-        "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
-    ("onion-path", "random-permutation"): (
-        "8c1c16d05d380c4f78969506a957b449b7ec52293424c93deb729a8cdb6ba798",
-        "2546e6c498f8db54f6ad3e52c217f699f442318c4becfa9b4fb195173b662a5b"),
-    ("onion-path", "simultaneous"): (
+    "onion-path": (
         "b89788a5996b8f0f6f990638e8884d51d340cdaf610c803b2c4c09c4c4016f42",
         "2f36dbf2191b15b3923de4127d7139375d1614c6cb2c3055ece88bc2f564e0fc"),
-    ("threshold-mix", "random-permutation"): (
-        "f4f82b82cd9310eb0d8044837385573890f2697cff197ed9f9ad0af859f5b1b2",
-        "fde46d38b818b43765cd538b41443a850eb9d21674e8b352be80d05f737594fd"),
-    ("threshold-mix", "simultaneous"): (
+    "threshold-mix": (
         "64d219884958c86dce0122f0c7f8e7a7c62fd536b3e52e5caeed20a507651b96",
         "5f9c0ec513eb1c2da30f6334f3f05e10366959d222e58b4148f730ec5153b243"),
-    ("trilemma-sync", "random-permutation"): (
-        "1d7eb0b29690d2a2f220566be3fd0ce9105d480b3f131d70a90861a6515099c3",
-        "e2a04881faa06231a95a1d0d83823b45c61d2c2b7febc11e3f7b919402441e2f"),
-    ("trilemma-sync", "simultaneous"): (
+    "trilemma-sync": (
         "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
         "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),
-    ("trilemma-unsync", "random-permutation"): (
-        "6132ed1e02a0ca0c587f7e4000cb3c6318beb0eb234992f68700449019ff6665",
-        "09fce5017439dfcfa41a294ad4f7018353746641ad52d394ed4330e613c8db1e"),
-    ("trilemma-unsync", "simultaneous"): (
+    "trilemma-unsync": (
         "32083dc60314d6c24e1c02b982d675c424686524c302745bdb65d811940572dd",
         "010950c8d20bdccb406f5a123f58a6744295852f5113320995137196453131a3"),
 }
 OUTCOMES = {
-    ("broadcast-full-dummy", "random-permutation"):
-        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
-    ("broadcast-full-dummy", "simultaneous"):
-        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
-    ("dcnet-round", "random-permutation"):
-        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
-    ("dcnet-round", "simultaneous"):
-        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
-    ("dropping-model", "random-permutation"):
-        "f5e7fbbd07d7b14cdb5f4ed5247cf713c099f01517f80c295e7276fd6f68f255",
-    ("dropping-model", "simultaneous"):
-        "f5e7fbbd07d7b14cdb5f4ed5247cf713c099f01517f80c295e7276fd6f68f255",
-    ("onion-path", "random-permutation"):
-        "da8ce9e2e00dd9686545d00ff596c9f63fac9779f60925d081b4c7dc187f1deb",
-    ("onion-path", "simultaneous"):
-        "9b4eaf435a1640b74d3168661919b55d7a6b48a18aabc3f653cfe1fd654ad379",
-    ("threshold-mix", "random-permutation"):
-        "116436b628f3e1a71d21ead7a29339717124d4b69cad26f86210192017f86a9b",
-    ("threshold-mix", "simultaneous"):
-        "429799c878512e90857315aba4c8affe03091d106dd9ae469eb57b28bd9b8fc5",
-    ("trilemma-sync", "random-permutation"):
-        "f3ab566767e0a330f1c4675f8e5e8abbb237ef3e688b568011b2fbb15d59ced5",
-    ("trilemma-sync", "simultaneous"):
-        "af3e0b66718a28f6867861cc6488c1effd1cb5e93e345950bace3ab998b6383c",
-    ("trilemma-unsync", "random-permutation"):
-        "40d45fd25cbd8b582f29bdf6dec23e41e50c5c21960ad4d251fb52e1bb351ac8",
-    ("trilemma-unsync", "simultaneous"):
-        "75124d15380accc793e900e1a70576fbc629e6e89d283bc84676d1c413e22251",
+    "broadcast-full-dummy":
+        "8d6323555a1bcb1585b2eb49c07aeda977d9b6aecead5117e15b18531624ea11",
+    "dcnet-round":
+        "8d6323555a1bcb1585b2eb49c07aeda977d9b6aecead5117e15b18531624ea11",
+    "dropping-model":
+        "03b5bf5683ec21b1d798db6145b85e799ec62ce9cd13c0a43b8c5b8591d82797",
+    "onion-path":
+        "672f485411a258740f914ce67a67137ded137fe96b01beaf9d11241d4ce1a1b8",
+    "threshold-mix":
+        "8d6323555a1bcb1585b2eb49c07aeda977d9b6aecead5117e15b18531624ea11",
+    "trilemma-sync":
+        "783cf0d2ca06f248f457691c1745bbb6d83eb99e3508e3339d54ef6e49ae8e13",
+    "trilemma-unsync":
+        "f49ba4bb7be693e424640478d0a76a6f3c96880019a962301102ca8710bcfb83",
 }
 RECORDS = {
     "onion-path":
@@ -208,14 +166,14 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("name,mode", sorted(TRACES))
-def test_built_and_filtered_traces_are_byte_identical(name, mode):
-    assert trace_digests(name, mode) == TRACES[name, mode]
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_built_and_filtered_traces_are_byte_identical(name):
+    assert trace_digests(name) == TRACES[name]
 
 
-@pytest.mark.parametrize("variant,mode", sorted(OUTCOMES))
-def test_enumerated_outcomes_are_byte_identical(variant, mode):
-    assert outcome_digest(variant, mode) == OUTCOMES[variant, mode]
+@pytest.mark.parametrize("variant", sorted(OUTCOMES))
+def test_enumerated_outcomes_are_byte_identical(variant):
+    assert outcome_digest(variant) == OUTCOMES[variant]
 
 
 @pytest.mark.parametrize("variant", sorted(RECORDS))
@@ -223,11 +181,10 @@ def test_simulate_records_are_byte_identical(variant):
     assert record_digest(variant) == RECORDS[variant]
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_sampled_outcomes_are_among_the_enumerated(variant, mode):
+def test_sampled_outcomes_are_among_the_enumerated(variant):
     # both routes read one description of the randomness
-    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS, mode)
+    kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS)
     for b in (0, 1):
         outs = enumerate_outcomes(kind, pair, b)
         assert sum(p for p, _ in outs) == 1

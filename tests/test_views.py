@@ -34,7 +34,7 @@ from acnbounds.game import exact_advantage
 from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
                                  VARIANTS, ProtocolKind, build_trace,
                                  enumerate_outcomes, sample_outcome)
-from test_trace_golden import (KINDS, MODES, PAIR_ROWS, PARAMS, SEEDS, TINY,
+from test_trace_golden import (KINDS, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair, trial_key)
 
 
@@ -93,33 +93,30 @@ CUSTOM_TRACERS = [
 
 
 def test_projected_verdicts_equal_full_ones_on_the_golden_grid():
+    pair = _pair(PAIR_ROWS)
+    attacks = _with_views(PARAMS, pair, CUSTOM_TRACERS)
     for kind in KINDS.values():
-        for mode in MODES:
-            pair = _pair(PAIR_ROWS, mode)
-            attacks = _with_views(PARAMS, pair, CUSTOM_TRACERS)
-            for seed in SEEDS:
-                for b in (0, 1):
-                    outcome = sample_outcome(kind, pair, b,
-                                             random.Random(seed), None,
-                                             trial_key(seed))
-                    check_projection(kind, pair, b, outcome, attacks)
+        for seed in SEEDS:
+            for b in (0, 1):
+                outcome = sample_outcome(kind, pair, b, random.Random(seed),
+                                         None, trial_key(seed))
+                check_projection(kind, pair, b, outcome, attacks)
 
 
 @pytest.mark.parametrize("name", sorted(TINY_KINDS))
 def test_projected_verdicts_equal_full_ones_on_every_tiny_leaf(name):
     kind = TINY_KINDS[name]
-    for mode in MODES:
-        pair = _pair(TINY_ROWS, mode)
-        attacks = _with_views(TINY, pair)
-        for b in (0, 1):
-            for _, outcome in enumerate_outcomes(kind, pair, b):
-                whole = (None if kind.variant == DROPPING else
-                         build_trace(kind, pair, b, outcome))
-                check_projection(kind, pair, b, outcome, attacks, whole)
+    pair = _pair(TINY_ROWS)
+    attacks = _with_views(TINY, pair)
+    for b in (0, 1):
+        for _, outcome in enumerate_outcomes(kind, pair, b):
+            whole = (None if kind.variant == DROPPING else
+                     build_trace(kind, pair, b, outcome))
+            check_projection(kind, pair, b, outcome, attacks, whole)
 
 
 def test_each_rule_reads_its_declared_events():
-    pair = _pair(PAIR_ROWS, MODES[0])
+    pair = _pair(PAIR_ROWS)
     suspects, receiver = frozenset({0, 1}), frozenset({3})
     assert attack_view(timing_attack(4), pair) == View(suspects, 0, receiver)
     assert attack_view(tracing_attack(4, 2), pair) == \
@@ -146,14 +143,13 @@ def _relabel(trace, ids):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(KINDS)), mode=st.sampled_from(MODES),
-       seed=st.sampled_from(SEEDS), b=st.integers(0, 1),
-       attack=st.sampled_from(stock_attacks(PARAMS)), data=st.data())
-def test_verdicts_ignore_which_ids_packets_carry(name, mode, seed, b, attack,
-                                                 data):
+@given(name=st.sampled_from(sorted(KINDS)), seed=st.sampled_from(SEEDS),
+       b=st.integers(0, 1), attack=st.sampled_from(stock_attacks(PARAMS)),
+       data=st.data())
+def test_verdicts_ignore_which_ids_packets_carry(name, seed, b, attack, data):
     # every rule compares packet ids only for equality, which is why the
     # relabel of a projected trace cannot change a verdict
-    kind, pair = KINDS[name], _pair(PAIR_ROWS, mode)
+    kind, pair = KINDS[name], _pair(PAIR_ROWS)
     cap = attack.capability
     outcome = sample_outcome(kind, pair, b, random.Random(seed), None,
                              trial_key(seed))
@@ -175,20 +171,18 @@ def _unsync(n, l_max, beta):
                         ProtocolParams(n=n, l_max=l_max, beta=beta))
 
 
-def _one_row_pair(n, mode=MODES[0]):
+def _one_row_pair(n):
     return _pair(([Communication(0, n - 1, 0)],
-                  [Communication(1, n - 1, 0)]), mode)
+                  [Communication(1, n - 1, 0)]))
 
 
 def _cover_pairs(n):
-    """A one-row pair and one with a context row and an empty row, in
-    each start-order mode."""
+    """A one-row pair and one with a context row and an empty row."""
     last = n - 1
     context = [Communication(last, 0, 1), NO_COMM]
     rows = ([Communication(0, last, 0)] + context,
             [Communication(1, last, 0)] + context)
-    return ([_one_row_pair(n, mode) for mode in MODES]
-            + [_pair(rows, mode) for mode in MODES])
+    return [_one_row_pair(n), _pair(rows)]
 
 
 def _unsync_views(n, pair):
@@ -214,17 +208,17 @@ def _project(outcome, view, onion=False):
     senders' fired slots, an onion cover's paired with None."""
     if view is None:
         return outcome
-    perm, picks, fired = outcome
+    picks, fired = outcome
     if onion:
-        return perm, picks, tuple((sl, None) for sl, _ in fired
-                                  if sl[1] in view.senders)
-    return perm, picks, tuple(sl for sl in fired if sl[1] in view.senders)
+        return picks, tuple((sl, None) for sl, _ in fired
+                            if sl[1] in view.senders)
+    return picks, tuple(sl for sl in fired if sl[1] in view.senders)
 
 
 def _fired_by(outcome, onion=False):
     """Each user's fired cover slots, without any path."""
     mine = {}
-    for sl in (sl for sl, _ in outcome[2]) if onion else outcome[2]:
+    for sl in (sl for sl, _ in outcome[1]) if onion else outcome[1]:
         mine.setdefault(sl[1], []).append(sl)
     return mine
 

@@ -463,6 +463,76 @@ def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
     assert code == 0 and err == ""
 
 
+# what each variant and attack reads of the flags that only some pairs read,
+# and one valid argv per variant that types none of them beyond its reads
+_PROTOCOL_READS = {
+    "trilemma-sync": (), "trilemma-unsync": (),
+    "onion-path": ("relays", "lexp"), "threshold-mix": ("threshold",),
+    "dcnet-round": (), "broadcast-full-dummy": (),
+    "dropping-model": ("relays", "copies", "integrated"),
+}
+_ATTACK_READS = {"counting": (), "path-tracing": ("cp",), "dropping": ("ca",)}
+_BASE = {
+    "trilemma-sync": "--n 4 --lmax 3 --p 0.4",
+    "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
+    "onion-path": "--n 4 --lmax 3 --relays 3",
+    "threshold-mix": "--n 4 --lmax 2 --threshold 1",
+    "dcnet-round": "--n 4 --lmax 1",
+    "broadcast-full-dummy": "--n 4 --lmax 1",
+    "dropping-model": "--n 3 --lmax 1 --relays 4",
+}
+_FLAG_ARGS = {"relays": "--relays 3", "lexp": "--lexp 1",
+              "threshold": "--threshold 2", "copies": "--copies 3",
+              "integrated": "--integrated", "cp": "--cp 1", "ca": "--ca 1"}
+
+
+@pytest.mark.parametrize("variant,flag", [
+    (v, f) for v, reads in _PROTOCOL_READS.items() for f in _FLAG_ARGS
+    if f not in reads])
+def test_each_protocol_refuses_each_flag_it_does_not_read(capsys, variant,
+                                                          flag):
+    # random-guess reads none of these flags, so the refusal is the
+    # protocol's alone
+    code, out, err = _run(capsys, "simulate", "--protocol", variant,
+                          "--attack", "random-guess", *_BASE[variant].split(),
+                          *_FLAG_ARGS[flag].split(), "--trials", "200")
+    assert code == 1 and out == ""
+    assert err.endswith(f"{variant} with random-guess takes no --{flag}\n")
+
+
+@pytest.mark.parametrize("attack,flag", [
+    (a, f) for a, reads in _ATTACK_READS.items() for f in _FLAG_ARGS
+    if f not in reads])
+def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
+    # trilemma-unsync reads none of these flags, so the refusal is the
+    # attack's alone (timing-interval's row is checked above)
+    code, out, err = _run(capsys, "simulate", "--protocol", "trilemma-unsync",
+                          "--attack", attack,
+                          *_BASE["trilemma-unsync"].split(),
+                          *_FLAG_ARGS[flag].split(), "--trials", "200")
+    assert code == 1 and out == ""
+    assert err.endswith(f"trilemma-unsync with {attack} takes no --{flag}\n")
+
+
+@pytest.mark.parametrize("protocol,attack,flag", [
+    ("onion-path", "random-guess", "lexp"),
+    ("dropping-model", "random-guess", "copies"),
+    ("dropping-model", "random-guess", "integrated"),
+    ("onion-path", "path-tracing", "cp"),
+    ("dropping-model", "dropping", "ca"),
+])
+def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
+    base = _BASE[protocol].split()
+    if flag == "integrated":
+        # the integrated link replaces the first-hop pool that --relays sizes
+        base = base[:base.index("--relays")]
+    code, out, err = _run(capsys, "simulate", "--protocol", protocol,
+                          "--attack", attack, *base,
+                          *_FLAG_ARGS[flag].split(), "--trials", "200")
+    assert code == 0 and err == ""
+    assert json.loads(out)["protocol"] == protocol
+
+
 # sha256 of README's command examples' stdout; a change to the flags must
 # leave every documented invocation's output as it was
 README_SHA256 = {

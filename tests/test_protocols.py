@@ -12,7 +12,8 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
                             ProtocolParams, ResourceLimitError, View,
                             make_batch)
 from acnbounds import protocols
-from acnbounds.adversaries import timing_attack
+from acnbounds.adversaries import (counting_attack, dropping_attack,
+                                   timing_attack, tracing_attack)
 from acnbounds.game import estimate_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, build_trace,
@@ -233,17 +234,33 @@ def test_short_horizon_is_rejected():
                        trial_key(0))
 
 
-def test_a_solve_builds_each_arms_schedule_and_fields_once():
+@pytest.mark.parametrize("variant,params,attack", [
+    ("trilemma-sync", ProtocolParams(n=10, l_max=3, beta=0.5),
+     timing_attack(10)),
+    ("trilemma-unsync", ProtocolParams(n=10, l_max=3, beta=0.5),
+     timing_attack(10)),
+    ("onion-path", ProtocolParams(n=10, l_max=3, beta=0.5, relays=3),
+     tracing_attack(10, 1)),
+    ("threshold-mix", ProtocolParams(n=10, l_max=3, threshold=5),
+     counting_attack(10)),
+    ("dcnet-round", ProtocolParams(n=10, l_max=1), counting_attack(10)),
+    ("broadcast-full-dummy", ProtocolParams(n=10, l_max=1),
+     counting_attack(10)),
+    ("dropping-model", ProtocolParams(n=10, l_max=1, relays=4, copies=2),
+     dropping_attack(10, 1)),
+], ids=["trilemma-sync", "trilemma-unsync", "onion-path", "threshold-mix",
+        "dcnet-round", "broadcast-full-dummy", "dropping-model"])
+def test_a_solve_builds_each_arms_schedule_and_fields_once(variant, params,
+                                                           attack):
     # the caches are keyed by arm (and view) alone, so a many-row pair
     # computes its schedule and fields once per arm, not once per trial
     context = [Communication(j, 9, j) for j in range(2, 6)]
     pair = _pair(10, rows=([Communication(0, 9, 0)] + context,
                            [Communication(1, 9, 0)] + context))
-    kind = ProtocolKind("trilemma-unsync",
-                        ProtocolParams(n=10, l_max=3, beta=0.5))
     protocols._fields.cache_clear()
     protocols._schedule.cache_clear()
-    estimate_advantage(kind, timing_attack(10), pair, 2000, master_seed=0)
+    estimate_advantage(ProtocolKind(variant, params), attack, pair, 2000,
+                       master_seed=0)
     assert protocols._fields.cache_info().misses <= 2
     assert protocols._schedule.cache_info().misses <= 2
 

@@ -99,7 +99,13 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
         s0, s1 = pair.suspects()
         if s0 not in cap.observed_senders or s1 not in cap.observed_senders:
             raise CapabilityError("timing needs both suspects' links watched")
-        # relays=0 is a model without a relay pool, where tracing is timing
+        if v == TRACING and (cap.c_a or cap.active_drop):
+            # an active tracer's chain could pass drops and controlled
+            # relays, which no view holds
+            raise CapabilityError("path tracing is passive: it takes no "
+                                  "controlled relays or drops")
+        # relays=0 is a model without a relay pool, where tracing plays as
+        # timing; the CLI reads --cp only where the protocol reads --relays
         if v == TRACING and 0 < params.relays < cap.c_p:
             raise CapabilityError(f"path tracing compromises c_p={cap.c_p} "
                                   f"relays, but there are only "
@@ -222,8 +228,7 @@ def decide(attack: AttackKind, trace, pair, params):
 
 def attack_view(attack: AttackKind, pair):
     """The events `decide` reads for this attack and pair, as a View within
-    what the capability sees; None for a rule that needs the full filtered
-    trace.
+    what the capability sees.
 
     timing    the two suspects' sends and the challenge receiver's deliveries
     tracing   the same, plus batch rows' forwards at the relays the
@@ -233,7 +238,8 @@ def attack_view(attack: AttackKind, pair):
 
     Tracing walks back from the challenge delivery's `in_packet`, and each
     hop of that chain is a batch row's packet: a cover packet never feeds a
-    delivery, so its forwards are in no view (see `core.View`).
+    delivery, so its forwards are in no view (see `core.View`).  Tracing is
+    passive (`validate_attack`), so the chain passes no drop.
     """
     cap = attack.capability
     v = attack.variant
@@ -247,16 +253,9 @@ def attack_view(attack: AttackKind, pair):
                  if cap.receiver_corrupted else frozenset())
     if v == DROP_ATTACK:
         return View(receivers=receivers)
-    if v == TRACING and cap.active_drop:
-        # an active tracer's chain can also pass drops and the user-node
-        # forwards of the integrated dropping model, which no view holds
-        return None
     senders = frozenset(pair.suspects()) & cap.observed_senders
-    # the chain is followed through every relay the filter shows: the
-    # passively compromised ones and, for a custom capability, the
-    # controlled ones
-    relays = max(cap.c_p, cap.c_a) if v == TRACING else 0
-    return View(senders, relays, receivers)
+    # the chain is followed through the passively compromised relays
+    return View(senders, cap.c_p if v == TRACING else 0, receivers)
 
 
 def dropping_success_rate(c_a: int, copies: int, pool: int,

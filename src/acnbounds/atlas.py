@@ -25,22 +25,16 @@ GRID_HEADER = ("l_max,beta,counting_min_beta,trilemma_min_beta,"
 
 @dataclass(frozen=True)
 class PerRound:
-    """Volume per round as per_n * n + per_lam * n / lambda + const."""
+    """Volume per round as per_n * n + const."""
     per_n: float = 0.0
     const: float = 0.0
-    per_lam: float = 0.0
 
-    def coeff(self, lam: float) -> float:
-        return self.per_n + self.per_lam / lam
+    def at(self, n: int) -> float:
+        return self.per_n * n + self.const
 
-    def at(self, n: int, lam: float) -> float:
-        return self.coeff(lam) * n + self.const
-
-    def covers(self, other: "PerRound", lam: float) -> bool:
-        a, b = self.coeff(lam), other.coeff(lam)
-        if a != b:
-            return a > b
-        return self.const >= other.const
+    def covers(self, other: "PerRound") -> bool:
+        # the n coefficient decides; equal ones fall back to the constant
+        return (self.per_n, self.const) >= (other.per_n, other.const)
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,6 @@ class AcnPreset:
     dummy: PerRound
     comms: PerRound
     dummy_special: PerRound = None
-    comms_special: PerRound = None
     superposed: bool = False       # send rounds are shared, latency one round
     parallel_required: bool = False
     full_rate: bool = False        # every client transmits every round
@@ -69,7 +62,7 @@ class AcnPreset:
         else:
             hops = self.hops
         l_max = 1 if self.superposed else hops + 1
-        beta = min(1.0, self.dummy.at(n, lam) / n)
+        beta = min(1.0, self.dummy.at(n) / n)
         p = 1.0 if (self.full_rate or self.superposed) \
             else min(1.0, beta + 1.0 / n)
         return {"l_max": l_max, "beta": beta, "p": p}
@@ -118,18 +111,17 @@ def classify(preset: AcnPreset, mode: str = "general", n: int = 1000,
              lam: float = 256.0, poly_lambda=None) -> dict:
     """Verdict per bound: meets / falls-short / not-applicable.
 
-    Mode "special" swaps in a preset's best-case columns, for designs whose
-    favorable deployment differs from their general behavior.
+    Mode "special" swaps in a preset's best-case cover column, for designs
+    whose favorable deployment differs from their general behavior.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("need n >= 1")
-    dummy, comms = preset.dummy, preset.comms
+    dummy = preset.dummy
     if mode == "special":
         dummy = preset.dummy_special or dummy
-        comms = preset.comms_special or comms
-    counting = "meets" if dummy.covers(comms, lam) else "falls-short"
+    counting = "meets" if dummy.covers(preset.comms) else "falls-short"
 
     pt = preset.point_params(n, lam)
     if preset.parallel_required and mode == "general":

@@ -22,7 +22,6 @@ from math import comb
 SYNC = "sync"
 UNSYNC_ORIGINAL = "unsync-original"
 UNSYNC_IMPROVED = "unsync-improved"
-SETTINGS = (SYNC, UNSYNC_ORIGINAL, UNSYNC_IMPROVED)
 
 
 def _clamp(x: float) -> float:
@@ -161,13 +160,12 @@ def trilemma_min_beta(l_max: int, poly_lambda: float, c_p: int = 0) -> float:
     return (1.0 - 1.0 / poly_lambda) / (2.0 * window)
 
 
-def dropping_min_p(l_max: int, lam: float, poly_lambda: float,
-                   base: float = 2.0) -> float:
+def dropping_min_p(l_max: int, lam: float, poly_lambda: float) -> float:
     """Cover rate below which an actively dropping adversary can starve a
     target without detection."""
     if l_max < 1 or lam <= 1 or poly_lambda <= 1:
         raise ValueError("need l_max >= 1, lam > 1, poly_lambda > 1")
-    return math.log(lam, base) / (poly_lambda * l_max)
+    return math.log(lam, 2.0) / (poly_lambda * l_max)
 
 
 def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,

@@ -48,31 +48,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# --kind -> the fields `bound` prints beside the kind, from the parsed
-# flags and the rates beta and p (0.0 when not given)
+# --kind -> (the flags it reads besides --kind, the fields `bound` prints
+# beside the kind, from the parsed flags and the rates beta and p, 0.0 when
+# not given)
 _BOUNDS = {
-    "trilemma-sync": lambda ns, beta, p: {
+    "trilemma-sync": (("n", "lmax", "beta"), lambda ns, beta, p: {
         "delta": bounds.trilemma_advantage(bounds.SYNC, ns.lmax, beta=beta,
-                                           n=ns.n)},
-    "trilemma-unsync-original": lambda ns, beta, p: {
+                                           n=ns.n)}),
+    "trilemma-unsync-original": (("lmax", "p"), lambda ns, beta, p: {
         "delta": bounds.trilemma_advantage(bounds.UNSYNC_ORIGINAL, ns.lmax,
-                                           p=p)},
-    "trilemma-unsync-improved": lambda ns, beta, p: {
+                                           p=p)}),
+    "trilemma-unsync-improved": (("lmax", "p"), lambda ns, beta, p: {
         "delta": bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED, ns.lmax,
-                                           p=p)},
-    "compromising-sync": lambda ns, beta, p: {
-        "delta": bounds.trilemma_compromising(
-            bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
-            relays=ns.relays)},
-    "compromising-unsync": lambda ns, beta, p: {
-        "delta": bounds.trilemma_compromising(
-            bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
-            relays=ns.relays)},
-    "counting": lambda ns, beta, p: _counting(ns.out, ns.hops),
-    "optimality": lambda ns, beta, p: {
-        "total": bounds.optimality_overhead(ns.n, ns.mu)},
-    "onion-cost": lambda ns, beta, p: bounds.onion_cost(
-        ns.basis, ns.n, ns.lam, p=1.0 if ns.p is None else p, l_exp=ns.lexp),
+                                           p=p)}),
+    "compromising-sync": (
+        ("n", "lmax", "beta", "cp", "relays"), lambda ns, beta, p: {
+            "delta": bounds.trilemma_compromising(
+                bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
+                relays=ns.relays)}),
+    "compromising-unsync": (
+        ("lmax", "p", "cp", "relays"), lambda ns, beta, p: {
+            "delta": bounds.trilemma_compromising(
+                bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
+                relays=ns.relays)}),
+    "counting": (("out", "hops"),
+                 lambda ns, beta, p: _counting(ns.out, ns.hops)),
+    "optimality": (("n", "mu"), lambda ns, beta, p: {
+        "total": bounds.optimality_overhead(ns.n, ns.mu)}),
+    "onion-cost": (
+        ("basis", "n", "lam", "p", "lexp"), lambda ns, beta, p:
+        bounds.onion_cost(ns.basis, ns.n, ns.lam,
+                          p=1.0 if ns.p is None else p, l_exp=ns.lexp)),
 }
 
 # --attack -> (the flags of `_MODEL_FLAGS` it reads, the attack)
@@ -88,7 +94,9 @@ _ATTACKS = {
 _MODEL_FLAGS = set("relays lexp threshold copies integrated cp ca".split())
 
 # --protocol -> the flags of `_MODEL_FLAGS` it reads; the dropping model
-# reads --relays only as its first-hop pool, which --integrated replaces
+# reads --relays only as its first-hop pool, which --integrated replaces,
+# and --cp is read only with --relays: without a relay pool path tracing
+# plays as timing
 _PROTOCOL_READS = {
     "onion-path": ("relays", "lexp"),
     "threshold-mix": ("threshold",),
@@ -274,12 +282,14 @@ def _counting(out, hops):
 def _cmd_bound(ns, given) -> int:
     if ns.kind is None:
         raise ConfigError("bound needs --kind")
+    reads, evaluate = _BOUNDS[ns.kind]
+    _refuse(f"bound --kind {ns.kind}", given - {"kind", *reads})
     beta = ns.beta if ns.beta is not None else 0.0
     p = ns.p if ns.p is not None else 0.0
     if ns.relays is None:
         # the smallest pool that holds the c_p compromised relays
         ns.relays = max(ns.cp, 1)
-    out = {"kind": ns.kind, **_BOUNDS[ns.kind](ns, beta, p)}
+    out = {"kind": ns.kind, **evaluate(ns, beta, p)}
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -297,6 +307,8 @@ def _game(ns, given):
     reads = {*reads, *_PROTOCOL_READS.get(ns.protocol, ())}
     if ns.integrated and "integrated" in reads:
         reads.remove("relays")
+    if "relays" not in reads:
+        reads.discard("cp")
     _refuse(f"{ns.protocol} with {ns.attack}", given & _MODEL_FLAGS - reads)
     return kind, attack(ns)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 
 class ConfigError(ValueError):
@@ -49,9 +49,6 @@ class Communication:
     receiver: int
     message: int
     aux: object = None
-
-
-Row = Union[Communication, _NoComm]
 
 
 def hash_once(cls):
@@ -248,9 +245,10 @@ class View(NamedTuple):
     forwards of onion cover packets are in no view.  A rule that follows a
     packet walks back from a delivery, and a cover packet feeds none, so
     its hops are never on the chain; leaving them out lets a projected
-    outcome skip building cover paths at all.  A view built by
-    `adversaries.attack_view` is already cut down to what the capability
-    sees, so filtering it removes nothing.
+    outcome skip building cover paths at all.  The one rule that follows
+    packets, path tracing, is passive, so its chain passes no drop.  A
+    view built by `adversaries.attack_view` is already cut down to what
+    the capability sees, so filtering it removes nothing.
     """
 
     senders: frozenset = frozenset()
@@ -321,21 +319,15 @@ class TrafficStats:
     com: int = 0
 
 
-def traffic_stats(trace: ObservationTrace, params: Optional[ProtocolParams] = None,
-                  upto_round: Optional[int] = None) -> TrafficStats:
+def traffic_stats(trace: ObservationTrace) -> TrafficStats:
     """Count L_i (sends per user), Out (real deliveries) and Com (all sends).
 
     Com counts user-originated send events only, not relay forwards, so
     Com == sum(L_i) holds by construction.
     """
-    horizon = upto_round
-    if horizon is None and params is not None and params.rounds is not None:
-        horizon = params.rounds
     L: dict = {}
     out = 0
     for ev in trace.events:
-        if horizon is not None and ev.round > horizon:
-            continue
         if ev.kind == SEND:
             L[ev.location] = L.get(ev.location, 0) + 1
         elif ev.kind == DELIVER and ev.is_real:

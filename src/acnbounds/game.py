@@ -13,10 +13,10 @@ Two routes to the same number:
   wins + ties/2 - 1, which equals 2*Pr[correct] - 1.
 
 Both routes ask `adversaries.attack_view` once per solve for the events
-the attack reads.  The view reaches `sample_outcome` and
-`enumerate_outcomes`, which draw or list only the randomness it shows,
-and `build_trace`, which emits only its events; then `filter_trace` and
-`decide` run as usual.  The verdict is the one the full filtered trace
+the attack reads; every attack that `validate_attack` accepts has one.
+The view reaches `sample_outcome` and `enumerate_outcomes`, which draw or
+list only the randomness it shows, and `build_trace`, which emits only
+its events; then `filter_trace` and `decide` run as usual.  The verdict is the one the full filtered trace
 would give, and the exact route sums the same probabilities.
 
 Determinism contract: a solve builds one `random.Random(str(master_seed))`
@@ -70,7 +70,6 @@ class AdvantageEstimate:
     ci_high: float
     trials: int
     arms: tuple      # ((n0, guessed1_0), (n1, guessed1_1))
-    definition: str = "counting-form"
 
 
 def _trial_hash(master_seed: int, i: int) -> bytes:
@@ -180,7 +179,7 @@ def result_record(kind, attack, pair, estimate: AdvantageEstimate,
         "seed": master_seed,
         "point": estimate.point,
         "ci": [estimate.ci_low, estimate.ci_high],
-        "definition": estimate.definition,
+        "definition": "counting-form",
     }
 
 

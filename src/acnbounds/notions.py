@@ -24,6 +24,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (NO_COMM, Batch, Communication, ProtocolParams,
                    ResourceLimitError, make_batch, receiver_counts,
@@ -97,19 +98,20 @@ def _aligned(b0: Batch, b1: Batch):
     return list(zip(b0.rows, b1.rows))
 
 
-def _pattern_ok(rows, keep_receiver, keep_message) -> bool:
-    # per-index pattern: aux always pinned, sender always free
+# the field a row may change -> the fields it keeps
+_KEPT = {"sender": attrgetter("receiver", "message", "aux"),
+         "receiver": attrgetter("sender", "message", "aux")}
+
+
+def _only_changes(rows, free: str) -> bool:
+    # per index: both rows are NO_COMM, or both communications that agree
+    # on every field but `free` ("sender" or "receiver")
+    kept = _KEPT[free]
     for r0, r1 in rows:
-        n0, n1 = r0 is NO_COMM, r1 is NO_COMM
-        if n0 or n1:
-            if not (n0 and n1):
+        if r0 is NO_COMM or r1 is NO_COMM:
+            if r0 is not r1:
                 return False
-            continue
-        if keep_receiver and r1.receiver != r0.receiver:
-            return False
-        if keep_message and r1.message != r0.message:
-            return False
-        if r1.aux != r0.aux:
+        elif kept(r0) != kept(r1):
             return False
     return True
 
@@ -126,10 +128,8 @@ def _swap_ok(rows, require_common: str) -> bool:
         return False
     if getattr(r0j, require_common) != getattr(r0k, require_common):
         return False
-    for a, b in ((r0j, r1j), (r0k, r1k)):
-        if not (b.receiver == a.receiver and b.message == a.message and b.aux == a.aux):
-            return False
-    return r1j.sender == r0k.sender and r1k.sender == r0j.sender
+    return (_only_changes((rows[j], rows[k]), "sender")
+            and r1j.sender == r0k.sender and r1k.sender == r0j.sender)
 
 
 def _counts_capped(batch: Batch, cap: int) -> bool:
@@ -176,11 +176,9 @@ def is_valid_pair(notion: Notion, b0: Batch, b1: Batch) -> bool:
     if kind == CO:
         ok = True
     elif kind == RO:
-        ok = all((r0 is NO_COMM) == (r1 is NO_COMM) and
-                 (r0 is NO_COMM or (r1.sender == r0.sender and r1.message == r0.message and r1.aux == r0.aux))
-                 for r0, r1 in rows)
+        ok = _only_changes(rows, "receiver")
     elif kind in (SO, SO_NMAX, SML):
-        ok = _pattern_ok(rows, keep_receiver=True, keep_message=True)
+        ok = _only_changes(rows, "sender")
         if ok and kind == SO_NMAX:
             ok = _counts_capped(b0, notion.n_max) and _counts_capped(b1, notion.n_max)
         if ok and kind == SML:
@@ -227,12 +225,12 @@ def count_challenge_rows(b0: Batch, b1: Batch) -> int:
     return sum(1 for r0, r1 in zip(b0.rows, b1.rows) if r0 != r1)
 
 
-def enumerate_batches(users: int, messages: int, max_len: int, include_skip=True):
-    """All batches over a small universe; auxiliary tags are left at None."""
+def enumerate_batches(users: int, messages: int, max_len: int):
+    """All batches over a small universe, NO_COMM rows included; auxiliary
+    tags are left at None."""
     rows = [Communication(s, r, m) for s in range(users) for r in range(users)
             for m in range(messages)]
-    if include_skip:
-        rows.append(NO_COMM)
+    rows.append(NO_COMM)
     out = []
     for length in range(1, max_len + 1):
         for combo in itertools.product(rows, repeat=length):

@@ -173,10 +173,13 @@ def _schedule(kind: ProtocolKind, batch):
                   for k, row in enumerate(batch.rows))
     needed = (3 if transit is None else
               t0 + step * (len(batch.rows) - 1) + transit(params))
-    if (kind.variant == THRESHOLD_MIX
-            and sum(s is not None for s in slots) < params.threshold):
-        raise ConfigError("fewer scheduled messages than the threshold, "
-                          "the mix would never flush")
+    if kind.variant == THRESHOLD_MIX:
+        sent = sum(s is not None for s in slots)
+        if sent == 0 or sent % params.threshold:
+            # a remainder after the last full batch would never flush
+            raise ConfigError(f"{sent} scheduled messages are not a "
+                              f"positive multiple of the threshold "
+                              f"{params.threshold}")
     if params.rounds is not None and params.rounds < needed:
         raise ConfigError(f"rounds={params.rounds} too short, "
                           f"need at least {needed}")
@@ -590,17 +593,12 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                      DELIVER, True, None, prev, row.message))
 
     elif v == THRESHOLD_MIX:
-        held = []
-        for t, j in sorted((s, j) for j, s in enumerate(slots)
-                           if s is not None):
-            row = batch.rows[j]
-            send(t, row.sender, next(pid), True, row.message)
-            held.append((t, row))
-            if len(held) == params.threshold:
-                flush = t + 1
-                for _, r in held:
-                    deliver(flush, r.receiver, next(pid), r.message)
-                held = []
+        # every row arrives at t0 and `_schedule` admits whole batches
+        # only, so each batch flushes in the next round
+        for t, row in zip(slots, batch.rows):
+            if t is not None:
+                send(t, row.sender, next(pid), True, row.message)
+                deliver(t + 1, row.receiver, next(pid), row.message)
 
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each

@@ -231,6 +231,19 @@ def test_capability_gates():
         AttackKind("rubber-hose", AdversaryCapability())
 
 
+@pytest.mark.parametrize("c_a,active_drop", [(2, False), (1, True)],
+                         ids=["controlled-relays", "dropping"])
+def test_path_tracing_is_passive(c_a, active_drop):
+    # a tracer's chain through controlled relays or past its own drops
+    # would need events that no view holds
+    params = ProtocolParams(n=4, l_max=3, relays=3)
+    attack = AttackKind("path-tracing", AdversaryCapability(
+        observed_senders=frozenset(range(4)), receiver_corrupted=True,
+        c_p=1, c_a=c_a, active_drop=active_drop))
+    with pytest.raises(CapabilityError, match="passive"):
+        validate_attack(attack, _pair(4), params)
+
+
 def test_constructors_pass_validation():
     params = ProtocolParams(n=4, l_max=2)
     pair = _pair(4)

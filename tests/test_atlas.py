@@ -21,15 +21,14 @@ EXPECTED_COUNTING = {
 def test_per_round_linear_forms():
     a = PerRound(per_n=1.0)
     b = PerRound(per_n=0.5, const=10.0)
-    assert a.at(100, 256.0) == pytest.approx(100.0)
-    assert b.at(100, 256.0) == pytest.approx(60.0)
+    assert a.at(100) == pytest.approx(100.0)
+    assert b.at(100) == pytest.approx(60.0)
     # the n coefficient dominates any constant once n grows
-    assert a.covers(b, 256.0)
-    assert not b.covers(a, 256.0)
+    assert a.covers(b)
+    assert not b.covers(a)
     # equal coefficients fall back to the constant term
-    assert PerRound(const=2.0).covers(PerRound(const=1.0), 256.0)
-    assert not PerRound(const=1.0).covers(PerRound(const=2.0), 256.0)
-    assert PerRound(per_lam=256.0).covers(PerRound(per_n=1.0), 256.0)
+    assert PerRound(const=2.0).covers(PerRound(const=1.0))
+    assert not PerRound(const=1.0).covers(PerRound(const=2.0))
 
 
 def test_preset_point_params():

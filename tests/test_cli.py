@@ -406,8 +406,8 @@ def test_bound_takes_a_typed_zero_relays(capsys):
      '{"delta": 1.0, "kind": "compromising-sync"}\n'),
     (_COMPROMISING + ["--cp", "1"],
      '{"delta": 0.6666666666666667, "kind": "compromising-sync"}\n'),
-    (["bound", "--kind", "compromising-unsync", "--n", "10", "--lmax", "3",
-      "--p", "0.2", "--cp", "1"],
+    (["bound", "--kind", "compromising-unsync", "--lmax", "3", "--p", "0.2",
+      "--cp", "1"],
      '{"delta": 0.8, "kind": "compromising-unsync"}\n'),
 ], ids=["sync-cp-2", "sync-cp-1", "unsync-cp-1"])
 def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
@@ -416,6 +416,56 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
     code, out, err = _run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == want
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["simulate", "--protocol", "threshold-mix", "--attack",
+      "timing-interval", "--n", "4", "--lmax", "2", "--threshold", "2",
+      "--length", "3", "--trials", "2000", "--seed", "0"],
+     "3 scheduled messages are not a positive multiple of the threshold 2"),
+    (["bound", "--kind", "counting", "--n", "50"],
+     "bound --kind counting takes no --n"),
+    (["simulate", "--protocol", "trilemma-unsync", "--attack",
+      "path-tracing", "--n", "4", "--lmax", "3", "--p", "0.3", "--cp", "2",
+      "--trials", "2000", "--seed", "0"],
+     "trilemma-unsync with path-tracing takes no --cp"),
+], ids=["threshold-remainder", "bound-unread-n", "tracing-without-relays"])
+def test_an_unread_flag_or_an_unflushed_message_exits_one(capsys, argv,
+                                                          reason):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"acnbounds: {reason}\n"
+
+
+# what each bound kind reads besides --kind, and a typed value off the
+# default for every flag of `bound`
+_BOUND_READS = {
+    "trilemma-sync": ("n", "lmax", "beta"),
+    "trilemma-unsync-original": ("lmax", "p"),
+    "trilemma-unsync-improved": ("lmax", "p"),
+    "compromising-sync": ("n", "lmax", "beta", "cp", "relays"),
+    "compromising-unsync": ("lmax", "p", "cp", "relays"),
+    "counting": ("out", "hops"),
+    "optimality": ("n", "mu"),
+    "onion-cost": ("basis", "n", "lam", "p", "lexp"),
+}
+_BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
+               "p": "--p 0.2", "cp": "--cp 1", "lam": "--lam 16",
+               "relays": "--relays 2", "out": "--out 5", "hops": "--hops 3",
+               "mu": "--mu 3", "lexp": "--lexp 2",
+               "basis": "--basis counting"}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOUND_READS))
+def test_each_bound_kind_refuses_each_flag_it_does_not_read(capsys, kind):
+    for flag, typed in _BOUND_ARGS.items():
+        code, out, err = _run(capsys, "bound", "--kind", kind,
+                              *typed.split())
+        if flag in _BOUND_READS[kind]:
+            assert code == 0 and err == "", (flag, err)
+        else:
+            assert code == 1 and out == "", flag
+            assert err == f"acnbounds: bound --kind {kind} takes no --{flag}\n"
 
 
 _UNSYNC = ["--protocol", "trilemma-unsync", "--attack", "timing-interval",

@@ -149,6 +149,36 @@ def test_threshold_mix_flushes_in_one_batch():
                     pair, 0, ())
 
 
+def _threshold_mix(threshold):
+    return ProtocolKind("threshold-mix",
+                        ProtocolParams(n=4, l_max=3, threshold=threshold))
+
+
+def _context_pair(k):
+    # the one-row SO pair (0 -> 3) vs (1 -> 3), plus k shared rows
+    context = [Communication(2, 3, j) for j in range(1, k + 1)]
+    return _pair(4, rows=([Communication(0, 3, 0)] + context,
+                          [Communication(1, 3, 0)] + context))
+
+
+def test_threshold_mix_refuses_a_partial_batch():
+    # the third message would wait for a batch that never fills
+    with pytest.raises(ConfigError, match="threshold"):
+        protocols.check_schedule(_threshold_mix(2), _context_pair(2))
+
+
+def test_threshold_mix_traces_do_not_depend_on_the_threshold():
+    # every row arrives at t0 = l_max, so each whole batch flushes at t0+1
+    pair = _context_pair(3)
+    for b in (0, 1):
+        traces = {build_trace(_threshold_mix(t), pair, b, ())
+                  for t in (1, 2, 4)}
+        assert len(traces) == 1
+        delivers = [e for e in traces.pop().events if e.kind == DELIVER]
+        assert sorted(e.msg for e in delivers) == [0, 1, 2, 3]
+        assert {e.round for e in delivers} == {4}
+
+
 def test_broadcast_volume_matches_the_traffic_relation():
     from acnbounds.bounds import traffic_relation
     from acnbounds.core import traffic_stats

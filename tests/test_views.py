@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds.adversaries import (COUNTING, TRACING, AttackKind,
+from acnbounds.adversaries import (COUNTING, AttackKind,
                                    attack_view, counting_attack, decide,
                                    dropping_attack, random_guess_attack,
                                    timing_attack, tracing_attack)
@@ -75,26 +75,13 @@ def check_projection(kind, pair, b, outcome, attacks, whole=None):
                 == decide(attack, full, pair, params))
 
 
-def _with_views(params, pair, attacks=()):
-    return [(a, attack_view(a, pair))
-            for a in stock_attacks(params) + list(attacks)]
-
-
-# a tracer that also sees the relays it controls, and one that drops:
-# no stock attack, but the view must hold for them too
-CUSTOM_TRACERS = [
-    AttackKind(TRACING, AdversaryCapability(
-        observed_senders=frozenset(range(PARAMS.n)), receiver_corrupted=True,
-        c_p=1, c_a=2)),
-    AttackKind(TRACING, AdversaryCapability(
-        observed_senders=frozenset(range(PARAMS.n)), receiver_corrupted=True,
-        c_p=1, c_a=1, active_drop=True)),
-]
+def _with_views(params, pair):
+    return [(a, attack_view(a, pair)) for a in stock_attacks(params)]
 
 
 def test_projected_verdicts_equal_full_ones_on_the_golden_grid():
     pair = _pair(PAIR_ROWS)
-    attacks = _with_views(PARAMS, pair, CUSTOM_TRACERS)
+    attacks = _with_views(PARAMS, pair)
     for kind in KINDS.values():
         for seed in SEEDS:
             for b in (0, 1):
@@ -126,9 +113,6 @@ def test_each_rule_reads_its_declared_events():
         View(frozenset({0, 1, 2}))
     assert attack_view(dropping_attack(4, 1), pair) == View(receivers=receiver)
     assert attack_view(random_guess_attack(), pair) == View()
-    assert attack_view(CUSTOM_TRACERS[0], pair) == View(suspects, 2, receiver)
-    # an active tracer's chain may pass drops: it reads the full trace
-    assert attack_view(CUSTOM_TRACERS[1], pair) is None
     # a view crosses process boundaries with the rest of a chunk's inputs
     view = attack_view(tracing_attack(4, 2), pair)
     assert pickle.loads(pickle.dumps(view)) == view
@@ -187,20 +171,16 @@ def _cover_pairs(n):
 
 def _unsync_views(n, pair):
     """The view of every stock attack: timing, counting with a watched
-    subset, dropping, random guess (empty) and an active tracer (None,
-    the full draw); and one that watches every user, which draws the full
-    cover through the projected loop."""
+    subset, dropping and random guess (empty); None, the full draw; and
+    one that watches every user, which draws the full cover through the
+    projected loop."""
     watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
                                   receiver_corrupted=True,
                                   knows_total_real=True)
     attacks = [timing_attack(n), AttackKind(COUNTING, watched),
-               dropping_attack(n), random_guess_attack(),
-               AttackKind(TRACING, AdversaryCapability(
-                   observed_senders=frozenset(range(n)),
-                   receiver_corrupted=True, c_p=1, c_a=1,
-                   active_drop=True))]
+               dropping_attack(n), random_guess_attack()]
     return ([attack_view(a, pair) for a in attacks]
-            + [View(frozenset(range(n)))])
+            + [None, View(frozenset(range(n)))])
 
 
 def _project(outcome, view, onion=False):

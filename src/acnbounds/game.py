@@ -19,6 +19,20 @@ list only the randomness it shows, and `build_trace`, which emits only
 its events; then `filter_trace` and `decide` run as usual.  The verdict is the one the full filtered trace
 would give, and the exact route sums the same probabilities.
 
+Within one Monte Carlo solve, the tail `build_trace` -> `filter_trace` ->
+`decide` is a pure function of the arm b and the projected outcome: the
+kind, pair, capability, view, attack and params are fixed for the solve,
+and none of the three reads the rng or the trial's hash.  So
+`estimate_advantage` keeps a memo per arm, outcome -> verdict (None for a
+tie), and runs the tail only for an outcome its arm has not played yet;
+the arm is part of the key because one outcome builds a different trace
+under the other arm's batch.  The memo is exact: every trial still draws
+its outcome in trial order and reads its own tie-break bit, so counts and
+records are those of a loop without it.  A solve's trial count has no
+upper limit, so an arm's memo stops taking entries at `MEMO_CAP` and only
+answers lookups after that.  `exact_advantage` lists each outcome once
+and keeps no memo.
+
 Determinism contract: a solve builds one `random.Random(str(master_seed))`
 (a str seed keeps the sign, which an int seed drops) and draws every
 trial's non-cover fields from it, in trial order.  Trial i's hash
@@ -47,6 +61,11 @@ from .protocols import (build_trace, check_schedule, enumerate_outcomes,
 
 # two-sided 95%
 _Z = 1.959963984540054
+
+# entries per arm in a Monte Carlo solve's verdict memo (about 120 bytes
+# each), so that no trial count grows a solve's memory past it
+MEMO_CAP = 1 << 14
+_MISS = object()
 
 
 def wilson_interval(k: int, n: int):
@@ -89,15 +108,24 @@ def estimate_advantage(kind, attack, pair, trials: int,
     # one rng per solve, read in trial order; the cover's streams are
     # keyed per trial
     rng = random.Random(str(master_seed))
+    # per arm, projected outcome -> verdict (None for a tie); the tail is
+    # pure given the two, so a repeated outcome skips it, and a memo full
+    # at MEMO_CAP only answers, so no trial count grows it further
+    memos = ({}, {})
     for i in range(trials):
         h = _trial_hash(master_seed, i)
         b = h[0] & 1
         outcome = sample_outcome(kind, pair, b, rng, view, h[10:])
-        # the layers are called by their module-global names, with
-        # positional arguments, so perfbench's tracer can wrap them
-        trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),
-                             cap)
-        verdict = decide(attack, trace, pair, params)
+        memo = memos[b]
+        verdict = memo.get(outcome, _MISS)
+        if verdict is _MISS:
+            # the layers are called by their module-global names, with
+            # positional arguments, so perfbench's tracer can wrap them
+            trace = filter_trace(build_trace(kind, pair, b, outcome, cap,
+                                             view), cap)
+            verdict = decide(attack, trace, pair, params)
+            if len(memo) < MEMO_CAP:
+                memo[outcome] = verdict
         if verdict is None:
             verdict = h[9] & 1
         if b:

@@ -141,6 +141,9 @@ def test_c06_simulation_reaches_the_unsync_closed_form():
                              trials=100_000, master_seed=0)
     expected = trilemma_advantage(UNSYNC_IMPROVED, 3, p=0.3)
     ok = abs(est.point - expected) <= 0.02
+    # the exact twin of the seeded check, at its point
+    ok = ok and exact_advantage(kind, timing_attack(10),
+                                _so_pair(10)) == Fraction(49, 100)
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         k2 = ProtocolKind("trilemma-unsync",
                           ProtocolParams(n=2, l_max=2, beta=p))
@@ -158,6 +161,9 @@ def test_c07_equal_volumes_hide_and_unequal_volumes_convict():
     est = estimate_advantage(kind, counting_attack(3), _so_pair(3),
                              trials=100_000, master_seed=1)
     hides = est.ci_low <= 0.0 <= est.ci_high
+    # the exact twin of the seeded check, at its point
+    hides = hides and exact_advantage(kind, counting_attack(3),
+                                      _so_pair(3)) == 0
     rows0 = [Communication(0, 3, 0), Communication(0, 3, 1)]
     rows1 = [Communication(0, 3, 0), Communication(1, 3, 1)]
     pair = ScenarioPair(make_batch(rows0), make_batch(rows1), SO)

@@ -1,18 +1,22 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds import game
-from acnbounds.adversaries import random_guess_attack, timing_attack
+from acnbounds import cli, game
+from acnbounds.adversaries import (attack_view, decide, random_guess_attack,
+                                   timing_attack, tracing_attack)
 from acnbounds.core import (Communication, ConfigError, ProtocolParams,
-                            make_batch)
+                            filter_trace, make_batch)
 from acnbounds.game import (AdvantageEstimate, advantage_forms,
                             estimate_advantage, exact_advantage, record_json,
                             result_record, wilson_interval)
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import ProtocolKind
+from acnbounds.protocols import ProtocolKind, build_trace, sample_outcome
+from test_exact_route import pinned_cases
 
 SO = parse_notion("SO")
 
@@ -161,3 +165,108 @@ def test_unrunnable_schedules_fail_before_the_first_trial(monkeypatch,
         estimate_advantage(kind, timing_attack(2), pair, 200, master_seed=0)
     with pytest.raises(ConfigError):
         exact_advantage(kind, timing_attack(2), pair)
+
+
+# ------------------------------------------------------ the verdict memo
+
+PINNED_CASES = pinned_cases()
+
+
+def _per_trial_arms(kind, attack, pair, trials, master_seed):
+    """The trial loop without a memo: all five layers run on every trial."""
+    view = attack_view(attack, pair)
+    cap = attack.capability
+    rng = random.Random(str(master_seed))
+    arms = [[0, 0], [0, 0]]
+    for i in range(trials):
+        h = hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
+        b = h[0] & 1
+        outcome = sample_outcome(kind, pair, b, rng, view, h[10:])
+        trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),
+                             cap)
+        verdict = decide(attack, trace, pair, kind.params)
+        arms[b][0] += 1
+        arms[b][1] += h[9] & 1 if verdict is None else verdict
+    return tuple(map(tuple, arms))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_CASES), ids="-".join)
+def test_memoized_arms_equal_a_per_trial_loop(key):
+    kind, attack, pair = PINNED_CASES[key]
+    for seed in (0, 7):
+        est = estimate_advantage(kind, attack, pair, 400, seed)
+        assert est.arms == _per_trial_arms(kind, attack, pair, 400, seed)
+
+
+def _workload_shape(name):
+    """The kind, attack and pair of a benchmark workload's solve."""
+    if name == "onion":
+        params = ProtocolParams(n=20, l_max=3, beta=0.25, relays=6)
+        return (ProtocolKind("onion-path", params), tracing_attack(20, 3),
+                _setup(n=20)[1])
+    n, l_max = {"small": (10, 3), "wide": (100, 5)}[name]
+    kind, pair = _setup(n=n, l_max=l_max, beta=0.25)
+    return kind, timing_attack(n), pair
+
+
+def _count_layers(monkeypatch):
+    """Record each trial's (arm, outcome) and count the verdicts made."""
+    drawn, decided = [], []
+    sample, judge = game.sample_outcome, game.decide
+
+    def recorded(*args):
+        outcome = sample(*args)
+        drawn.append((args[2], outcome))
+        return outcome
+
+    def counted(*args):
+        decided.append(1)
+        return judge(*args)
+
+    monkeypatch.setattr(game, "sample_outcome", recorded)
+    monkeypatch.setattr(game, "decide", counted)
+    return drawn, decided
+
+
+@pytest.mark.parametrize("name", ["small", "onion", "wide"])
+def test_the_tail_runs_once_per_distinct_arm_and_outcome(monkeypatch, name):
+    kind, attack, pair = _workload_shape(name)
+    drawn, decided = _count_layers(monkeypatch)
+    estimate_advantage(kind, attack, pair, 1000, master_seed=5)
+    assert len(drawn) == 1000
+    assert len(decided) == len(set(drawn)) < 1000
+
+
+def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
+    kind, attack, pair = _workload_shape("small")
+    want = _per_trial_arms(kind, attack, pair, 2000, 11)
+    monkeypatch.setattr(game, "MEMO_CAP", 3)
+    drawn, decided = _count_layers(monkeypatch)
+    assert estimate_advantage(kind, attack, pair, 2000, 11).arms == want
+    # memos holding each arm's first three outcomes: every other trial
+    # runs the tail
+    kept = ({}, {})
+    for b, outcome in drawn:
+        if len(kept[b]) < 3:
+            kept[b].setdefault(outcome)
+    misses = sum(outcome not in kept[b] for b, outcome in drawn)
+    assert len(decided) == misses + sum(map(len, kept))
+    assert all(len(memo) == 3 for memo in kept)
+
+
+# `simulate` at the mc-unsync-wide shape, past MEMO_CAP entries per arm;
+# the digest is the loop's before it kept a memo
+WIDE_ARGV = ("simulate --protocol trilemma-unsync --attack timing-interval "
+             "--n 100 --lmax 5 --p 0.25 --trials 50000 --seed 0")
+WIDE_SHA256 = ("1ed2bc9a88cda3636ae042c5b0a00441"
+               "e7babed731c24452e6311c23adda3400")
+
+
+def test_a_record_past_the_memo_cap_is_pinned(monkeypatch, capsys):
+    drawn, _ = _count_layers(monkeypatch)
+    assert cli.main(WIDE_ARGV.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SHA256
+    for b in (0, 1):
+        assert len({o for a, o in drawn if a == b}) > game.MEMO_CAP

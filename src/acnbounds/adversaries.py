@@ -123,15 +123,6 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
         pair.suspects()
 
 
-def _challenge_arrival(trace, pair):
-    msg = pair.challenge_message()
-    recv = pair.challenge_receiver()
-    for e in trace.events:
-        if e.kind == DELIVER and e.location == recv and e.msg == msg:
-            return e
-    return None
-
-
 def counting_decide(trace, pair, params, cap):
     observed = cap.observed_senders
     seen = {}
@@ -149,41 +140,54 @@ def counting_decide(trace, pair, params, cap):
     return None
 
 
-def _timing_verdict(trace, pair, params, arrival):
-    """Timing verdict given the challenge arrival found in the trace."""
-    if arrival is None:
-        return None
+def _timing_scan(trace, pair, params):
+    """(arrival, verdict): the challenge arrival (None if it is not in the
+    trace) and the timing verdict on it (None for a tie).
+
+    One pass, which stops at the arrival.  A trace is sorted by round with
+    sends before deliveries within a round, so every send the rule reads
+    comes before the arrival: a send in its transit window is in an
+    earlier round, and a direct delivery's send, which shares its packet
+    id, is in the same one.  Later sends lie past the window.
+    """
+    msg = pair.challenge_message()
+    recv = pair.challenge_receiver()
     s0, s1 = pair.suspects()
-    packet = arrival.packet
-    lo = arrival.round - params.l_max + 1
-    hi = arrival.round - 1
-    in_window = [False, False]
+    # the suspects' sends so far, as (who, round, packet)
+    sent = []
     for e in trace.events:
-        if e.kind != SEND:
-            continue
-        if e.location == s0:
-            who = 0
-        elif e.location == s1:
-            who = 1
-        else:
-            continue
+        kind, t, loc, q, _, _, _, m = e
+        if kind == SEND:
+            if loc == s0:
+                sent.append((0, t, q))
+            elif loc == s1:
+                sent.append((1, t, q))
+        elif kind == DELIVER and loc == recv and m == msg:
+            break
+    else:
+        return None, None
+    # e is the arrival
+    packet = e.packet
+    lo = e.round - params.l_max + 1
+    hi = e.round - 1
+    in_window = [False, False]
+    for who, t, q in sent:
         # direct delivery keeps the packet id, which identifies the sender
-        if e.packet == packet:
-            return who
-        if lo <= e.round <= hi:
+        if q == packet:
+            return e, who
+        if lo <= t <= hi:
             in_window[who] = True
     if in_window[0] != in_window[1]:
-        return 0 if in_window[0] else 1
-    return None
+        return e, 0 if in_window[0] else 1
+    return e, None
 
 
 def timing_decide(trace, pair, params, cap):
-    return _timing_verdict(trace, pair, params,
-                           _challenge_arrival(trace, pair))
+    return _timing_scan(trace, pair, params)[1]
 
 
 def tracing_decide(trace, pair, params, cap):
-    arrival = _challenge_arrival(trace, pair)
+    arrival, timing = _timing_scan(trace, pair, params)
     if arrival is None:
         return None
     s0, s1 = pair.suspects()
@@ -203,12 +207,12 @@ def tracing_decide(trace, pair, params, cap):
             break
         cur = e.in_packet
     # the chain is lost: fall back to timing from the same arrival
-    return _timing_verdict(trace, pair, params, arrival)
+    return timing
 
 
 def dropping_decide(trace, pair, params, cap):
     # the target (scenario-1 suspect) was strangled: silence convicts it
-    return 0 if _challenge_arrival(trace, pair) is not None else 1
+    return 0 if _timing_scan(trace, pair, params)[0] is not None else 1
 
 
 def decide(attack: AttackKind, trace, pair, params):

@@ -248,7 +248,9 @@ class View(NamedTuple):
     outcome skip building cover paths at all.  The one rule that follows
     packets, path tracing, is passive, so its chain passes no drop.  A
     view built by `adversaries.attack_view` is already cut down to what
-    the capability sees, so filtering it removes nothing.
+    the capability sees, and `build_trace` emits its sends already masked
+    (no real/dummy flag, no payload), so filtering it removes and masks
+    nothing: `filter_trace` returns the very trace it was given.
     """
 
     senders: frozenset = frozenset()
@@ -274,7 +276,9 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
     One pass, no relabeling: packet ids keep the labels `build_trace` gave
     them over the full trace, so a filtered trace may skip ids.  A kept
     event is returned as is when it has nothing to mask; a masked copy is
-    built directly from its fields.
+    built directly from its fields.  When nothing is dropped or masked,
+    as on a trace built under the capability's `View`, the input trace
+    object itself is returned.
     """
     observed = capability.observed_senders
     receiver = capability.receiver_corrupted
@@ -282,9 +286,11 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
     c_a = capability.c_a
     seen = max(capability.c_p, c_a)
     new = tuple.__new__   # skips the NamedTuple's Python-level __new__
+    events = trace.events
     out = []
     keep = out.append
-    for ev in trace.events:
+    masked = False
+    for ev in events:
         kind, t, loc, q, real, origin, inq, msg = ev
         if kind == SEND:
             visible = loc in observed
@@ -305,8 +311,11 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
             if real is None and msg is None:
                 keep(ev)
             else:
+                masked = True
                 keep(new(ObservationEvent,
                          (kind, t, loc, q, None, origin, inq, None)))
+    if not masked and len(out) == len(events):
+        return trace
     return ObservationTrace(tuple(out))
 
 

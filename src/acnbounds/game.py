@@ -16,7 +16,9 @@ Both routes ask `adversaries.attack_view` once per solve for the events
 the attack reads; every attack that `validate_attack` accepts has one.
 The view reaches `sample_outcome` and `enumerate_outcomes`, which draw or
 list only the randomness it shows, and `build_trace`, which emits only
-its events; then `filter_trace` and `decide` run as usual.  The verdict is the one the full filtered trace
+its events, already as the capability sees them; then `filter_trace`
+(which finds nothing to remove or mask, and hands the trace back) and
+`decide` run as usual.  The verdict is the one the full filtered trace
 would give, and the exact route sums the same probabilities.
 
 Within one Monte Carlo solve, the tail `build_trace` -> `filter_trace` ->
@@ -30,8 +32,9 @@ under the other arm's batch.  The memo is exact: every trial still draws
 its outcome in trial order and reads its own tie-break bit, so counts and
 records are those of a loop without it.  A solve's trial count has no
 upper limit, so an arm's memo stops taking entries at `MEMO_CAP` and only
-answers lookups after that.  `exact_advantage` lists each outcome once
-and keeps no memo.
+answers lookups after that.  `exact_advantage` walks each outcome once
+and keeps no memo; `enumerate_outcomes` streams the leaves, so a solve
+holds each field's option table but never the whole leaf list.
 
 Determinism contract: a solve builds one `random.Random(str(master_seed))`
 (a str seed keeps the sign, which an int seed drops) and draws every

@@ -37,10 +37,11 @@ deterministic given the schedule, ().  A random send time, too, would be
 a field of draws.
 
 Every field has `draw(rng, key)`, which `sample_outcome` calls in order,
-and `options()`, its values with integer weights over one denominator,
-whose product `enumerate_outcomes` streams as exact Fractions; so the two
-routes cannot drift apart.  The picks read the solve's `random.Random`
-with a fixed call sequence, and a k-sample (an onion path, a sync cohort,
+and `options()`, its denominator and its table of values with integer
+weights over it, as a `(weights, values)` pair of tuples, whose product
+`enumerate_outcomes` streams as exact Fractions without holding it; so
+the two routes cannot drift apart.  The picks read the solve's
+`random.Random` with a fixed call sequence, and a k-sample (an onion path, a sync cohort,
 a dropping copy's first hops) equals `rng.sample` and leaves the rng in
 the same state, also where `_sampler` runs `Random.sample`'s small-pool
 loop itself.  The cover reads no rng: each user's coins come from their
@@ -67,11 +68,12 @@ exact marginal, so its leaf count grows with the view, not with
 
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Given a `core.View` (from
-`adversaries.attack_view`) it emits only the events the view names: the
-game builds just what its attack reads, so a trial costs what the
-adversary looks at rather than `n x horizon` events, and the relabel and
-`filter_trace` run over those few rows.  Without a view it builds the
-full trace.  It and `_fields` read an arm's schedule from `_schedule`,
+`adversaries.attack_view`) it emits only the events the view names, each
+the way the capability sees it: the game builds just what its attack
+reads, so a trial costs what the adversary looks at rather than
+`n x horizon` events, the relabel runs over those few rows, and
+`filter_trace` finds nothing to drop or mask.  Without a view it builds
+the full trace.  It and `_fields` read an arm's schedule from `_schedule`,
 which applies the variant's `_TIMING` row once per arm and raises
 ConfigError for a schedule the model cannot run;
 `check_schedule` evaluates it before a game plays its first trial.
@@ -196,11 +198,11 @@ def check_schedule(kind: ProtocolKind, pair) -> None:
 # ---------------------------------------------------------- fields of draws
 
 def _product(tables):
-    """(weight product, values) for every choice of one (weight, value)
-    per table, in `itertools.product` order."""
-    weights = itertools.product(*[[w for w, _ in t] for t in tables])
-    values = itertools.product(*[[x for _, x in t] for t in tables])
-    return zip(map(prod, weights), values)
+    """The weight products and the value tuples of every choice of one
+    option per `(weights, values)` table, as two iterators in step, in
+    `itertools.product` order."""
+    return (map(prod, itertools.product(*[w for w, _ in tables])),
+            itertools.product(*[x for _, x in tables]))
 
 
 class _Choice:
@@ -214,7 +216,7 @@ class _Choice:
         return rng.choice(self.values)
 
     def options(self):
-        return self.size, [(1, x) for x in self.values]
+        return self.size, ((1,) * self.size, self.values)
 
 
 def _sampler(pool, k):
@@ -268,7 +270,7 @@ class _Subset:
         subsets = itertools.combinations(self.pool, self.k)
         if self.tag is not None:
             subsets = [(self.tag, s) for s in subsets]
-        return self.size, [(1, s) for s in subsets]
+        return self.size, ((1,) * self.size, tuple(subsets))
 
 
 class _Sample:
@@ -282,7 +284,7 @@ class _Sample:
 
     def options(self):
         paths = itertools.permutations(self.pool, self.k)
-        return self.size, [(1, s) for s in paths]
+        return self.size, ((1,) * self.size, tuple(paths))
 
 
 class _Picks:
@@ -297,9 +299,10 @@ class _Picks:
         return tuple([None if x is None else x.draw(rng) for x in self.picks])
 
     def options(self):
-        opts = [(1, [(1, None)]) if x is None else x.options()
+        opts = [(1, ((1,), (None,))) if x is None else x.options()
                 for x in self.picks]
-        return prod(d for d, _ in opts), list(_product([t for _, t in opts]))
+        weights, values = _product([t for _, t in opts])
+        return prod(d for d, _ in opts), (tuple(weights), tuple(values))
 
 
 # a user's stream tag: the stream's domain byte, then the user as a
@@ -382,16 +385,22 @@ class _Cover:
 
     def options(self):
         pn, pd = self.rate.numerator, self.rate.denominator
-        m, on = ((1, [(1, None)]) if self.payload is None
+        m, on = ((1, ((1,), (None,))) if self.payload is None
                  else self.payload.options())
         tables = []
         for sl in self.free:
             opts = [((pd - pn) * m, None)]
-            opts += [(pn * w, (sl, x) if self.paired else sl) for w, x in on]
-            tables.append([(w, x) for w, x in opts if w])
-        # a slot that did not fire leaves None, and fired values are truthy
-        return (pd * m) ** len(self.free), [
-            (w, tuple(filter(None, xs))) for w, xs in _product(tables)]
+            opts += [(pn * w, (sl, x) if self.paired else sl)
+                     for w, x in zip(*on)]
+            # (weights, values), zero weights pruned
+            tables.append(tuple(zip(*[o for o in opts if o[0]])))
+        weights, values = _product(tables)
+        # the table holds one int object per distinct weight, and a slot
+        # that did not fire leaves None, while fired values are truthy
+        distinct = {}
+        return (pd * m) ** len(self.free), (
+            tuple(distinct.setdefault(w, w) for w in weights),
+            tuple(tuple(filter(None, xs)) for xs in values))
 
 
 @functools.lru_cache(maxsize=64)
@@ -445,17 +454,41 @@ def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
                   for f in _fields(kind, pair.batch(b), _watch(view))])
 
 
+class _Leaves:
+    """The (probability, outcome) leaves of one arm, streamed: the product
+    of the fields' option tables is walked afresh by each iteration and
+    never held, and `len` is the product of the tables' lengths.  All
+    leaves share one denominator, so a leaf's weight is an int product
+    and each distinct probability becomes a Fraction once per walk."""
+
+    def __init__(self, den, tables):
+        self.den, self.tables = den, tables
+        self.size = prod(len(values) for _, values in tables)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        den, made = self.den, {}
+        for num, xs in zip(*_product(self.tables)):
+            prob = made.get(num)
+            if prob is None:
+                prob = made[num] = Fraction(num, den)
+            yield prob, xs
+
+
 def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     """Every (probability, outcome) with exact Fraction probabilities, in
     the order of each field's options.  With a `View` the outcomes are
     projected as in `sample_outcome`, and their probabilities are the
     exact marginals of the full ones.
 
-    The leaves of each field are listed once, then their product is
-    streamed; zero-weight options are pruned, so degenerate rates (p of 0
-    or 1) stay cheap.  All leaves of an arm share one denominator, so a
-    leaf's weight is an int product and each distinct probability becomes
-    a Fraction once.
+    Returns a sized iterable that can be walked more than once.  Each
+    field's option table is listed here (the cover's is every pattern of
+    its watched slots); the product across fields is streamed, so the
+    leaves are never all in memory at once.  Zero-weight options are
+    pruned, so degenerate rates (p of 0 or 1) stay cheap.  The
+    `ENUM_LIMIT` guard counts leaves before any table is listed.
     """
     fields = _fields(kind, pair.batch(b), _watch(view))
     # counted before anything is listed
@@ -468,15 +501,7 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
         d, leaves = field.options()
         den *= d
         tables.append(leaves)
-    results = []
-    add = results.append
-    made = {}
-    for num, xs in _product(tables):
-        prob = made.get(num)
-        if prob is None:
-            prob = made[num] = Fraction(num, den)
-        add((prob, xs))
-    return results
+    return _Leaves(den, tables)
 
 
 # ---------------------------------------------------------------- building
@@ -495,13 +520,16 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     passive and filtering happens afterwards.
 
     With `view=None` the trace is the full (unfiltered) one.  With a
-    `View`, only the events it names are emitted: the senders' sends, the
-    forwards of batch rows' packets at relays below `view.relays` and the
-    receivers' deliveries; drops, user-node forwards and an onion cover
-    packet's hops are left out, so a projected outcome (cover paths None)
-    builds as well as a full one.  The ids of the events kept come from
-    the same counter as in the full trace, so they stay unique, and the
-    dropping model still applies its drops.
+    `View`, only the events it names are emitted, each the way every
+    capability sees it: the senders' sends, without their real/dummy flag
+    and payload (`filter_trace` masks both on every send), the forwards of
+    batch rows' packets at relays below `view.relays` and the receivers'
+    deliveries; drops, user-node forwards and an onion cover packet's hops
+    are left out, so a projected outcome (cover paths None) builds as well
+    as a full one.  The ids of the events kept come from the same counter
+    as in the full trace, so they stay unique, and the dropping model
+    still applies its drops.  One branch per variant builds both traces,
+    appending its rows in place.
 
     Events are emitted as raw rows `(round, kind order, location, packet,
     kind, is_real, origin, in_packet, msg)` with construction-order packet
@@ -517,50 +545,39 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         users = frozenset(range(params.n))
         view = View(users, params.relays, users)
     senders, relays, receivers = view
+    # a send's real/dummy flag for a real and a cover packet; a view
+    # builds sends masked, and its real sends carry no payload either
+    real, cover = (True, False) if full else (None, None)
     pid = itertools.count()
     ev = []
-
-    def send(t, u, q, real, msg=None):
-        if u in senders:
-            ev.append((t, _SEND, u, q, SEND, real, None, None, msg))
-
-    def drop(t, loc, q):
-        # drops are in no view
-        if full:
-            ev.append((t, _DROP, loc, q, DROP, None, None, None, None))
-
-    def deliver(t, u, q, msg, in_packet=None):
-        if u in receivers:
-            ev.append((t, _DELIVER, u, q, DELIVER, True, None, in_packet,
-                       msg))
+    add = ev.append
 
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
-        delays = outcome[0]
-        for j, row in enumerate(batch.rows):
-            if slots[j] is None:
+        for t, d, row in zip(slots, outcome[0], batch.rows):
+            if t is None:
                 continue
-            t, d = slots[j], delays[j]
             q = next(pid)
-            send(t, row.sender, q, True, row.message)
-            if d == 0:
-                # direct delivery keeps the id: nothing re-randomized it
-                deliver(t, row.receiver, q, row.message, in_packet=q)
-            else:
-                deliver(t + d, row.receiver, next(pid), row.message)
+            if row.sender in senders:
+                add((t, _SEND, row.sender, q, SEND, real, None, None,
+                     row.message if full else None))
+            # direct delivery keeps the id: nothing re-randomized it
+            dq = q if d == 0 else next(pid)
+            if row.receiver in receivers:
+                add((t + d, _DELIVER, row.receiver, dq, DELIVER, True, None,
+                     q if d == 0 else None, row.message))
+        # cover sends are most of a wide trace: one comprehension, no call
+        # per row
         if v == TRILEMMA_UNSYNC:
-            # cover sends are most of a wide trace: one comprehension, no
-            # call per row
-            ev += [(t, _SEND, u, q, SEND, False, None, None, None)
+            ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
                    for (t, u), q in zip(outcome[1], pid) if u in senders]
         else:
-            for (t, cohort) in outcome[1]:
-                for u in cohort:
-                    send(t, u, next(pid), False)
+            ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
+                   for t, cohort in outcome[1]
+                   for u, q in zip(cohort, pid) if u in senders]
 
     elif v == ONION_PATH:
         paths = outcome[0]
         relay = [relay_loc(k) for k in range(params.relays)]
-        add = ev.append
         # real rows first, then cover sends, each with its path; one loop
         # appends every hop, so a trial's cost is the events it emits
         starts = [(slots[j], row.sender, paths[j], row)
@@ -569,11 +586,10 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         for t, u, path, row in starts:
             q = next(pid)
             if u in senders:
-                if row is None:
-                    add((t, _SEND, u, q, SEND, False, None, None, None))
-                else:
-                    add((t, _SEND, u, q, SEND, True, None, None,
-                         row.message))
+                add((t, _SEND, u, q, SEND, cover, None, None, None)
+                    if row is None else
+                    (t, _SEND, u, q, SEND, real, None, None,
+                     row.message if full else None))
             if row is None and not full:
                 # a cover packet feeds no delivery, so no rule reads its
                 # hops: a view holds its send alone
@@ -596,9 +612,16 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         # every row arrives at t0 and `_schedule` admits whole batches
         # only, so each batch flushes in the next round
         for t, row in zip(slots, batch.rows):
-            if t is not None:
-                send(t, row.sender, next(pid), True, row.message)
-                deliver(t + 1, row.receiver, next(pid), row.message)
+            if t is None:
+                continue
+            q = next(pid)
+            if row.sender in senders:
+                add((t, _SEND, row.sender, q, SEND, real, None, None,
+                     row.message if full else None))
+            q = next(pid)
+            if row.receiver in receivers:
+                add((t + 1, _DELIVER, row.receiver, q, DELIVER, True, None,
+                     None, row.message))
 
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each
@@ -610,11 +633,15 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 real_at.setdefault(s, []).append(batch.rows[j])
         for t in range(1, horizon + 1):
             rows = real_at.get(t, ())
-            real = {r.sender for r in rows}
-            for u in range(params.n):
-                send(t, u, next(pid), u in real)
+            hot = {r.sender for r in rows}
+            ev += [(t, _SEND, u, q, SEND, (u in hot) if full else None, None,
+                    None, None)
+                   for u, q in zip(range(params.n), pid) if u in senders]
             for r in rows:
-                deliver(t + lag, r.receiver, next(pid), r.message)
+                q = next(pid)
+                if r.receiver in receivers:
+                    add((t + lag, _DELIVER, r.receiver, q, DELIVER, True,
+                         None, None, r.message))
 
     elif v == DROPPING:
         paths = outcome[0]
@@ -629,28 +656,36 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
             survivors = []
             for k in paths[j]:
                 q = next(pid)
-                send(1, row.sender, q, True, row.message)
-                if row.sender == target and link_drop:
-                    drop(1, row.sender, q)
-                    continue
+                if row.sender in senders:
+                    add((1, _SEND, row.sender, q, SEND, real, None, None,
+                         row.message if full else None))
                 loc = k if params.integrated else relay_loc(k)
-                if link_drop and params.integrated and loc == target:
+                if row.sender == target and link_drop:
+                    cut = 1, row.sender
+                elif link_drop and params.integrated and loc == target:
                     # the cut link also swallows copies the target forwards
                     # for others, so silence can wrongly accuse it
-                    drop(2, loc, q)
+                    cut = 2, loc
+                elif row.sender == target and k in controlled:
+                    cut = 2, loc
+                else:
+                    nq = next(pid)
+                    # user-node forwards (integrated first hops) are in no
+                    # view
+                    if full or (not params.integrated and k < relays):
+                        add((2, _FORWARD, loc, nq, FORWARD, None, row.sender,
+                             q, None))
+                    survivors.append(nq)
                     continue
-                if row.sender == target and k in controlled:
-                    drop(2, loc, q)
-                    continue
-                nq = next(pid)
-                # user-node forwards (integrated first hops) are in no view
-                if full or (not params.integrated and k < relays):
-                    ev.append((2, _FORWARD, loc, nq, FORWARD, None,
-                               row.sender, q, None))
-                survivors.append(nq)
+                # drops are in no view
+                if full:
+                    add((cut[0], _DROP, cut[1], q, DROP, None, None, None,
+                         None))
             if survivors:
-                deliver(3, row.receiver, next(pid), row.message,
-                        in_packet=survivors[0])
+                q = next(pid)
+                if row.receiver in receivers:
+                    add((3, _DELIVER, row.receiver, q, DELIVER, True, None,
+                         survivors[0], row.message))
 
     else:  # pragma: no cover
         raise AssertionError(v)

@@ -1,14 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acnbounds.adversaries import (AttackKind, counting_attack, decide,
                                    dropping_attack, dropping_success_rate,
                                    random_guess_attack, timing_attack,
-                                   tracing_attack, validate_attack)
-from acnbounds.core import (AdversaryCapability, CapabilityError,
-                            Communication, ProtocolParams, filter_trace,
-                            make_batch)
+                                   timing_decide, tracing_attack,
+                                   tracing_decide, validate_attack)
+from acnbounds.core import (DELIVER, FORWARD, KIND_ORDER, SEND,
+                            AdversaryCapability, CapabilityError,
+                            Communication, ObservationEvent, ObservationTrace,
+                            ProtocolParams, filter_trace, make_batch,
+                            relay_loc)
 from acnbounds.game import exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import ProtocolKind, build_trace, enumerate_outcomes
@@ -251,3 +256,134 @@ def test_constructors_pass_validation():
                    tracing_attack(4, 1), dropping_attack(4),
                    random_guess_attack()):
         validate_attack(attack, pair, params)
+
+
+# ------------------------------------- the timing rule against two passes
+
+def _two_pass_arrival(trace, pair):
+    msg = pair.challenge_message()
+    recv = pair.challenge_receiver()
+    for e in trace.events:
+        if e.kind == DELIVER and e.location == recv and e.msg == msg:
+            return e
+    return None
+
+
+def _two_pass_timing(trace, pair, params, arrival):
+    """The timing rule as a second pass over the whole trace, after the
+    pass that finds the arrival."""
+    if arrival is None:
+        return None
+    s0, s1 = pair.suspects()
+    packet = arrival.packet
+    lo = arrival.round - params.l_max + 1
+    hi = arrival.round - 1
+    in_window = [False, False]
+    for e in trace.events:
+        if e.kind != SEND:
+            continue
+        if e.location == s0:
+            who = 0
+        elif e.location == s1:
+            who = 1
+        else:
+            continue
+        if e.packet == packet:
+            return who
+        if lo <= e.round <= hi:
+            in_window[who] = True
+    if in_window[0] != in_window[1]:
+        return 0 if in_window[0] else 1
+    return None
+
+
+def _two_pass_tracing(trace, pair, params):
+    arrival = _two_pass_arrival(trace, pair)
+    if arrival is None:
+        return None
+    s0, s1 = pair.suspects()
+    by_packet = {e.packet: e for e in trace.events if e.kind != DELIVER}
+    cur = arrival.in_packet
+    for _ in range(len(trace.events)):
+        if cur is None:
+            break
+        e = by_packet.get(cur)
+        if e is None:
+            break
+        if e.kind == SEND:
+            if e.location == s0:
+                return 0
+            if e.location == s1:
+                return 1
+            break
+        cur = e.in_packet
+    return _two_pass_timing(trace, pair, params, arrival)
+
+
+_ROUNDS = st.integers(1, 8)
+
+
+@st.composite
+def _sorted_traces(draw):
+    """A trace of the one-row pair (suspects 0 and 1, receiver 3, payload
+    0), sorted as `build_trace` sorts one and with its id rules: each event
+    has an id of its own, except that a direct delivery shares its send's
+    id in the send's round, and a forward or delivery links back to an
+    earlier packet."""
+    ids = itertools.count()
+    # sends of the suspects, a bystander (2) and the receiver, in any
+    # round, so also after the arrival
+    sends = [ObservationEvent(SEND, t, u, next(ids))
+             for t, u in draw(st.lists(st.tuples(_ROUNDS, st.integers(0, 3)),
+                                       max_size=8))]
+    events = list(sends)
+    # deliveries that are not the challenge arrival
+    for t, u, m in draw(st.lists(st.tuples(_ROUNDS, st.integers(2, 3),
+                                           st.integers(0, 1)), max_size=3)):
+        if (u, m) != (3, 0):
+            events.append(ObservationEvent(DELIVER, t, u, next(ids), True,
+                                           None, None, m))
+    how = draw(st.sampled_from(["none", "fresh", "direct", "chain"]))
+    if how in ("direct", "chain") and not sends:
+        how = "fresh"
+    arrival = None
+    if how == "fresh":
+        arrival = draw(_ROUNDS), next(ids), None
+    elif how == "direct":
+        # as at l_max = 1: the delivery keeps its send's id
+        s = draw(st.sampled_from(sends))
+        arrival = s.round, s.packet, s.packet
+    elif how == "chain":
+        s = draw(st.sampled_from(sends))
+        t, prev, origin = s.round, s.packet, s.location
+        for k in range(draw(st.integers(0, 2))):
+            t, q = t + 1, next(ids)
+            # a hop at an honest relay is not in the trace, so the chain
+            # is lost there
+            if draw(st.booleans()):
+                events.append(ObservationEvent(FORWARD, t, relay_loc(k), q,
+                                               None, origin, prev))
+            prev, origin = q, relay_loc(k)
+        arrival = t + 1, next(ids), prev
+    if arrival is not None:
+        t, q, inq = arrival
+        events.append(ObservationEvent(DELIVER, t, 3, q, True, None, inq, 0))
+        if draw(st.booleans()):
+            # the payload again, later: only the first arrival counts
+            events.append(ObservationEvent(DELIVER, t + draw(st.integers(0, 2)),
+                                           3, next(ids), True, None, None, 0))
+    events.sort(key=lambda e: (e.round, KIND_ORDER[e.kind], e.location,
+                               e.packet))
+    return ObservationTrace(tuple(events))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(trace=_sorted_traces(), l_max=st.integers(1, 4))
+def test_one_pass_timing_equals_the_two_pass_rule(trace, l_max):
+    pair, params = _pair(4), ProtocolParams(n=4, l_max=l_max)
+    cap = tracing_attack(4, 2).capability
+    assert (timing_decide(trace, pair, params, cap)
+            == _two_pass_timing(trace, pair, params,
+                                _two_pass_arrival(trace, pair)))
+    assert (tracing_decide(trace, pair, params, cap)
+            == _two_pass_tracing(trace, pair, params))

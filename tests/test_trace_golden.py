@@ -87,7 +87,8 @@ def outcome_digest(variant):
     kind, pair = ProtocolKind(variant, TINY), _pair(TINY_ROWS)
     h = hashlib.sha256()
     for b in (0, 1):
-        h.update(repr(enumerate_outcomes(kind, pair, b)).encode())
+        # the leaves are streamed; their list is what the digest pins
+        h.update(repr(list(enumerate_outcomes(kind, pair, b))).encode())
     return h.hexdigest()
 
 

@@ -18,6 +18,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,14 @@ from acnbounds.adversaries import (COUNTING, AttackKind,
                                    attack_view, counting_attack, decide,
                                    dropping_attack, random_guess_attack,
                                    timing_attack, tracing_attack)
-from acnbounds.core import (NO_COMM, AdversaryCapability, Communication,
-                            ProtocolParams, ResourceLimitError, View,
-                            filter_trace)
+from acnbounds.core import (NO_COMM, SEND, AdversaryCapability,
+                            Communication, ProtocolParams, ResourceLimitError,
+                            View, filter_trace)
 from acnbounds.game import exact_advantage
-from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
-                                 VARIANTS, ProtocolKind, build_trace,
-                                 enumerate_outcomes, sample_outcome)
+from acnbounds.protocols import (BROADCAST, DCNET, DROPPING, ONION_PATH,
+                                 TRILEMMA_UNSYNC, VARIANTS, ProtocolKind,
+                                 build_trace, enumerate_outcomes,
+                                 sample_outcome)
 from test_trace_golden import (KINDS, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair, trial_key)
 
@@ -69,7 +71,8 @@ def check_projection(kind, pair, b, outcome, attacks, whole=None):
         built = build_trace(kind, pair, b, outcome, cap, view)
         projected = filter_trace(built, cap)
         if view is not None:
-            assert len(projected.events) == len(built.events)
+            # built the way the capability sees it: nothing to drop or mask
+            assert projected is built
         assert _without_ids(projected.events) <= _without_ids(full.events)
         assert (decide(attack, projected, pair, params)
                 == decide(attack, full, pair, params))
@@ -100,6 +103,30 @@ def test_projected_verdicts_equal_full_ones_on_every_tiny_leaf(name):
             whole = (None if kind.variant == DROPPING else
                      build_trace(kind, pair, b, outcome))
             check_projection(kind, pair, b, outcome, attacks, whole)
+
+
+@pytest.mark.parametrize("name", sorted(TINY_KINDS))
+def test_full_trace_sends_carry_their_flag_and_payload(name):
+    # only a view builds sends masked; the full trace is unfiltered
+    kind = TINY_KINDS[name]
+    pair = _pair(TINY_ROWS)
+    real_rows = {(row.sender, row.message)
+                 for b in (0, 1) for row in pair.batch(b).rows
+                 if row is not NO_COMM}
+    for b in (0, 1):
+        for _, outcome in enumerate_outcomes(kind, pair, b):
+            sends = [e for e in build_trace(kind, pair, b, outcome).events
+                     if e.kind == SEND]
+            assert sends and all(e.is_real is not None for e in sends)
+            for e in sends:
+                if kind.variant in (DCNET, BROADCAST):
+                    # every user sends every round, with no payload id
+                    assert e.msg is None
+                elif e.is_real:
+                    assert (e.location, e.msg) in real_rows
+                else:
+                    assert e.msg is None
+            assert any(e.is_real for e in sends)
 
 
 def test_each_rule_reads_its_declared_events():
@@ -146,6 +173,52 @@ def test_verdicts_ignore_which_ids_packets_carry(name, seed, b, attack, data):
     ids = dict(zip(used, image))
     assert (decide(attack, _relabel(trace, ids), pair, kind.params)
             == decide(attack, trace, pair, kind.params))
+
+
+# ------------------------------------------------------ streamed leaves
+
+@pytest.mark.parametrize("name", sorted(TINY_KINDS))
+def test_leaves_are_sized_and_walk_alike_twice(name):
+    kind = TINY_KINDS[name]
+    pair = _pair(TINY_ROWS)
+    views = {None} | {view for _, view in _with_views(TINY, pair)}
+    for b, view in itertools.product((0, 1), views):
+        leaves = enumerate_outcomes(kind, pair, b, view)
+        first = list(leaves)
+        assert len(leaves) == len(first)
+        assert list(leaves) == first
+
+
+def _peak(walk):
+    """The peak of traced memory while `walk` runs, above what was traced
+    when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        walk()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_walk_over_the_leaves_does_not_hold_them():
+    # the benchmark's exact point: 24,576 leaves per arm, 3 delays times
+    # 8,192 cover patterns
+    kind = _unsync(2, 4, 0.25)
+    pair = _one_row_pair(2)
+    view = attack_view(timing_attack(2), pair)
+    # the arm's fields are cached: build them before anything is measured
+    enumerate_outcomes(kind, pair, 0, view)
+
+    def walk():
+        for _ in enumerate_outcomes(kind, pair, 0, view):
+            pass
+
+    # both include the fields' option tables, which are still listed:
+    # the cover's 8,192 patterns are most of what a walk holds
+    streamed = _peak(walk)
+    listed = _peak(lambda: list(enumerate_outcomes(kind, pair, 0, view)))
+    assert streamed < listed / 4
 
 
 # ---------------------------------------------- the unsync cover, projected

@@ -91,14 +91,19 @@ _ATTACKS = {
 }
 
 # the `simulate` flags that only some protocols or attacks read
-_MODEL_FLAGS = set("relays lexp threshold copies integrated cp ca".split())
+_MODEL_FLAGS = set(
+    "beta p p_real relays lexp threshold copies integrated cp ca".split())
 
-# --protocol -> the flags of `_MODEL_FLAGS` it reads; the dropping model
-# reads --relays only as its first-hop pool, which --integrated replaces,
-# and --cp is read only with --relays: without a relay pool path tracing
-# plays as timing
+# --protocol -> the flags of `_MODEL_FLAGS` it reads; sync cover reads
+# beta alone (--p is its shorthand), the dropping model reads --relays
+# only as its first-hop pool, which --integrated replaces, and --cp is
+# read only with --relays: without a relay pool path tracing plays as
+# timing
+_RATES = ("beta", "p", "p_real")
 _PROTOCOL_READS = {
-    "onion-path": ("relays", "lexp"),
+    "trilemma-sync": ("beta", "p"),
+    "trilemma-unsync": _RATES,
+    "onion-path": ("relays", "lexp", *_RATES),
     "threshold-mix": ("threshold",),
     "dropping-model": ("relays", "copies", "integrated"),
 }

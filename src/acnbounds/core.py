@@ -51,33 +51,6 @@ class Communication:
     aux: object = None
 
 
-def hash_once(cls):
-    """Class decorator: a frozen dataclass that keys a cache hashes its
-    fields once per object instead of on every lookup.
-
-    The hash is kept out of the pickled state, because str hashes are
-    salted per process and a copied-over value would be wrong in another.
-    """
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = field_hash(self)
-            return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@hash_once
 @dataclass(frozen=True)
 class Batch:
     """Ordered rows handed to the challenger; the protocol variant's

@@ -14,16 +14,20 @@ Two routes to the same number:
 
 Both routes ask `adversaries.attack_view` once per solve for the events
 the attack reads; every attack that `validate_attack` accepts has one.
-The view reaches `sample_outcome` and `enumerate_outcomes`, which draw or
-list only the randomness it shows, and `build_trace`, which emits only
-its events, already as the capability sees them; then `filter_trace`
-(which finds nothing to remove or mask, and hands the trace back) and
-`decide` run as usual.  The verdict is the one the full filtered trace
-would give, and the exact route sums the same probabilities.
+Then they resolve the pair's two arms under that view with
+`protocols.arm`, before the first trial, so a schedule the model cannot
+run fails there.  Each arm carries its schedule, its fields of draws and
+the view to `sample_outcome` (or `enumerate_outcomes`, which resolves the
+same arm itself), which draws or lists only the randomness the view
+shows, and to `build_trace`, which emits only its events, already as the
+capability sees them; then `filter_trace` (which finds nothing to remove
+or mask, and hands the trace back) and `decide` run as usual.  The verdict
+is the one the full filtered trace would give, and the exact route sums
+the same probabilities.
 
 Within one Monte Carlo solve, the tail `build_trace` -> `filter_trace` ->
 `decide` is a pure function of the arm b and the projected outcome: the
-kind, pair, capability, view, attack and params are fixed for the solve,
+arms, capability, attack and params are fixed for the solve,
 and none of the three reads the rng or the trial's hash.  So
 `estimate_advantage` keeps a memo per arm, outcome -> verdict (None for a
 tie), and runs the tail only for an outcome its arm has not played yet;
@@ -59,8 +63,7 @@ from fractions import Fraction
 
 from .adversaries import attack_view, decide, validate_attack
 from .core import filter_trace
-from .protocols import (build_trace, check_schedule, enumerate_outcomes,
-                        sample_outcome)
+from .protocols import arm, build_trace, enumerate_outcomes, sample_outcome
 
 # two-sided 95%
 _Z = 1.959963984540054
@@ -103,8 +106,9 @@ def estimate_advantage(kind, attack, pair, trials: int,
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful interval")
     validate_attack(attack, pair, kind.params)
-    check_schedule(kind, pair)
     view = attack_view(attack, pair)
+    # resolved before the first trial, so an unrunnable schedule fails here
+    arms = (arm(kind, pair, 0, view), arm(kind, pair, 1, view))
     cap = attack.capability
     params = kind.params
     n0 = k0 = n1 = k1 = 0
@@ -118,14 +122,13 @@ def estimate_advantage(kind, attack, pair, trials: int,
     for i in range(trials):
         h = _trial_hash(master_seed, i)
         b = h[0] & 1
-        outcome = sample_outcome(kind, pair, b, rng, view, h[10:])
+        outcome = sample_outcome(arms[b], rng, h[10:])
         memo = memos[b]
         verdict = memo.get(outcome, _MISS)
         if verdict is _MISS:
             # the layers are called by their module-global names, with
             # positional arguments, so perfbench's tracer can wrap them
-            trace = filter_trace(build_trace(kind, pair, b, outcome, cap,
-                                             view), cap)
+            trace = filter_trace(build_trace(arms[b], outcome, cap), cap)
             verdict = decide(attack, trace, pair, params)
             if len(memo) < MEMO_CAP:
                 memo[outcome] = verdict
@@ -161,15 +164,14 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     distinct denominators become Fractions at the end.
     """
     validate_attack(attack, pair, kind.params)
-    check_schedule(kind, pair)
+    view = attack_view(attack, pair)
+    arms = (arm(kind, pair, 0, view), arm(kind, pair, 1, view))
     cap = attack.capability
     params = kind.params
-    view = attack_view(attack, pair)
     wins, ties = {}, {}
-    for b in (0, 1):
+    for b, side in enumerate(arms):
         for prob, outcome in enumerate_outcomes(kind, pair, b, view):
-            trace = filter_trace(build_trace(kind, pair, b, outcome, cap,
-                                             view), cap)
+            trace = filter_trace(build_trace(side, outcome, cap), cap)
             verdict = decide(attack, trace, pair, params)
             if verdict is None:
                 tally = ties

@@ -54,34 +54,38 @@ them, so the `ENUM_LIMIT` guard trips before any leaf is built.  Exact
 cover weights use the decimals the user typed (beta=0.3 weighs 3/10);
 Monte Carlo compares against the float.
 
-An outcome drawn or listed under a view (`sample_outcome` and
-`enumerate_outcomes` take the `view` that `build_trace` takes) holds only
-the watched senders' cover slots, and an onion cover slot holds
-`(slot, None)` in place of its path: a cover packet feeds no delivery, so
-no rule reads its hops.  A projected draw reads only the watched users'
-streams, and the full cover is the same draw over every user, so a
-watched user's fired slots are the same under every view that watches
-them, and the rng ends where the full draw leaves it.  A trial's cover
-costs what the view watches, and enumeration lists the watched slots'
-exact marginal, so its leaf count grows with the view, not with
-`n x horizon` or with the paths a cover packet could take.
+An outcome drawn or listed under a view (an arm's, or the `view` that
+`enumerate_outcomes` takes) holds only the watched senders' cover slots,
+and an onion cover slot holds `(slot, None)` in place of its path: a
+cover packet feeds no delivery, so no rule reads its hops.  A projected
+draw reads only the watched users' streams, and the full cover is the
+same draw over every user, so a watched user's fired slots are the same
+under every view that watches them, and the rng ends where the full draw
+leaves it.  A trial's cover costs what the view watches, and
+enumeration lists the watched slots' exact marginal, so its leaf count
+grows with the view, not with `n x horizon` or with the paths a cover
+packet could take.
 
 `build_trace` deterministically turns an outcome into events, applying a
-dropping adversary's drops in the same pass.  Given a `core.View` (from
+dropping adversary's drops in the same pass.  Under a `core.View` (from
 `adversaries.attack_view`) it emits only the events the view names, each
 the way the capability sees it: the game builds just what its attack
 reads, so a trial costs what the adversary looks at rather than
 `n x horizon` events, the relabel runs over those few rows, and
 `filter_trace` finds nothing to drop or mask.  Without a view it builds
-the full trace.  It and `_fields` read an arm's schedule from `_schedule`,
-which applies the variant's `_TIMING` row once per arm and raises
-ConfigError for a schedule the model cannot run;
-`check_schedule` evaluates it before a game plays its first trial.
+the full trace.
+
+`sample_outcome` and `build_trace` take an `Arm`, one side of a challenge
+pair resolved once by `arm`: its batch, the schedule that the variant's
+`_TIMING` row gives it (`_schedule`), its fields of draws projected onto
+the view (`_fields`) and the view.  `arm` raises ConfigError for a
+schedule the model cannot run, so an `Arm` exists only for a runnable
+arm, and a game that builds its two arms before the first trial fails
+there.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -90,10 +94,11 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from typing import NamedTuple, Optional
 
-from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, SEND,
+from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, SEND, Batch,
                    ConfigError, ObservationEvent, ObservationTrace,
-                   ResourceLimitError, View, hash_once, relay_loc)
+                   ProtocolParams, ResourceLimitError, View, relay_loc)
 
 TRILEMMA_SYNC = "trilemma-sync"
 TRILEMMA_UNSYNC = "trilemma-unsync"
@@ -123,7 +128,6 @@ _TIMING = {
 ENUM_LIMIT = 2_000_000
 
 
-@hash_once
 @dataclass(frozen=True)
 class ProtocolKind:
     variant: str
@@ -158,15 +162,11 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
                  for u in range(kind.params.n) if (t, u) not in busy)
 
 
-@functools.lru_cache(maxsize=64)
 def _schedule(kind: ProtocolKind, batch):
     """(slots, horizon) of one arm, read off the variant's `_TIMING` row:
     each batch row's start round (None for a row with nothing to send) and
     the last round the run needs, or `rounds` when the user set it.
-
-    A pure function of frozen arguments, cached so a trial loop computes
-    it once per arm instead of once per trial.  Raises ConfigError for a
-    schedule the model cannot run.
+    Raises ConfigError for a schedule the model cannot run.
     """
     params = kind.params
     step, transit = _TIMING[kind.variant]
@@ -186,13 +186,6 @@ def _schedule(kind: ProtocolKind, batch):
         raise ConfigError(f"rounds={params.rounds} too short, "
                           f"need at least {needed}")
     return slots, needed if params.rounds is None else params.rounds
-
-
-def check_schedule(kind: ProtocolKind, pair) -> None:
-    """Raise ConfigError if either arm's schedule cannot run, so a bad
-    threshold or a too-short horizon fails before the first trial."""
-    for b in (0, 1):
-        _schedule(kind, pair.batch(b))
 
 
 # ---------------------------------------------------------- fields of draws
@@ -403,14 +396,12 @@ class _Cover:
             tuple(tuple(filter(None, xs)) for xs in values))
 
 
-@functools.lru_cache(maxsize=64)
-def _fields(kind: ProtocolKind, batch, watch=None):
+def _fields(kind: ProtocolKind, batch, slots, horizon, watch):
     """The randomness of one arm, as the ordered fields of draws an
     outcome holds.  With `watch`, a view's senders, the cover holds only
     the watched users' slots, and an onion cover no paths (see `_Cover`);
     every other field is drawn in full."""
     v, params = kind.variant, kind.params
-    slots, horizon = _schedule(kind, batch)
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delay = _Choice(range(1, params.l_max) if params.l_max > 1 else (0,))
         delays = _Picks(None if s is None else delay for s in slots)
@@ -434,24 +425,51 @@ def _fields(kind: ProtocolKind, batch, watch=None):
     return ()
 
 
-def _watch(view):
-    return None if view is None else view.senders
+class Arm(NamedTuple):
+    """One side of a challenge pair, resolved once per solve by `arm`.
 
-
-def sample_outcome(kind: ProtocolKind, pair, b: int, rng: random.Random,
-                   view, key: bytes):
-    """Draw one random outcome, each field in turn.  `rng` is a plain
-    `random.Random` (see `_sampler`) and gives every field but the cover,
-    whose coins come from per-user streams under the trial's `key` (see
-    `_Cover`).
-
-    With a `View` (None for the full outcome) the outcome is projected
-    onto it, for `build_trace` with the same view: the cover holds only
-    the view's senders' slots, each drawn as in the full outcome (an onion
-    cover's without its path), and the rng ends in the same state.
+    variant, params  the protocol kind's
+    batch            the arm's batch
+    slots, horizon   its schedule (see `_schedule`)
+    fields           its fields of draws, projected onto `view`
+    view             the `View` its traces are built for, None for full
+    target           the dropping model's target: the pair's suspect
+                     under 1 (None in every other model)
     """
-    return tuple([f.draw(rng, key)
-                  for f in _fields(kind, pair.batch(b), _watch(view))])
+
+    variant: str
+    params: ProtocolParams
+    batch: Batch
+    slots: tuple
+    horizon: int
+    fields: tuple
+    view: Optional[View]
+    target: Optional[int]
+
+
+def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
+    """Arm b of the pair under `view` (None for the full outcome and
+    trace).  Raises ConfigError for a schedule the model cannot run."""
+    batch = pair.batch(b)
+    slots, horizon = _schedule(kind, batch)
+    watch = None if view is None else view.senders
+    target = pair.suspects()[1] if kind.variant == DROPPING else None
+    return Arm(kind.variant, kind.params, batch, slots, horizon,
+               _fields(kind, batch, slots, horizon, watch), view, target)
+
+
+def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
+    """Draw one random outcome of the arm, each field in turn.  `rng` is a
+    plain `random.Random` (see `_sampler`) and gives every field but the
+    cover, whose coins come from per-user streams under the trial's `key`
+    (see `_Cover`).
+
+    Under the arm's `View` (None for the full outcome) the outcome is
+    projected onto it, for `build_trace` of the same arm: the cover holds
+    only the view's senders' slots, each drawn as in the full outcome (an
+    onion cover's without its path), and the rng ends in the same state.
+    """
+    return tuple([f.draw(rng, key) for f in arm.fields])
 
 
 class _Leaves:
@@ -490,7 +508,7 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     pruned, so degenerate rates (p of 0 or 1) stay cheap.  The
     `ENUM_LIMIT` guard counts leaves before any table is listed.
     """
-    fields = _fields(kind, pair.batch(b), _watch(view))
+    fields = arm(kind, pair, b, view).fields
     # counted before anything is listed
     count = prod(f.size for f in fields)
     if count > ENUM_LIMIT:
@@ -511,16 +529,15 @@ _SEND, _FORWARD, _DROP, _DELIVER = (KIND_ORDER[k]
                                     for k in (SEND, FORWARD, DROP, DELIVER))
 
 
-def build_trace(kind: ProtocolKind, pair, b: int, outcome,
-                capability=None, view=None) -> ObservationTrace:
-    """Deterministically expand an outcome into a trace.
+def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
+    """Deterministically expand an outcome of the arm into a trace.
 
     `capability` only matters for the dropping model, where an active
     adversary physically removes packets; everywhere else observation is
     passive and filtering happens afterwards.
 
-    With `view=None` the trace is the full (unfiltered) one.  With a
-    `View`, only the events it names are emitted, each the way every
+    Under an arm without a view the trace is the full (unfiltered) one.
+    Under a `View`, only the events it names are emitted, each the way every
     capability sees it: the senders' sends, without their real/dummy flag
     and payload (`filter_trace` masks both on every send), the forwards of
     batch rows' packets at relays below `view.relays` and the receivers'
@@ -536,10 +553,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     ids.  One sort in native tuple order puts them in trace order, then ids
     are relabeled by first mention and each event is built once.
     """
-    batch = pair.batch(b)
-    params = kind.params
-    v = kind.variant
-    slots, horizon = _schedule(kind, batch)
+    v, params, batch, slots, horizon, _, view, target = arm
     full = view is None
     if full:
         users = frozenset(range(params.n))
@@ -552,8 +566,12 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
     ev = []
     add = ev.append
 
-    if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
-        for t, d, row in zip(slots, outcome[0], batch.rows):
+    if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC, THRESHOLD_MIX):
+        # a threshold mix row is a trilemma row with delay 1 and no cover:
+        # every row arrives at t0 and `_schedule` admits whole batches
+        # only, so each batch flushes in the next round
+        delays = itertools.repeat(1) if v == THRESHOLD_MIX else outcome[0]
+        for t, d, row in zip(slots, delays, batch.rows):
             if t is None:
                 continue
             q = next(pid)
@@ -570,7 +588,7 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
         if v == TRILEMMA_UNSYNC:
             ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
                    for (t, u), q in zip(outcome[1], pid) if u in senders]
-        else:
+        elif v == TRILEMMA_SYNC:
             ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
                    for t, cohort in outcome[1]
                    for u, q in zip(cohort, pid) if u in senders]
@@ -608,21 +626,6 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
                 add((t, _DELIVER, row.receiver, next(pid) if path else q,
                      DELIVER, True, None, prev, row.message))
 
-    elif v == THRESHOLD_MIX:
-        # every row arrives at t0 and `_schedule` admits whole batches
-        # only, so each batch flushes in the next round
-        for t, row in zip(slots, batch.rows):
-            if t is None:
-                continue
-            q = next(pid)
-            if row.sender in senders:
-                add((t, _SEND, row.sender, q, SEND, real, None, None,
-                     row.message if full else None))
-            q = next(pid)
-            if row.receiver in receivers:
-                add((t + 1, _DELIVER, row.receiver, q, DELIVER, True, None,
-                     None, row.message))
-
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each
         # real message is delivered after the variant's transit
@@ -645,7 +648,6 @@ def build_trace(kind: ProtocolKind, pair, b: int, outcome,
 
     elif v == DROPPING:
         paths = outcome[0]
-        target = pair.suspects()[1]
         cap = capability
         link_drop = bool(cap and cap.active_drop and cap.c_a == 0
                          and target in cap.observed_senders)

@@ -16,7 +16,8 @@ from acnbounds.core import (DELIVER, FORWARD, KIND_ORDER, SEND,
                             relay_loc)
 from acnbounds.game import exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import ProtocolKind, build_trace, enumerate_outcomes
+from acnbounds.protocols import (ProtocolKind, arm, build_trace,
+                                 enumerate_outcomes)
 
 SO = parse_notion("SO")
 
@@ -31,7 +32,7 @@ def _pair(n, rows=None):
 
 
 def _decide(attack, kind, pair, b, outcome):
-    trace = filter_trace(build_trace(kind, pair, b, outcome,
+    trace = filter_trace(build_trace(arm(kind, pair, b), outcome,
                                      attack.capability), attack.capability)
     return decide(attack, trace, pair, kind.params)
 

@@ -429,7 +429,20 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
       "path-tracing", "--n", "4", "--lmax", "3", "--p", "0.3", "--cp", "2",
       "--trials", "2000", "--seed", "0"],
      "trilemma-unsync with path-tracing takes no --cp"),
-], ids=["threshold-remainder", "bound-unread-n", "tracing-without-relays"])
+    (["simulate", "--protocol", "trilemma-sync", "--attack",
+      "timing-interval", "--n", "4", "--lmax", "2", "--beta", "0.25",
+      "--p-real", "0.5", "--trials", "200"],
+     "trilemma-sync with timing-interval takes no --p-real"),
+    (["simulate", "--protocol", "broadcast-full-dummy", "--attack",
+      "counting", "--n", "3", "--lmax", "2", "--beta", "0.5", "--trials",
+      "200"],
+     "broadcast-full-dummy with counting takes no --beta"),
+    (["simulate", "--protocol", "dropping-model", "--attack", "dropping",
+      "--n", "3", "--lmax", "1", "--relays", "4", "--copies", "2", "--p",
+      "0.3", "--trials", "200"],
+     "dropping-model with dropping takes no --p"),
+], ids=["threshold-remainder", "bound-unread-n", "tracing-without-relays",
+        "sync-p-real", "broadcast-beta", "dropping-p"])
 def test_an_unread_flag_or_an_unflushed_message_exits_one(capsys, argv,
                                                           reason):
     code, out, err = _run(capsys, *argv)
@@ -515,15 +528,18 @@ def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
 
 # what each variant and attack reads of the flags that only some pairs read,
 # and one valid argv per variant that types none of them beyond its reads
+_RATES = ("beta", "p", "p_real")
 _PROTOCOL_READS = {
-    "trilemma-sync": (), "trilemma-unsync": (),
-    "onion-path": ("relays", "lexp"), "threshold-mix": ("threshold",),
+    "trilemma-sync": ("beta", "p"), "trilemma-unsync": _RATES,
+    "onion-path": ("relays", "lexp", *_RATES),
+    "threshold-mix": ("threshold",),
     "dcnet-round": (), "broadcast-full-dummy": (),
     "dropping-model": ("relays", "copies", "integrated"),
 }
 _ATTACK_READS = {"counting": (), "path-tracing": ("cp",), "dropping": ("ca",)}
 _BASE = {
-    "trilemma-sync": "--n 4 --lmax 3 --p 0.4",
+    # --beta, not --p, so that --p-real can be typed beside it
+    "trilemma-sync": "--n 4 --lmax 3 --beta 0.4",
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
     "onion-path": "--n 4 --lmax 3 --relays 3",
     "threshold-mix": "--n 4 --lmax 2 --threshold 1",
@@ -531,7 +547,8 @@ _BASE = {
     "broadcast-full-dummy": "--n 4 --lmax 1",
     "dropping-model": "--n 3 --lmax 1 --relays 4",
 }
-_FLAG_ARGS = {"relays": "--relays 3", "lexp": "--lexp 1",
+_FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "p_real": "--p-real 0.2",
+              "relays": "--relays 3", "lexp": "--lexp 1",
               "threshold": "--threshold 2", "copies": "--copies 3",
               "integrated": "--integrated", "cp": "--cp 1", "ca": "--ca 1"}
 
@@ -547,15 +564,17 @@ def test_each_protocol_refuses_each_flag_it_does_not_read(capsys, variant,
                           "--attack", "random-guess", *_BASE[variant].split(),
                           *_FLAG_ARGS[flag].split(), "--trials", "200")
     assert code == 1 and out == ""
-    assert err.endswith(f"{variant} with random-guess takes no --{flag}\n")
+    typed = _FLAG_ARGS[flag].split()[0]
+    assert err.endswith(f"{variant} with random-guess takes no {typed}\n")
 
 
 @pytest.mark.parametrize("attack,flag", [
     (a, f) for a, reads in _ATTACK_READS.items() for f in _FLAG_ARGS
-    if f not in reads])
+    if f not in reads + _PROTOCOL_READS["trilemma-unsync"]])
 def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     # trilemma-unsync reads none of these flags, so the refusal is the
-    # attack's alone (timing-interval's row is checked above)
+    # attack's alone (timing-interval's row is checked above); no attack
+    # reads a rate
     code, out, err = _run(capsys, "simulate", "--protocol", "trilemma-unsync",
                           "--attack", attack,
                           *_BASE["trilemma-unsync"].split(),
@@ -570,12 +589,19 @@ def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     ("dropping-model", "random-guess", "integrated"),
     ("onion-path", "path-tracing", "cp"),
     ("dropping-model", "dropping", "ca"),
+    ("trilemma-sync", "random-guess", "p"),
+    ("trilemma-unsync", "random-guess", "p_real"),
+    ("onion-path", "random-guess", "beta"),
 ])
 def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
     base = _BASE[protocol].split()
     if flag == "integrated":
         # the integrated link replaces the first-hop pool that --relays sizes
         base = base[:base.index("--relays")]
+    if flag in _RATES and base[-2] in ("--beta", "--p"):
+        # the rate replaces the base's: --p is shorthand for --beta with
+        # --p-real 0, so it may not be typed beside either
+        base = base[:-2]
     code, out, err = _run(capsys, "simulate", "--protocol", protocol,
                           "--attack", attack, *base,
                           *_FLAG_ARGS[flag].split(), "--trials", "200")

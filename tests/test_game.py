@@ -15,7 +15,7 @@ from acnbounds.game import (AdvantageEstimate, advantage_forms,
                             estimate_advantage, exact_advantage, record_json,
                             result_record, wilson_interval)
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import ProtocolKind, build_trace, sample_outcome
+from acnbounds.protocols import ProtocolKind, arm, build_trace, sample_outcome
 from test_exact_route import pinned_cases
 
 SO = parse_notion("SO")
@@ -181,9 +181,9 @@ def _per_trial_arms(kind, attack, pair, trials, master_seed):
     for i in range(trials):
         h = hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
         b = h[0] & 1
-        outcome = sample_outcome(kind, pair, b, rng, view, h[10:])
-        trace = filter_trace(build_trace(kind, pair, b, outcome, cap, view),
-                             cap)
+        side = arm(kind, pair, b, view)
+        outcome = sample_outcome(side, rng, h[10:])
+        trace = filter_trace(build_trace(side, outcome, cap), cap)
         verdict = decide(attack, trace, pair, kind.params)
         arms[b][0] += 1
         arms[b][1] += h[9] & 1 if verdict is None else verdict
@@ -216,7 +216,7 @@ def _count_layers(monkeypatch):
 
     def recorded(*args):
         outcome = sample(*args)
-        drawn.append((args[2], outcome))
+        drawn.append((args[0], outcome))
         return outcome
 
     def counted(*args):
@@ -245,13 +245,15 @@ def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
     assert estimate_advantage(kind, attack, pair, 2000, 11).arms == want
     # memos holding each arm's first three outcomes: every other trial
     # runs the tail
-    kept = ({}, {})
-    for b, outcome in drawn:
-        if len(kept[b]) < 3:
-            kept[b].setdefault(outcome)
-    misses = sum(outcome not in kept[b] for b, outcome in drawn)
-    assert len(decided) == misses + sum(map(len, kept))
-    assert all(len(memo) == 3 for memo in kept)
+    kept = {}
+    for side, outcome in drawn:
+        memo = kept.setdefault(side, {})
+        if len(memo) < 3:
+            memo.setdefault(outcome)
+    misses = sum(outcome not in kept[side] for side, outcome in drawn)
+    assert len(decided) == misses + sum(map(len, kept.values()))
+    assert len(kept) == 2
+    assert all(len(memo) == 3 for memo in kept.values())
 
 
 # `simulate` at the mc-unsync-wide shape, past MEMO_CAP entries per arm;
@@ -268,5 +270,8 @@ def test_a_record_past_the_memo_cap_is_pinned(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SHA256
-    for b in (0, 1):
-        assert len({o for a, o in drawn if a == b}) > game.MEMO_CAP
+    outcomes = {}
+    for side, outcome in drawn:
+        outcomes.setdefault(side, set()).add(outcome)
+    assert len(outcomes) == 2
+    assert all(len(seen) > game.MEMO_CAP for seen in outcomes.values())

@@ -14,9 +14,9 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
 from acnbounds import protocols
 from acnbounds.adversaries import (counting_attack, dropping_attack,
                                    timing_attack, tracing_attack)
-from acnbounds.game import estimate_advantage
+from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
-from acnbounds.protocols import (ProtocolKind, build_trace,
+from acnbounds.protocols import (ProtocolKind, arm, build_trace,
                                  enumerate_outcomes, sample_outcome)
 from test_trace_golden import trial_key
 
@@ -34,8 +34,9 @@ def _pair(n, rows=None):
 
 def _events(kind, pair, b=0, seed=1, cap=None):
     rng = random.Random(seed)
-    outcome = sample_outcome(kind, pair, b, rng, None, trial_key(seed))
-    return build_trace(kind, pair, b, outcome, cap).events
+    side = arm(kind, pair, b)
+    outcome = sample_outcome(side, rng, trial_key(seed))
+    return build_trace(side, outcome, cap).events
 
 
 def test_variant_validation():
@@ -78,7 +79,7 @@ def test_sampled_outcomes_live_in_the_enumerated_support():
     support = {o for _, o in enumerate_outcomes(kind, pair, 0)}
     rng = random.Random(0)
     for i in range(50):
-        assert sample_outcome(kind, pair, 0, rng, None, trial_key(0, i)) in \
+        assert sample_outcome(arm(kind, pair, 0), rng, trial_key(0, i)) in \
             support
 
 
@@ -87,9 +88,9 @@ def test_trace_build_is_deterministic():
                                                         beta=0.4))
     pair = _pair(5)
     rng = random.Random(3)
-    outcome = sample_outcome(kind, pair, 0, rng, None, trial_key(3))
-    assert build_trace(kind, pair, 0, outcome) == build_trace(kind, pair, 0,
-                                                              outcome)
+    side = arm(kind, pair, 0)
+    outcome = sample_outcome(side, rng, trial_key(3))
+    assert build_trace(side, outcome) == build_trace(side, outcome)
 
 
 def test_packet_ids_are_dense_and_first_mention_ordered():
@@ -144,9 +145,8 @@ def test_threshold_mix_flushes_in_one_batch():
     assert len(delivers) == 2
     assert len({e.round for e in delivers}) == 1
     with pytest.raises(ConfigError):
-        build_trace(ProtocolKind("threshold-mix",
-                                 ProtocolParams(n=4, l_max=3, threshold=3)),
-                    pair, 0, ())
+        arm(ProtocolKind("threshold-mix",
+                         ProtocolParams(n=4, l_max=3, threshold=3)), pair, 0)
 
 
 def _threshold_mix(threshold):
@@ -164,14 +164,14 @@ def _context_pair(k):
 def test_threshold_mix_refuses_a_partial_batch():
     # the third message would wait for a batch that never fills
     with pytest.raises(ConfigError, match="threshold"):
-        protocols.check_schedule(_threshold_mix(2), _context_pair(2))
+        arm(_threshold_mix(2), _context_pair(2), 0)
 
 
 def test_threshold_mix_traces_do_not_depend_on_the_threshold():
     # every row arrives at t0 = l_max, so each whole batch flushes at t0+1
     pair = _context_pair(3)
     for b in (0, 1):
-        traces = {build_trace(_threshold_mix(t), pair, b, ())
+        traces = {build_trace(arm(_threshold_mix(t), pair, b), ())
                   for t in (1, 2, 4)}
         assert len(traces) == 1
         delivers = [e for e in traces.pop().events if e.kind == DELIVER]
@@ -188,7 +188,7 @@ def test_broadcast_volume_matches_the_traffic_relation():
     pair = _pair(n, rows=rows)
     kind = ProtocolKind("broadcast-full-dummy",
                         ProtocolParams(n=n, l_max=1, rounds=r))
-    trace = build_trace(kind, pair, 0, ())
+    trace = build_trace(arm(kind, pair, 0), ())
     stats = traffic_stats(trace)
     assert stats.com == n * r == 20
     assert stats.out == 5
@@ -251,7 +251,7 @@ def test_dropping_relay_control_needs_full_coverage():
                               receiver_corrupted=True, active_drop=True,
                               c_a=1, knows_expected_reception=True)
     for _, outcome in enumerate_outcomes(kind, pair, 1):
-        evs = build_trace(kind, pair, 1, outcome, cap).events
+        evs = build_trace(arm(kind, pair, 1), outcome, cap).events
         # one controlled relay can kill at most one of the two copies
         assert any(e.kind == DELIVER for e in evs)
 
@@ -260,8 +260,18 @@ def test_short_horizon_is_rejected():
     params = ProtocolParams(n=2, l_max=3, rounds=2)
     kind = ProtocolKind("trilemma-unsync", params)
     with pytest.raises(ConfigError):
-        sample_outcome(kind, _pair(2), 0, random.Random(0), None,
-                       trial_key(0))
+        arm(kind, _pair(2), 0)
+
+
+def _count_resolves(monkeypatch):
+    """Count the calls of `_schedule` and `_fields` from here on."""
+    calls = {"_schedule": 0, "_fields": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(protocols, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(protocols, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("variant,params,attack", [
@@ -280,19 +290,40 @@ def test_short_horizon_is_rejected():
      dropping_attack(10, 1)),
 ], ids=["trilemma-sync", "trilemma-unsync", "onion-path", "threshold-mix",
         "dcnet-round", "broadcast-full-dummy", "dropping-model"])
-def test_a_solve_builds_each_arms_schedule_and_fields_once(variant, params,
+def test_a_solve_builds_each_arms_schedule_and_fields_once(monkeypatch,
+                                                           variant, params,
                                                            attack):
-    # the caches are keyed by arm (and view) alone, so a many-row pair
-    # computes its schedule and fields once per arm, not once per trial
+    # the game resolves each arm once, before the first trial, so a
+    # many-row pair computes its schedule and fields once per arm, not
+    # once per trial
     context = [Communication(j, 9, j) for j in range(2, 6)]
     pair = _pair(10, rows=([Communication(0, 9, 0)] + context,
                            [Communication(1, 9, 0)] + context))
-    protocols._fields.cache_clear()
-    protocols._schedule.cache_clear()
+    calls = _count_resolves(monkeypatch)
     estimate_advantage(ProtocolKind(variant, params), attack, pair, 2000,
                        master_seed=0)
-    assert protocols._fields.cache_info().misses <= 2
-    assert protocols._schedule.cache_info().misses <= 2
+    assert calls == {"_schedule": 2, "_fields": 2}
+
+
+@pytest.mark.parametrize("variant,attack", [
+    ("trilemma-unsync", timing_attack(2)),
+    ("onion-path", tracing_attack(2, 1)),
+])
+def test_an_exact_solve_resolves_its_arms_whatever_its_leaf_count(
+        monkeypatch, variant, attack):
+    pair = _pair(2)
+    counts, leaves = [], []
+    for rounds in (None, 6):
+        kind = ProtocolKind(variant, ProtocolParams(
+            n=2, l_max=2, beta=0.5, relays=2, rounds=rounds))
+        leaves.append(len(enumerate_outcomes(kind, pair, 0)))
+        with monkeypatch.context() as m:
+            calls = _count_resolves(m)
+            exact_advantage(kind, attack, pair)
+        counts.append(calls)
+    assert leaves[0] < leaves[1]
+    # each arm once in the game and once in `enumerate_outcomes`
+    assert counts == [{"_schedule": 4, "_fields": 4}] * 2
 
 
 def test_enumeration_guard_trips_on_large_spaces():
@@ -412,7 +443,8 @@ def test_cover_coins_are_pinned_for_one_key_and_user():
     kind = ProtocolKind("trilemma-unsync",
                         ProtocolParams(n=3, l_max=3, beta=0.5, rounds=40))
     view = View(frozenset({1}))
-    outcome = sample_outcome(kind, _pair(3), 0, random.Random(0), view, key)
+    outcome = sample_outcome(arm(kind, _pair(3), 0, view), random.Random(0),
+                             key)
     rounds = [2, 6, 7, 8, 10, 12, 13, 15, 16, 18, 19, 20, 22, 25, 26, 27,
               30, 32, 36, 37, 38, 39]
     assert outcome[1] == tuple((t, 1) for t in rounds)
@@ -423,7 +455,7 @@ def test_cover_coins_are_pinned_for_one_key_and_user():
     # a full onion draw picks each path from the firing user's own stream
     kind = ProtocolKind("onion-path", ProtocolParams(
         n=3, l_max=3, beta=0.5, relays=4, rounds=12))
-    outcome = sample_outcome(kind, _pair(3), 0, random.Random(0), None, key)
+    outcome = sample_outcome(arm(kind, _pair(3), 0), random.Random(0), key)
     assert [x for x in outcome[1] if x[0][1] == 1] == [
         ((2, 1), (3, 1)), ((6, 1), (3, 0)), ((7, 1), (2, 3)),
         ((8, 1), (1, 2)), ((10, 1), (3, 1)), ((12, 1), (2, 3))]

@@ -24,7 +24,7 @@ from acnbounds.core import (NO_COMM, AdversaryCapability, Communication,
 from acnbounds.game import estimate_advantage, record_json, result_record
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
-                                 VARIANTS, ProtocolKind, build_trace,
+                                 VARIANTS, ProtocolKind, arm, build_trace,
                                  enumerate_outcomes, sample_outcome)
 
 SO = parse_notion("SO")
@@ -74,10 +74,11 @@ def trace_digests(name):
     built, kept = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         for b in (0, 1):
-            outcome = sample_outcome(kind, pair, b, random.Random(seed),
-                                     None, trial_key(seed))
+            side = arm(kind, pair, b)
+            outcome = sample_outcome(side, random.Random(seed),
+                                     trial_key(seed))
             for cap in CAPS:
-                trace = build_trace(kind, pair, b, outcome, cap)
+                trace = build_trace(side, outcome, cap)
                 built.update(repr(trace.events).encode())
                 kept.update(repr(filter_trace(trace, cap).events).encode())
     return built.hexdigest(), kept.hexdigest()
@@ -191,5 +192,5 @@ def test_sampled_outcomes_are_among_the_enumerated(variant):
         assert sum(p for p, _ in outs) == 1
         listed = {o for _, o in outs}
         for seed in SEEDS:
-            assert sample_outcome(kind, pair, b, random.Random(seed), None,
+            assert sample_outcome(arm(kind, pair, b), random.Random(seed),
                                   trial_key(seed)) in listed

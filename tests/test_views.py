@@ -34,7 +34,7 @@ from acnbounds.core import (NO_COMM, SEND, AdversaryCapability,
 from acnbounds.game import exact_advantage
 from acnbounds.protocols import (BROADCAST, DCNET, DROPPING, ONION_PATH,
                                  TRILEMMA_UNSYNC, VARIANTS, ProtocolKind,
-                                 build_trace, enumerate_outcomes,
+                                 arm, build_trace, enumerate_outcomes,
                                  sample_outcome)
 from test_trace_golden import (KINDS, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair, trial_key)
@@ -66,9 +66,9 @@ def check_projection(kind, pair, b, outcome, attacks, whole=None):
     already (only the dropping model's build reads the capability)."""
     for attack, view in attacks:
         cap, params = attack.capability, kind.params
-        full = filter_trace(whole or build_trace(kind, pair, b, outcome, cap),
-                            cap)
-        built = build_trace(kind, pair, b, outcome, cap, view)
+        full = filter_trace(
+            whole or build_trace(arm(kind, pair, b), outcome, cap), cap)
+        built = build_trace(arm(kind, pair, b, view), outcome, cap)
         projected = filter_trace(built, cap)
         if view is not None:
             # built the way the capability sees it: nothing to drop or mask
@@ -88,8 +88,8 @@ def test_projected_verdicts_equal_full_ones_on_the_golden_grid():
     for kind in KINDS.values():
         for seed in SEEDS:
             for b in (0, 1):
-                outcome = sample_outcome(kind, pair, b, random.Random(seed),
-                                         None, trial_key(seed))
+                outcome = sample_outcome(arm(kind, pair, b),
+                                         random.Random(seed), trial_key(seed))
                 check_projection(kind, pair, b, outcome, attacks)
 
 
@@ -101,7 +101,7 @@ def test_projected_verdicts_equal_full_ones_on_every_tiny_leaf(name):
     for b in (0, 1):
         for _, outcome in enumerate_outcomes(kind, pair, b):
             whole = (None if kind.variant == DROPPING else
-                     build_trace(kind, pair, b, outcome))
+                     build_trace(arm(kind, pair, b), outcome))
             check_projection(kind, pair, b, outcome, attacks, whole)
 
 
@@ -115,7 +115,7 @@ def test_full_trace_sends_carry_their_flag_and_payload(name):
                  if row is not NO_COMM}
     for b in (0, 1):
         for _, outcome in enumerate_outcomes(kind, pair, b):
-            sends = [e for e in build_trace(kind, pair, b, outcome).events
+            sends = [e for e in build_trace(arm(kind, pair, b), outcome).events
                      if e.kind == SEND]
             assert sends and all(e.is_real is not None for e in sends)
             for e in sends:
@@ -162,9 +162,9 @@ def test_verdicts_ignore_which_ids_packets_carry(name, seed, b, attack, data):
     # relabel of a projected trace cannot change a verdict
     kind, pair = KINDS[name], _pair(PAIR_ROWS)
     cap = attack.capability
-    outcome = sample_outcome(kind, pair, b, random.Random(seed), None,
+    outcome = sample_outcome(arm(kind, pair, b), random.Random(seed),
                              trial_key(seed))
-    trace = filter_trace(build_trace(kind, pair, b, outcome, cap), cap)
+    trace = filter_trace(build_trace(arm(kind, pair, b), outcome, cap), cap)
     used = sorted({e.packet for e in trace.events}
                   | {e.in_packet for e in trace.events} - {None})
     # a bijection onto ids that need not be dense or start at 0
@@ -285,16 +285,16 @@ def check_same_draw(kind, pair, b, seed, views, onion=False):
     suspects = frozenset(pair.suspects())
     key = trial_key(seed)
     whole = random.Random(seed)
-    full = sample_outcome(kind, pair, b, whole, None, key)
+    full = sample_outcome(arm(kind, pair, b), whole, key)
     for view in views:
         rng = random.Random(seed)
-        got = sample_outcome(kind, pair, b, rng, view, key)
+        got = sample_outcome(arm(kind, pair, b, view), rng, key)
         assert got == _project(full, view, onion), view
         assert rng.getstate() == whole.getstate()
 
     def draw(senders):
-        return sample_outcome(kind, pair, b, random.Random(seed),
-                              View(senders), key)
+        return sample_outcome(arm(kind, pair, b, View(senders)),
+                              random.Random(seed), key)
 
     shared = [(s, _fired_by(draw(s), onion))
               for s in (frozenset(range(n)), suspects)]
@@ -337,7 +337,7 @@ def test_projected_leaves_are_the_exact_marginals(n, l_max, beta):
                 assert len(leaves) == len(marginal)
                 rng = random.Random(b)
                 for i in range(20):
-                    assert sample_outcome(kind, pair, b, rng, view,
+                    assert sample_outcome(arm(kind, pair, b, view), rng,
                                           trial_key(b, i)) in marginal
 
 
@@ -388,17 +388,17 @@ def test_projected_onion_cover_is_the_full_draw_restricted(relays):
             for b, seed in itertools.product((0, 1), range(3)):
                 full = check_same_draw(kind, pair, b, seed,
                                        [v for _, v in attacks], onion=True)
+                whole = arm(kind, pair, b)
                 for attack, view in attacks:
                     # a projected outcome builds the verdict of the full one
-                    got = sample_outcome(kind, pair, b, random.Random(seed),
-                                         view, trial_key(seed))
+                    side = arm(kind, pair, b, view)
+                    got = sample_outcome(side, random.Random(seed),
+                                         trial_key(seed))
                     cap = attack.capability
-                    projected = filter_trace(
-                        build_trace(kind, pair, b, got, cap, view), cap)
+                    projected = filter_trace(build_trace(side, got, cap), cap)
                     assert (decide(attack, projected, pair, kind.params)
                             == decide(attack, filter_trace(build_trace(
-                                kind, pair, b, full, cap), cap),
-                                pair, kind.params))
+                                whole, full, cap), cap), pair, kind.params))
 
 
 @pytest.mark.parametrize("n,l_max,beta,relays", [
@@ -423,7 +423,7 @@ def test_projected_onion_leaves_are_the_exact_marginals(n, l_max, beta,
                 assert len(leaves) == len(marginal)
                 rng = random.Random(b)
                 for i in range(20):
-                    assert sample_outcome(kind, pair, b, rng, view,
+                    assert sample_outcome(arm(kind, pair, b, view), rng,
                                           trial_key(b, i)) in marginal
 
 

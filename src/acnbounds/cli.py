@@ -92,7 +92,7 @@ _ATTACKS = {
 
 # the `simulate` flags that only some protocols or attacks read
 _MODEL_FLAGS = set(
-    "beta p p_real relays lexp threshold copies integrated cp ca".split())
+    "beta p p_real relays lexp copies integrated cp ca".split())
 
 # --protocol -> the flags of `_MODEL_FLAGS` it reads; sync cover reads
 # beta alone (--p is its shorthand), the dropping model reads --relays
@@ -104,7 +104,6 @@ _PROTOCOL_READS = {
     "trilemma-sync": ("beta", "p"),
     "trilemma-unsync": _RATES,
     "onion-path": ("relays", "lexp", *_RATES),
-    "threshold-mix": ("threshold",),
     "dropping-model": ("relays", "copies", "integrated"),
 }
 
@@ -183,7 +182,6 @@ def _build_parser():
         s.add_argument("--p-real", dest="p_real", type=float)
         s.add_argument("--lexp", type=int)
         s.add_argument("--relays", type=int, default=0)
-        s.add_argument("--threshold", type=int, default=0)
         s.add_argument("--copies", type=int, default=1)
         s.add_argument("--rounds", type=int)
         s.add_argument("--integrated", action="store_true")
@@ -274,8 +272,8 @@ def _protocol_params(ns, given) -> ProtocolParams:
         beta, p_real = ns.p, 0.0
     return ProtocolParams(
         n=ns.n, l_max=ns.lmax, beta=beta or 0.0, p_real=p_real or 0.0,
-        l_exp=ns.lexp, relays=ns.relays, threshold=ns.threshold,
-        copies=ns.copies, rounds=ns.rounds, integrated=ns.integrated)
+        l_exp=ns.lexp, relays=ns.relays, copies=ns.copies,
+        rounds=ns.rounds, integrated=ns.integrated)
 
 
 def _counting(out, hops):
@@ -304,10 +302,10 @@ def _game(ns, given):
     that neither reads exits 1."""
     params = _protocol_params(ns, given)
     if ns.protocol is None:
-        raise ConfigError("need --protocol")
+        raise ConfigError(f"{ns.command} needs --protocol")
     kind = ProtocolKind(ns.protocol, params)
     if ns.attack is None:
-        raise ConfigError("simulate needs --attack")
+        raise ConfigError(f"{ns.command} needs --attack")
     reads, attack = _ATTACKS[ns.attack]
     reads = {*reads, *_PROTOCOL_READS.get(ns.protocol, ())}
     if ns.integrated and "integrated" in reads:

@@ -96,7 +96,6 @@ class ProtocolParams:
     p_real   per-round real-send probability per user; p = p_real + beta
     l_exp    expected delay in rounds, defaults to l_max
     relays   intermediate-relay pool size (K)
-    threshold  messages per mix flush (threshold mix only)
     copies   redundant first hops (dropping model only)
     rounds   observation horizon, defaults to what the run needs
     integrated  dropping model: first hops are users, not dedicated relays
@@ -108,7 +107,6 @@ class ProtocolParams:
     p_real: float = 0.0
     l_exp: Optional[int] = None
     relays: int = 0
-    threshold: int = 0
     copies: int = 1
     rounds: Optional[int] = None
     integrated: bool = False
@@ -126,8 +124,8 @@ class ProtocolParams:
             object.__setattr__(self, "l_exp", self.l_max)
         if not (1 <= self.l_exp <= self.l_max):
             raise ValueError("need 1 <= l_exp <= l_max")
-        if self.relays < 0 or self.threshold < 0:
-            raise ValueError("relays and threshold must be non-negative")
+        if self.relays < 0:
+            raise ValueError("relays must be non-negative")
         if self.copies < 1:
             raise ValueError("need copies >= 1")
         if self.rounds is not None and self.rounds < 1:

@@ -103,13 +103,12 @@ from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, SEND, Batch,
 TRILEMMA_SYNC = "trilemma-sync"
 TRILEMMA_UNSYNC = "trilemma-unsync"
 ONION_PATH = "onion-path"
-THRESHOLD_MIX = "threshold-mix"
 DCNET = "dcnet-round"
 BROADCAST = "broadcast-full-dummy"
 DROPPING = "dropping-model"
 
-VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, THRESHOLD_MIX,
-            DCNET, BROADCAST, DROPPING)
+VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, DCNET, BROADCAST,
+            DROPPING)
 
 # Per variant: the rounds between successive batch rows' starts (1: one
 # per round from t0, 0: all at t0), and the longest transit in rounds.
@@ -119,7 +118,6 @@ _TIMING = {
     TRILEMMA_SYNC: (1, lambda p: p.l_max - 1),
     TRILEMMA_UNSYNC: (0, lambda p: p.l_max - 1),
     ONION_PATH: (0, lambda p: p.l_exp - 1),
-    THRESHOLD_MIX: (0, lambda p: 1),
     DCNET: (1, lambda p: 0),
     BROADCAST: (0, lambda p: 1),
     DROPPING: (0, None),
@@ -142,8 +140,6 @@ class ProtocolKind:
                 raise ConfigError("onion routing needs at least one relay")
             if p.relays < p.l_exp - 1:
                 raise ConfigError("path needs l_exp-1 distinct relays")
-        if v == THRESHOLD_MIX and p.threshold < 1:
-            raise ConfigError("threshold mix needs threshold >= 1")
         if v == DROPPING:
             if p.first_hops < p.copies:
                 raise ConfigError("need at least `copies` distinct first hops")
@@ -175,13 +171,6 @@ def _schedule(kind: ProtocolKind, batch):
                   for k, row in enumerate(batch.rows))
     needed = (3 if transit is None else
               t0 + step * (len(batch.rows) - 1) + transit(params))
-    if kind.variant == THRESHOLD_MIX:
-        sent = sum(s is not None for s in slots)
-        if sent == 0 or sent % params.threshold:
-            # a remainder after the last full batch would never flush
-            raise ConfigError(f"{sent} scheduled messages are not a "
-                              f"positive multiple of the threshold "
-                              f"{params.threshold}")
     if params.rounds is not None and params.rounds < needed:
         raise ConfigError(f"rounds={params.rounds} too short, "
                           f"need at least {needed}")
@@ -421,7 +410,7 @@ def _fields(kind: ProtocolKind, batch, slots, horizon, watch):
         first_hops = _Subset(range(params.first_hops), params.copies)
         return (_Picks(None if row is NO_COMM else first_hops
                        for row in batch.rows),)
-    # threshold mix, dc-net and broadcast are deterministic given the schedule
+    # dc-net and broadcast are deterministic given the schedule
     return ()
 
 
@@ -566,12 +555,8 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     ev = []
     add = ev.append
 
-    if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC, THRESHOLD_MIX):
-        # a threshold mix row is a trilemma row with delay 1 and no cover:
-        # every row arrives at t0 and `_schedule` admits whole batches
-        # only, so each batch flushes in the next round
-        delays = itertools.repeat(1) if v == THRESHOLD_MIX else outcome[0]
-        for t, d, row in zip(slots, delays, batch.rows):
+    if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
+        for t, d, row in zip(slots, outcome[0], batch.rows):
             if t is None:
                 continue
             q = next(pid)

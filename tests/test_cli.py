@@ -82,7 +82,7 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert json.loads(out)["delta"] == 0.0
 
 
-@pytest.mark.parametrize("key", ["warp", "workers", "config"])
+@pytest.mark.parametrize("key", ["warp", "workers", "config", "threshold"])
 def test_config_rejects_unknown_keys(tmp_path, capsys, key):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"n": 10, key: 9}))
@@ -104,8 +104,11 @@ _SIMULATE = ["simulate", "--protocol", "trilemma-unsync", "--attack",
     ({"n": 4.0}, "n"),
     ({"beta": "0.3"}, "beta"),
     ({"trials": None}, "trials"),
+    ({"attack": "bogus"}, "attack"),
+    ({"notion": 3}, "notion"),
 ], ids=["bool-as-string", "seed-as-string", "trials-as-string",
-        "n-as-float", "beta-as-string", "null-without-null-default"])
+        "n-as-float", "beta-as-string", "null-without-null-default",
+        "attack-off-choices", "notion-as-number"])
 def test_config_values_must_have_their_flags_type(tmp_path, capsys, cfg,
                                                   key):
     path = tmp_path / "typed.json"
@@ -227,6 +230,16 @@ def test_atlas_grid(capsys):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_a_one_step_grid_prints_one_row(capsys):
+    # one l_max and a beta range of one step: the grid is the point itself
+    code, out, err = _run(capsys, "atlas", "--grid", "--lmax-range", "2:2",
+                          "--beta-range", "0.2:0.2:1")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        GRID_HEADER,
+        "2,0.2,0.999,0.4995,0.004,impossible,impossible,possible"]
+
+
 def test_workers_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(_SIMULATE + ["--workers", "2"])
@@ -247,16 +260,13 @@ def test_bad_parameter_exits_one(capsys):
     (["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
       "--lmax", "3", "--relays", "2", "--cp", "9", "--beta", "0.25"],
      "c_p=9"),
-    (["--protocol", "threshold-mix", "--attack", "timing-interval",
-      "--n", "4", "--lmax", "3", "--threshold", "3"], "threshold"),
     (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
       "--n", "4", "--lmax", "3", "--rounds", "3"], "too short"),
     (["--protocol", "dropping-model", "--attack", "dropping", "--n", "3",
       "--relays", "4", "--copies", "2", "--ca", "9"], "c_a=9"),
     (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
       "--n", "4", "--lmax", "2", "--length", "0"], "at least one row"),
-], ids=["cp-over-relays", "threshold", "short-rounds", "ca-over-pool",
-        "no-rows"])
+], ids=["cp-over-relays", "short-rounds", "ca-over-pool", "no-rows"])
 def test_impossible_runs_exit_one(capsys, argv, reason):
     code, out, err = _run(capsys, "simulate", *argv, "--trials", "200")
     assert code == 1 and out == ""
@@ -317,9 +327,10 @@ _VERIFY = ["verify", *_DROPPING, "--copies", "2"]
     ["atlas", "--beta", "0.7"],
     ["atlas", "--p", "0.5"],
     ["atlas", "--cp", "2"],
+    _SIMULATE + ["--threshold", "2"],
 ], ids=["bound-poly-lambda", "simulate-lam", "simulate-poly-lambda",
         "verify-lam", "verify-poly-lambda", "atlas-lmax", "atlas-beta",
-        "atlas-p", "atlas-cp"])
+        "atlas-p", "atlas-cp", "simulate-threshold"])
 def test_unread_flags_are_not_declared(capsys, argv):
     code, out, err = _usage_error(capsys, argv)
     assert code == 1 and out == ""
@@ -419,10 +430,6 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (["simulate", "--protocol", "threshold-mix", "--attack",
-      "timing-interval", "--n", "4", "--lmax", "2", "--threshold", "2",
-      "--length", "3", "--trials", "2000", "--seed", "0"],
-     "3 scheduled messages are not a positive multiple of the threshold 2"),
     (["bound", "--kind", "counting", "--n", "50"],
      "bound --kind counting takes no --n"),
     (["simulate", "--protocol", "trilemma-unsync", "--attack",
@@ -441,10 +448,23 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
       "--n", "3", "--lmax", "1", "--relays", "4", "--copies", "2", "--p",
       "0.3", "--trials", "200"],
      "dropping-model with dropping takes no --p"),
-], ids=["threshold-remainder", "bound-unread-n", "tracing-without-relays",
-        "sync-p-real", "broadcast-beta", "dropping-p"])
-def test_an_unread_flag_or_an_unflushed_message_exits_one(capsys, argv,
-                                                          reason):
+    (["simulate", "--attack", "timing-interval", "--trials", "200"],
+     "simulate needs --protocol"),
+    (["verify", "--attack", "timing-interval", "--trials", "200"],
+     "verify needs --protocol"),
+    (["simulate", "--protocol", "trilemma-unsync", "--trials", "200"],
+     "simulate needs --attack"),
+    (["verify", "--protocol", "trilemma-unsync", "--trials", "200"],
+     "verify needs --attack"),
+    (["region", "--lmax", "2", "--beta", "0.3"], "region needs --bound"),
+    (["simulate", "--protocol", "onion-path", "--attack", "timing-interval",
+      "--n", "4", "--lmax", "3"],
+     "onion routing needs at least one relay"),
+], ids=["bound-unread-n", "tracing-without-relays", "sync-p-real",
+        "broadcast-beta", "dropping-p", "simulate-without-protocol",
+        "verify-without-protocol", "simulate-without-attack",
+        "verify-without-attack", "region-without-bound", "onion-no-relay"])
+def test_an_unread_or_missing_flag_exits_one(capsys, argv, reason):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"acnbounds: {reason}\n"
@@ -492,7 +512,6 @@ _INTEGRATED = ["--protocol", "dropping-model", "--attack", "dropping",
     (["verify", *_UNSYNC, "--copies", "3"], "--copies"),
     (["simulate", *_UNSYNC, "--relays", "3"], "--relays"),
     (["simulate", *_UNSYNC, "--lexp", "2"], "--lexp"),
-    (["simulate", *_UNSYNC, "--threshold", "2"], "--threshold"),
     (["simulate", *_UNSYNC, "--integrated"], "--integrated"),
     (["simulate", *_UNSYNC, "--cp", "3"], "--cp"),
     (["simulate", *_UNSYNC, "--ca", "1"], "--ca"),
@@ -502,9 +521,9 @@ _INTEGRATED = ["--protocol", "dropping-model", "--attack", "dropping",
     (["simulate", "--protocol", "onion-path", "--attack", "path-tracing",
       "--n", "4", "--lmax", "3", "--relays", "3", "--trials", "200",
       "--ca", "1"], "--ca"),
-], ids=["copies", "verify-copies", "relays", "lexp", "threshold",
-        "integrated", "cp", "ca", "copies-and-cp", "integrated-relays",
-        "dropping-cp", "tracing-ca"])
+], ids=["copies", "verify-copies", "relays", "lexp", "integrated", "cp",
+        "ca", "copies-and-cp", "integrated-relays", "dropping-cp",
+        "tracing-ca"])
 def test_flags_a_protocol_or_attack_does_not_read_exit_one(capsys, argv,
                                                            flags):
     code, out, err = _run(capsys, *argv)
@@ -516,11 +535,9 @@ def test_flags_a_protocol_or_attack_does_not_read_exit_one(capsys, argv,
     ["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
      "--lmax", "3", "--relays", "3", "--lexp", "2", "--cp", "1",
      "--trials", "200"],
-    ["--protocol", "threshold-mix", "--attack", "counting", "--n", "4",
-     "--lmax", "2", "--threshold", "1", "--trials", "200"],
     [*_INTEGRATED, "--copies", "2", "--ca", "1"],
     [*_DROPPING, "--copies", "2", "--ca", "1"],
-], ids=["onion-tracing", "threshold", "integrated", "dropping"])
+], ids=["onion-tracing", "integrated", "dropping"])
 def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
     code, out, err = _run(capsys, "simulate", *argv)
     assert code == 0 and err == ""
@@ -532,7 +549,6 @@ _RATES = ("beta", "p", "p_real")
 _PROTOCOL_READS = {
     "trilemma-sync": ("beta", "p"), "trilemma-unsync": _RATES,
     "onion-path": ("relays", "lexp", *_RATES),
-    "threshold-mix": ("threshold",),
     "dcnet-round": (), "broadcast-full-dummy": (),
     "dropping-model": ("relays", "copies", "integrated"),
 }
@@ -542,15 +558,14 @@ _BASE = {
     "trilemma-sync": "--n 4 --lmax 3 --beta 0.4",
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
     "onion-path": "--n 4 --lmax 3 --relays 3",
-    "threshold-mix": "--n 4 --lmax 2 --threshold 1",
     "dcnet-round": "--n 4 --lmax 1",
     "broadcast-full-dummy": "--n 4 --lmax 1",
     "dropping-model": "--n 3 --lmax 1 --relays 4",
 }
 _FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "p_real": "--p-real 0.2",
               "relays": "--relays 3", "lexp": "--lexp 1",
-              "threshold": "--threshold 2", "copies": "--copies 3",
-              "integrated": "--integrated", "cp": "--cp 1", "ca": "--ca 1"}
+              "copies": "--copies 3", "integrated": "--integrated",
+              "cp": "--cp 1", "ca": "--ca 1"}
 
 
 @pytest.mark.parametrize("variant,flag", [
@@ -616,10 +631,10 @@ README_SHA256 = {
         "230910ba4806ad2dcf21809605c041241030f0417252e439e04ec60c55766eb9",
     "simulate --protocol trilemma-unsync --attack timing-interval --n 10 "
     "--lmax 3 --p 0.3 --trials 100000 --seed 0":
-        "70262af77bef4e1137051a786c744db1c0891a0c79c16e1cc17c0400ea2b9604",
+        "7026c23349bc4ac21d260d415c026c931e2d30b71a55ee8a20faa52a640fcfd3",
     "verify --protocol trilemma-unsync --attack timing-interval --n 10 "
     "--lmax 3 --p 0.3 --trials 20000 --seed 0 --tol 0.02":
-        "cd8b04634cfdba9cece6c0862b6106a10c598a492f2f58f0acb255252567be28",
+        "675df87d594fe4477f0d6a7d962647089afd0e2b1b8afb26bb5222e98962d42e",
     "region --bound trilemma --lmax 2 --beta 0.3":
         "5b4a28aecf48bc0df6a03448bc811d5a2223b37c54693456e6ecd161dda80a45",
     "atlas":

@@ -36,8 +36,8 @@ from acnbounds.core import (NO_COMM, CapabilityError, Communication,
 from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (BROADCAST, DROPPING, ONION_PATH,
-                                 THRESHOLD_MIX, TRILEMMA_SYNC,
-                                 TRILEMMA_UNSYNC, VARIANTS, ProtocolKind)
+                                 TRILEMMA_SYNC, TRILEMMA_UNSYNC, VARIANTS,
+                                 ProtocolKind)
 
 SO = parse_notion("SO")
 # the default tolerance of `acnbounds verify`
@@ -46,7 +46,7 @@ TOL = 0.02
 # one tiny point and pair shape (see SHAPES) per variant: n=2 keeps the
 # cover-traffic models small, n=3 gives the synchronized model a cohort to
 # choose, and onion routing is pinned on the one-row pair
-BASE = ProtocolParams(n=2, l_max=2, beta=0.25, relays=2, threshold=1)
+BASE = ProtocolParams(n=2, l_max=2, beta=0.25, relays=2)
 POINTS = {v: (BASE, "skip") for v in VARIANTS}
 POINTS[TRILEMMA_SYNC] = (dataclasses.replace(BASE, n=3, beta=0.5), "skip")
 POINTS[ONION_PATH] = (BASE, "one")
@@ -145,13 +145,6 @@ PINNED = {
     ('onion-path', 'timing'): '3/4',
     ('onion-path', 'tracing-1'): '7/8',
     ('onion-path', 'tracing-2'): '1',
-    ('threshold-mix', 'counting'): '1',
-    ('threshold-mix', 'dropping-link'): '0',
-    ('threshold-mix', 'dropping-relay'): '0',
-    ('threshold-mix', 'random'): '0',
-    ('threshold-mix', 'timing'): '1',
-    ('threshold-mix', 'tracing-1'): '1',
-    ('threshold-mix', 'tracing-2'): '1',
     ('trilemma-sync', 'counting'): '1/2',
     ('trilemma-sync', 'dropping-link'): '0',
     ('trilemma-sync', 'dropping-relay'): '0',
@@ -265,8 +258,6 @@ def _cross_params(variant, draw):
         kw["relays"] = draw(st.integers(1, 3))
         pool = n if kw["integrated"] else kw["relays"]
         kw["copies"] = draw(st.integers(1, min(2, pool)))
-    elif variant == THRESHOLD_MIX:
-        kw["threshold"] = draw(st.integers(1, 2))
     elif variant == TRILEMMA_UNSYNC and n == 3:
         kw["l_max"] = min(l_max, 2)
     return ProtocolParams(**kw)
@@ -294,9 +285,6 @@ def test_exact_lies_inside_the_monte_carlo_interval(variant, attack_name,
     draw = data.draw
     params = _cross_params(variant, draw)
     shape = draw(st.sampled_from(sorted(SHAPES)))
-    if variant == THRESHOLD_MIX and params.threshold == 2:
-        # the mix must see at least `threshold` scheduled messages
-        shape = "two"
     pair = _pair(params.n, shape)
     # every draw is one `validate_attack` accepts, so no pair is skipped
     attack = _cross_attack(attack_name, params.n, draw, params.relays)

@@ -150,7 +150,8 @@ def test_result_record_shape():
 
 
 @pytest.mark.parametrize("variant,params", [
-    ("threshold-mix", ProtocolParams(n=2, l_max=2, threshold=2)),
+    # the dropping model delivers in round 3 whatever l_max
+    ("dropping-model", ProtocolParams(n=2, l_max=1, relays=2, rounds=2)),
     ("trilemma-unsync", ProtocolParams(n=2, l_max=3, rounds=2)),
 ])
 def test_unrunnable_schedules_fail_before_the_first_trial(monkeypatch,
@@ -257,11 +258,12 @@ def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
 
 
 # `simulate` at the mc-unsync-wide shape, past MEMO_CAP entries per arm;
-# the digest is the loop's before it kept a memo
+# the digest is the loop's before it kept a memo, less the `threshold`
+# key that `params` lost with the threshold mix
 WIDE_ARGV = ("simulate --protocol trilemma-unsync --attack timing-interval "
              "--n 100 --lmax 5 --p 0.25 --trials 50000 --seed 0")
-WIDE_SHA256 = ("1ed2bc9a88cda3636ae042c5b0a00441"
-               "e7babed731c24452e6311c23adda3400")
+WIDE_SHA256 = ("17c0ef25e99e935fe5751cfbd60c7966"
+               "82d13dfa96f0d41937c4002fa9b8282a")
 
 
 def test_a_record_past_the_memo_cap_is_pinned(monkeypatch, capsys):

@@ -1,10 +1,11 @@
 import pytest
 
 from acnbounds.core import NO_COMM, Communication, ProtocolParams, make_batch
-from acnbounds.notions import (Notion, ScenarioPair, count_challenge_rows,
-                               enumerate_batches, generate_pair,
-                               hierarchy_subset_check, is_valid_pair,
-                               parse_notion, valid_under_reindexing)
+from acnbounds.notions import (Notion, ScenarioPair, _force_differ,
+                               count_challenge_rows, enumerate_batches,
+                               generate_pair, hierarchy_subset_check,
+                               is_valid_pair, parse_notion,
+                               valid_under_reindexing)
 
 C = Communication
 
@@ -154,6 +155,30 @@ def test_missing_challenge_fields_raise_on_every_call():
             pair.challenge_receiver()
         with pytest.raises(ValueError):
             pair.challenge_message()
+
+
+def test_unequal_batches_make_every_index_a_challenge_index():
+    # CO may change the number of rows: every index is then a challenge
+    # index, and the shorter batch faces empty slots past its end
+    co = parse_notion("CO")
+    pair = ScenarioPair(B(C(0, 3, 7)), B(C(2, 1, 4), C(1, 3, 5)), co)
+    assert pair.suspects() == (0, 2)
+    assert pair.challenge_receiver() == 3
+    assert pair.challenge_message() == 7
+    # batch 0's second row faces the slot past batch 1's end
+    pair = ScenarioPair(B(NO_COMM, C(1, 2, 6)), B(C(0, 3, 7)), co)
+    assert pair.challenge_receiver() == 2
+    assert pair.challenge_message() == 6
+    with pytest.raises(ValueError):
+        pair.suspects()
+
+
+def test_force_differ_swaps_or_bumps_a_profile():
+    # the fallback when every redraw of a sender profile repeats it: swap
+    # the first two unequal senders, or bump a constant profile's head
+    assert _force_differ([2, 2, 0, 1], 4) == [0, 2, 2, 1]
+    assert _force_differ((3, 3), 4) == [0, 3]
+    assert _force_differ([1], 2) == [0]
 
 
 def test_generated_pairs_are_valid_for_every_kind():

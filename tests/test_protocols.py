@@ -46,8 +46,6 @@ def test_variant_validation():
         ProtocolKind("onion-path", ProtocolParams(n=2, l_max=3, relays=1,
                                                   l_exp=3))
     with pytest.raises(ConfigError):
-        ProtocolKind("threshold-mix", ProtocolParams(n=2, l_max=2))
-    with pytest.raises(ConfigError):
         ProtocolKind("dropping-model", ProtocolParams(n=2, l_max=1, relays=1,
                                                       copies=2))
 
@@ -132,51 +130,6 @@ def test_sync_cover_cohort_size():
     # exactly one real sender plus floor(beta*n) synchronized cover sends
     assert len(sends) == 1 + int(beta * n)
     assert len({e.location for e in sends}) == len(sends)
-
-
-def test_threshold_mix_flushes_in_one_batch():
-    params = ProtocolParams(n=4, l_max=3, threshold=2)
-    kind = ProtocolKind("threshold-mix", params)
-    rows = ([Communication(0, 3, 0), Communication(1, 3, 1)],
-            [Communication(1, 3, 0), Communication(0, 3, 1)])
-    pair = _pair(4, rows=rows)
-    evs = _events(kind, pair)
-    delivers = [e for e in evs if e.kind == DELIVER]
-    assert len(delivers) == 2
-    assert len({e.round for e in delivers}) == 1
-    with pytest.raises(ConfigError):
-        arm(ProtocolKind("threshold-mix",
-                         ProtocolParams(n=4, l_max=3, threshold=3)), pair, 0)
-
-
-def _threshold_mix(threshold):
-    return ProtocolKind("threshold-mix",
-                        ProtocolParams(n=4, l_max=3, threshold=threshold))
-
-
-def _context_pair(k):
-    # the one-row SO pair (0 -> 3) vs (1 -> 3), plus k shared rows
-    context = [Communication(2, 3, j) for j in range(1, k + 1)]
-    return _pair(4, rows=([Communication(0, 3, 0)] + context,
-                          [Communication(1, 3, 0)] + context))
-
-
-def test_threshold_mix_refuses_a_partial_batch():
-    # the third message would wait for a batch that never fills
-    with pytest.raises(ConfigError, match="threshold"):
-        arm(_threshold_mix(2), _context_pair(2), 0)
-
-
-def test_threshold_mix_traces_do_not_depend_on_the_threshold():
-    # every row arrives at t0 = l_max, so each whole batch flushes at t0+1
-    pair = _context_pair(3)
-    for b in (0, 1):
-        traces = {build_trace(arm(_threshold_mix(t), pair, b), ())
-                  for t in (1, 2, 4)}
-        assert len(traces) == 1
-        delivers = [e for e in traces.pop().events if e.kind == DELIVER]
-        assert sorted(e.msg for e in delivers) == [0, 1, 2, 3]
-        assert {e.round for e in delivers} == {4}
 
 
 def test_broadcast_volume_matches_the_traffic_relation():
@@ -281,15 +234,13 @@ def _count_resolves(monkeypatch):
      timing_attack(10)),
     ("onion-path", ProtocolParams(n=10, l_max=3, beta=0.5, relays=3),
      tracing_attack(10, 1)),
-    ("threshold-mix", ProtocolParams(n=10, l_max=3, threshold=5),
-     counting_attack(10)),
     ("dcnet-round", ProtocolParams(n=10, l_max=1), counting_attack(10)),
     ("broadcast-full-dummy", ProtocolParams(n=10, l_max=1),
      counting_attack(10)),
     ("dropping-model", ProtocolParams(n=10, l_max=1, relays=4, copies=2),
      dropping_attack(10, 1)),
-], ids=["trilemma-sync", "trilemma-unsync", "onion-path", "threshold-mix",
-        "dcnet-round", "broadcast-full-dummy", "dropping-model"])
+], ids=["trilemma-sync", "trilemma-unsync", "onion-path", "dcnet-round",
+        "broadcast-full-dummy", "dropping-model"])
 def test_a_solve_builds_each_arms_schedule_and_fields_once(monkeypatch,
                                                            variant, params,
                                                            attack):

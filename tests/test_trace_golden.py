@@ -30,10 +30,8 @@ from acnbounds.protocols import (DROPPING, ONION_PATH, TRILEMMA_UNSYNC,
 SO = parse_notion("SO")
 SEEDS = range(6)
 
-# one parameter point every variant accepts; threshold 2 flushes the two
-# real rows of PAIR_ROWS together
-PARAMS = ProtocolParams(n=4, l_max=3, beta=0.5, relays=3, threshold=2,
-                        copies=2)
+# one parameter point every variant accepts
+PARAMS = ProtocolParams(n=4, l_max=3, beta=0.5, relays=3, copies=2)
 KINDS = {v: ProtocolKind(v, PARAMS) for v in VARIANTS}
 KINDS["dropping-model-integrated"] = ProtocolKind(
     DROPPING, dataclasses.replace(PARAMS, integrated=True))
@@ -52,7 +50,7 @@ CAPS = (
 )
 
 # small enough to enumerate every outcome of both arms
-TINY = ProtocolParams(n=2, l_max=2, beta=0.5, relays=2, threshold=1)
+TINY = ProtocolParams(n=2, l_max=2, beta=0.5, relays=2)
 TINY_ROWS = ([Communication(0, 1, 0), NO_COMM],
              [Communication(1, 1, 0), NO_COMM])
 
@@ -134,9 +132,6 @@ TRACES = {
     "onion-path": (
         "b89788a5996b8f0f6f990638e8884d51d340cdaf610c803b2c4c09c4c4016f42",
         "2f36dbf2191b15b3923de4127d7139375d1614c6cb2c3055ece88bc2f564e0fc"),
-    "threshold-mix": (
-        "64d219884958c86dce0122f0c7f8e7a7c62fd536b3e52e5caeed20a507651b96",
-        "5f9c0ec513eb1c2da30f6334f3f05e10366959d222e58b4148f730ec5153b243"),
     "trilemma-sync": (
         "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
         "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),
@@ -153,8 +148,6 @@ OUTCOMES = {
         "03b5bf5683ec21b1d798db6145b85e799ec62ce9cd13c0a43b8c5b8591d82797",
     "onion-path":
         "672f485411a258740f914ce67a67137ded137fe96b01beaf9d11241d4ce1a1b8",
-    "threshold-mix":
-        "8d6323555a1bcb1585b2eb49c07aeda977d9b6aecead5117e15b18531624ea11",
     "trilemma-sync":
         "783cf0d2ca06f248f457691c1745bbb6d83eb99e3508e3339d54ef6e49ae8e13",
     "trilemma-unsync":
@@ -162,9 +155,9 @@ OUTCOMES = {
 }
 RECORDS = {
     "onion-path":
-        "26ce675a5247a1a8867e8d3c136127346cf7fb864c02d509cb1549bdc5bf7147",
+        "23ab16a1014e9dcfcd51084fc17bb52ee02652813a64fc163dba568a6c076122",
     "trilemma-unsync":
-        "f2fe52db1a823d9367ce1d7b1ec9d5b4434f26c887fcbeb0864ed6fc1cd63bc1",
+        "f298e506a83c68ca3abd611bba098a40a9b8eeb1d14278c955f5302231b0e709",
 }
 
 

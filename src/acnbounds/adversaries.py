@@ -234,16 +234,21 @@ def attack_view(attack: AttackKind, pair):
     """The events `decide` reads for this attack and pair, as a View within
     what the capability sees.
 
-    timing    the two suspects' sends and the challenge receiver's deliveries
+    timing    the two suspects' sends and the challenge receiver's
+              deliveries, cover sends only in the rounds that the
+              arrival's transit window can reach (`window`)
     tracing   the same, plus batch rows' forwards at the relays the
               capability sees
-    counting  sends of the watched users that either batch claims
+    counting  sends of the watched users that either batch claims, in
+              every round
     dropping  the challenge receiver's deliveries
 
     Tracing walks back from the challenge delivery's `in_packet`, and each
     hop of that chain is a batch row's packet: a cover packet never feeds a
     delivery, so its forwards are in no view (see `core.View`).  Tracing is
-    passive (`validate_attack`), so the chain passes no drop.
+    passive (`validate_attack`), so the chain passes no drop.  The window
+    is a flag, not rounds, so the view stays free of params: `protocols.arm`
+    resolves it from the arm's schedule.
     """
     cap = attack.capability
     v = attack.variant
@@ -258,8 +263,10 @@ def attack_view(attack: AttackKind, pair):
     if v == DROP_ATTACK:
         return View(receivers=receivers)
     senders = frozenset(pair.suspects()) & cap.observed_senders
-    # the chain is followed through the passively compromised relays
-    return View(senders, cap.c_p if v == TRACING else 0, receivers)
+    # the chain is followed through the passively compromised relays, and
+    # cover sends matter only within reach of the arrival's transit window
+    return View(senders, cap.c_p if v == TRACING else 0, receivers,
+                window=True)
 
 
 def dropping_success_rate(c_a: int, copies: int, pool: int,

@@ -8,6 +8,7 @@ see is produced by filtering the full trace against her capability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -139,7 +140,10 @@ class ProtocolParams:
     def first_hops(self) -> int:  # the dropping model's first-hop pool
         return self.n if self.integrated else self.relays
 
-    @property
+    # cached per params: every resolved arm reads it.  The cache lives in
+    # the instance dict, outside the fields, so equality, `asdict` and
+    # records do not see it
+    @functools.cached_property
     def p_exact(self) -> Fraction:
         """p in the decimals the user typed: Fraction(0.3) would be
         5404319552844595/2**54, this is 3/10."""
@@ -222,11 +226,28 @@ class View(NamedTuple):
     the capability sees, and `build_trace` emits its sends already masked
     (no real/dummy flag, no payload), so filtering it removes and masks
     nothing: `filter_trace` returns the very trace it was given.
+
+    window     True when the rule reads a sender's cover sends only in the
+               rounds that the challenge arrival's transit window can
+               reach; `protocols.arm` resolves it into the arm's `rounds`
+
+    Timing reads a suspect's send for one of two reasons: it lies in
+    [a - l_max + 1, a - 1] for the arrival round a, or its packet is the
+    arrival's, which only a batch row's own send in a direct delivery can
+    be.  Path tracing walks back along batch rows' packets alone.  So no
+    cover send outside [first - l_max + 1, last - 1] changes a verdict,
+    where first is the earliest start slot plus the shortest transit and
+    last the latest start slot plus the longest transit; batch rows' own
+    sends are always built.  Counting reads every round and keeps the
+    window off.  A random send time would move the arrivals, so it must
+    widen the window to every start it can draw; an oracle view, which
+    must see every event that could tell the arms apart, must not set it.
     """
 
     senders: frozenset = frozenset()
     relays: int = 0
     receivers: frozenset = frozenset()
+    window: bool = False
 
 
 @dataclass(frozen=True)

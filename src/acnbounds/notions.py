@@ -276,22 +276,15 @@ class ScenarioPair:
     # once per pair; the pair is frozen, so they never go stale.
 
     @functools.cached_property
-    def _challenge_indices(self):
-        r0s, r1s = self.batch0.rows, self.batch1.rows
-        if len(r0s) != len(r1s):
-            return tuple(range(max(len(r0s), len(r1s))))
-        return tuple(i for i, (r0, r1) in enumerate(zip(r0s, r1s))
-                     if r0 != r1)
-
     def _differing_rows(self):
-        r0s, r1s = self.batch0.rows, self.batch1.rows
-        for i in self._challenge_indices:
-            yield (r0s[i] if i < len(r0s) else NO_COMM,
-                   r1s[i] if i < len(r1s) else NO_COMM)
+        # index by index, the shorter batch facing empty slots past its end
+        return tuple((r0, r1) for r0, r1 in itertools.zip_longest(
+            self.batch0.rows, self.batch1.rows, fillvalue=NO_COMM)
+            if r0 != r1)
 
     @functools.cached_property
     def _suspects(self):
-        for r0, r1 in self._differing_rows():
+        for r0, r1 in self._differing_rows:
             if r0 is not NO_COMM and r1 is not NO_COMM:
                 return r0.sender, r1.sender
         return None
@@ -299,7 +292,7 @@ class ScenarioPair:
     @functools.cached_property
     def _challenge_row(self):
         # the scenario-0 row of the first differing index that has one
-        for r0, _ in self._differing_rows():
+        for r0, _ in self._differing_rows:
             if r0 is not NO_COMM:
                 return r0
         return None

@@ -56,15 +56,19 @@ Monte Carlo compares against the float.
 
 An outcome drawn or listed under a view (an arm's, or the `view` that
 `enumerate_outcomes` takes) holds only the watched senders' cover slots,
-and an onion cover slot holds `(slot, None)` in place of its path: a
-cover packet feeds no delivery, so no rule reads its hops.  A projected
-draw reads only the watched users' streams, and the full cover is the
-same draw over every user, so a watched user's fired slots are the same
-under every view that watches them, and the rng ends where the full draw
-leaves it.  A trial's cover costs what the view watches, and
-enumeration lists the watched slots' exact marginal, so its leaf count
-grows with the view, not with `n x horizon` or with the paths a cover
-packet could take.
+and only in the arm's `rounds`: the rounds of the horizon that the
+challenge arrival's transit window can reach when the view sets `window`
+(timing and tracing, see `core.View`), else the whole horizon.  An onion
+cover slot holds `(slot, None)` in place of its path: a cover packet
+feeds no delivery, so no rule reads its hops.  A projected draw reads
+only the watched users' streams, up to their last kept word, and the full
+cover is the same draw over every user and round, so a watched user's
+fired slots in a round are the same under every view that keeps it, and
+the rng ends where the full draw leaves it.  A trial's cover costs the
+slots the view watches within its rounds, and enumeration lists those
+slots' exact marginal, so its leaf count grows with the view and the
+transit window, not with `n x horizon` or with the paths a cover packet
+could take.
 
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Under a `core.View` (from
@@ -77,11 +81,11 @@ the full trace.
 
 `sample_outcome` and `build_trace` take an `Arm`, one side of a challenge
 pair resolved once by `arm`: its batch, the schedule that the variant's
-`_TIMING` row gives it (`_schedule`), its fields of draws projected onto
-the view (`_fields`) and the view.  `arm` raises ConfigError for a
-schedule the model cannot run, so an `Arm` exists only for a runnable
-arm, and a game that builds its two arms before the first trial fails
-there.
+`_TIMING` row gives it (`_schedule`), the rounds its view keeps cover in
+(`_window`), its fields of draws projected onto the view (`_fields`) and
+the view.  `arm` raises ConfigError for a schedule the model cannot run,
+so an `Arm` exists only for a runnable arm, and a game that builds its two
+arms before the first trial fails there.
 """
 
 from __future__ import annotations
@@ -111,15 +115,15 @@ VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, DCNET, BROADCAST,
             DROPPING)
 
 # Per variant: the rounds between successive batch rows' starts (1: one
-# per round from t0, 0: all at t0), and the longest transit in rounds.
-# The dropping model (no transit) sends in round 1, forwards in round 2
-# and delivers in round 3 whatever the schedule.
+# per round from t0, 0: all at t0), and the shortest and the longest
+# transit in rounds.  The dropping model (no transit) sends in round 1,
+# forwards in round 2 and delivers in round 3 whatever the schedule.
 _TIMING = {
-    TRILEMMA_SYNC: (1, lambda p: p.l_max - 1),
-    TRILEMMA_UNSYNC: (0, lambda p: p.l_max - 1),
-    ONION_PATH: (0, lambda p: p.l_exp - 1),
-    DCNET: (1, lambda p: 0),
-    BROADCAST: (0, lambda p: 1),
+    TRILEMMA_SYNC: (1, lambda p: (min(1, p.l_max - 1), p.l_max - 1)),
+    TRILEMMA_UNSYNC: (0, lambda p: (min(1, p.l_max - 1), p.l_max - 1)),
+    ONION_PATH: (0, lambda p: (p.l_exp - 1, p.l_exp - 1)),
+    DCNET: (1, lambda p: (0, 0)),
+    BROADCAST: (0, lambda p: (1, 1)),
     DROPPING: (0, None),
 }
 
@@ -170,11 +174,28 @@ def _schedule(kind: ProtocolKind, batch):
     slots = tuple(None if row is NO_COMM else t0 + step * k
                   for k, row in enumerate(batch.rows))
     needed = (3 if transit is None else
-              t0 + step * (len(batch.rows) - 1) + transit(params))
+              t0 + step * (len(batch.rows) - 1) + transit(params)[1])
     if params.rounds is not None and params.rounds < needed:
         raise ConfigError(f"rounds={params.rounds} too short, "
                           f"need at least {needed}")
     return slots, needed if params.rounds is None else params.rounds
+
+
+def _window(kind: ProtocolKind, slots, horizon):
+    """The rounds of the horizon that a timing or tracing rule can read a
+    cover send in (see `core.View`): from the transit window of the
+    earliest arrival, the earliest start plus the shortest transit, to the
+    round before the latest arrival, the latest start plus the longest
+    transit."""
+    params = kind.params
+    transit = _TIMING[kind.variant][1]
+    if transit is None:
+        # the dropping model sends no cover
+        return range(1, horizon + 1)
+    starts = [s for s in slots if s is not None]
+    shortest, longest = transit(params)
+    return range(max(min(starts) + shortest - params.l_max + 1, 1),
+                 min(max(starts) + longest - 1, horizon) + 1)
 
 
 # ---------------------------------------------------------- fields of draws
@@ -313,30 +334,40 @@ class _Cover:
     the payload's `draw` from a `random.Random` seeded by the firing
     user's path stream, one per user that fired, in round order.
 
-    The field is the projection onto the users in `watch`, and the full
-    cover is the projection onto every user (`watch=None`): it reads only
-    the watched users' streams, so a watched user's fired slots are the
-    ones the full draw gives, and `options` lists their exact marginal.
-    Under a view an onion slot is `(slot, None)` and no path stream is
-    read, because no rule reads a cover packet's hops.
+    The field is the projection onto the users in `watch` and the `rounds`
+    of the arm, and the full cover is the projection onto every user and
+    round (`watch=None` and the whole horizon): it reads only the watched
+    users' streams, and word i of a stream still belongs to that user's
+    i-th free slot over the whole horizon, so a kept slot fires as in the
+    full draw, and `options` lists the kept slots' exact marginal.  A
+    stream is digested up to its last kept word, and the words before its
+    first kept one are skipped unparsed.  Under a view an onion slot is
+    `(slot, None)` and no path stream is read, because no rule reads a
+    cover packet's hops.
     """
 
-    def __init__(self, free, params, payload=None, watch=None):
+    def __init__(self, free, params, rounds, payload=None, watch=None):
         self.paired = payload is not None
         if watch is not None:
             payload = None
         self.payload = payload
-        self.free = (tuple(free) if watch is None else
-                     tuple([sl for sl in free if sl[1] in watch]))
         mine = {}
-        for sl in self.free:
-            mine.setdefault(sl[1], []).append(sl)
-        # per watched user: the tag of their coin stream, its length in
-        # bytes, its parser into words, their slots and their path tag
-        self.users = tuple(
-            (_TAG(_COINS, u), 8 * len(sl),
-             struct.Struct(f"<{len(sl)}Q").unpack, tuple(sl), _TAG(_PATHS, u))
-            for u, sl in sorted(mine.items()))
+        for sl in free:
+            if watch is None or sl[1] in watch:
+                mine.setdefault(sl[1], []).append(sl)
+        # per watched user with a slot in `rounds`: the tag of their coin
+        # stream, its length in bytes up to the last kept word, its parser
+        # into the kept words, the kept slots and their path tag
+        users = []
+        for u, sl in sorted(mine.items()):
+            kept = [i for i, (t, _) in enumerate(sl) if t in rounds]
+            if kept:
+                lo, hi = kept[0], kept[-1] + 1
+                users.append((_TAG(_COINS, u), 8 * hi,
+                              struct.Struct(f"<{8 * lo}x{hi - lo}Q").unpack,
+                              tuple(sl[lo:hi]), _TAG(_PATHS, u)))
+        self.users = tuple(users)
+        self.free = tuple(sorted(sl for user in users for sl in user[3]))
         self.cut = _threshold(params.p)
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
@@ -385,18 +416,18 @@ class _Cover:
             tuple(tuple(filter(None, xs)) for xs in values))
 
 
-def _fields(kind: ProtocolKind, batch, slots, horizon, watch):
+def _fields(kind: ProtocolKind, batch, slots, horizon, watch, rounds):
     """The randomness of one arm, as the ordered fields of draws an
     outcome holds.  With `watch`, a view's senders, the cover holds only
-    the watched users' slots, and an onion cover no paths (see `_Cover`);
-    every other field is drawn in full."""
+    the watched users' slots in `rounds`, and an onion cover no paths (see
+    `_Cover`); every other field is drawn in full."""
     v, params = kind.variant, kind.params
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delay = _Choice(range(1, params.l_max) if params.l_max > 1 else (0,))
         delays = _Picks(None if s is None else delay for s in slots)
         if v == TRILEMMA_UNSYNC:
             return delays, _Cover(_noise_slots(kind, batch, slots, horizon),
-                                  params, watch=watch)
+                                  params, rounds, watch=watch)
         d = _num_dummies(params)
         return delays, _Picks(
             _Subset([u for u in range(params.n) if u != row.sender], d, s)
@@ -405,7 +436,7 @@ def _fields(kind: ProtocolKind, batch, slots, horizon, watch):
         path = _Sample(range(params.relays), params.l_exp - 1)
         return (_Picks(None if s is None else path for s in slots),
                 _Cover(_noise_slots(kind, batch, slots, horizon), params,
-                       path, watch))
+                       rounds, path, watch))
     if v == DROPPING:
         first_hops = _Subset(range(params.first_hops), params.copies)
         return (_Picks(None if row is NO_COMM else first_hops
@@ -420,6 +451,8 @@ class Arm(NamedTuple):
     variant, params  the protocol kind's
     batch            the arm's batch
     slots, horizon   its schedule (see `_schedule`)
+    rounds           the rounds whose cover sends its traces hold: the
+                     view's window (see `_window`), else the horizon
     fields           its fields of draws, projected onto `view`
     view             the `View` its traces are built for, None for full
     target           the dropping model's target: the pair's suspect
@@ -431,6 +464,7 @@ class Arm(NamedTuple):
     batch: Batch
     slots: tuple
     horizon: int
+    rounds: range
     fields: tuple
     view: Optional[View]
     target: Optional[int]
@@ -442,9 +476,12 @@ def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     batch = pair.batch(b)
     slots, horizon = _schedule(kind, batch)
     watch = None if view is None else view.senders
+    rounds = (_window(kind, slots, horizon) if view is not None and view.window
+              else range(1, horizon + 1))
     target = pair.suspects()[1] if kind.variant == DROPPING else None
-    return Arm(kind.variant, kind.params, batch, slots, horizon,
-               _fields(kind, batch, slots, horizon, watch), view, target)
+    return Arm(kind.variant, kind.params, batch, slots, horizon, rounds,
+               _fields(kind, batch, slots, horizon, watch, rounds), view,
+               target)
 
 
 def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
@@ -455,8 +492,9 @@ def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
 
     Under the arm's `View` (None for the full outcome) the outcome is
     projected onto it, for `build_trace` of the same arm: the cover holds
-    only the view's senders' slots, each drawn as in the full outcome (an
-    onion cover's without its path), and the rng ends in the same state.
+    only the view's senders' slots in the arm's `rounds`, each drawn as in
+    the full outcome (an onion cover's without its path), and the rng ends
+    in the same state.
     """
     return tuple([f.draw(rng, key) for f in arm.fields])
 
@@ -528,7 +566,8 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     Under an arm without a view the trace is the full (unfiltered) one.
     Under a `View`, only the events it names are emitted, each the way every
     capability sees it: the senders' sends, without their real/dummy flag
-    and payload (`filter_trace` masks both on every send), the forwards of
+    and payload (`filter_trace` masks both on every send) and, but for a
+    batch row's own send, only in the arm's `rounds`, the forwards of
     batch rows' packets at relays below `view.relays` and the receivers'
     deliveries; drops, user-node forwards and an onion cover packet's hops
     are left out, so a projected outcome (cover paths None) builds as well
@@ -542,12 +581,12 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     ids.  One sort in native tuple order puts them in trace order, then ids
     are relabeled by first mention and each event is built once.
     """
-    v, params, batch, slots, horizon, _, view, target = arm
+    v, params, batch, slots, horizon, rounds, _, view, target = arm
     full = view is None
     if full:
         users = frozenset(range(params.n))
         view = View(users, params.relays, users)
-    senders, relays, receivers = view
+    senders, relays, receivers, _ = view
     # a send's real/dummy flag for a real and a cover packet; a view
     # builds sends masked, and its real sends carry no payload either
     real, cover = (True, False) if full else (None, None)
@@ -572,11 +611,13 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
         # per row
         if v == TRILEMMA_UNSYNC:
             ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
-                   for (t, u), q in zip(outcome[1], pid) if u in senders]
+                   for (t, u), q in zip(outcome[1], pid)
+                   if u in senders and t in rounds]
         elif v == TRILEMMA_SYNC:
             ev += [(t, _SEND, u, q, SEND, cover, None, None, None)
                    for t, cohort in outcome[1]
-                   for u, q in zip(cohort, pid) if u in senders]
+                   for u, q in zip(cohort, pid)
+                   if u in senders and t in rounds]
 
     elif v == ONION_PATH:
         paths = outcome[0]
@@ -588,7 +629,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
         starts += [(t, u, path, None) for (t, u), path in outcome[1]]
         for t, u, path, row in starts:
             q = next(pid)
-            if u in senders:
+            if u in senders and (row is not None or t in rounds):
                 add((t, _SEND, u, q, SEND, cover, None, None, None)
                     if row is None else
                     (t, _SEND, u, q, SEND, real, None, None,
@@ -614,7 +655,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each
         # real message is delivered after the variant's transit
-        lag = _TIMING[v][1](params)
+        lag = _TIMING[v][1](params)[1]
         real_at = {}
         for j, s in enumerate(slots):
             if s is not None:
@@ -622,9 +663,11 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
         for t in range(1, horizon + 1):
             rows = real_at.get(t, ())
             hot = {r.sender for r in rows}
+            # outside the rounds only the real senders' own sends are kept
+            shown = senders if t in rounds else senders & hot
             ev += [(t, _SEND, u, q, SEND, (u in hot) if full else None, None,
                     None, None)
-                   for u, q in zip(range(params.n), pid) if u in senders]
+                   for u, q in zip(range(params.n), pid) if u in shown]
             for r in rows:
                 q = next(pid)
                 if r.receiver in receivers:

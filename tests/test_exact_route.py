@@ -187,6 +187,23 @@ def test_unsync_timing_on_one_row_is_the_closed_form(n, l_max, p):
     assert got == (1 - p) ** (l_max - 1)
 
 
+@pytest.mark.parametrize("variant,n,l_max,relays,c_p,want", [
+    # mc-unsync-wide: 2 x 32,768 leaves under the timing window
+    (TRILEMMA_UNSYNC, 100, 5, 0, 0, Fraction(81, 256)),
+    # mc-unsync-small
+    (TRILEMMA_UNSYNC, 10, 3, 0, 0, Fraction(9, 16)),
+    # mc-onion-trace: the chain is followed only when both relays of the
+    # path are among the 3 compromised, 1/5 of paths; otherwise timing
+    (ONION_PATH, 20, 3, 6, 3, Fraction(13, 20)),
+])
+def test_the_monte_carlo_benchmark_points_have_exact_twins(variant, n, l_max,
+                                                           relays, c_p, want):
+    kind = ProtocolKind(variant, ProtocolParams(n=n, l_max=l_max, beta=0.25,
+                                                relays=relays))
+    attack = tracing_attack(n, c_p) if relays else timing_attack(n)
+    assert exact_advantage(kind, attack, _pair(n)) == want
+
+
 @pytest.mark.parametrize("l_max", [2, 3])
 @pytest.mark.parametrize("beta,p_real", [(0.3, 0.0), (0.1, 0.2)])
 def test_exact_cover_rate_is_the_typed_decimal(beta, p_real, l_max):

@@ -157,10 +157,17 @@ def test_missing_challenge_fields_raise_on_every_call():
             pair.challenge_message()
 
 
-def test_unequal_batches_make_every_index_a_challenge_index():
-    # CO may change the number of rows: every index is then a challenge
-    # index, and the shorter batch faces empty slots past its end
+def test_unequal_batches_are_compared_index_by_index():
+    # CO may change the number of rows: the shorter batch faces empty
+    # slots past its end, and an index where both agree is no challenge
     co = parse_notion("CO")
+    pair = ScenarioPair(B(C(0, 3, 7)), B(C(0, 3, 7), C(1, 3, 8)), co)
+    # the one differing index holds an empty slot under 0: no suspects, and
+    # no scenario-0 row to name a receiver or a payload
+    for field in (pair.suspects, pair.challenge_receiver,
+                  pair.challenge_message):
+        with pytest.raises(ValueError):
+            field()
     pair = ScenarioPair(B(C(0, 3, 7)), B(C(2, 1, 4), C(1, 3, 5)), co)
     assert pair.suspects() == (0, 2)
     assert pair.challenge_receiver() == 3

@@ -381,7 +381,8 @@ def test_a_cover_coin_fires_exactly_when_random_would(monkeypatch, p):
 
     monkeypatch.setattr(hashlib, "shake_128", Fixed)
     free = tuple((t, 0) for t in range(1, len(words) + 1))
-    cover = protocols._Cover(free, ProtocolParams(n=2, l_max=2, beta=p))
+    cover = protocols._Cover(free, ProtocolParams(n=2, l_max=2, beta=p),
+                             range(1, len(words) + 1))
     fired = cover.draw(None, b"key")
     assert [sl in fired for sl in free] == \
         [(w >> 11) * 2 ** -53 < p for w in words]

@@ -20,9 +20,10 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from acnbounds.adversaries import (COUNTING, AttackKind,
                                    attack_view, counting_attack, decide,
@@ -31,11 +32,13 @@ from acnbounds.adversaries import (COUNTING, AttackKind,
 from acnbounds.core import (NO_COMM, SEND, AdversaryCapability,
                             Communication, ProtocolParams, ResourceLimitError,
                             View, filter_trace)
+from acnbounds import game
 from acnbounds.game import exact_advantage
+from acnbounds.notions import generate_pair, parse_notion
 from acnbounds.protocols import (BROADCAST, DCNET, DROPPING, ONION_PATH,
-                                 TRILEMMA_UNSYNC, VARIANTS, ProtocolKind,
-                                 arm, build_trace, enumerate_outcomes,
-                                 sample_outcome)
+                                 TRILEMMA_SYNC, TRILEMMA_UNSYNC, VARIANTS,
+                                 ProtocolKind, arm, build_trace,
+                                 enumerate_outcomes, sample_outcome)
 from test_trace_golden import (KINDS, PAIR_ROWS, PARAMS, SEEDS, TINY,
                                TINY_ROWS, _pair, trial_key)
 
@@ -132,9 +135,11 @@ def test_full_trace_sends_carry_their_flag_and_payload(name):
 def test_each_rule_reads_its_declared_events():
     pair = _pair(PAIR_ROWS)
     suspects, receiver = frozenset({0, 1}), frozenset({3})
-    assert attack_view(timing_attack(4), pair) == View(suspects, 0, receiver)
+    # timing and tracing read cover sends only where a transit window reaches
+    assert attack_view(timing_attack(4), pair) == \
+        View(suspects, 0, receiver, window=True)
     assert attack_view(tracing_attack(4, 2), pair) == \
-        View(suspects, 2, receiver)
+        View(suspects, 2, receiver, window=True)
     # user 2 sends in both batches, user 3 in neither
     assert attack_view(counting_attack(4), pair) == \
         View(frozenset({0, 1, 2}))
@@ -202,9 +207,9 @@ def _peak(walk):
 
 
 def test_a_walk_over_the_leaves_does_not_hold_them():
-    # the benchmark's exact point: 24,576 leaves per arm, 3 delays times
-    # 8,192 cover patterns
-    kind = _unsync(2, 4, 0.25)
+    # 32,768 leaves per arm, 4 delays times 8,192 patterns of the 13 cover
+    # slots in rounds 2-8 of the timing window
+    kind = _unsync(2, 5, 0.25)
     pair = _one_row_pair(2)
     view = attack_view(timing_attack(2), pair)
     # the arm's fields are cached: build them before anything is measured
@@ -256,16 +261,20 @@ def _unsync_views(n, pair):
             + [None, View(frozenset(range(n)))])
 
 
-def _project(outcome, view, onion=False):
-    """The full outcome as its projection onto `view` reads it: the watched
-    senders' fired slots, an onion cover's paired with None."""
+def _project(outcome, side, onion=False):
+    """The full outcome as the arm `side` reads it: the fired slots of its
+    view's senders in its rounds, an onion cover's paired with None."""
+    view = side.view
     if view is None:
         return outcome
     picks, fired = outcome
+
+    def kept(sl):
+        return sl[1] in view.senders and sl[0] in side.rounds
+
     if onion:
-        return picks, tuple((sl, None) for sl, _ in fired
-                            if sl[1] in view.senders)
-    return picks, tuple(sl for sl in fired if sl[1] in view.senders)
+        return picks, tuple((sl, None) for sl, _ in fired if kept(sl))
+    return picks, tuple(sl for sl in fired if kept(sl))
 
 
 def _fired_by(outcome, onion=False):
@@ -288,8 +297,9 @@ def check_same_draw(kind, pair, b, seed, views, onion=False):
     full = sample_outcome(arm(kind, pair, b), whole, key)
     for view in views:
         rng = random.Random(seed)
-        got = sample_outcome(arm(kind, pair, b, view), rng, key)
-        assert got == _project(full, view, onion), view
+        side = arm(kind, pair, b, view)
+        got = sample_outcome(side, rng, key)
+        assert got == _project(full, side, onion), view
         assert rng.getstate() == whole.getstate()
 
     def draw(senders):
@@ -327,9 +337,10 @@ def test_projected_leaves_are_the_exact_marginals(n, l_max, beta):
         for b in (0, 1):
             full = enumerate_outcomes(kind, pair, b)
             for view in views:
+                side = arm(kind, pair, b, view)
                 marginal = {}
                 for prob, outcome in full:
-                    key = _project(outcome, view)
+                    key = _project(outcome, side)
                     marginal[key] = marginal.get(key, 0) + prob
                 leaves = enumerate_outcomes(kind, pair, b, view)
                 assert sum(prob for prob, _ in leaves) == 1
@@ -349,6 +360,17 @@ def test_projection_reaches_a_point_past_the_leaf_limit():
         enumerate_outcomes(kind, pair, 0)
     # the other suspect stays silent for the l_max-1 rounds of the window
     assert exact_advantage(kind, timing_attack(6), pair) == Fraction(9, 16)
+
+
+def test_the_timing_window_takes_the_leaf_limit_further():
+    # 5 delays times 2**17 patterns of the suspects' cover slots in rounds
+    # 2-10, where the full outcome space is past the limit
+    kind = _unsync(2, 6, 0.25)
+    pair = _one_row_pair(2)
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(kind, pair, 0)
+    view = attack_view(timing_attack(2), pair)
+    assert len(enumerate_outcomes(kind, pair, 0, view)) == 655_360
 
 
 # ----------------------------------------------- the onion cover, projected
@@ -407,15 +429,16 @@ def test_projected_onion_leaves_are_the_exact_marginals(n, l_max, beta,
                                                          relays):
     kind = _onion(n, l_max, beta, relays)
     for pair in _cover_pairs(n):
-        # a projection depends on the view's senders alone
-        views = {view.senders: view for view in
+        # a projection depends on the view's senders and window alone
+        views = {(view.senders, view.window): view for view in
                  (attack_view(a, pair) for a in _onion_attacks(n, relays))}
         for b in (0, 1):
             full = enumerate_outcomes(kind, pair, b)
             for view in views.values():
+                side = arm(kind, pair, b, view)
                 marginal = {}
                 for prob, outcome in full:
-                    key = _project(outcome, view, onion=True)
+                    key = _project(outcome, side, onion=True)
                     marginal[key] = marginal.get(key, 0) + prob
                 leaves = enumerate_outcomes(kind, pair, b, view)
                 assert sum(prob for prob, _ in leaves) == 1
@@ -445,3 +468,70 @@ def test_projection_reaches_onion_points_past_the_leaf_limit(n, l_max, p,
     hit = Fraction(math.comb(c_p, hops), math.comb(relays, hops))
     assert (exact_advantage(kind, tracing_attack(n, c_p), pair)
             == hit + (1 - hit) * (1 - p) ** hops)
+
+
+# ------------------------------------------------------ the timing window
+
+@pytest.mark.parametrize("variant,l_max,rows,horizon,rounds", [
+    # one row at t0 = l_max, arriving 1 to l_max-1 rounds later: round 1
+    # and the last round are out of every transit window's reach
+    (TRILEMMA_UNSYNC, 4, 1, 7, range(2, 7)),
+    # a direct delivery reads no cover send at all
+    (TRILEMMA_UNSYNC, 1, 1, 1, range(1, 1)),
+    # rows start one per round, the empty one included
+    (TRILEMMA_SYNC, 4, 3, 9, range(2, 8)),
+    # a path of l_exp-1 = 3 relays always arrives in round 7
+    (ONION_PATH, 4, 1, 7, range(4, 7)),
+    (DCNET, 2, 1, 2, range(1, 2)),
+    (BROADCAST, 2, 1, 3, range(2, 3)),
+])
+def test_the_window_is_what_a_transit_window_can_reach(variant, l_max, rows,
+                                                        horizon, rounds):
+    kind = ProtocolKind(variant, ProtocolParams(n=4, l_max=l_max, beta=0.5,
+                                                relays=3))
+    pair = _cover_pairs(4)[rows > 1]
+    for b in (0, 1):
+        side = arm(kind, pair, b, attack_view(timing_attack(4), pair))
+        assert (side.horizon, side.rounds) == (horizon, rounds)
+        # counting reads every round
+        watched = arm(kind, pair, b, attack_view(counting_attack(4), pair))
+        assert watched.rounds == range(1, horizon + 1)
+
+
+def _exact_under(kind, attack, pair, view):
+    """`exact_advantage` with `view` in place of the attack's own."""
+    with mock.patch.object(game, "attack_view", lambda *_: view):
+        return exact_advantage(kind, attack, pair)
+
+
+# full leaves per arm that the property walks at most
+_FULL_LEAVES = 4096
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(variant=st.sampled_from([TRILEMMA_UNSYNC, TRILEMMA_SYNC, ONION_PATH,
+                                DCNET, BROADCAST]),
+       l_max=st.integers(1, 4), beta=st.sampled_from([0.25, 0.5, 1.0, 0.0]),
+       notion=st.sampled_from(["SO", "SML", "RO"]),
+       seed=st.integers(0, 3), data=st.data())
+def test_the_window_changes_no_exact_advantage(variant, l_max, beta, notion,
+                                                seed, data):
+    l_exp = data.draw(st.integers(1, l_max))
+    relays = (data.draw(st.integers(max(1, l_exp - 1), 3))
+              if variant == ONION_PATH else 0)
+    n = 3 if variant == TRILEMMA_SYNC else 2
+    params = ProtocolParams(n=n, l_max=l_max, beta=beta, relays=relays,
+                            l_exp=l_exp if variant == ONION_PATH else None)
+    kind = ProtocolKind(variant, params)
+    length = 2 if notion == "SML" else data.draw(st.integers(1, 2))
+    pair = generate_pair(parse_notion(notion), params, seed, length)
+    assume(all(math.prod(f.size for f in arm(kind, pair, b).fields)
+               <= _FULL_LEAVES for b in (0, 1)))
+    attack = data.draw(st.sampled_from(
+        [timing_attack(n)] + [tracing_attack(n, c) for c in range(relays + 1)]))
+    view = attack_view(attack, pair)
+    assert view.window
+    whole = _exact_under(kind, attack, pair, None)
+    assert _exact_under(kind, attack, pair, view) == whole
+    assert _exact_under(kind, attack, pair, view._replace(window=False)) \
+        == whole

@@ -236,7 +236,8 @@ def attack_view(attack: AttackKind, pair):
 
     timing    the two suspects' sends and the challenge receiver's
               deliveries, cover sends only in the rounds that the
-              arrival's transit window can reach (`window`)
+              transit windows of the outcome's own arrivals can reach
+              (`window`)
     tracing   the same, plus batch rows' forwards at the relays the
               capability sees
     counting  sends of the watched users that either batch claims, in
@@ -248,7 +249,7 @@ def attack_view(attack: AttackKind, pair):
     delivery, so its forwards are in no view (see `core.View`).  Tracing is
     passive (`validate_attack`), so the chain passes no drop.  The window
     is a flag, not rounds, so the view stays free of params: `protocols.arm`
-    resolves it from the arm's schedule.
+    resolves it from the arm's schedule and each outcome's delays.
     """
     cap = attack.capability
     v = attack.variant

@@ -229,19 +229,26 @@ class View(NamedTuple):
 
     window     True when the rule reads a sender's cover sends only in the
                rounds that the challenge arrival's transit window can
-               reach; `protocols.arm` resolves it into the arm's `rounds`
+               reach; `protocols.arm` resolves it into the arm's `window`,
+               which places those rounds per outcome from the arrivals it
+               drew
 
     Timing reads a suspect's send for one of two reasons: it lies in
     [a - l_max + 1, a - 1] for the arrival round a, or its packet is the
     arrival's, which only a batch row's own send in a direct delivery can
-    be.  Path tracing walks back along batch rows' packets alone.  So no
-    cover send outside [first - l_max + 1, last - 1] changes a verdict,
-    where first is the earliest start slot plus the shortest transit and
-    last the latest start slot plus the longest transit; batch rows' own
-    sends are always built.  Counting reads every round and keeps the
-    window off.  A random send time would move the arrivals, so it must
-    widen the window to every start it can draw; an oracle view, which
-    must see every event that could tell the arms apart, must not set it.
+    be.  Path tracing walks back along batch rows' packets alone.  The
+    challenge arrival is one of the batch rows' arrivals a_j = slot_j +
+    d_j, drawn with the outcome, so no cover send outside
+    [first - l_max + 1, last - 1] of that outcome changes its verdict,
+    where first and last are its earliest and latest arrival; batch rows'
+    own sends are always built.  An outcome and its cover are therefore
+    drawn, listed and built in the window of its own delays, and exact
+    enumeration weighs the cover of each delays option on that option's
+    window alone, the exact marginal.  Counting reads every round and
+    keeps the window off.  A random send time would move the arrivals
+    too; drawn before the cover and read by the window with the delays,
+    it needs no widening.  An oracle view, which must see every event
+    that could tell the arms apart, must not set it.
     """
 
     senders: frozenset = frozenset()

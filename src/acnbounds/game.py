@@ -16,12 +16,13 @@ Both routes ask `adversaries.attack_view` once per solve for the events
 the attack reads; every attack that `validate_attack` accepts has one.
 Then they resolve the pair's two arms under that view with
 `protocols.arm`, before the first trial, so a schedule the model cannot
-run fails there.  Each arm carries its schedule, the rounds its view
-keeps cover in (timing and tracing: those a transit window can reach),
-its fields of draws and the view to `sample_outcome` (or
-`enumerate_outcomes`, which resolves the same arm itself), which draws or
-lists only the randomness the view shows, and to `build_trace`, which
-emits only its events, already as the capability sees them; then
+run fails there.  Each arm carries its schedule, the window its view
+keeps cover in (timing and tracing: the rounds the transit windows of
+each outcome's own arrivals can reach), its fields of draws and the
+view to `sample_outcome` (or `enumerate_outcomes`, which resolves the
+same arm itself), which draws or lists only the randomness the view
+shows, and to `build_trace`, which emits only its events, already as
+the capability sees them; then
 `filter_trace` (which finds nothing to remove or mask, and hands the
 trace back) and `decide` run as usual.  The verdict is the one the full
 filtered trace would give, and the exact route sums the same

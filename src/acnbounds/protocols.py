@@ -40,35 +40,43 @@ Every field has `draw(rng, key)`, which `sample_outcome` calls in order,
 and `options()`, its denominator and its table of values with integer
 weights over it, as a `(weights, values)` pair of tuples, whose product
 `enumerate_outcomes` streams as exact Fractions without holding it; so
-the two routes cannot drift apart.  The picks read the solve's
-`random.Random` with a fixed call sequence, and a k-sample (an onion path, a sync cohort,
-a dropping copy's first hops) equals `rng.sample` and leaves the rng in
-the same state, also where `_sampler` runs `Random.sample`'s small-pool
-loop itself.  The cover reads no rng: each user's coins come from their
-own stream under the per-trial `key`, the words of
-shake_128(key + tag(user)), one 64-bit word per free slot in round order,
-and a coin fires when `random() < p` would on that word's top 53 bits.  A
-full onion cover's paths come from a `random.Random` seeded by the firing
-user's own path stream.  `size` counts a field's values without listing
-them, so the `ENUM_LIMIT` guard trips before any leaf is built.  Exact
-cover weights use the decimals the user typed (beta=0.3 weighs 3/10);
-Monte Carlo compares against the float.
+the two routes cannot drift apart.  The cover is drawn in a window of
+rounds (see below), and the unsync cover `reads` the delays, the first
+field, to place it, so its `draw` takes their value and its `options`
+and `size` the window's rounds.  The picks read the solve's
+`random.Random` with a fixed call sequence, and a k-sample (an onion
+path, a sync cohort, a dropping copy's first hops) equals `rng.sample`
+and leaves the rng in the same state, also where `_sampler` runs
+`Random.sample`'s small-pool loop itself.  The cover reads no rng: each
+user's coins come from their own stream under the per-trial `key`, the
+words of shake_128(key + tag(user)), one 64-bit word per free slot in
+round order, and a coin fires when `random() < p` would on that word's
+top 53 bits.  A full onion cover's paths come from a `random.Random`
+seeded by the firing user's own path stream.  `size` counts a field's
+values without listing them, and `_Window.spread` counts the delays
+options per window, so the `ENUM_LIMIT` guard trips before any table is
+listed.  Exact cover weights use the decimals the user typed (beta=0.3
+weighs 3/10); Monte Carlo compares against the float.
 
 An outcome drawn or listed under a view (an arm's, or the `view` that
 `enumerate_outcomes` takes) holds only the watched senders' cover slots,
-and only in the arm's `rounds`: the rounds of the horizon that the
-challenge arrival's transit window can reach when the view sets `window`
-(timing and tracing, see `core.View`), else the whole horizon.  An onion
-cover slot holds `(slot, None)` in place of its path: a cover packet
-feeds no delivery, so no rule reads its hops.  A projected draw reads
-only the watched users' streams, up to their last kept word, and the full
-cover is the same draw over every user and round, so a watched user's
-fired slots in a round are the same under every view that keeps it, and
-the rng ends where the full draw leaves it.  A trial's cover costs the
-slots the view watches within its rounds, and enumeration lists those
-slots' exact marginal, so its leaf count grows with the view and the
-transit window, not with `n x horizon` or with the paths a cover packet
-could take.
+and only in the arm's `window` of that outcome: when the view sets
+`window` (timing and tracing, see `core.View`), the rounds that the
+transit windows of the outcome's own arrivals can reach, from the
+earliest arrival's window to the round before the latest, so an unsync
+outcome's cover is placed by the delays it drew (see `_Window`); else the
+whole horizon.  An onion cover slot holds `(slot, None)` in place of its
+path: a cover packet feeds no delivery, so no rule reads its hops.  A
+projected draw reads only the watched users' streams, up to their last
+kept word, and the full cover is the same draw over every user and
+round, so a watched user's fired slots in a round are the same under
+every view that keeps it, and the rng ends where the full draw leaves
+it.  A trial's cover costs the slots the view watches within its window,
+and enumeration lists, per delays option, the exact marginal of the
+slots in that option's window, one window's table at a time, so its leaf
+count grows with the view and the transit window, not with
+`n x horizon`, with the rounds every delay could reach, or with the
+paths a cover packet could take.
 
 `build_trace` deterministically turns an outcome into events, applying a
 dropping adversary's drops in the same pass.  Under a `core.View` (from
@@ -81,11 +89,11 @@ the full trace.
 
 `sample_outcome` and `build_trace` take an `Arm`, one side of a challenge
 pair resolved once by `arm`: its batch, the schedule that the variant's
-`_TIMING` row gives it (`_schedule`), the rounds its view keeps cover in
-(`_window`), its fields of draws projected onto the view (`_fields`) and
-the view.  `arm` raises ConfigError for a schedule the model cannot run,
-so an `Arm` exists only for a runnable arm, and a game that builds its two
-arms before the first trial fails there.
+`_TIMING` row gives it (`_schedule`), the window its view keeps cover in
+per outcome (`_Window`), its fields of draws projected onto the view
+(`_fields`) and the view.  `arm` raises ConfigError for a schedule the
+model cannot run, so an `Arm` exists only for a runnable arm, and a game
+that builds its two arms before the first trial fails there.
 """
 
 from __future__ import annotations
@@ -115,15 +123,16 @@ VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, DCNET, BROADCAST,
             DROPPING)
 
 # Per variant: the rounds between successive batch rows' starts (1: one
-# per round from t0, 0: all at t0), and the shortest and the longest
-# transit in rounds.  The dropping model (no transit) sends in round 1,
+# per round from t0, 0: all at t0), and the longest transit in rounds,
+# which the trilemma models draw up to (their delays field) and the others
+# always take.  The dropping model (no transit) sends in round 1,
 # forwards in round 2 and delivers in round 3 whatever the schedule.
 _TIMING = {
-    TRILEMMA_SYNC: (1, lambda p: (min(1, p.l_max - 1), p.l_max - 1)),
-    TRILEMMA_UNSYNC: (0, lambda p: (min(1, p.l_max - 1), p.l_max - 1)),
-    ONION_PATH: (0, lambda p: (p.l_exp - 1, p.l_exp - 1)),
-    DCNET: (1, lambda p: (0, 0)),
-    BROADCAST: (0, lambda p: (1, 1)),
+    TRILEMMA_SYNC: (1, lambda p: p.l_max - 1),
+    TRILEMMA_UNSYNC: (0, lambda p: p.l_max - 1),
+    ONION_PATH: (0, lambda p: p.l_exp - 1),
+    DCNET: (1, lambda p: 0),
+    BROADCAST: (0, lambda p: 1),
     DROPPING: (0, None),
 }
 
@@ -147,6 +156,10 @@ class ProtocolKind:
         if v == DROPPING:
             if p.first_hops < p.copies:
                 raise ConfigError("need at least `copies` distinct first hops")
+        if v == BROADCAST and p.l_max < 2:
+            # its transit is one round whatever l_max (`_TIMING`)
+            raise ConfigError("broadcast delivers one round after the send, "
+                              "so it needs l_max >= 2")
 
 
 def _num_dummies(params) -> int:
@@ -174,28 +187,72 @@ def _schedule(kind: ProtocolKind, batch):
     slots = tuple(None if row is NO_COMM else t0 + step * k
                   for k, row in enumerate(batch.rows))
     needed = (3 if transit is None else
-              t0 + step * (len(batch.rows) - 1) + transit(params)[1])
+              t0 + step * (len(batch.rows) - 1) + transit(params))
     if params.rounds is not None and params.rounds < needed:
         raise ConfigError(f"rounds={params.rounds} too short, "
                           f"need at least {needed}")
     return slots, needed if params.rounds is None else params.rounds
 
 
-def _window(kind: ProtocolKind, slots, horizon):
-    """The rounds of the horizon that a timing or tracing rule can read a
-    cover send in (see `core.View`): from the transit window of the
-    earliest arrival, the earliest start plus the shortest transit, to the
-    round before the latest arrival, the latest start plus the longest
-    transit."""
-    params = kind.params
-    transit = _TIMING[kind.variant][1]
-    if transit is None:
-        # the dropping model sends no cover
-        return range(1, horizon + 1)
-    starts = [s for s in slots if s is not None]
-    shortest, longest = transit(params)
-    return range(max(min(starts) + shortest - params.l_max + 1, 1),
-                 min(max(starts) + longest - 1, horizon) + 1)
+class _Window:
+    """The rounds whose cover sends an arm's traces hold, as a function of
+    the transit delays that an outcome draws, one per batch row (None for
+    a row with nothing to send).  Called with None, it gives them for the
+    variant's fixed transit (onion, dc-net, broadcast).
+
+    Under a view that sets `window` (timing and tracing, see `core.View`)
+    they are the rounds a timing or tracing rule can read a cover send in:
+    [max(first - l_max + 1, 1), min(last - 1, horizon)], for the earliest
+    and the latest arrival, where batch row j arrives at slot_j + d_j.
+    Else, and in the dropping model, which sends no cover, they are the
+    whole horizon.
+    """
+
+    def __init__(self, kind: ProtocolKind, slots, horizon, view):
+        params = kind.params
+        transit = _TIMING[kind.variant][1]
+        self.slots, self.horizon, self.l_max = slots, horizon, params.l_max
+        self.on = view is not None and view.window and transit is not None
+        if self.on:
+            lag = transit(params)
+            starts = [s for s in slots if s is not None]
+            self.rounds = self._reach(min(starts) + lag, max(starts) + lag)
+        else:
+            self.rounds = range(1, horizon + 1)
+
+    def __call__(self, delays=None):
+        if delays is None or not self.on:
+            return self.rounds
+        arrivals = [s + d for s, d in zip(self.slots, delays) if s is not None]
+        return self._reach(min(arrivals), max(arrivals))
+
+    def _reach(self, first, last):
+        return range(max(first - self.l_max + 1, 1),
+                     min(last - 1, self.horizon) + 1)
+
+    def spread(self, delays):
+        """{rounds: how many options of `delays`, the delays field, fall
+        in them}, tallied without listing the options: the rounds depend
+        on the delays only through the earliest and the latest arrival, so
+        the options are counted per (earliest, latest), one row at a
+        time."""
+        if not self.on:
+            return {self.rounds: delays.size}
+        ends = {(math.inf, -math.inf): 1}
+        for s, pick in zip(self.slots, delays.picks):
+            if pick is None:
+                continue
+            step = {}
+            for (first, last), count in ends.items():
+                for d in pick.values:
+                    at = min(first, s + d), max(last, s + d)
+                    step[at] = step.get(at, 0) + count
+            ends = step
+        spread = {}
+        for (first, last), count in ends.items():
+            rounds = self._reach(first, last)
+            spread[rounds] = spread.get(rounds, 0) + count
+        return spread
 
 
 # ---------------------------------------------------------- fields of draws
@@ -294,6 +351,8 @@ class _Picks:
     """A field of independent picks, one per entry; a None entry is fixed
     at None (a row without a scheduled message)."""
 
+    reads = False
+
     def __init__(self, picks):
         self.picks = tuple(picks)
         self.size = prod(x.size for x in self.picks if x is not None)
@@ -322,6 +381,11 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2 ** 53) << 11
 
 
+# delay values per cover whose window plan it keeps, so that no trial
+# count grows a cover further
+_PLANS = 1 << 12
+
+
 class _Cover:
     """The cover coins: one per free (round, user) slot, each firing at rate
     p.  The field is the tuple of fired slots in (round, user) order, each
@@ -334,52 +398,81 @@ class _Cover:
     the payload's `draw` from a `random.Random` seeded by the firing
     user's path stream, one per user that fired, in round order.
 
-    The field is the projection onto the users in `watch` and the `rounds`
-    of the arm, and the full cover is the projection onto every user and
-    round (`watch=None` and the whole horizon): it reads only the watched
-    users' streams, and word i of a stream still belongs to that user's
-    i-th free slot over the whole horizon, so a kept slot fires as in the
-    full draw, and `options` lists the kept slots' exact marginal.  A
-    stream is digested up to its last kept word, and the words before its
-    first kept one are skipped unparsed.  Under a view an onion slot is
+    The field is the projection onto the users in `watch` and the rounds
+    of the arm's `window`, and the full cover is the projection onto every
+    user and round (`watch=None` and the whole horizon).  When the cover
+    `reads` the delays, the first field, each outcome's cover is drawn in
+    the window of its own delays, which `draw` takes; else in the window
+    of the fixed transit.  `size` and `options` take a window's rounds.
+    Each window's plan is built once, when first asked for: the watched
+    users with a slot in it, each stream's parser into its kept words,
+    skipping the words before the first kept one unparsed, and the kept
+    slots.  Word i of a stream still belongs to that user's i-th free
+    slot over the whole horizon, so a kept slot fires as in the full draw,
+    a stream is digested up to its last kept word, and `options` lists
+    the kept slots' exact marginal.  Under a view an onion slot is
     `(slot, None)` and no path stream is read, because no rule reads a
     cover packet's hops.
     """
 
-    def __init__(self, free, params, rounds, payload=None, watch=None):
+    def __init__(self, free, params, window, payload=None, watch=None,
+                 reads=False):
         self.paired = payload is not None
         if watch is not None:
             payload = None
-        self.payload = payload
+        self.payload, self.window, self.reads = payload, window, reads
         mine = {}
         for sl in free:
             if watch is None or sl[1] in watch:
                 mine.setdefault(sl[1], []).append(sl)
-        # per watched user with a slot in `rounds`: the tag of their coin
-        # stream, its length in bytes up to the last kept word, its parser
-        # into the kept words, the kept slots and their path tag
-        users = []
-        for u, sl in sorted(mine.items()):
-            kept = [i for i, (t, _) in enumerate(sl) if t in rounds]
-            if kept:
-                lo, hi = kept[0], kept[-1] + 1
-                users.append((_TAG(_COINS, u), 8 * hi,
-                              struct.Struct(f"<{8 * lo}x{hi - lo}Q").unpack,
-                              tuple(sl[lo:hi]), _TAG(_PATHS, u)))
-        self.users = tuple(users)
-        self.free = tuple(sorted(sl for user in users for sl in user[3]))
+        self.mine = sorted(mine.items())
         self.cut = _threshold(params.p)
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
         self.rate = params.p_exact
         paths = 1 if payload is None else payload.size
-        self.size = (int(self.rate < 1)
-                     + paths * int(self.rate > 0)) ** len(self.free)
+        self.choices = int(self.rate < 1) + paths * int(self.rate > 0)
+        # the plan of each window, and of each delays value drawn so far
+        self._at, self._plans = {}, {}
 
-    def draw(self, rng, key):
+    def plan(self, delays=None):
+        """The (users, slots) of the window of `delays`: per watched user
+        with a slot in it, the tag of their coin stream, its length in
+        bytes up to the last kept word, its parser into the kept words,
+        the kept slots and their path tag; and every kept slot in
+        (round, user) order."""
+        plan = self._plans.get(delays)
+        if plan is None:
+            plan = self.at(self.window(delays))
+            if len(self._plans) < _PLANS:
+                self._plans[delays] = plan
+        return plan
+
+    def at(self, rounds):
+        """The plan of the window `rounds`, built once."""
+        plan = self._at.get(rounds)
+        if plan is None:
+            users = []
+            for u, sl in self.mine:
+                kept = [i for i, (t, _) in enumerate(sl) if t in rounds]
+                if kept:
+                    lo, hi = kept[0], kept[-1] + 1
+                    users.append((_TAG(_COINS, u), 8 * hi,
+                                  struct.Struct(f"<{8 * lo}x{hi - lo}Q").unpack,
+                                  tuple(sl[lo:hi]), _TAG(_PATHS, u)))
+            plan = self._at[rounds] = (
+                tuple(users),
+                tuple(sorted(sl for user in users for sl in user[3])))
+        return plan
+
+    def size(self, rounds):
+        return self.choices ** len(self.at(rounds)[1])
+
+    def draw(self, rng, key, delays=None):
         """The fired slots under the per-trial `key`; `rng` is not read."""
         cut, shake, fired = self.cut, hashlib.shake_128, []
-        for tag, size, words, slots, path_tag in self.users:
+        for tag, size, words, slots, path_tag in (self._plans.get(delays)
+                                                  or self.plan(delays))[0]:
             hits = [sl for sl, w in zip(slots,
                                         words(shake(key + tag).digest(size)))
                     if w < cut]
@@ -396,12 +489,13 @@ class _Cover:
         fired.sort()
         return tuple(fired)
 
-    def options(self):
+    def options(self, rounds):
+        free = self.at(rounds)[1]
         pn, pd = self.rate.numerator, self.rate.denominator
         m, on = ((1, ((1,), (None,))) if self.payload is None
                  else self.payload.options())
         tables = []
-        for sl in self.free:
+        for sl in free:
             opts = [((pd - pn) * m, None)]
             opts += [(pn * w, (sl, x) if self.paired else sl)
                      for w, x in zip(*on)]
@@ -411,23 +505,24 @@ class _Cover:
         # the table holds one int object per distinct weight, and a slot
         # that did not fire leaves None, while fired values are truthy
         distinct = {}
-        return (pd * m) ** len(self.free), (
+        return (pd * m) ** len(free), (
             tuple(distinct.setdefault(w, w) for w in weights),
             tuple(tuple(filter(None, xs)) for xs in values))
 
 
-def _fields(kind: ProtocolKind, batch, slots, horizon, watch, rounds):
+def _fields(kind: ProtocolKind, batch, slots, horizon, watch, window):
     """The randomness of one arm, as the ordered fields of draws an
     outcome holds.  With `watch`, a view's senders, the cover holds only
-    the watched users' slots in `rounds`, and an onion cover no paths (see
-    `_Cover`); every other field is drawn in full."""
+    the watched users' slots in the rounds of `window`, and an onion cover
+    no paths (see `_Cover`); every other field is drawn in full.  The
+    unsync cover reads the delays, whose arrivals place its window."""
     v, params = kind.variant, kind.params
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
         delay = _Choice(range(1, params.l_max) if params.l_max > 1 else (0,))
         delays = _Picks(None if s is None else delay for s in slots)
         if v == TRILEMMA_UNSYNC:
             return delays, _Cover(_noise_slots(kind, batch, slots, horizon),
-                                  params, rounds, watch=watch)
+                                  params, window, watch=watch, reads=True)
         d = _num_dummies(params)
         return delays, _Picks(
             _Subset([u for u in range(params.n) if u != row.sender], d, s)
@@ -436,7 +531,7 @@ def _fields(kind: ProtocolKind, batch, slots, horizon, watch, rounds):
         path = _Sample(range(params.relays), params.l_exp - 1)
         return (_Picks(None if s is None else path for s in slots),
                 _Cover(_noise_slots(kind, batch, slots, horizon), params,
-                       rounds, path, watch))
+                       window, path, watch))
     if v == DROPPING:
         first_hops = _Subset(range(params.first_hops), params.copies)
         return (_Picks(None if row is NO_COMM else first_hops
@@ -451,8 +546,10 @@ class Arm(NamedTuple):
     variant, params  the protocol kind's
     batch            the arm's batch
     slots, horizon   its schedule (see `_schedule`)
-    rounds           the rounds whose cover sends its traces hold: the
-                     view's window (see `_window`), else the horizon
+    window           the rounds whose cover sends its traces hold, as a
+                     function of an outcome's delays (see `_Window`): the
+                     view's window for the arrivals the outcome draws, else
+                     the horizon
     fields           its fields of draws, projected onto `view`
     view             the `View` its traces are built for, None for full
     target           the dropping model's target: the pair's suspect
@@ -464,7 +561,7 @@ class Arm(NamedTuple):
     batch: Batch
     slots: tuple
     horizon: int
-    rounds: range
+    window: _Window
     fields: tuple
     view: Optional[View]
     target: Optional[int]
@@ -476,11 +573,10 @@ def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     batch = pair.batch(b)
     slots, horizon = _schedule(kind, batch)
     watch = None if view is None else view.senders
-    rounds = (_window(kind, slots, horizon) if view is not None and view.window
-              else range(1, horizon + 1))
+    window = _Window(kind, slots, horizon, view)
     target = pair.suspects()[1] if kind.variant == DROPPING else None
-    return Arm(kind.variant, kind.params, batch, slots, horizon, rounds,
-               _fields(kind, batch, slots, horizon, watch, rounds), view,
+    return Arm(kind.variant, kind.params, batch, slots, horizon, window,
+               _fields(kind, batch, slots, horizon, watch, window), view,
                target)
 
 
@@ -492,61 +588,96 @@ def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
 
     Under the arm's `View` (None for the full outcome) the outcome is
     projected onto it, for `build_trace` of the same arm: the cover holds
-    only the view's senders' slots in the arm's `rounds`, each drawn as in
-    the full outcome (an onion cover's without its path), and the rng ends
-    in the same state.
+    only the view's senders' slots in the window of the outcome's own
+    delays, each drawn as in the full outcome (an onion cover's without
+    its path), and the rng ends in the same state.
     """
-    return tuple([f.draw(rng, key) for f in arm.fields])
+    out = []
+    for f in arm.fields:
+        # the unsync cover reads the delays, drawn first, for its window
+        out.append(f.draw(rng, key, out[0]) if f.reads else f.draw(rng, key))
+    return tuple(out)
 
 
 class _Leaves:
-    """The (probability, outcome) leaves of one arm, streamed: the product
-    of the fields' option tables is walked afresh by each iteration and
-    never held, and `len` is the product of the tables' lengths.  All
-    leaves share one denominator, so a leaf's weight is an int product
-    and each distinct probability becomes a Fraction once per walk."""
+    """The (probability, outcome) leaves of one arm, streamed, in parts:
+    each part's product of option tables is walked afresh by each
+    iteration and never held, and `len` is the count taken before any
+    table was listed.  A part is (den, tables, rounds): its leaves' one
+    denominator, the tables listed with the arm, and the window of the
+    cover whose table is listed when the walk reaches the part, so that
+    one window's cover table is held at a time (None for no cover).  A
+    leaf's weight is an int product, and each distinct probability
+    becomes a Fraction once per part and walk."""
 
-    def __init__(self, den, tables):
-        self.den, self.tables = den, tables
-        self.size = prod(len(values) for _, values in tables)
+    def __init__(self, size, parts, cover=None):
+        self.size, self.parts, self.cover = size, parts, cover
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
-        den, made = self.den, {}
-        for num, xs in zip(*_product(self.tables)):
-            prob = made.get(num)
-            if prob is None:
-                prob = made[num] = Fraction(num, den)
-            yield prob, xs
+        for den, tables, rounds in self.parts:
+            if rounds is not None:
+                d, table = self.cover.options(rounds)
+                den, tables = den * d, tables + [table]
+                # held by `tables` alone, so the next part's listing
+                # replaces it
+                del table
+            made = {}
+            for num, xs in zip(*_product(tables)):
+                prob = made.get(num)
+                if prob is None:
+                    prob = made[num] = Fraction(num, den)
+                yield prob, xs
 
 
 def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     """Every (probability, outcome) with exact Fraction probabilities, in
-    the order of each field's options.  With a `View` the outcomes are
-    projected as in `sample_outcome`, and their probabilities are the
-    exact marginals of the full ones.
+    the order of each field's options, one window of the cover at a time.
+    With a `View` the outcomes are projected as in `sample_outcome`, and
+    their probabilities are the exact marginals of the full ones: the
+    unsync cover of a delays option holds the slots of that option's own
+    window, and no verdict reads a cover send outside it.
 
     Returns a sized iterable that can be walked more than once.  Each
-    field's option table is listed here (the cover's is every pattern of
-    its watched slots); the product across fields is streamed, so the
+    field's option table is listed here but the cover's (every pattern of
+    its watched slots in one window), which is listed when the walk
+    reaches its window; the product across fields is streamed, so the
     leaves are never all in memory at once.  Zero-weight options are
     pruned, so degenerate rates (p of 0 or 1) stay cheap.  The
-    `ENUM_LIMIT` guard counts leaves before any table is listed.
+    `ENUM_LIMIT` guard counts leaves before any table is listed: per
+    window, its delays options times its cover patterns.
     """
     fields = arm(kind, pair, b, view).fields
+    cover = fields[-1] if fields and isinstance(fields[-1], _Cover) else None
+    picks = fields[:-1] if cover else fields
     # counted before anything is listed
-    count = prod(f.size for f in fields)
+    count = prod(f.size for f in picks)
+    if cover is not None:
+        spread = (cover.window.spread(picks[0]) if cover.reads
+                  else {cover.window(): count})
+        count = sum(n * cover.size(rounds) for rounds, n in spread.items())
     if count > ENUM_LIMIT:
         raise ResourceLimitError(f"outcome space has {count} leaves, "
                                  f"limit is {ENUM_LIMIT}")
     den, tables = 1, []
-    for field in fields:
+    for field in picks:
         d, leaves = field.options()
         den *= d
         tables.append(leaves)
-    return _Leaves(den, tables)
+    if cover is None or not cover.reads:
+        return _Leaves(count, [(den, tables, cover and cover.window())],
+                       cover)
+    # the unsync fields are (delays, cover): the delays options, grouped
+    # by their window in order of first appearance
+    groups = {}
+    for w, delays in zip(*tables[0]):
+        weights, values = groups.setdefault(cover.window(delays), ([], []))
+        weights.append(w)
+        values.append(delays)
+    return _Leaves(count, [(den, [table], rounds)
+                           for rounds, table in groups.items()], cover)
 
 
 # ---------------------------------------------------------------- building
@@ -567,11 +698,11 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     Under a `View`, only the events it names are emitted, each the way every
     capability sees it: the senders' sends, without their real/dummy flag
     and payload (`filter_trace` masks both on every send) and, but for a
-    batch row's own send, only in the arm's `rounds`, the forwards of
-    batch rows' packets at relays below `view.relays` and the receivers'
-    deliveries; drops, user-node forwards and an onion cover packet's hops
-    are left out, so a projected outcome (cover paths None) builds as well
-    as a full one.  The ids of the events kept come from the same counter
+    batch row's own send, only in the arm's `window` of the outcome, the
+    forwards of batch rows' packets at relays below `view.relays` and the
+    receivers' deliveries; drops, user-node forwards and an onion cover
+    packet's hops are left out, so a projected outcome (cover paths None)
+    builds as well as a full one.  The ids of the events kept come from the same counter
     as in the full trace, so they stay unique, and the dropping model
     still applies its drops.  One branch per variant builds both traces,
     appending its rows in place.
@@ -581,7 +712,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     ids.  One sort in native tuple order puts them in trace order, then ids
     are relabeled by first mention and each event is built once.
     """
-    v, params, batch, slots, horizon, rounds, _, view, target = arm
+    v, params, batch, slots, horizon, window, _, view, target = arm
     full = view is None
     if full:
         users = frozenset(range(params.n))
@@ -607,6 +738,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
             if row.receiver in receivers:
                 add((t + d, _DELIVER, row.receiver, dq, DELIVER, True, None,
                      q if d == 0 else None, row.message))
+        rounds = window(outcome[0])
         # cover sends are most of a wide trace: one comprehension, no call
         # per row
         if v == TRILEMMA_UNSYNC:
@@ -620,7 +752,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
                    if u in senders and t in rounds]
 
     elif v == ONION_PATH:
-        paths = outcome[0]
+        paths, rounds = outcome[0], window()
         relay = [relay_loc(k) for k in range(params.relays)]
         # real rows first, then cover sends, each with its path; one loop
         # appends every hop, so a trial's cost is the events it emits
@@ -655,7 +787,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each
         # real message is delivered after the variant's transit
-        lag = _TIMING[v][1](params)[1]
+        lag, rounds = _TIMING[v][1](params), window()
         real_at = {}
         for j, s in enumerate(slots):
             if s is not None:

@@ -460,10 +460,14 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
     (["simulate", "--protocol", "onion-path", "--attack", "timing-interval",
       "--n", "4", "--lmax", "3"],
      "onion routing needs at least one relay"),
+    (["simulate", "--protocol", "broadcast-full-dummy", "--attack",
+      "counting", "--n", "3", "--lmax", "1", "--trials", "200"],
+     "broadcast delivers one round after the send, so it needs l_max >= 2"),
 ], ids=["bound-unread-n", "tracing-without-relays", "sync-p-real",
         "broadcast-beta", "dropping-p", "simulate-without-protocol",
         "verify-without-protocol", "simulate-without-attack",
-        "verify-without-attack", "region-without-bound", "onion-no-relay"])
+        "verify-without-attack", "region-without-bound", "onion-no-relay",
+        "broadcast-one-round"])
 def test_an_unread_or_missing_flag_exits_one(capsys, argv, reason):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -559,7 +563,7 @@ _BASE = {
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
     "onion-path": "--n 4 --lmax 3 --relays 3",
     "dcnet-round": "--n 4 --lmax 1",
-    "broadcast-full-dummy": "--n 4 --lmax 1",
+    "broadcast-full-dummy": "--n 4 --lmax 2",
     "dropping-model": "--n 3 --lmax 1 --relays 4",
 }
 _FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "p_real": "--p-real 0.2",

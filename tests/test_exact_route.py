@@ -228,9 +228,10 @@ def _timing_points(ns):
 REFERENCE_POINTS = {
     (TRILEMMA_SYNC, TIMING): _timing_points((2, 3, 4)),
     (TRILEMMA_UNSYNC, TIMING): _timing_points((2, 3)),
+    # broadcast delivers a round after the send, so l_max >= 2
     (BROADCAST, COUNTING): [
         (ProtocolParams(n=n, l_max=l_max), counting_attack(n))
-        for n in (2, 3) for l_max in (1, 2, 3)],
+        for n in (2, 3) for l_max in (2, 3)],
     (DROPPING, DROP_ATTACK): [
         (ProtocolParams(n=n, l_max=1, relays=n, copies=copies,
                         integrated=integrated), dropping_attack(n, c_a))
@@ -277,6 +278,9 @@ def _cross_params(variant, draw):
         kw["copies"] = draw(st.integers(1, min(2, pool)))
     elif variant == TRILEMMA_UNSYNC and n == 3:
         kw["l_max"] = min(l_max, 2)
+    elif variant == BROADCAST:
+        # it delivers a round after the send, so l_max >= 2
+        kw["l_max"] = max(l_max, 2)
     return ProtocolParams(**kw)
 
 

@@ -257,24 +257,31 @@ def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
     assert all(len(memo) == 3 for memo in kept.values())
 
 
-# `simulate` at the mc-unsync-wide shape, but l_max 7: the timing window
-# leaves ~23,000 distinct outcomes per arm there, past MEMO_CAP, and ~8,100
-# at l_max 5.  Both digests are the records printed before the window, the
-# l_max 5 one also before the loop kept a memo (less the `threshold` key
-# that `params` lost with the threshold mix)
+# `simulate` at the mc-unsync-wide shape, but l_max 10: the timing window
+# of each outcome's own delay leaves ~19,800 distinct outcomes per arm
+# there, past MEMO_CAP, ~5,350 at l_max 7 and ~500 at l_max 5.  The
+# l_max 10 digest is the record printed before the window was placed per
+# delay, the l_max 7 one before that also before the timing window, and
+# the l_max 5 one also before the loop kept a memo (less the `threshold`
+# key that `params` lost with the threshold mix)
 WIDE_ARGV = ("simulate --protocol trilemma-unsync --attack timing-interval "
-             "--n 100 --lmax 7 --p 0.25 --trials 50000 --seed 0")
-WIDE_SHA256 = ("930a1c8b031b4e575f53748dd8d15a7c"
-               "7bf625b8aad2be6ca8e74b112e3a68b3")
-WIDE_LMAX5_SHA256 = ("17c0ef25e99e935fe5751cfbd60c7966"
-                     "82d13dfa96f0d41937c4002fa9b8282a")
+             "--n 100 --lmax 10 --p 0.25 --trials 50000 --seed 0")
+WIDE_SHA256 = ("579c97061f61d9b00a321d1e185c3ad4"
+               "a378466a681d021739c7b71a51c53479")
+UNDER_CAP_SHA256 = {
+    "--lmax 7": ("930a1c8b031b4e575f53748dd8d15a7c"
+                 "7bf625b8aad2be6ca8e74b112e3a68b3"),
+    "--lmax 5": ("17c0ef25e99e935fe5751cfbd60c7966"
+                 "82d13dfa96f0d41937c4002fa9b8282a"),
+}
 
 
 def test_a_record_under_the_memo_cap_is_pinned(capsys):
-    assert cli.main(WIDE_ARGV.replace("--lmax 7", "--lmax 5").split()) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_LMAX5_SHA256
+    for lmax, digest in UNDER_CAP_SHA256.items():
+        assert cli.main(WIDE_ARGV.replace("--lmax 10", lmax).split()) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, lmax
 
 
 def test_a_record_past_the_memo_cap_is_pinned(monkeypatch, capsys):

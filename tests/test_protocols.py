@@ -12,8 +12,9 @@ from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
                             ProtocolParams, ResourceLimitError, View,
                             make_batch)
 from acnbounds import protocols
-from acnbounds.adversaries import (counting_attack, dropping_attack,
-                                   timing_attack, tracing_attack)
+from acnbounds.adversaries import (attack_view, counting_attack,
+                                   dropping_attack, timing_attack,
+                                   tracing_attack)
 from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, arm, build_trace,
@@ -48,6 +49,10 @@ def test_variant_validation():
     with pytest.raises(ConfigError):
         ProtocolKind("dropping-model", ProtocolParams(n=2, l_max=1, relays=1,
                                                       copies=2))
+    # broadcast delivers a round after the send, past l_max = 1
+    with pytest.raises(ConfigError):
+        ProtocolKind("broadcast-full-dummy", ProtocolParams(n=2, l_max=1))
+    ProtocolKind("broadcast-full-dummy", ProtocolParams(n=2, l_max=2))
 
 
 def test_enumeration_probabilities_sum_to_one():
@@ -140,7 +145,7 @@ def test_broadcast_volume_matches_the_traffic_relation():
                   enumerate((first, 1, 2, 0, 1))] for first in (0, 1))
     pair = _pair(n, rows=rows)
     kind = ProtocolKind("broadcast-full-dummy",
-                        ProtocolParams(n=n, l_max=1, rounds=r))
+                        ProtocolParams(n=n, l_max=2, rounds=r))
     trace = build_trace(arm(kind, pair, 0), ())
     stats = traffic_stats(trace)
     assert stats.com == n * r == 20
@@ -235,7 +240,7 @@ def _count_resolves(monkeypatch):
     ("onion-path", ProtocolParams(n=10, l_max=3, beta=0.5, relays=3),
      tracing_attack(10, 1)),
     ("dcnet-round", ProtocolParams(n=10, l_max=1), counting_attack(10)),
-    ("broadcast-full-dummy", ProtocolParams(n=10, l_max=1),
+    ("broadcast-full-dummy", ProtocolParams(n=10, l_max=2),
      counting_attack(10)),
     ("dropping-model", ProtocolParams(n=10, l_max=1, relays=4, copies=2),
      dropping_attack(10, 1)),
@@ -284,22 +289,31 @@ def test_enumeration_guard_trips_on_large_spaces():
         enumerate_outcomes(kind, _pair(10), 0)
 
 
-@pytest.mark.parametrize("variant,params,pair", [
+@pytest.mark.parametrize("variant,params,pair,view", [
     # comb(39, 20) cohorts per row
-    ("trilemma-sync", ProtocolParams(n=40, l_max=2, beta=0.5), _pair(40)),
+    ("trilemma-sync", ProtocolParams(n=40, l_max=2, beta=0.5), _pair(40),
+     None),
     # 337 options per cover slot, over 69 free slots
     ("onion-path", ProtocolParams(n=10, l_max=4, beta=0.5, relays=8),
-     _pair(10)),
-])
+     _pair(10), None),
+    # each of the 11 delays times the 2**21 patterns of its own window's
+    # cover slots: counted per delay without listing a delay or a pattern
+    ("trilemma-unsync", ProtocolParams(n=2, l_max=12, beta=0.5), _pair(2),
+     attack_view(timing_attack(2), _pair(2))),
+], ids=["trilemma-sync-params0-pair0", "onion-path-params1-pair1",
+        "trilemma-unsync-timing-view"])
 def test_enumeration_guard_trips_before_listing_anything(monkeypatch, variant,
-                                                         params, pair):
+                                                         params, pair, view):
     def listed(*args):
         raise AssertionError("outcomes listed before the guard")
 
     for name in ("combinations", "permutations", "product"):
         monkeypatch.setattr(itertools, name, listed)
-    with pytest.raises(ResourceLimitError):
-        enumerate_outcomes(ProtocolKind(variant, params), pair, 0)
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_outcomes(ProtocolKind(variant, params), pair, 0, view)
+    if view is not None:
+        # the per-delay sum, not the count of the union of the windows
+        assert f"has {11 * 2 ** 21} leaves" in str(err.value)
 
 
 @settings(max_examples=30, deadline=None)
@@ -382,7 +396,7 @@ def test_a_cover_coin_fires_exactly_when_random_would(monkeypatch, p):
     monkeypatch.setattr(hashlib, "shake_128", Fixed)
     free = tuple((t, 0) for t in range(1, len(words) + 1))
     cover = protocols._Cover(free, ProtocolParams(n=2, l_max=2, beta=p),
-                             range(1, len(words) + 1))
+                             lambda delays=None: range(1, len(words) + 1))
     fired = cover.draw(None, b"key")
     assert [sl in fired for sl in free] == \
         [(w >> 11) * 2 ** -53 < p for w in words]

@@ -207,9 +207,9 @@ def _peak(walk):
 
 
 def test_a_walk_over_the_leaves_does_not_hold_them():
-    # 32,768 leaves per arm, 4 delays times 8,192 patterns of the 13 cover
-    # slots in rounds 2-8 of the timing window
-    kind = _unsync(2, 5, 0.25)
+    # 57,344 leaves per arm: each of the 7 delays d times the 8,192
+    # patterns of the 13 cover slots in its window, rounds d+1 to d+7
+    kind = _unsync(2, 8, 0.25)
     pair = _one_row_pair(2)
     view = attack_view(timing_attack(2), pair)
     # the arm's fields are cached: build them before anything is measured
@@ -219,8 +219,8 @@ def test_a_walk_over_the_leaves_does_not_hold_them():
         for _ in enumerate_outcomes(kind, pair, 0, view):
             pass
 
-    # both include the fields' option tables, which are still listed:
-    # the cover's 8,192 patterns are most of what a walk holds
+    # both include the option tables, which are still listed: one
+    # window's 8,192 cover patterns are most of what a walk holds
     streamed = _peak(walk)
     listed = _peak(lambda: list(enumerate_outcomes(kind, pair, 0, view)))
     assert streamed < listed / 4
@@ -263,14 +263,16 @@ def _unsync_views(n, pair):
 
 def _project(outcome, side, onion=False):
     """The full outcome as the arm `side` reads it: the fired slots of its
-    view's senders in its rounds, an onion cover's paired with None."""
+    view's senders in the window of the outcome's own delays (an onion
+    path's transit is fixed), an onion cover's paired with None."""
     view = side.view
     if view is None:
         return outcome
     picks, fired = outcome
+    rounds = side.window(None if onion else picks)
 
     def kept(sl):
-        return sl[1] in view.senders and sl[0] in side.rounds
+        return sl[1] in view.senders and sl[0] in rounds
 
     if onion:
         return picks, tuple((sl, None) for sl, _ in fired if kept(sl))
@@ -363,14 +365,26 @@ def test_projection_reaches_a_point_past_the_leaf_limit():
 
 
 def test_the_timing_window_takes_the_leaf_limit_further():
-    # 5 delays times 2**17 patterns of the suspects' cover slots in rounds
-    # 2-10, where the full outcome space is past the limit
-    kind = _unsync(2, 6, 0.25)
+    # each of the 9 delays d times the 2**17 patterns of the suspects'
+    # cover slots in its window, rounds d+1 to d+9, where the window of
+    # every arrival at once is past the limit
+    kind = _unsync(2, 10, 0.25)
     pair = _one_row_pair(2)
-    with pytest.raises(ResourceLimitError):
-        enumerate_outcomes(kind, pair, 0)
     view = attack_view(timing_attack(2), pair)
-    assert len(enumerate_outcomes(kind, pair, 0, view)) == 655_360
+    assert len(enumerate_outcomes(kind, pair, 0, view)) == 1_179_648
+    with pytest.raises(ResourceLimitError):
+        enumerate_outcomes(kind, pair, 0, view._replace(window=False))
+
+
+@pytest.mark.parametrize("n,l_max,p,value", [
+    # the other suspect stays silent for the l_max-1 rounds of the window
+    (2, 7, 0.25, Fraction(729, 4096)),
+    # exact in the decimals typed: p=0.3 weighs 3/10
+    (100, 6, 0.3, Fraction(16807, 100000)),
+])
+def test_the_timing_window_pins_points_past_the_old_reach(n, l_max, p, value):
+    assert exact_advantage(_unsync(n, l_max, p), timing_attack(n),
+                           _one_row_pair(n)) == value
 
 
 # ----------------------------------------------- the onion cover, projected
@@ -473,29 +487,36 @@ def test_projection_reaches_onion_points_past_the_leaf_limit(n, l_max, p,
 # ------------------------------------------------------ the timing window
 
 @pytest.mark.parametrize("variant,l_max,rows,horizon,rounds", [
-    # one row at t0 = l_max, arriving 1 to l_max-1 rounds later: round 1
-    # and the last round are out of every transit window's reach
-    (TRILEMMA_UNSYNC, 4, 1, 7, range(2, 7)),
+    # one row at t0 = l_max, arriving d = 1 to l_max-1 rounds later: the
+    # rounds d+1 to d+l_max-1 are in its transit window's reach
+    (TRILEMMA_UNSYNC, 4, 1, 7,
+     {(1,): range(2, 5), (2,): range(3, 6), (3,): range(4, 7)}),
     # a direct delivery reads no cover send at all
-    (TRILEMMA_UNSYNC, 1, 1, 1, range(1, 1)),
-    # rows start one per round, the empty one included
-    (TRILEMMA_SYNC, 4, 3, 9, range(2, 8)),
+    (TRILEMMA_UNSYNC, 1, 1, 1, {(0,): range(1, 1)}),
+    # rows start one per round, the empty one included: from the earliest
+    # arrival's window to the round before the latest arrival
+    (TRILEMMA_SYNC, 4, 3, 9,
+     {(1, 1, None): range(2, 6), (3, 3, None): range(4, 8),
+      (1, 3, None): range(2, 8), (3, 1, None): range(3, 7)}),
     # a path of l_exp-1 = 3 relays always arrives in round 7
-    (ONION_PATH, 4, 1, 7, range(4, 7)),
-    (DCNET, 2, 1, 2, range(1, 2)),
-    (BROADCAST, 2, 1, 3, range(2, 3)),
+    (ONION_PATH, 4, 1, 7, {None: range(4, 7)}),
+    (DCNET, 2, 1, 2, {None: range(1, 2)}),
+    (BROADCAST, 2, 1, 3, {None: range(2, 3)}),
 ])
 def test_the_window_is_what_a_transit_window_can_reach(variant, l_max, rows,
                                                         horizon, rounds):
+    # `rounds` holds each pinned delay tuple's window
     kind = ProtocolKind(variant, ProtocolParams(n=4, l_max=l_max, beta=0.5,
                                                 relays=3))
     pair = _cover_pairs(4)[rows > 1]
     for b in (0, 1):
         side = arm(kind, pair, b, attack_view(timing_attack(4), pair))
-        assert (side.horizon, side.rounds) == (horizon, rounds)
-        # counting reads every round
         watched = arm(kind, pair, b, attack_view(counting_attack(4), pair))
-        assert watched.rounds == range(1, horizon + 1)
+        assert side.horizon == horizon
+        for delays, window in rounds.items():
+            assert side.window(delays) == window
+            # counting reads every round
+            assert watched.window(delays) == range(1, horizon + 1)
 
 
 def _exact_under(kind, attack, pair, view):
@@ -506,6 +527,14 @@ def _exact_under(kind, attack, pair, view):
 
 # full leaves per arm that the property walks at most
 _FULL_LEAVES = 4096
+
+
+def _full_leaves(kind, pair, b):
+    """The arm's leaf count under no view, infinite past `ENUM_LIMIT`."""
+    try:
+        return len(enumerate_outcomes(kind, pair, b))
+    except ResourceLimitError:
+        return math.inf
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -522,11 +551,12 @@ def test_the_window_changes_no_exact_advantage(variant, l_max, beta, notion,
     n = 3 if variant == TRILEMMA_SYNC else 2
     params = ProtocolParams(n=n, l_max=l_max, beta=beta, relays=relays,
                             l_exp=l_exp if variant == ONION_PATH else None)
+    # broadcast delivers a round after the send, past l_max = 1
+    assume(variant != BROADCAST or l_max >= 2)
     kind = ProtocolKind(variant, params)
     length = 2 if notion == "SML" else data.draw(st.integers(1, 2))
     pair = generate_pair(parse_notion(notion), params, seed, length)
-    assume(all(math.prod(f.size for f in arm(kind, pair, b).fields)
-               <= _FULL_LEAVES for b in (0, 1)))
+    assume(all(_full_leaves(kind, pair, b) <= _FULL_LEAVES for b in (0, 1)))
     attack = data.draw(st.sampled_from(
         [timing_attack(n)] + [tracing_attack(n, c) for c in range(relays + 1)]))
     view = attack_view(attack, pair)
@@ -535,3 +565,9 @@ def test_the_window_changes_no_exact_advantage(variant, l_max, beta, notion,
     assert _exact_under(kind, attack, pair, view) == whole
     assert _exact_under(kind, attack, pair, view._replace(window=False)) \
         == whole
+    # every draw under the view is a leaf of its arm's windowed support
+    for b in (0, 1):
+        support = {o for _, o in enumerate_outcomes(kind, pair, b, view)}
+        side, rng = arm(kind, pair, b, view), random.Random(seed)
+        for i in range(20):
+            assert sample_outcome(side, rng, trial_key(seed, i)) in support

@@ -91,17 +91,16 @@ _ATTACKS = {
 }
 
 # the `simulate` flags that only some protocols or attacks read
-_MODEL_FLAGS = set(
-    "beta p p_real relays lexp copies integrated cp ca".split())
+_MODEL_FLAGS = set("beta p relays lexp copies integrated cp ca".split())
 
-# --protocol -> the flags of `_MODEL_FLAGS` it reads; sync cover reads
-# beta alone (--p is its shorthand), the dropping model reads --relays
-# only as its first-hop pool, which --integrated replaces, and --cp is
-# read only with --relays: without a relay pool path tracing plays as
-# timing
-_RATES = ("beta", "p", "p_real")
+# --protocol -> the flags of `_MODEL_FLAGS` it reads; a model with cover
+# reads its one rate, beta (--p is its shorthand), the dropping model
+# reads --relays only as its first-hop pool, which --integrated replaces,
+# and --cp is read only with --relays: without a relay pool path tracing
+# plays as timing
+_RATES = ("beta", "p")
 _PROTOCOL_READS = {
-    "trilemma-sync": ("beta", "p"),
+    "trilemma-sync": _RATES,
     "trilemma-unsync": _RATES,
     "onion-path": ("relays", "lexp", *_RATES),
     "dropping-model": ("relays", "copies", "integrated"),
@@ -116,7 +115,7 @@ _REFERENCES = {
     ("trilemma-unsync", "timing-interval"): (
         "floor",
         lambda p, cap: bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED,
-                                                 p.l_max, p=p.p),
+                                                 p.l_max, p=p.beta),
         "trilemma-unsync timing n={n} l_max={lmax} p={p}",
         [f"--n {n} --lmax {l_max} --p {p}" for n, l_max, p
          in itertools.product((2, 10), (2, 3), (0.1, 0.5))]),
@@ -147,7 +146,8 @@ def _add_common(sp, n=2, point=True, lam=True, poly_lambda=True):
         sp.add_argument("--lmax", type=int, default=1)
         sp.add_argument("--beta", type=float)
         sp.add_argument("--p", type=float,
-                        help="total send rate; shorthand for beta=p, p-real=0")
+                        help="unsync cover rate; in simulate and verify, "
+                        "shorthand for --beta")
         sp.add_argument("--cp", type=int, default=0,
                         help="passively compromised relays")
     if lam:
@@ -179,7 +179,6 @@ def _build_parser():
         s.add_argument("--attack", choices=_ATTACKS)
         s.add_argument("--notion", default="SO")
         s.add_argument("--length", type=int)
-        s.add_argument("--p-real", dest="p_real", type=float)
         s.add_argument("--lexp", type=int)
         s.add_argument("--relays", type=int, default=0)
         s.add_argument("--copies", type=int, default=1)
@@ -263,15 +262,14 @@ def _refuse(what, dests):
 
 
 def _protocol_params(ns, given) -> ProtocolParams:
-    beta, p_real = ns.beta, ns.p_real
+    beta = ns.beta
     if "p" in given:
-        _refuse("--p (shorthand for --beta with --p-real 0)",
-                given & {"beta", "p_real"})
-    # a typed --p wins over a config-file beta or p_real
-    if ns.p is not None and ("p" in given or beta is None and p_real is None):
-        beta, p_real = ns.p, 0.0
+        _refuse("--p (shorthand for --beta)", given & {"beta"})
+    # a typed --p wins over a config-file beta
+    if ns.p is not None and ("p" in given or beta is None):
+        beta = ns.p
     return ProtocolParams(
-        n=ns.n, l_max=ns.lmax, beta=beta or 0.0, p_real=p_real or 0.0,
+        n=ns.n, l_max=ns.lmax, beta=beta or 0.0,
         l_exp=ns.lexp, relays=ns.relays, copies=ns.copies,
         rounds=ns.rounds, integrated=ns.integrated)
 

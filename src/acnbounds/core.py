@@ -93,8 +93,10 @@ class ProtocolParams:
 
     n        user count
     l_max    maximum delivery delay in rounds (send round included at 1)
-    beta     per-round dummy-send probability per user
-    p_real   per-round real-send probability per user; p = p_real + beta
+    beta     the cover rate: in trilemma-sync floor(beta*n) dummy senders
+             (at most n-1) join each batch row's round; in trilemma-unsync
+             and onion-path each user's coin per free round sends a dummy
+             with probability beta (the unsync closed forms' p)
     l_exp    expected delay in rounds, defaults to l_max
     relays   intermediate-relay pool size (K)
     copies   redundant first hops (dropping model only)
@@ -105,7 +107,6 @@ class ProtocolParams:
     n: int
     l_max: int
     beta: float = 0.0
-    p_real: float = 0.0
     l_exp: Optional[int] = None
     relays: int = 0
     copies: int = 1
@@ -117,10 +118,8 @@ class ProtocolParams:
             raise ValueError("need n >= 2 users")
         if self.l_max < 1:
             raise ValueError("need l_max >= 1")
-        if not (0.0 <= self.beta <= 1.0 and 0.0 <= self.p_real <= 1.0):
-            raise ValueError("beta and p_real must lie in [0, 1]")
-        if self.beta + self.p_real > 1.0 or self.p_exact > 1:
-            raise ValueError("p = p_real + beta may not exceed 1")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
         if self.l_exp is None:
             object.__setattr__(self, "l_exp", self.l_max)
         if not (1 <= self.l_exp <= self.l_max):
@@ -133,10 +132,6 @@ class ProtocolParams:
             raise ValueError("need rounds >= 1")
 
     @property
-    def p(self) -> float:
-        return self.beta + self.p_real
-
-    @property
     def first_hops(self) -> int:  # the dropping model's first-hop pool
         return self.n if self.integrated else self.relays
 
@@ -144,12 +139,12 @@ class ProtocolParams:
     # the instance dict, outside the fields, so equality, `asdict` and
     # records do not see it
     @functools.cached_property
-    def p_exact(self) -> Fraction:
-        """p in the decimals the user typed: Fraction(0.3) would be
+    def beta_exact(self) -> Fraction:
+        """beta in the decimals the user typed: Fraction(0.3) would be
         5404319552844595/2**54, this is 3/10."""
         # str, not repr: a float prints its shortest decimal, and a Fraction
         # or int passed through the Python API prints as one Fraction parses
-        return Fraction(str(self.beta)) + Fraction(str(self.p_real))
+        return Fraction(str(self.beta))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,16 @@ Two routes to the same number:
 
 Both routes ask `adversaries.attack_view` once per solve for the events
 the attack reads; every attack that `validate_attack` accepts has one.
-Then they resolve the pair's two arms under that view with
-`protocols.arm`, before the first trial, so a schedule the model cannot
-run fails there.  Each arm carries its schedule, the window its view
-keeps cover in (timing and tracing: the rounds the transit windows of
-each outcome's own arrivals can reach), its fields of draws and the
-view to `sample_outcome` (or `enumerate_outcomes`, which resolves the
-same arm itself), which draws or lists only the randomness the view
-shows, and to `build_trace`, which emits only its events, already as
-the capability sees them; then
+Then they resolve the pair's two arms under that view once, before the
+first trial (`exact_advantage` through `enumerate_outcomes`, whose
+leaves carry their arm and are held to `ENUM_LIMIT` before either arm
+is walked), so a schedule the model cannot run fails there.  Each arm
+carries its schedule, the window its view keeps cover in (timing and
+tracing: the rounds the transit windows of each outcome's own arrivals
+can reach), its fields of draws and the view to `sample_outcome` (or
+the leaves), which draw or list only the randomness the view shows,
+and to `build_trace`, which emits only its events, already as the
+capability sees them; then
 `filter_trace` (which finds nothing to remove or mask, and hands the
 trace back) and `decide` run as usual.  The verdict is the one the full
 filtered trace would give, and the exact route sums the same
@@ -168,13 +169,15 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     """
     validate_attack(attack, pair, kind.params)
     view = attack_view(attack, pair)
-    arms = (arm(kind, pair, 0, view), arm(kind, pair, 1, view))
+    # both arms resolved and held to ENUM_LIMIT before the first leaf
+    arms = (enumerate_outcomes(kind, pair, 0, view),
+            enumerate_outcomes(kind, pair, 1, view))
     cap = attack.capability
     params = kind.params
     wins, ties = {}, {}
-    for b, side in enumerate(arms):
-        for prob, outcome in enumerate_outcomes(kind, pair, b, view):
-            trace = filter_trace(build_trace(side, outcome, cap), cap)
+    for b, leaves in enumerate(arms):
+        for prob, outcome in leaves:
+            trace = filter_trace(build_trace(leaves.arm, outcome, cap), cap)
             verdict = decide(attack, trace, pair, params)
             if verdict is None:
                 tally = ties

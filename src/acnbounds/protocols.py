@@ -50,7 +50,7 @@ and leaves the rng in the same state, also where `_sampler` runs
 `Random.sample`'s small-pool loop itself.  The cover reads no rng: each
 user's coins come from their own stream under the per-trial `key`, the
 words of shake_128(key + tag(user)), one 64-bit word per free slot in
-round order, and a coin fires when `random() < p` would on that word's
+round order, and a coin fires when `random() < beta` would on that word's
 top 53 bits.  A full onion cover's paths come from a `random.Random`
 seeded by the firing user's own path stream.  `size` counts a field's
 values without listing them, and `_Window.spread` counts the delays
@@ -202,16 +202,17 @@ class _Window:
 
     Under a view that sets `window` (timing and tracing, see `core.View`)
     they are the rounds a timing or tracing rule can read a cover send in:
-    [max(first - l_max + 1, 1), min(last - 1, horizon)], for the earliest
-    and the latest arrival, where batch row j arrives at slot_j + d_j.
-    Else, and in the dropping model, which sends no cover, they are the
-    whole horizon.
+    [first - l_max + 1, last - 1], for the earliest and the latest
+    arrival, where batch row j arrives at slot_j + d_j.  That lies inside
+    [1, horizon]: no row starts before t0 = l_max, and `_schedule`'s
+    horizon reaches the latest arrival.  Else, and in the dropping model,
+    which sends no cover, they are the whole horizon.
     """
 
     def __init__(self, kind: ProtocolKind, slots, horizon, view):
         params = kind.params
         transit = _TIMING[kind.variant][1]
-        self.slots, self.horizon, self.l_max = slots, horizon, params.l_max
+        self.slots, self.l_max = slots, params.l_max
         self.on = view is not None and view.window and transit is not None
         if self.on:
             lag = transit(params)
@@ -227,8 +228,7 @@ class _Window:
         return self._reach(min(arrivals), max(arrivals))
 
     def _reach(self, first, last):
-        return range(max(first - self.l_max + 1, 1),
-                     min(last - 1, self.horizon) + 1)
+        return range(first - self.l_max + 1, last)
 
     def spread(self, delays):
         """{rounds: how many options of `delays`, the delays field, fall
@@ -388,13 +388,13 @@ _PLANS = 1 << 12
 
 class _Cover:
     """The cover coins: one per free (round, user) slot, each firing at rate
-    p.  The field is the tuple of fired slots in (round, user) order, each
+    beta.  The field is the tuple of fired slots in (round, user) order, each
     paired with a fresh `payload` pick when there is one (an onion path).
 
     Each user's coins come from their own stream, not from the solve's
     rng: user u's are the little-endian 64-bit words of
     shake_128(key + tag(u)), one per free slot of u in round order, and a
-    word fires below `_threshold(p)`.  An onion cover path is drawn with
+    word fires below `_threshold(beta)`.  An onion cover path is drawn with
     the payload's `draw` from a `random.Random` seeded by the firing
     user's path stream, one per user that fired, in round order.
 
@@ -426,10 +426,10 @@ class _Cover:
             if watch is None or sl[1] in watch:
                 mine.setdefault(sl[1], []).append(sl)
         self.mine = sorted(mine.items())
-        self.cut = _threshold(params.p)
+        self.cut = _threshold(params.beta)
         # exact weights in the decimals the user typed; Monte Carlo keeps
         # the float
-        self.rate = params.p_exact
+        self.rate = params.beta_exact
         paths = 1 if payload is None else payload.size
         self.choices = int(self.rate < 1) + paths * int(self.rate > 0)
         # the plan of each window, and of each delays value drawn so far
@@ -600,7 +600,7 @@ def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
 
 
 class _Leaves:
-    """The (probability, outcome) leaves of one arm, streamed, in parts:
+    """The (probability, outcome) leaves of `arm`, streamed, in parts:
     each part's product of option tables is walked afresh by each
     iteration and never held, and `len` is the count taken before any
     table was listed.  A part is (den, tables, rounds): its leaves' one
@@ -610,8 +610,8 @@ class _Leaves:
     leaf's weight is an int product, and each distinct probability
     becomes a Fraction once per part and walk."""
 
-    def __init__(self, size, parts, cover=None):
-        self.size, self.parts, self.cover = size, parts, cover
+    def __init__(self, arm, size, parts, cover=None):
+        self.arm, self.size, self.parts, self.cover = arm, size, parts, cover
 
     def __len__(self):
         return self.size
@@ -640,16 +640,18 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
     unsync cover of a delays option holds the slots of that option's own
     window, and no verdict reads a cover send outside it.
 
-    Returns a sized iterable that can be walked more than once.  Each
+    Returns a sized iterable that can be walked more than once, whose
+    `arm` is the resolved arm its outcomes are built on.  Each
     field's option table is listed here but the cover's (every pattern of
     its watched slots in one window), which is listed when the walk
     reaches its window; the product across fields is streamed, so the
     leaves are never all in memory at once.  Zero-weight options are
-    pruned, so degenerate rates (p of 0 or 1) stay cheap.  The
+    pruned, so degenerate rates (beta of 0 or 1) stay cheap.  The
     `ENUM_LIMIT` guard counts leaves before any table is listed: per
     window, its delays options times its cover patterns.
     """
-    fields = arm(kind, pair, b, view).fields
+    side = arm(kind, pair, b, view)
+    fields = side.fields
     cover = fields[-1] if fields and isinstance(fields[-1], _Cover) else None
     picks = fields[:-1] if cover else fields
     # counted before anything is listed
@@ -667,8 +669,8 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
         den *= d
         tables.append(leaves)
     if cover is None or not cover.reads:
-        return _Leaves(count, [(den, tables, cover and cover.window())],
-                       cover)
+        return _Leaves(side, count,
+                       [(den, tables, cover and cover.window())], cover)
     # the unsync fields are (delays, cover): the delays options, grouped
     # by their window in order of first appearance
     groups = {}
@@ -676,8 +678,8 @@ def enumerate_outcomes(kind: ProtocolKind, pair, b: int, view=None):
         weights, values = groups.setdefault(cover.window(delays), ([], []))
         weights.append(w)
         values.append(delays)
-    return _Leaves(count, [(den, [table], rounds)
-                           for rounds, table in groups.items()], cover)
+    return _Leaves(side, count, [(den, [table], rounds)
+                                 for rounds, table in groups.items()], cover)
 
 
 # ---------------------------------------------------------------- building

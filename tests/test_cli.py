@@ -63,9 +63,8 @@ def test_simulate_record(capsys):
     assert rec["attack"] == "timing-interval"
     assert rec["notion"] == "SO"
     assert rec["trials"] == 200
-    # --p is shorthand for pure cover at that total rate
+    # --p is shorthand for --beta
     assert rec["params"]["beta"] == pytest.approx(0.25)
-    assert rec["params"]["p_real"] == 0.0
     assert rec["ci"][0] <= rec["point"] <= rec["ci"][1]
 
 
@@ -82,7 +81,8 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert json.loads(out)["delta"] == 0.0
 
 
-@pytest.mark.parametrize("key", ["warp", "workers", "config", "threshold"])
+@pytest.mark.parametrize("key", ["warp", "workers", "config", "threshold",
+                                 "p_real"])
 def test_config_rejects_unknown_keys(tmp_path, capsys, key):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"n": 10, key: 9}))
@@ -328,9 +328,15 @@ _VERIFY = ["verify", *_DROPPING, "--copies", "2"]
     ["atlas", "--p", "0.5"],
     ["atlas", "--cp", "2"],
     _SIMULATE + ["--threshold", "2"],
+    _SIMULATE + ["--p-real", "0.1"],
+    ["verify", *_SIMULATE[1:], "--p-real", "0.1"],
+    ["simulate", "--protocol", "trilemma-sync", "--attack",
+     "timing-interval", "--n", "4", "--lmax", "2", "--beta", "0.25",
+     "--trials", "200", "--p-real", "0.5"],
 ], ids=["bound-poly-lambda", "simulate-lam", "simulate-poly-lambda",
         "verify-lam", "verify-poly-lambda", "atlas-lmax", "atlas-beta",
-        "atlas-p", "atlas-cp", "simulate-threshold"])
+        "atlas-p", "atlas-cp", "simulate-threshold", "simulate-p-real",
+        "verify-p-real", "simulate-sync-p-real"])
 def test_unread_flags_are_not_declared(capsys, argv):
     code, out, err = _usage_error(capsys, argv)
     assert code == 1 and out == ""
@@ -366,9 +372,8 @@ def test_onion_cost_takes_a_typed_zero_rate(capsys):
 
 @pytest.mark.parametrize("argv", [
     _SIMULATE + ["--beta", "0.1"],
-    _SIMULATE + ["--p-real", "0.1"],
     ["verify", *_SIMULATE[1:], "--beta", "0.2"],
-], ids=["simulate-beta", "simulate-p-real", "verify-beta"])
+], ids=["simulate-beta", "verify-beta"])
 def test_typed_p_with_another_rate_exits_one(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -436,10 +441,6 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
       "path-tracing", "--n", "4", "--lmax", "3", "--p", "0.3", "--cp", "2",
       "--trials", "2000", "--seed", "0"],
      "trilemma-unsync with path-tracing takes no --cp"),
-    (["simulate", "--protocol", "trilemma-sync", "--attack",
-      "timing-interval", "--n", "4", "--lmax", "2", "--beta", "0.25",
-      "--p-real", "0.5", "--trials", "200"],
-     "trilemma-sync with timing-interval takes no --p-real"),
     (["simulate", "--protocol", "broadcast-full-dummy", "--attack",
       "counting", "--n", "3", "--lmax", "2", "--beta", "0.5", "--trials",
       "200"],
@@ -463,8 +464,8 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
     (["simulate", "--protocol", "broadcast-full-dummy", "--attack",
       "counting", "--n", "3", "--lmax", "1", "--trials", "200"],
      "broadcast delivers one round after the send, so it needs l_max >= 2"),
-], ids=["bound-unread-n", "tracing-without-relays", "sync-p-real",
-        "broadcast-beta", "dropping-p", "simulate-without-protocol",
+], ids=["bound-unread-n", "tracing-without-relays", "broadcast-beta",
+        "dropping-p", "simulate-without-protocol",
         "verify-without-protocol", "simulate-without-attack",
         "verify-without-attack", "region-without-bound", "onion-no-relay",
         "broadcast-one-round"])
@@ -549,16 +550,15 @@ def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
 
 # what each variant and attack reads of the flags that only some pairs read,
 # and one valid argv per variant that types none of them beyond its reads
-_RATES = ("beta", "p", "p_real")
+_RATES = ("beta", "p")
 _PROTOCOL_READS = {
-    "trilemma-sync": ("beta", "p"), "trilemma-unsync": _RATES,
+    "trilemma-sync": _RATES, "trilemma-unsync": _RATES,
     "onion-path": ("relays", "lexp", *_RATES),
     "dcnet-round": (), "broadcast-full-dummy": (),
     "dropping-model": ("relays", "copies", "integrated"),
 }
 _ATTACK_READS = {"counting": (), "path-tracing": ("cp",), "dropping": ("ca",)}
 _BASE = {
-    # --beta, not --p, so that --p-real can be typed beside it
     "trilemma-sync": "--n 4 --lmax 3 --beta 0.4",
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
     "onion-path": "--n 4 --lmax 3 --relays 3",
@@ -566,10 +566,9 @@ _BASE = {
     "broadcast-full-dummy": "--n 4 --lmax 2",
     "dropping-model": "--n 3 --lmax 1 --relays 4",
 }
-_FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "p_real": "--p-real 0.2",
-              "relays": "--relays 3", "lexp": "--lexp 1",
-              "copies": "--copies 3", "integrated": "--integrated",
-              "cp": "--cp 1", "ca": "--ca 1"}
+_FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "relays": "--relays 3",
+              "lexp": "--lexp 1", "copies": "--copies 3",
+              "integrated": "--integrated", "cp": "--cp 1", "ca": "--ca 1"}
 
 
 @pytest.mark.parametrize("variant,flag", [
@@ -609,7 +608,7 @@ def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     ("onion-path", "path-tracing", "cp"),
     ("dropping-model", "dropping", "ca"),
     ("trilemma-sync", "random-guess", "p"),
-    ("trilemma-unsync", "random-guess", "p_real"),
+    ("trilemma-unsync", "random-guess", "beta"),
     ("onion-path", "random-guess", "beta"),
 ])
 def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
@@ -618,8 +617,8 @@ def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
         # the integrated link replaces the first-hop pool that --relays sizes
         base = base[:base.index("--relays")]
     if flag in _RATES and base[-2] in ("--beta", "--p"):
-        # the rate replaces the base's: --p is shorthand for --beta with
-        # --p-real 0, so it may not be typed beside either
+        # the rate replaces the base's: --p is shorthand for --beta, so
+        # it may not be typed beside it
         base = base[:-2]
     code, out, err = _run(capsys, "simulate", "--protocol", protocol,
                           "--attack", attack, *base,
@@ -635,10 +634,10 @@ README_SHA256 = {
         "230910ba4806ad2dcf21809605c041241030f0417252e439e04ec60c55766eb9",
     "simulate --protocol trilemma-unsync --attack timing-interval --n 10 "
     "--lmax 3 --p 0.3 --trials 100000 --seed 0":
-        "7026c23349bc4ac21d260d415c026c931e2d30b71a55ee8a20faa52a640fcfd3",
+        "c2a678ad4ef72a8d103debfda3ae7b08243ae3cc903204477b80c0e8bbe525ee",
     "verify --protocol trilemma-unsync --attack timing-interval --n 10 "
     "--lmax 3 --p 0.3 --trials 20000 --seed 0 --tol 0.02":
-        "675df87d594fe4477f0d6a7d962647089afd0e2b1b8afb26bb5222e98962d42e",
+        "4c0b591782aee110a8cb022bd5cb44444c12aea790ea32eda2cd392ce20eaf42",
     "region --bound trilemma --lmax 2 --beta 0.3":
         "5b4a28aecf48bc0df6a03448bc811d5a2223b37c54693456e6ecd161dda80a45",
     "atlas":

@@ -1,6 +1,5 @@
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,27 +53,16 @@ def test_counts_skip_placeholder_rows():
 
 
 def test_params_validation():
-    p = ProtocolParams(n=4, l_max=3, beta=0.25, p_real=0.25)
-    assert p.p == 0.5
+    p = ProtocolParams(n=4, l_max=3, beta=0.25)
     assert p.l_exp == 3  # defaults to the latency cap
     with pytest.raises(ValueError):
         ProtocolParams(n=1, l_max=2)
     with pytest.raises(ValueError):
         ProtocolParams(n=4, l_max=0)
     with pytest.raises(ValueError):
-        ProtocolParams(n=4, l_max=2, beta=0.8, p_real=0.4)
+        ProtocolParams(n=4, l_max=2, beta=1.2)
     with pytest.raises(ValueError):
         ProtocolParams(n=4, l_max=2, l_exp=5)
-
-
-def test_params_reject_typed_rates_above_one():
-    # the float sum rounds to 1.0, but the decimals as typed exceed it, and
-    # exact enumeration weighs the cover coins by those decimals
-    with pytest.raises(ValueError):
-        ProtocolParams(n=4, l_max=2, beta=0.84442185152505,
-                       p_real=0.1555781484749501)
-    assert ProtocolParams(n=4, l_max=2, beta=0.1, p_real=0.2).p_exact \
-        == Fraction(3, 10)
 
 
 def test_capability_requires_a_vantage_point_for_drops():

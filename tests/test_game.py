@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acnbounds import cli, game
-from acnbounds.adversaries import (attack_view, decide, random_guess_attack,
-                                   timing_attack, tracing_attack)
+from acnbounds.adversaries import (attack_view, counting_attack, decide,
+                                   random_guess_attack, timing_attack,
+                                   tracing_attack)
 from acnbounds.core import (Communication, ConfigError, ProtocolParams,
-                            filter_trace, make_batch)
+                            ResourceLimitError, filter_trace, make_batch)
 from acnbounds.game import (AdvantageEstimate, advantage_forms,
                             estimate_advantage, exact_advantage, record_json,
                             result_record, wilson_interval)
@@ -159,13 +160,30 @@ def test_unrunnable_schedules_fail_before_the_first_trial(monkeypatch,
     def no_trial(*args):
         raise AssertionError("a trial ran")
     monkeypatch.setattr(game, "sample_outcome", no_trial)
-    monkeypatch.setattr(game, "enumerate_outcomes", no_trial)
+    monkeypatch.setattr(game, "build_trace", no_trial)
     _, pair = _setup()
     kind = ProtocolKind(variant, params)
     with pytest.raises(ConfigError):
         estimate_advantage(kind, timing_attack(2), pair, 200, master_seed=0)
     with pytest.raises(ConfigError):
         exact_advantage(kind, timing_attack(2), pair)
+
+
+def test_an_exact_solve_past_the_limit_fails_before_the_first_leaf(
+        monkeypatch):
+    # arm 0 has 1,572,864 leaves, under ENUM_LIMIT, and arm 1 2,359,296,
+    # past it: both arms are counted before either is walked
+    def no_leaf(*args):
+        raise AssertionError("a leaf was built")
+    monkeypatch.setattr(game, "build_trace", no_leaf)
+    kind = ProtocolKind("trilemma-unsync", ProtocolParams(
+        n=3, l_max=4, beta=0.5, rounds=10))
+    pair = ScenarioPair(make_batch([Communication(0, 2, 0)]),
+                        make_batch([Communication(0, 2, 0),
+                                    Communication(1, 2, 1)]),
+                        parse_notion("CO"))
+    with pytest.raises(ResourceLimitError):
+        exact_advantage(kind, counting_attack(3), pair)
 
 
 # ------------------------------------------------------ the verdict memo
@@ -262,17 +280,18 @@ def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
 # there, past MEMO_CAP, ~5,350 at l_max 7 and ~500 at l_max 5.  The
 # l_max 10 digest is the record printed before the window was placed per
 # delay, the l_max 7 one before that also before the timing window, and
-# the l_max 5 one also before the loop kept a memo (less the `threshold`
-# key that `params` lost with the threshold mix)
+# the l_max 5 one also before the loop kept a memo (each less the keys
+# that `params` has lost since: `threshold` with the threshold mix,
+# `p_real` with the second cover rate)
 WIDE_ARGV = ("simulate --protocol trilemma-unsync --attack timing-interval "
              "--n 100 --lmax 10 --p 0.25 --trials 50000 --seed 0")
-WIDE_SHA256 = ("579c97061f61d9b00a321d1e185c3ad4"
-               "a378466a681d021739c7b71a51c53479")
+WIDE_SHA256 = ("2a93832315f6b03228faaf1b1e8c26ea"
+               "2befec5a9882781d185fc24f62eb67ec")
 UNDER_CAP_SHA256 = {
-    "--lmax 7": ("930a1c8b031b4e575f53748dd8d15a7c"
-                 "7bf625b8aad2be6ca8e74b112e3a68b3"),
-    "--lmax 5": ("17c0ef25e99e935fe5751cfbd60c7966"
-                 "82d13dfa96f0d41937c4002fa9b8282a"),
+    "--lmax 7": ("ae43f381e9277cdd3fe923e720744d30"
+                 "46acc7b3dc420b57141034b2937154c3"),
+    "--lmax 5": ("a27570b8834567446f6b6bcfdc4df645"
+                 "c93028f793c9d8bbf6bac791b8211d9b"),
 }
 
 

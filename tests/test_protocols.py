@@ -278,8 +278,8 @@ def test_an_exact_solve_resolves_its_arms_whatever_its_leaf_count(
             exact_advantage(kind, attack, pair)
         counts.append(calls)
     assert leaves[0] < leaves[1]
-    # each arm once in the game and once in `enumerate_outcomes`
-    assert counts == [{"_schedule": 4, "_fields": 4}] * 2
+    # each arm once, in `enumerate_outcomes`, whose leaves carry it
+    assert counts == [{"_schedule": 2, "_fields": 2}] * 2
 
 
 def test_enumeration_guard_trips_on_large_spaces():

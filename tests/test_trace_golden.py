@@ -155,9 +155,9 @@ OUTCOMES = {
 }
 RECORDS = {
     "onion-path":
-        "23ab16a1014e9dcfcd51084fc17bb52ee02652813a64fc163dba568a6c076122",
+        "b5f020dcca93a43a4e8a0c7b4716d84c6b3c16ce773328ac78a4aa0f51d73605",
     "trilemma-unsync":
-        "f298e506a83c68ca3abd611bba098a40a9b8eeb1d14278c955f5302231b0e709",
+        "dc7f96403bc734c079e8d529de5c06cead35e24c2fdd5fbd6fb0858c400e3de4",
 }
 
 

@@ -565,9 +565,13 @@ def test_the_window_changes_no_exact_advantage(variant, l_max, beta, notion,
     assert _exact_under(kind, attack, pair, view) == whole
     assert _exact_under(kind, attack, pair, view._replace(window=False)) \
         == whole
-    # every draw under the view is a leaf of its arm's windowed support
     for b in (0, 1):
-        support = {o for _, o in enumerate_outcomes(kind, pair, b, view)}
-        side, rng = arm(kind, pair, b, view), random.Random(seed)
+        leaves = enumerate_outcomes(kind, pair, b, view)
+        side, rng = leaves.arm, random.Random(seed)
+        # every listed window lies inside the horizon, unclamped
+        for rounds in {side.window()} | {r for *_, r in leaves.parts if r}:
+            assert not rounds or 1 <= rounds[0] <= rounds[-1] <= side.horizon
+        # every draw under the view is a leaf of its arm's windowed support
+        support = {o for _, o in leaves}
         for i in range(20):
             assert sample_outcome(side, rng, trial_key(seed, i)) in support

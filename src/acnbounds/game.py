@@ -49,11 +49,13 @@ Determinism contract: a solve builds one `random.Random(str(master_seed))`
 trial's non-cover fields from it, in trial order.  Trial i's hash
 h = sha256(f"{master_seed}:{i}") gives the challenge bit (h[0] & 1), the
 tie-break bit (h[9] & 1) and the key of the trial's per-user cover
-streams (h[10:]).  The trials run in one serial loop, so
-results are set by the master seed and nothing else.  Solves at one seed
-share their trials' randomness: attacks on one protocol play the same
-outcomes, and a user's cover coins do not depend on n, so points meant
-as independent checks need seeds of their own.
+streams (h[10:]).  The solve hashes the prefix f"{master_seed}:" once,
+and each trial copies that state and hashes its own i, so h is the
+digest of the same bytes (`_trial_hashes`).  The trials run in one
+serial loop, so results are set by the master seed and nothing else.
+Solves at one seed share their trials' randomness: attacks on one
+protocol play the same outcomes, and a user's cover coins do not depend
+on n, so points meant as independent checks need seeds of their own.
 """
 
 from __future__ import annotations
@@ -101,8 +103,16 @@ class AdvantageEstimate:
     arms: tuple      # ((n0, guessed1_0), (n1, guessed1_1))
 
 
-def _trial_hash(master_seed: int, i: int) -> bytes:
-    return hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
+def _trial_hashes(master_seed: int, trials: int):
+    """Each trial's hash, sha256(f"{master_seed}:{i}") for i in
+    range(trials): one per-solve prefix hashes f"{master_seed}:", and each
+    trial copies it and hashes its own index, so the bytes hashed are the
+    same."""
+    prefix = hashlib.sha256(f"{master_seed}:".encode())
+    for i in range(trials):
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        yield h.digest()
 
 
 def estimate_advantage(kind, attack, pair, trials: int,
@@ -123,8 +133,7 @@ def estimate_advantage(kind, attack, pair, trials: int,
     # pure given the two, so a repeated outcome skips it, and a memo full
     # at MEMO_CAP only answers, so no trial count grows it further
     memos = ({}, {})
-    for i in range(trials):
-        h = _trial_hash(master_seed, i)
+    for h in _trial_hashes(master_seed, trials):
         b = h[0] & 1
         outcome = sample_outcome(arms[b], rng, h[10:])
         memo = memos[b]

@@ -36,27 +36,31 @@ value per field: unsync (delays, fired), sync (delays, cohorts), onion
 deterministic given the schedule, ().  A random send time, too, would be
 a field of draws.
 
-Every field has `draw(rng, key)`, which `sample_outcome` calls in order,
-and `options()`, its denominator and its table of values with integer
-weights over it, as a `(weights, values)` pair of tuples, whose product
-`enumerate_outcomes` streams as exact Fractions without holding it; so
-the two routes cannot drift apart.  The cover is drawn in a window of
-rounds (see below), and the unsync cover `reads` the delays, the first
-field, to place it, so its `draw` takes their value and its `options`
-and `size` the window's rounds.  The picks read the solve's
-`random.Random` with a fixed call sequence, and a k-sample (an onion
-path, a sync cohort, a dropping copy's first hops) equals `rng.sample`
-and leaves the rng in the same state, also where `_sampler` runs
+Every field has a `draw`, and `options()`, its denominator and its table
+of values with integer weights over it, as a `(weights, values)` pair of
+tuples, whose product `enumerate_outcomes` streams as exact Fractions
+without holding it; so the two routes cannot drift apart.  Each field's
+draw is bound when the arm is built (`_bind`), into one draw of the
+outcome that `sample_outcome` calls, so a trial runs only the hash calls
+and the rng reads.  The cover is drawn in a window of rounds (see
+below), and the unsync cover `reads` the delays, the first field, to
+place it, so its `draw` takes their value and its `options` and `size`
+the window's rounds.  The picks read the solve's `random.Random` with a
+fixed call sequence: a transit delay equals `rng.choice`, and a k-sample
+(an onion path, a sync cohort, a dropping copy's first hops) equals
+`rng.sample`, each leaving the rng in the same state, also where
+`_Choice` runs `Random.choice`'s rejection loop and `_sampler`
 `Random.sample`'s small-pool loop itself.  The cover reads no rng: each
 user's coins come from their own stream under the per-trial `key`, the
 words of shake_128(key + tag(user)), one 64-bit word per free slot in
-round order, and a coin fires when `random() < beta` would on that word's
-top 53 bits.  A full onion cover's paths come from a `random.Random`
-seeded by the firing user's own path stream.  `size` counts a field's
-values without listing them, and `_Window.spread` counts the delays
-options per window, so the `ENUM_LIMIT` guard trips before any table is
-listed.  Exact cover weights use the decimals the user typed (beta=0.3
-weighs 3/10); Monte Carlo compares against the float.
+round order, and a coin fires when `random() < beta` would on that
+word's top 53 bits.  A full onion cover's paths come from a
+`random.Random` seeded by the firing user's own path stream.  `size`
+counts a field's values without listing them, and `_Window.spread`
+counts the delays options per window, so the `ENUM_LIMIT` guard trips
+before any table is listed.  Exact cover weights use the decimals the
+user typed (beta=0.3 weighs 3/10); Monte Carlo compares against the
+float.
 
 An outcome drawn or listed under a view (an arm's, or the `view` that
 `enumerate_outcomes` takes) holds only the watched senders' cover slots,
@@ -91,9 +95,10 @@ the full trace.
 pair resolved once by `arm`: its batch, the schedule that the variant's
 `_TIMING` row gives it (`_schedule`), the window its view keeps cover in
 per outcome (`_Window`), its fields of draws projected onto the view
-(`_fields`) and the view.  `arm` raises ConfigError for a schedule the
-model cannot run, so an `Arm` exists only for a runnable arm, and a game
-that builds its two arms before the first trial fails there.
+(`_fields`), their one bound draw (`_bind`) and the view.  `arm` raises
+ConfigError for a schedule the model cannot run, so an `Arm` exists only
+for a runnable arm, and a game that builds its two arms before the first
+trial fails there.
 """
 
 from __future__ import annotations
@@ -105,8 +110,10 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb, prod
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .core import (DELIVER, DROP, FORWARD, KIND_ORDER, NO_COMM, SEND, Batch,
                    ConfigError, ObservationEvent, ObservationTrace,
@@ -194,6 +201,11 @@ def _schedule(kind: ProtocolKind, batch):
     return slots, needed if params.rounds is None else params.rounds
 
 
+# delays values per window whose rounds it keeps, so that no trial count
+# grows a window further
+WINDOW_CAP = 1 << 12
+
+
 class _Window:
     """The rounds whose cover sends an arm's traces hold, as a function of
     the transit delays that an outcome draws, one per batch row (None for
@@ -207,6 +219,12 @@ class _Window:
     [1, horizon]: no row starts before t0 = l_max, and `_schedule`'s
     horizon reaches the latest arrival.  Else, and in the dropping model,
     which sends no cover, they are the whole horizon.
+
+    A window holds its arm's only per-delays memo, delays -> rounds, which
+    the cover's draw and `build_trace` both read, so each trial places its
+    window with one lookup; the cover keys its plans by the rounds alone.
+    The memo stops taking entries at `WINDOW_CAP` and only answers lookups
+    after that, so no trial count grows it further.
     """
 
     def __init__(self, kind: ProtocolKind, slots, horizon, view):
@@ -220,12 +238,20 @@ class _Window:
             self.rounds = self._reach(min(starts) + lag, max(starts) + lag)
         else:
             self.rounds = range(1, horizon + 1)
+        # None asks for the fixed transit's rounds
+        self._memo = {None: self.rounds}
 
     def __call__(self, delays=None):
-        if delays is None or not self.on:
+        if not self.on:
             return self.rounds
-        arrivals = [s + d for s, d in zip(self.slots, delays) if s is not None]
-        return self._reach(min(arrivals), max(arrivals))
+        rounds = self._memo.get(delays)
+        if rounds is None:
+            arrivals = [s + d for s, d in zip(self.slots, delays)
+                        if s is not None]
+            rounds = self._reach(min(arrivals), max(arrivals))
+            if len(self._memo) < WINDOW_CAP:
+                self._memo[delays] = rounds
+        return rounds
 
     def _reach(self, first, last):
         return range(first - self.l_max + 1, last)
@@ -266,14 +292,27 @@ def _product(tables):
 
 
 class _Choice:
-    """A uniform pick from `values` (a transit delay)."""
+    """A uniform pick from `values`, which are not empty (a transit delay).
+
+    `draw` returns `rng.choice(values)` and takes the same numbers from the
+    same rng stream: it runs `Random._randbelow_with_getrandbits`'s
+    rejection loop on `rng.getrandbits` directly, with the bit width
+    computed here once, so a pool of one still reads one bit.  As in
+    `_sampler`, `rng` is a plain `random.Random`.
+    """
 
     def __init__(self, values):
-        self.values = tuple(values)
-        self.size = len(self.values)
+        self.values = values = tuple(values)
+        self.size = size = len(values)
+        width = size.bit_length()
 
-    def draw(self, rng):
-        return rng.choice(self.values)
+        def draw(rng):
+            j = rng.getrandbits(width)
+            while j >= size:
+                j = rng.getrandbits(width)
+            return values[j]
+
+        self.draw = draw
 
     def options(self):
         return self.size, ((1,) * self.size, self.values)
@@ -347,18 +386,20 @@ class _Sample:
         return self.size, ((1,) * self.size, tuple(paths))
 
 
+def _nothing(rng):
+    return None
+
+
 class _Picks:
     """A field of independent picks, one per entry; a None entry is fixed
     at None (a row without a scheduled message)."""
 
-    reads = False
-
     def __init__(self, picks):
         self.picks = tuple(picks)
         self.size = prod(x.size for x in self.picks if x is not None)
-
-    def draw(self, rng, key):
-        return tuple([None if x is None else x.draw(rng) for x in self.picks])
+        draws = tuple(_nothing if x is None else x.draw for x in self.picks)
+        # bound once: a draw is the picks' own draws, in row order
+        self.draw = lambda rng: tuple([d(rng) for d in draws])
 
     def options(self):
         opts = [(1, ((1,), (None,))) if x is None else x.options()
@@ -381,11 +422,6 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2 ** 53) << 11
 
 
-# delay values per cover whose window plan it keeps, so that no trial
-# count grows a cover further
-_PLANS = 1 << 12
-
-
 class _Cover:
     """The cover coins: one per free (round, user) slot, each firing at rate
     beta.  The field is the tuple of fired slots in (round, user) order, each
@@ -403,16 +439,19 @@ class _Cover:
     user and round (`watch=None` and the whole horizon).  When the cover
     `reads` the delays, the first field, each outcome's cover is drawn in
     the window of its own delays, which `draw` takes; else in the window
-    of the fixed transit.  `size` and `options` take a window's rounds.
-    Each window's plan is built once, when first asked for: the watched
-    users with a slot in it, each stream's parser into its kept words,
-    skipping the words before the first kept one unparsed, and the kept
-    slots.  Word i of a stream still belongs to that user's i-th free
-    slot over the whole horizon, so a kept slot fires as in the full draw,
-    a stream is digested up to its last kept word, and `options` lists
-    the kept slots' exact marginal.  Under a view an onion slot is
-    `(slot, None)` and no path stream is read, because no rule reads a
-    cover packet's hops.
+    of the fixed transit; the arm's one per-delays memo, the window's
+    (see `_Window`), gives the rounds.  `size` and `options` take a
+    window's rounds.  Each window's plan is built once, keyed by its
+    rounds alone, when first asked for: the watched users with a slot in
+    it, one parser of their streams' digests, joined in user order, into
+    the kept words, skipping each stream's words before its first kept
+    one unparsed, and the kept slots.  Word i of a stream still belongs
+    to that user's i-th free slot over the whole horizon, so a kept slot
+    fires as in the full draw, a stream is digested up to its last kept
+    word, and `options` lists the kept slots' exact marginal.  A draw is
+    then the hash calls and one pass over the joined words.  Under a view
+    an onion slot is `(slot, None)` and no path stream is read, because
+    no rule reads a cover packet's hops.
     """
 
     def __init__(self, free, params, window, payload=None, watch=None,
@@ -432,65 +471,58 @@ class _Cover:
         self.rate = params.beta_exact
         paths = 1 if payload is None else payload.size
         self.choices = int(self.rate < 1) + paths * int(self.rate > 0)
-        # the plan of each window, and of each delays value drawn so far
-        self._at, self._plans = {}, {}
-
-    def plan(self, delays=None):
-        """The (users, slots) of the window of `delays`: per watched user
-        with a slot in it, the tag of their coin stream, its length in
-        bytes up to the last kept word, its parser into the kept words,
-        the kept slots and their path tag; and every kept slot in
-        (round, user) order."""
-        plan = self._plans.get(delays)
-        if plan is None:
-            plan = self.at(self.window(delays))
-            if len(self._plans) < _PLANS:
-                self._plans[delays] = plan
-        return plan
+        # the plan of each window's rounds
+        self._at = {}
 
     def at(self, rounds):
-        """The plan of the window `rounds`, built once."""
+        """The plan of the window `rounds`, built once: the tag of each
+        watched coin stream with a slot in it and its length in bytes up
+        to the last kept word; one parser of those streams' digests, joined
+        in user order, into the kept words; the kept slots in that order,
+        each as the draw returns it when fired; and every kept slot in
+        (round, user) order."""
         plan = self._at.get(rounds)
         if plan is None:
-            users = []
+            streams, skips, kept = [], [], []
             for u, sl in self.mine:
-                kept = [i for i, (t, _) in enumerate(sl) if t in rounds]
-                if kept:
-                    lo, hi = kept[0], kept[-1] + 1
-                    users.append((_TAG(_COINS, u), 8 * hi,
-                                  struct.Struct(f"<{8 * lo}x{hi - lo}Q").unpack,
-                                  tuple(sl[lo:hi]), _TAG(_PATHS, u)))
+                at = [i for i, (t, _) in enumerate(sl) if t in rounds]
+                if at:
+                    lo, hi = at[0], at[-1] + 1
+                    streams.append((_TAG(_COINS, u), 8 * hi))
+                    skips.append(f"{8 * lo}x{hi - lo}Q")
+                    kept += sl[lo:hi]
+            fired = (kept if not self.paired or self.payload is not None
+                     else [(sl, None) for sl in kept])
             plan = self._at[rounds] = (
-                tuple(users),
-                tuple(sorted(sl for user in users for sl in user[3])))
+                tuple(streams), struct.Struct("<" + "".join(skips)).unpack,
+                tuple(fired), tuple(sorted(kept)))
         return plan
 
     def size(self, rounds):
-        return self.choices ** len(self.at(rounds)[1])
+        return self.choices ** len(self.at(rounds)[3])
 
     def draw(self, rng, key, delays=None):
         """The fired slots under the per-trial `key`; `rng` is not read."""
-        cut, shake, fired = self.cut, hashlib.shake_128, []
-        for tag, size, words, slots, path_tag in (self._plans.get(delays)
-                                                  or self.plan(delays))[0]:
-            hits = [sl for sl, w in zip(slots,
-                                        words(shake(key + tag).digest(size)))
-                    if w < cut]
-            if not self.paired or not hits:
-                fired += hits
-            elif self.payload is None:
-                fired += [(sl, None) for sl in hits]
-            else:
-                pick = self.payload.draw
+        rounds = self.window(delays)
+        streams, words, kept, _ = self._at.get(rounds) or self.at(rounds)
+        shake = hashlib.shake_128
+        fired = list(compress(kept, map(self.cut.__gt__, words(b"".join(
+            [shake(key + tag).digest(size) for tag, size in streams])))))
+        if self.payload is not None:
+            # each firing user's paths, in round order, from their own
+            # path stream
+            pick, paths = self.payload.draw, []
+            for u, hits in itertools.groupby(fired, itemgetter(1)):
                 own = random.Random(int.from_bytes(
-                    shake(key + path_tag).digest(16), "little"))
-                fired += [(sl, pick(own)) for sl in hits]
+                    shake(key + _TAG(_PATHS, u)).digest(16), "little"))
+                paths += [(sl, pick(own)) for sl in hits]
+            fired = paths
         # slots never repeat, so the sort never compares two paths
         fired.sort()
         return tuple(fired)
 
     def options(self, rounds):
-        free = self.at(rounds)[1]
+        free = self.at(rounds)[3]
         pn, pd = self.rate.numerator, self.rate.denominator
         m, on = ((1, ((1,), (None,))) if self.payload is None
                  else self.payload.options())
@@ -551,6 +583,8 @@ class Arm(NamedTuple):
                      view's window for the arrivals the outcome draws, else
                      the horizon
     fields           its fields of draws, projected onto `view`
+    draw             one outcome's draw from `(rng, key)`, each field's
+                     bound once (see `_bind`)
     view             the `View` its traces are built for, None for full
     target           the dropping model's target: the pair's suspect
                      under 1 (None in every other model)
@@ -563,8 +597,23 @@ class Arm(NamedTuple):
     horizon: int
     window: _Window
     fields: tuple
+    draw: Callable
     view: Optional[View]
     target: Optional[int]
+
+
+def _bind(fields):
+    """The draw of one outcome of `fields`, as a function of `(rng, key)`
+    bound once per arm: the picks' draws read `rng`, and a cover its
+    `key`, and the unsync cover also the delays drawn before it, for its
+    window."""
+    draws = [f.draw for f in fields]
+    if fields and isinstance(fields[-1], _Cover):
+        first, cover = draws
+        if fields[-1].reads:
+            return lambda rng, key: ((d := first(rng)), cover(rng, key, d))
+        return lambda rng, key: (first(rng), cover(rng, key))
+    return lambda rng, key: tuple([f(rng) for f in draws])
 
 
 def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
@@ -575,16 +624,18 @@ def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     watch = None if view is None else view.senders
     window = _Window(kind, slots, horizon, view)
     target = pair.suspects()[1] if kind.variant == DROPPING else None
+    fields = _fields(kind, batch, slots, horizon, watch, window)
     return Arm(kind.variant, kind.params, batch, slots, horizon, window,
-               _fields(kind, batch, slots, horizon, watch, window), view,
-               target)
+               fields, _bind(fields), view, target)
 
 
 def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
-    """Draw one random outcome of the arm, each field in turn.  `rng` is a
-    plain `random.Random` (see `_sampler`) and gives every field but the
-    cover, whose coins come from per-user streams under the trial's `key`
-    (see `_Cover`).
+    """Draw one random outcome of the arm, each field in turn, with the
+    draw the arm bound when it was built (see `_bind`).  `rng` is a plain
+    `random.Random` (see `_Choice` and `_sampler`) and gives every field
+    but the cover, whose coins come from per-user streams under the
+    trial's `key` (see `_Cover`), in the rounds that the arm's one
+    per-delays memo, its `_Window`'s, gives for the delays drawn.
 
     Under the arm's `View` (None for the full outcome) the outcome is
     projected onto it, for `build_trace` of the same arm: the cover holds
@@ -592,11 +643,7 @@ def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
     delays, each drawn as in the full outcome (an onion cover's without
     its path), and the rng ends in the same state.
     """
-    out = []
-    for f in arm.fields:
-        # the unsync cover reads the delays, drawn first, for its window
-        out.append(f.draw(rng, key, out[0]) if f.reads else f.draw(rng, key))
-    return tuple(out)
+    return arm.draw(rng, key)
 
 
 class _Leaves:
@@ -712,9 +759,13 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     Events are emitted as raw rows `(round, kind order, location, packet,
     kind, is_real, origin, in_packet, msg)` with construction-order packet
     ids.  One sort in native tuple order puts them in trace order, then ids
-    are relabeled by first mention and each event is built once.
+    are relabeled by first mention and each event is built once.  When no
+    event links two packets (a trilemma outcome with no delay of 0, which
+    emits a fresh packet per event and no `in_packet`), first mention is
+    the sorted position, and the events are labeled by it directly.  The
+    window's rounds come from the arm's one per-delays memo (`_Window`).
     """
-    v, params, batch, slots, horizon, window, _, view, target = arm
+    v, params, batch, slots, horizon, window, _, _, view, target = arm
     full = view is None
     if full:
         users = frozenset(range(params.n))
@@ -727,7 +778,12 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     ev = []
     add = ev.append
 
+    # whether no event links two packets, so that the relabel is the
+    # sorted position (see below)
+    fresh = False
     if v in (TRILEMMA_UNSYNC, TRILEMMA_SYNC):
+        # only a direct delivery (delay 0) keeps its send's id
+        fresh = 0 not in outcome[0]
         for t, d, row in zip(slots, outcome[0], batch.rows):
             if t is None:
                 continue
@@ -857,9 +913,15 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     # (round, kind order, location, packet) never repeats, so the sort
     # never reaches the payload fields
     ev.sort()
+    new = tuple.__new__   # skips the NamedTuple's Python-level __new__
+    if fresh:
+        # every packet is mentioned once, by its own event, and no event
+        # has an in_packet: first mention is the sorted position
+        return ObservationTrace(tuple([
+            new(ObservationEvent, (kd, t, loc, i, real, origin, None, msg))
+            for i, (t, _, loc, _, kd, real, origin, _, msg) in enumerate(ev)]))
     ids = {}
     label = ids.setdefault
-    new = tuple.__new__   # skips the NamedTuple's Python-level __new__
     return ObservationTrace(tuple([
         new(ObservationEvent, (kd, t, loc, label(q, len(ids)), real, origin,
                                None if inq is None else label(inq, len(ids)),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds import cli, game
+from acnbounds import cli, game, protocols
 from acnbounds.adversaries import (attack_view, counting_attack, decide,
                                    random_guess_attack, timing_attack,
                                    tracing_attack)
@@ -273,6 +273,46 @@ def test_a_full_memo_answers_but_takes_no_more_entries(monkeypatch):
     assert len(decided) == misses + sum(map(len, kept.values()))
     assert len(kept) == 2
     assert all(len(memo) == 3 for memo in kept.values())
+
+
+def test_a_full_window_memo_answers_but_takes_no_more_entries(monkeypatch):
+    # a challenge row and three context rows, each delayed 1-4 rounds:
+    # 256 delays values per arm, far past a cap of 3
+    extra = [Communication(5, 0, 1), Communication(4, 2, 2),
+             Communication(3, 1, 3)]
+    pair = ScenarioPair(make_batch([Communication(0, 5, 0)] + extra),
+                        make_batch([Communication(1, 5, 0)] + extra), SO)
+    kind = ProtocolKind("trilemma-unsync",
+                        ProtocolParams(n=6, l_max=5, beta=0.25))
+    attack = timing_attack(6)
+    made = []
+    resolve = game.arm
+
+    def recorded(*args):
+        made.append(resolve(*args))
+        return made[-1]
+
+    monkeypatch.setattr(game, "arm", recorded)
+    want = estimate_advantage(kind, attack, pair, 3000, 4)
+    assert all(len(side.window._memo) > 100 for side in made)
+    made.clear()
+    monkeypatch.setattr(protocols, "WINDOW_CAP", 3)
+    drawn, _ = _count_layers(monkeypatch)
+    assert estimate_advantage(kind, attack, pair, 3000, 4) == want
+    assert len(made) == 2
+    assert all(len(side.window._memo) == 3 for side in made)
+    for side in made:
+        assert len({o[0] for s, o in drawn if s is side}) > 100
+
+
+@pytest.mark.parametrize("seed", [0, -5, 10 ** 12])
+def test_each_trial_hashes_its_seed_and_index(seed):
+    # the per-solve prefix hashes the bytes of f"{seed}:{i}", across the
+    # index's change of width too
+    hashes = list(game._trial_hashes(seed, 100_000))
+    assert len(hashes) == 100_000
+    for i in (0, 9, 10, 99_999):
+        assert hashes[i] == hashlib.sha256(f"{seed}:{i}".encode()).digest()
 
 
 # `simulate` at the mc-unsync-wide shape, but l_max 10: the timing window

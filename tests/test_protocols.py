@@ -376,6 +376,30 @@ def test_large_draws_fall_back_to_rng_sample(field, reference):
     _same_stream(field.draw, reference)
 
 
+@pytest.mark.parametrize("size", range(1, 9))
+def test_a_choice_takes_the_same_numbers_as_rng_choice(monkeypatch, size):
+    # labels unlike their positions, so a wrong index shows; twenty draws
+    # a seed, so a size that is no power of two rejects some words, and a
+    # pool of one still reads a bit per draw
+    pool = tuple(range(100, 100 + size))
+    draw = protocols._Choice(pool).draw
+    expected = []
+    for seed in range(8):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        want = [theirs.choice(pool) for _ in range(20)]
+        assert [draw(mine) for _ in range(20)] == want, seed
+        assert mine.getstate() == theirs.getstate(), seed
+        expected.append(want)
+
+    # the draw never goes through `rng.choice`
+    def no_choice(*args, **kwargs):
+        raise AssertionError("rng.choice called")
+    monkeypatch.setattr(random.Random, "choice", no_choice)
+    for seed, want in enumerate(expected):
+        rng = random.Random(seed)
+        assert [draw(rng) for _ in range(20)] == want
+
+
 # ------------------------------------------------------------- cover coins
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.3, 1.0])

@@ -491,8 +491,9 @@ class _Cover:
                     streams.append((_TAG(_COINS, u), 8 * hi))
                     skips.append(f"{8 * lo}x{hi - lo}Q")
                     kept += sl[lo:hi]
-            fired = (kept if not self.paired or self.payload is not None
-                     else [(sl, None) for sl in kept])
+            # a view's onion slot is drawn without its path
+            fired = ([(sl, None) for sl in kept]
+                     if self.paired and self.payload is None else kept)
             plan = self._at[rounds] = (
                 tuple(streams), struct.Struct("<" + "".join(skips)).unpack,
                 tuple(fired), tuple(sorted(kept)))

@@ -50,8 +50,7 @@ def counting_attack(n: int) -> AttackKind:
     """Global send counter: excludes scenarios that claim more sends from a
     user than were observed."""
     return AttackKind(COUNTING, AdversaryCapability(
-        observed_senders=frozenset(range(n)),
-        receiver_corrupted=True, knows_total_real=True))
+        observed_senders=frozenset(range(n)), receiver_corrupted=True))
 
 
 def timing_attack(n: int) -> AttackKind:
@@ -76,7 +75,7 @@ def dropping_attack(n: int, c_a: int = 0) -> AttackKind:
     instead."""
     return AttackKind(DROP_ATTACK, AdversaryCapability(
         observed_senders=frozenset(range(n)), receiver_corrupted=True,
-        c_a=c_a, active_drop=True, knows_expected_reception=True))
+        c_a=c_a, active_drop=True))
 
 
 def random_guess_attack() -> AttackKind:
@@ -88,9 +87,8 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
     cap = attack.capability
     v = attack.variant
     if v == COUNTING:
-        if not (cap.receiver_corrupted or cap.knows_total_real):
-            raise CapabilityError("counting needs the receiver side or "
-                                  "knowledge of the real send totals")
+        if not cap.receiver_corrupted:
+            raise CapabilityError("counting needs the receiver side")
         if not cap.observed_senders:
             raise CapabilityError("counting needs at least one watched sender")
     elif v in (TIMING, TRACING):
@@ -111,10 +109,9 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
                                   f"relays, but there are only "
                                   f"{params.relays}")
     elif v == DROP_ATTACK:
-        if not (cap.active_drop and cap.knows_expected_reception
-                and cap.receiver_corrupted):
-            raise CapabilityError("dropping needs active control, the "
-                                  "receiver, and the expected reception")
+        if not (cap.active_drop and cap.receiver_corrupted):
+            raise CapabilityError("dropping needs active control and the "
+                                  "receiver")
         # as for tracing, relays=0 is a model without a relay pool
         pool = params.first_hops
         if 0 < pool < cap.c_a:

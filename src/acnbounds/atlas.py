@@ -152,12 +152,6 @@ def classify(preset: AcnPreset, mode: str = "general", n: int = 1000,
     }
 
 
-def classify_all(mode: str = "general", n: int = 1000, lam: float = 256.0,
-                 poly_lambda=None):
-    return [classify(p, mode, n, lam, poly_lambda)
-            for p in PRESETS.values()]
-
-
 def _fmt(x: float) -> str:
     if math.isinf(x):
         return "inf"

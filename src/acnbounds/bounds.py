@@ -16,7 +16,7 @@ concede to some adversary, i.e. larger is worse for the protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 SYNC = "sync"
@@ -99,21 +99,16 @@ def trilemma_compromising(setting: str, l_max: int, beta=None, p=None,
 class CountingBound:
     min_messages: int          # total messages the network must move
     overhead_fraction: float   # share of that total that is overhead
-    excluded: tuple = ()       # users whose observed sends fall short
 
 
-def counting_bound(out_r: int, hops: int, send_counts=None) -> CountingBound:
+def counting_bound(out_r: int, hops: int) -> CountingBound:
     """Moving out_r delivered messages over `hops` stages costs at least
     out_r * hops transmissions; all but one stage per message is overhead."""
     if out_r < 0 or hops < 1:
         raise ValueError("need out_r >= 0 and hops >= 1")
-    excluded = ()
-    if send_counts is not None:
-        excluded = tuple(sorted(u for u, c in send_counts.items() if c < out_r))
     return CountingBound(
         min_messages=out_r * hops,
-        overhead_fraction=(hops - 1) / hops,
-        excluded=excluded)
+        overhead_fraction=(hops - 1) / hops)
 
 
 def optimality_overhead(n: int, mu: int) -> int:
@@ -122,11 +117,6 @@ def optimality_overhead(n: int, mu: int) -> int:
     if n < 0 or mu < 0:
         raise ValueError("need n >= 0 and mu >= 0")
     return n * mu
-
-
-def traffic_relation(beta: float, n: int, rounds: int, out_r: int) -> float:
-    """Total observed volume split into cover and useful traffic."""
-    return beta * n * rounds + out_r
 
 
 # --------------------------------------------------------- parameter space

@@ -9,7 +9,7 @@ see is produced by filtering the full trace against her capability.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -156,8 +156,6 @@ class AdversaryCapability:
     c_p: int = 0
     c_a: int = 0
     active_drop: bool = False
-    knows_expected_reception: bool = False
-    knows_total_real: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "observed_senders", frozenset(self.observed_senders))
@@ -312,27 +310,3 @@ def filter_trace(trace: ObservationTrace, capability: AdversaryCapability) -> Ob
         return trace
     return ObservationTrace(tuple(out))
 
-
-@dataclass(frozen=True)
-class TrafficStats:
-    """Per-sender send volumes plus delivered/sent totals for one trace."""
-
-    L: dict = field(default_factory=dict)
-    out: int = 0
-    com: int = 0
-
-
-def traffic_stats(trace: ObservationTrace) -> TrafficStats:
-    """Count L_i (sends per user), Out (real deliveries) and Com (all sends).
-
-    Com counts user-originated send events only, not relay forwards, so
-    Com == sum(L_i) holds by construction.
-    """
-    L: dict = {}
-    out = 0
-    for ev in trace.events:
-        if ev.kind == SEND:
-            L[ev.location] = L.get(ev.location, 0) + 1
-        elif ev.kind == DELIVER and ev.is_real:
-            out += 1
-    return TrafficStats(L=L, out=out, com=sum(L.values()))

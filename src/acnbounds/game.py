@@ -201,20 +201,6 @@ def exact_advantage(kind, attack, pair) -> Fraction:
     return won + tied / 2 - 1
 
 
-def advantage_forms(p_guess1_given1: float, p_guess1_given0: float):
-    """The two equivalent ways to report an advantage.
-
-    counting form: difference of the per-scenario guess rates.
-    optimality form: 2*Pr[correct] - 1 with a uniform challenge bit.
-    """
-    for x in (p_guess1_given1, p_guess1_given0):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"probabilities must lie in [0, 1], got {x}")
-    counting = p_guess1_given1 - p_guess1_given0
-    p_correct = 0.5 * p_guess1_given1 + 0.5 * (1.0 - p_guess1_given0)
-    return {"counting-form": counting, "optimality-form": 2.0 * p_correct - 1.0}
-
-
 def result_record(kind, attack, pair, estimate: AdvantageEstimate,
                   master_seed: int) -> dict:
     params = {k: v for k, v in asdict(kind.params).items() if v is not None}

@@ -218,13 +218,6 @@ def valid_under_reindexing(notion: Notion, b0: Batch, b1: Batch):
     return None
 
 
-def count_challenge_rows(b0: Batch, b1: Batch) -> int:
-    """Number of row indices where the scenarios disagree."""
-    if len(b0.rows) != len(b1.rows):
-        raise ValueError("batches must have equal length")
-    return sum(1 for r0, r1 in zip(b0.rows, b1.rows) if r0 != r1)
-
-
 def enumerate_batches(users: int, messages: int, max_len: int):
     """All batches over a small universe, NO_COMM rows included; auxiliary
     tags are left at None."""

@@ -170,8 +170,10 @@ class ProtocolKind:
 
 
 def _num_dummies(params) -> int:
-    # synchronized cover: floor(beta*n) users join each communication round
-    return min(int(params.beta * params.n), params.n - 1)
+    # synchronized cover: floor(beta*n) users join each communication round,
+    # beta as typed: the float product falls under the integer at, e.g.,
+    # beta=0.58, n=50
+    return min(int(params.beta_exact * params.n), params.n - 1)
 
 
 def _noise_slots(kind: ProtocolKind, batch, slots, horizon):

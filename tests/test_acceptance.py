@@ -7,12 +7,17 @@ simulation against the closed forms, equal-volume and exclusion counting,
 active dropping, threshold ordering, the preset table, the notion
 hierarchy, the two advantage definitions, and CLI determinism.
 
+The two advantage definitions (c12) are checked on the leaves of every
+pinned case of `test_exact_route`: each arm's leaf probabilities must sum
+to exactly 1, and the counting form, Pr[guess 1 | b=1] - Pr[guess 1 | b=0]
+with each tie counted as 1/2, must equal `exact_advantage`'s
+2*Pr[correct] - 1, both as Fractions.
+
 Run with -v to get one pass/fail line per criterion.
 """
 
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -21,20 +26,21 @@ from pathlib import Path
 
 import pytest
 
-from acnbounds.adversaries import (counting_attack, dropping_attack,
-                                   timing_attack)
-from acnbounds.atlas import classify_all
+from acnbounds.adversaries import (attack_view, counting_attack, decide,
+                                   dropping_attack, timing_attack)
+from acnbounds.atlas import PRESETS, classify
 from acnbounds.bounds import (SYNC, UNSYNC_IMPROVED, UNSYNC_ORIGINAL,
                               counting_bound, counting_min_beta,
                               dropping_min_p, optimality_overhead,
                               trilemma_advantage, trilemma_compromising,
                               trilemma_min_beta)
-from acnbounds.core import Communication, ProtocolParams, make_batch
-from acnbounds.game import (advantage_forms, estimate_advantage,
-                            exact_advantage)
+from acnbounds.core import (Communication, ProtocolParams, filter_trace,
+                            make_batch)
+from acnbounds.game import estimate_advantage, exact_advantage
 from acnbounds.notions import (ScenarioPair, generate_pair,
                                hierarchy_subset_check, parse_notion)
-from acnbounds.protocols import ProtocolKind
+from acnbounds.protocols import ProtocolKind, build_trace, enumerate_outcomes
+from test_exact_route import pinned_cases
 
 SO = parse_notion("SO")
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -208,7 +214,7 @@ def test_c10_preset_table_matches_the_expected_verdicts():
             "dcnet": "meets", "dissent": "meets", "dicemix": "meets",
             "loopix": "falls-short", "vuvuzela": "falls-short",
             "riffle": "falls-short", "riposte": "falls-short"}
-    rows = {r["preset"]: r["counting"] for r in classify_all()}
+    rows = {p.name: classify(p)["counting"] for p in PRESETS.values()}
     _report(10, "cover-vs-volume verdicts for the eleven presets", rows == want)
 
 
@@ -230,14 +236,33 @@ def test_c11_notion_hierarchy_orders_by_challenge_freedom():
 
 
 def test_c12_both_advantage_definitions_agree():
-    rng = random.Random(12)
+    # the counting form from each arm's own leaves, against exact_advantage's
+    # 2*Pr[correct] - 1: a dropped or double-counted leaf breaks the sum,
+    # and a drift in how either side tallies a tie breaks the difference
+    t0 = time.perf_counter()
     ok = True
-    for _ in range(1000):
-        p1, p0 = rng.random(), rng.random()
-        forms = advantage_forms(p1, p0)
-        ok = ok and abs(forms["counting-form"]
-                        - forms["optimality-form"]) <= 1e-12
-    _report(12, "guess-rate difference equals the correctness form", ok)
+    for kind, attack, pair in pinned_cases().values():
+        view = attack_view(attack, pair)
+        cap = attack.capability
+        guess1 = []
+        for b in (0, 1):
+            leaves = enumerate_outcomes(kind, pair, b, view)
+            total = said1 = Fraction(0)
+            for prob, outcome in leaves:
+                total += prob
+                trace = filter_trace(build_trace(leaves.arm, outcome, cap),
+                                     cap)
+                verdict = decide(attack, trace, pair, kind.params)
+                said1 += prob * (Fraction(1, 2) if verdict is None
+                                 else verdict)
+            ok = ok and total == 1
+            guess1.append(said1)
+        ok = ok and guess1[1] - guess1[0] == exact_advantage(kind, attack,
+                                                             pair)
+    elapsed = time.perf_counter() - t0
+    _report(12, f"guess-rate difference over each pinned case's leaves "
+            f"equals the exact correctness form, in {elapsed:.1f}s",
+            ok and elapsed < 5.0)
 
 
 def _cli_in_fresh_interpreter(argv, hash_seed):

@@ -221,14 +221,13 @@ def test_capability_gates():
     cases = [
         AttackKind("counting", AdversaryCapability(
             observed_senders=frozenset(range(4)))),
-        AttackKind("counting", AdversaryCapability(knows_total_real=True)),
+        AttackKind("counting", AdversaryCapability()),
         AttackKind("timing-interval", AdversaryCapability(
             observed_senders=frozenset(range(4)))),
         AttackKind("timing-interval", AdversaryCapability(
             observed_senders=frozenset({0, 2}), receiver_corrupted=True)),
         AttackKind("dropping", AdversaryCapability(
-            observed_senders=frozenset(range(4)), receiver_corrupted=True,
-            knows_expected_reception=True)),
+            observed_senders=frozenset(range(4)), receiver_corrupted=True)),
     ]
     for attack in cases:
         with pytest.raises(CapabilityError):

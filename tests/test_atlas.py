@@ -1,7 +1,7 @@
 import pytest
 
 from acnbounds.atlas import (GRID_HEADER, MODES, PRESETS, AcnPreset, PerRound,
-                             classify, classify_all, emit_grid)
+                             classify, emit_grid)
 
 EXPECTED_COUNTING = {
     "tor": "falls-short",
@@ -44,14 +44,14 @@ def test_preset_point_params():
 
 
 def test_counting_column():
-    rows = {r["preset"]: r for r in classify_all()}
+    rows = {p.name: classify(p) for p in PRESETS.values()}
     assert set(rows) == set(EXPECTED_COUNTING)
     for name, want in EXPECTED_COUNTING.items():
         assert rows[name]["counting"] == want, name
 
 
 def test_latency_and_dropping_columns():
-    rows = {r["preset"]: r for r in classify_all()}
+    rows = {p.name: classify(p) for p in PRESETS.values()}
     assert rows["tor"]["trilemma"] == "falls-short"
     assert rows["tor"]["dropping"] == "falls-short"
     assert rows["threshold-mix"]["dropping"] == "meets"

@@ -7,9 +7,8 @@ from acnbounds.bounds import (SYNC, UNSYNC_IMPROVED, UNSYNC_ORIGINAL,
                               counting_bound, counting_min_beta,
                               covered_fraction, dropping_min_p,
                               impossibility_region, onion_cost,
-                              optimality_overhead, traffic_relation,
-                              trilemma_advantage, trilemma_compromising,
-                              trilemma_min_beta)
+                              optimality_overhead, trilemma_advantage,
+                              trilemma_compromising, trilemma_min_beta)
 
 rates = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -124,7 +123,6 @@ def test_counting_bound_and_matching_overhead():
     cb = counting_bound(5, 3)
     assert cb.min_messages == 15
     assert cb.overhead_fraction == pytest.approx(2 / 3)
-    assert cb.excluded == ()
     for out_r in range(1, 21):
         for hops in range(1, 21):
             assert (counting_bound(out_r, hops).min_messages
@@ -136,22 +134,9 @@ def test_counting_bound_and_matching_overhead():
 
 
 def test_degenerate_volumes_cost_nothing():
-    cb = counting_bound(0, 5, send_counts={0: 0, 1: 3})
-    assert cb.min_messages == 0
-    assert cb.excluded == ()
+    assert counting_bound(0, 5).min_messages == 0
     assert optimality_overhead(5, 0) == 0
     assert optimality_overhead(3, 4) == 12
-
-
-def test_counting_bound_flags_short_senders():
-    cb = counting_bound(2, 1, send_counts={0: 2, 1: 1, 2: 0})
-    assert cb.excluded == (1, 2)
-    assert cb.overhead_fraction == 0.0
-
-
-def test_traffic_relation():
-    assert traffic_relation(0.5, 10, 4, 3) == pytest.approx(23.0)
-    assert traffic_relation(0.0, 10, 4, 3) == pytest.approx(3.0)
 
 
 def test_threshold_frozen_values():

@@ -1,15 +1,17 @@
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import acnbounds
 from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
                             AdversaryCapability, Batch, Communication,
                             ObservationEvent, ObservationTrace,
                             ProtocolParams, filter_trace, make_batch,
-                            receiver_counts, relay_loc, sender_counts,
-                            traffic_stats)
+                            receiver_counts, relay_loc, sender_counts)
 
 
 def test_no_comm_is_singleton_with_plain_repr():
@@ -122,13 +124,6 @@ def test_blind_adversary_sees_nothing():
     assert got.events == ()
 
 
-def test_traffic_stats():
-    stats = traffic_stats(_sample_trace())
-    assert stats.L == {0: 1, 1: 1}
-    assert stats.out == 1
-    assert stats.com == 2
-
-
 @given(st.sets(st.integers(0, 5)), st.booleans(), st.integers(0, 3),
        st.integers(0, 3))
 def test_filter_never_invents_events(observed, recv, c_p, c_a):
@@ -141,3 +136,43 @@ def test_filter_never_invents_events(observed, recv, c_p, c_a):
         originals = [o for o in full.events
                      if o._replace(is_real=None, msg=None) == stripped]
         assert originals
+
+
+# public names no run reaches yet, each kept for a stated use:
+# hierarchy_subset_check is c11's enumeration reference of the notion
+# hierarchy, which a table of the goal each attack breaks is to read
+UNREACHED_ON_PURPOSE = {"hierarchy_subset_check"}
+
+
+def _named(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+
+
+def test_every_public_name_is_reached():
+    # a top-level public function or class of the package must be named
+    # somewhere in the package or the benchmark outside its own
+    # definition, or be exported; one that only tests reach is dead code
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "acnbounds").glob("*.py"))
+    files = package + sorted((root / "perfbench").glob("*.py"))
+    trees = {f: ast.parse(f.read_text()) for f in files}
+    # name -> the top-level statements that name it
+    naming = {}
+    for tree in trees.values():
+        for top in tree.body:
+            for name in _named(top):
+                naming.setdefault(name, set()).add(id(top))
+    unreached = [
+        f"{f.stem}.{top.name}" for f in package for top in trees[f].body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith("_")
+        and not naming.get(top.name, set()) - {id(top)}
+        and top.name not in acnbounds.__all__
+        and top.name not in UNREACHED_ON_PURPOSE]
+    assert unreached == [], unreached

@@ -12,9 +12,9 @@ from acnbounds.adversaries import (attack_view, counting_attack, decide,
                                    tracing_attack)
 from acnbounds.core import (Communication, ConfigError, ProtocolParams,
                             ResourceLimitError, filter_trace, make_batch)
-from acnbounds.game import (AdvantageEstimate, advantage_forms,
-                            estimate_advantage, exact_advantage, record_json,
-                            result_record, wilson_interval)
+from acnbounds.game import (AdvantageEstimate, estimate_advantage,
+                            exact_advantage, record_json, result_record,
+                            wilson_interval)
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import ProtocolKind, arm, build_trace, sample_outcome
 from test_exact_route import pinned_cases
@@ -105,31 +105,6 @@ def test_exact_advantage_for_pure_noise_is_the_miss_probability():
 def test_exact_advantage_of_a_random_guess_is_zero():
     kind, pair = _setup()
     assert exact_advantage(kind, random_guess_attack(), pair) == 0
-
-
-def test_advantage_forms_agree():
-    forms = advantage_forms(0.9, 0.2)
-    assert forms["counting-form"] == pytest.approx(0.7)
-    assert forms["optimality-form"] == pytest.approx(0.7)
-    forms = advantage_forms(0.8, 0.3)
-    assert forms["counting-form"] == pytest.approx(0.5)
-    assert forms["optimality-form"] == pytest.approx(0.5)
-    assert advantage_forms(0.5, 0.5) == {"counting-form": 0.0,
-                                         "optimality-form": 0.0}
-    assert advantage_forms(1.0, 0.0) == {"counting-form": 1.0,
-                                         "optimality-form": 1.0}
-    with pytest.raises(ValueError):
-        advantage_forms(1.2, 0.5)
-    with pytest.raises(ValueError):
-        advantage_forms(0.5, -0.1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(p1=st.floats(0.0, 1.0), p0=st.floats(0.0, 1.0))
-def test_advantage_forms_agree_everywhere(p1, p0):
-    forms = advantage_forms(p1, p0)
-    assert forms["counting-form"] == pytest.approx(forms["optimality-form"],
-                                                   abs=1e-12)
 
 
 def test_result_record_shape():

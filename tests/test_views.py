@@ -253,8 +253,7 @@ def _unsync_views(n, pair):
     one that watches every user, which draws the full cover through the
     projected loop."""
     watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
-                                  receiver_corrupted=True,
-                                  knows_total_real=True)
+                                  receiver_corrupted=True)
     attacks = [timing_attack(n), AttackKind(COUNTING, watched),
                dropping_attack(n), random_guess_attack()]
     return ([attack_view(a, pair) for a in attacks]
@@ -399,8 +398,7 @@ def _onion_attacks(n, relays):
     random guess: every stock rule that reads a sender's cover sends, and
     one that reads nothing."""
     watched = AdversaryCapability(observed_senders=frozenset({0, n - 1}),
-                                  receiver_corrupted=True,
-                                  knows_total_real=True)
+                                  receiver_corrupted=True)
     return ([tracing_attack(n, c) for c in range(relays + 1)]
             + [timing_attack(n), AttackKind(COUNTING, watched),
                random_guess_attack()])

@@ -87,8 +87,7 @@ def validate_attack(attack: AttackKind, pair, params) -> None:
     cap = attack.capability
     v = attack.variant
     if v == COUNTING:
-        if not cap.receiver_corrupted:
-            raise CapabilityError("counting needs the receiver side")
+        # the rule counts sends only, so the receiver side is not needed
         if not cap.observed_senders:
             raise CapabilityError("counting needs at least one watched sender")
     elif v in (TIMING, TRACING):

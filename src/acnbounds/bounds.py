@@ -111,14 +111,6 @@ def counting_bound(out_r: int, hops: int) -> CountingBound:
         overhead_fraction=(hops - 1) / hops)
 
 
-def optimality_overhead(n: int, mu: int) -> int:
-    """Total messages when each of n users pushes mu messages through: the
-    matching achievable figure for the counting bound."""
-    if n < 0 or mu < 0:
-        raise ValueError("need n >= 0 and mu >= 0")
-    return n * mu
-
-
 # --------------------------------------------------------- parameter space
 
 @dataclass(frozen=True)
@@ -131,12 +123,18 @@ class RegionVerdict:
         return self.verdict == "impossible"
 
 
-def counting_min_beta(poly_lambda: float, out_rate: float = 1.0) -> float:
+def counting_min_beta(poly_lambda: float) -> float:
     """Dummy rate below which the counting adversary wins except with
     polynomially small slack."""
     if poly_lambda <= 1:
         raise ValueError("poly_lambda must exceed 1")
-    return out_rate * (1.0 - 1.0 / poly_lambda)
+    return 1.0 - 1.0 / poly_lambda
+
+
+def _trilemma_window(l_max: int, c_p: int) -> int:
+    # the transit rounds that cover must fill: c_p compromised relays
+    # shorten them, unless the whole path fits inside the compromised set
+    return l_max - 1 - c_p if c_p < l_max - 1 else l_max - 1
 
 
 def trilemma_min_beta(l_max: int, poly_lambda: float, c_p: int = 0) -> float:
@@ -146,8 +144,7 @@ def trilemma_min_beta(l_max: int, poly_lambda: float, c_p: int = 0) -> float:
         raise ValueError("poly_lambda must exceed 1")
     if l_max <= 1:
         return math.inf
-    window = l_max - 1 - c_p if c_p < l_max - 1 else l_max - 1
-    return (1.0 - 1.0 / poly_lambda) / (2.0 * window)
+    return (1.0 - 1.0 / poly_lambda) / (2.0 * _trilemma_window(l_max, c_p))
 
 
 def dropping_min_p(l_max: int, lam: float, poly_lambda: float) -> float:
@@ -159,8 +156,8 @@ def dropping_min_p(l_max: int, lam: float, poly_lambda: float) -> float:
 
 
 def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
-                         poly_lambda=None, lam=None, c_p: int = 0,
-                         out_rate: float = 1.0) -> RegionVerdict:
+                         poly_lambda=None, lam=None,
+                         c_p: int = 0) -> RegionVerdict:
     """Classify one parameter point: can strong privacy survive there.
 
     Raises ValueError for a point no protocol can have: n < 1, l_max < 1,
@@ -179,7 +176,7 @@ def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
 
     if bound == "counting":
         rate = beta if beta is not None else p
-        thr = counting_min_beta(poly_lambda, out_rate)
+        thr = counting_min_beta(poly_lambda)
         if rate is None:
             raise ValueError("counting region needs beta or p")
         if rate < thr or (p is not None and p < 1.0):
@@ -195,7 +192,7 @@ def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
         if l_max <= 1:
             return RegionVerdict("not-applicable", thr,
                                  "no transit window at l_max <= 1")
-        window = l_max - 1 - c_p if c_p < l_max - 1 else l_max - 1
+        window = _trilemma_window(l_max, c_p)
         cond = "short window" if c_p < l_max - 1 else \
             "path can hide only inside the compromised set"
         if 2.0 * window * rate <= slack and rate * n >= 1.0:

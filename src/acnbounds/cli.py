@@ -73,8 +73,6 @@ _BOUNDS = {
                 relays=ns.relays)}),
     "counting": (("out", "hops"),
                  lambda ns, beta, p: _counting(ns.out, ns.hops)),
-    "optimality": (("n", "mu"), lambda ns, beta, p: {
-        "total": bounds.optimality_overhead(ns.n, ns.mu)}),
     "onion-cost": (
         ("basis", "n", "lam", "p", "lexp"), lambda ns, beta, p:
         bounds.onion_cost(ns.basis, ns.n, ns.lam,
@@ -167,7 +165,6 @@ def _build_parser():
                    help="relay pool size; default max(cp, 1)")
     b.add_argument("--out", type=int, default=1, help="delivered messages")
     b.add_argument("--hops", type=int, default=1)
-    b.add_argument("--mu", type=int, default=1, help="messages per user")
     b.add_argument("--lexp", type=float)
     b.add_argument("--basis", choices=("trilemma", "counting", "dropping"),
                    default="trilemma")
@@ -182,7 +179,6 @@ def _build_parser():
         s.add_argument("--lexp", type=int)
         s.add_argument("--relays", type=int, default=0)
         s.add_argument("--copies", type=int, default=1)
-        s.add_argument("--rounds", type=int)
         s.add_argument("--integrated", action="store_true")
         s.add_argument("--ca", type=int, default=0,
                        help="actively controlled relays")
@@ -271,7 +267,7 @@ def _protocol_params(ns, given) -> ProtocolParams:
     return ProtocolParams(
         n=ns.n, l_max=ns.lmax, beta=beta or 0.0,
         l_exp=ns.lexp, relays=ns.relays, copies=ns.copies,
-        rounds=ns.rounds, integrated=ns.integrated)
+        integrated=ns.integrated)
 
 
 def _counting(out, hops):

@@ -100,7 +100,6 @@ class ProtocolParams:
     l_exp    expected delay in rounds, defaults to l_max
     relays   intermediate-relay pool size (K)
     copies   redundant first hops (dropping model only)
-    rounds   observation horizon, defaults to what the run needs
     integrated  dropping model: first hops are users, not dedicated relays
     """
 
@@ -110,7 +109,6 @@ class ProtocolParams:
     l_exp: Optional[int] = None
     relays: int = 0
     copies: int = 1
-    rounds: Optional[int] = None
     integrated: bool = False
 
     def __post_init__(self):
@@ -128,8 +126,6 @@ class ProtocolParams:
             raise ValueError("relays must be non-negative")
         if self.copies < 1:
             raise ValueError("need copies >= 1")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("need rounds >= 1")
 
     @property
     def first_hops(self) -> int:  # the dropping model's first-hop pool

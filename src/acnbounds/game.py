@@ -17,17 +17,15 @@ the attack reads; every attack that `validate_attack` accepts has one.
 Then they resolve the pair's two arms under that view once, before the
 first trial (`exact_advantage` through `enumerate_outcomes`, whose
 leaves carry their arm and are held to `ENUM_LIMIT` before either arm
-is walked), so a schedule the model cannot run fails there.  Each arm
-carries its schedule, the window its view keeps cover in (timing and
-tracing: the rounds the transit windows of each outcome's own arrivals
-can reach), its fields of draws and the view to `sample_outcome` (or
-the leaves), which draw or list only the randomness the view shows,
-and to `build_trace`, which emits only its events, already as the
-capability sees them; then
-`filter_trace` (which finds nothing to remove or mask, and hands the
-trace back) and `decide` run as usual.  The verdict is the one the full
-filtered trace would give, and the exact route sums the same
-probabilities.
+is walked).  Each arm carries its schedule, the window its view keeps
+cover in (timing and tracing: the rounds the transit windows of each
+outcome's own arrivals can reach), its fields of draws and the view to
+`sample_outcome` (or the leaves), which draw or list only the randomness
+the view shows, and to `build_trace`, which emits only its events,
+already as the capability sees them; then `filter_trace` (which finds
+nothing to remove or mask, and hands the trace back) and `decide` run as
+usual.  The verdict is the one the full filtered trace would give, and
+the exact route sums the same probabilities.
 
 Within one Monte Carlo solve, the tail `build_trace` -> `filter_trace` ->
 `decide` is a pure function of the arm b and the projected outcome: the
@@ -121,7 +119,7 @@ def estimate_advantage(kind, attack, pair, trials: int,
         raise ValueError("need at least 100 trials for a meaningful interval")
     validate_attack(attack, pair, kind.params)
     view = attack_view(attack, pair)
-    # resolved before the first trial, so an unrunnable schedule fails here
+    # resolved once, before the first trial
     arms = (arm(kind, pair, 0, view), arm(kind, pair, 1, view))
     cap = attack.capability
     params = kind.params

@@ -95,10 +95,7 @@ the full trace.
 pair resolved once by `arm`: its batch, the schedule that the variant's
 `_TIMING` row gives it (`_schedule`), the window its view keeps cover in
 per outcome (`_Window`), its fields of draws projected onto the view
-(`_fields`), their one bound draw (`_bind`) and the view.  `arm` raises
-ConfigError for a schedule the model cannot run, so an `Arm` exists only
-for a runnable arm, and a game that builds its two arms before the first
-trial fails there.
+(`_fields`), their one bound draw (`_bind`) and the view.
 """
 
 from __future__ import annotations
@@ -187,20 +184,14 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
 def _schedule(kind: ProtocolKind, batch):
     """(slots, horizon) of one arm, read off the variant's `_TIMING` row:
     each batch row's start round (None for a row with nothing to send) and
-    the last round the run needs, or `rounds` when the user set it.
-    Raises ConfigError for a schedule the model cannot run.
-    """
+    the last round the run needs."""
     params = kind.params
     step, transit = _TIMING[kind.variant]
     t0 = params.l_max
     slots = tuple(None if row is NO_COMM else t0 + step * k
                   for k, row in enumerate(batch.rows))
-    needed = (3 if transit is None else
-              t0 + step * (len(batch.rows) - 1) + transit(params))
-    if params.rounds is not None and params.rounds < needed:
-        raise ConfigError(f"rounds={params.rounds} too short, "
-                          f"need at least {needed}")
-    return slots, needed if params.rounds is None else params.rounds
+    return slots, (3 if transit is None else
+                   t0 + step * (len(batch.rows) - 1) + transit(params))
 
 
 # delays values per window whose rounds it keeps, so that no trial count
@@ -621,7 +612,7 @@ def _bind(fields):
 
 def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     """Arm b of the pair under `view` (None for the full outcome and
-    trace).  Raises ConfigError for a schedule the model cannot run."""
+    trace)."""
     batch = pair.batch(b)
     slots, horizon = _schedule(kind, batch)
     watch = None if view is None else view.senders

@@ -18,6 +18,7 @@ from acnbounds.game import exact_advantage
 from acnbounds.notions import ScenarioPair, parse_notion
 from acnbounds.protocols import (ProtocolKind, arm, build_trace,
                                  enumerate_outcomes)
+from test_exact_route import PINNED, pinned_cases
 
 SO = parse_notion("SO")
 
@@ -218,9 +219,11 @@ def test_random_guess_always_abstains():
 def test_capability_gates():
     params = ProtocolParams(n=4, l_max=2)
     pair = _pair(4)
+    # counting reads sends only, so watched links without the receiver
+    # side are enough
+    validate_attack(AttackKind("counting", AdversaryCapability(
+        observed_senders=frozenset(range(4)))), pair, params)
     cases = [
-        AttackKind("counting", AdversaryCapability(
-            observed_senders=frozenset(range(4)))),
         AttackKind("counting", AdversaryCapability()),
         AttackKind("timing-interval", AdversaryCapability(
             observed_senders=frozenset(range(4)))),
@@ -234,6 +237,15 @@ def test_capability_gates():
             validate_attack(attack, pair, params)
     with pytest.raises(ValueError):
         AttackKind("rubber-hose", AdversaryCapability())
+
+
+def test_wire_only_counting_gets_the_stock_advantage():
+    key = ("trilemma-unsync", "counting")
+    kind, stock, pair = pinned_cases()[key]
+    wire = AttackKind("counting", AdversaryCapability(
+        observed_senders=stock.capability.observed_senders))
+    assert not wire.capability.receiver_corrupted
+    assert exact_advantage(kind, wire, pair) == Fraction(PINNED[key])
 
 
 @pytest.mark.parametrize("c_a,active_drop", [(2, False), (1, True)],

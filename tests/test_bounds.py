@@ -7,8 +7,8 @@ from acnbounds.bounds import (SYNC, UNSYNC_IMPROVED, UNSYNC_ORIGINAL,
                               counting_bound, counting_min_beta,
                               covered_fraction, dropping_min_p,
                               impossibility_region, onion_cost,
-                              optimality_overhead, trilemma_advantage,
-                              trilemma_compromising, trilemma_min_beta)
+                              trilemma_advantage, trilemma_compromising,
+                              trilemma_min_beta)
 
 rates = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -123,25 +123,25 @@ def test_counting_bound_and_matching_overhead():
     cb = counting_bound(5, 3)
     assert cb.min_messages == 15
     assert cb.overhead_fraction == pytest.approx(2 / 3)
+    # the overhead is every stage past each message's first
     for out_r in range(1, 21):
         for hops in range(1, 21):
-            assert (counting_bound(out_r, hops).min_messages
-                    == optimality_overhead(out_r, hops))
+            cb = counting_bound(out_r, hops)
+            assert (cb.overhead_fraction * cb.min_messages
+                    == pytest.approx(out_r * (hops - 1)))
     with pytest.raises(ValueError):
         counting_bound(3, 0)
     with pytest.raises(ValueError):
-        optimality_overhead(-1, 3)
+        counting_bound(-1, 3)
 
 
 def test_degenerate_volumes_cost_nothing():
     assert counting_bound(0, 5).min_messages == 0
-    assert optimality_overhead(5, 0) == 0
-    assert optimality_overhead(3, 4) == 12
+    assert counting_bound(4, 1).overhead_fraction == 0.0
 
 
 def test_threshold_frozen_values():
     assert counting_min_beta(1000.0) == pytest.approx(0.999)
-    assert counting_min_beta(1000.0, out_rate=0.5) == pytest.approx(0.4995)
     assert trilemma_min_beta(2, 1000.0) == pytest.approx(0.4995)
     assert trilemma_min_beta(5, 1000.0) == pytest.approx(0.999 / 8)
     assert trilemma_min_beta(1, 1000.0) == math.inf

@@ -29,9 +29,12 @@ def test_bound_counting_and_optimality(capsys):
     rec = json.loads(out)
     assert rec["min_messages"] == 15
     assert rec["overhead_fraction"] == pytest.approx(2 / 3)
-    code, out, _ = _run(capsys, "bound", "--kind", "optimality",
-                        "--n", "5", "--mu", "3")
-    assert json.loads(out)["total"] == 15
+    # one stage per message is no overhead at all
+    code, out, _ = _run(capsys, "bound", "--kind", "counting",
+                        "--out", "4", "--hops", "1")
+    assert code == 0
+    assert json.loads(out) == {"kind": "counting", "min_messages": 4,
+                               "overhead_fraction": 0.0}
 
 
 def test_bound_without_kind_fails(capsys):
@@ -260,13 +263,11 @@ def test_bad_parameter_exits_one(capsys):
     (["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
       "--lmax", "3", "--relays", "2", "--cp", "9", "--beta", "0.25"],
      "c_p=9"),
-    (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
-      "--n", "4", "--lmax", "3", "--rounds", "3"], "too short"),
     (["--protocol", "dropping-model", "--attack", "dropping", "--n", "3",
       "--relays", "4", "--copies", "2", "--ca", "9"], "c_a=9"),
     (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
       "--n", "4", "--lmax", "2", "--length", "0"], "at least one row"),
-], ids=["cp-over-relays", "short-rounds", "ca-over-pool", "no-rows"])
+], ids=["cp-over-relays", "ca-over-pool", "no-rows"])
 def test_impossible_runs_exit_one(capsys, argv, reason):
     code, out, err = _run(capsys, "simulate", *argv, "--trials", "200")
     assert code == 1 and out == ""
@@ -484,13 +485,12 @@ _BOUND_READS = {
     "compromising-sync": ("n", "lmax", "beta", "cp", "relays"),
     "compromising-unsync": ("lmax", "p", "cp", "relays"),
     "counting": ("out", "hops"),
-    "optimality": ("n", "mu"),
     "onion-cost": ("basis", "n", "lam", "p", "lexp"),
 }
 _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
                "p": "--p 0.2", "cp": "--cp 1", "lam": "--lam 16",
                "relays": "--relays 2", "out": "--out 5", "hops": "--hops 3",
-               "mu": "--mu 3", "lexp": "--lexp 2",
+               "lexp": "--lexp 2",
                "basis": "--basis counting"}
 
 

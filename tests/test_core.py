@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import acnbounds
 from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
-                            AdversaryCapability, Batch, Communication,
+                            AdversaryCapability, Communication,
                             ObservationEvent, ObservationTrace,
                             ProtocolParams, filter_trace, make_batch,
                             receiver_counts, relay_loc, sender_counts)
@@ -176,3 +176,31 @@ def test_every_public_name_is_reached():
         and top.name not in acnbounds.__all__
         and top.name not in UNREACHED_ON_PURPOSE]
     assert unreached == [], unreached
+
+
+def test_every_imported_name_is_read():
+    # a name that a module of the package or of the tests imports must be
+    # read in that module; the package's re-exports (its `__all__`) and
+    # names taken as function parameters (pytest fixtures) are exempt
+    root = Path(__file__).resolve().parents[1]
+    init = root / "src" / "acnbounds" / "__init__.py"
+    files = (sorted((root / "src" / "acnbounds").glob("*.py"))
+             + sorted((root / "tests").glob("*.py")))
+    unread = []
+    for f in files:
+        imported = []
+        read = set(acnbounds.__all__) if f == init else set()
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                imported += [a.asname or a.name.partition(".")[0]
+                             for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
+        unread += [f"{f.parent.name}/{f.name}: {name}" for name in imported
+                   if name not in read]
+    assert unread == [], unread

@@ -10,7 +10,7 @@ from acnbounds import cli, game, protocols
 from acnbounds.adversaries import (attack_view, counting_attack, decide,
                                    random_guess_attack, timing_attack,
                                    tracing_attack)
-from acnbounds.core import (Communication, ConfigError, ProtocolParams,
+from acnbounds.core import (Communication, ProtocolParams,
                             ResourceLimitError, filter_trace, make_batch)
 from acnbounds.game import (AdvantageEstimate, estimate_advantage,
                             exact_advantage, record_json, result_record,
@@ -125,40 +125,27 @@ def test_result_record_shape():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("variant,params", [
-    # the dropping model delivers in round 3 whatever l_max
-    ("dropping-model", ProtocolParams(n=2, l_max=1, relays=2, rounds=2)),
-    ("trilemma-unsync", ProtocolParams(n=2, l_max=3, rounds=2)),
-])
-def test_unrunnable_schedules_fail_before_the_first_trial(monkeypatch,
-                                                           variant, params):
-    def no_trial(*args):
-        raise AssertionError("a trial ran")
-    monkeypatch.setattr(game, "sample_outcome", no_trial)
-    monkeypatch.setattr(game, "build_trace", no_trial)
-    _, pair = _setup()
-    kind = ProtocolKind(variant, params)
-    with pytest.raises(ConfigError):
-        estimate_advantage(kind, timing_attack(2), pair, 200, master_seed=0)
-    with pytest.raises(ConfigError):
-        exact_advantage(kind, timing_attack(2), pair)
-
-
 def test_an_exact_solve_past_the_limit_fails_before_the_first_leaf(
         monkeypatch):
-    # arm 0 has 1,572,864 leaves, under ENUM_LIMIT, and arm 1 2,359,296,
-    # past it: both arms are counted before either is walked
+    # counting watches users 0 and 1 over the 2*l_max - 1 = 9 rounds: arm
+    # 0 has 4 delays x 2**17 cover patterns = 524,288 leaves, under
+    # ENUM_LIMIT, and arm 1 4**3 x 2**16 = 4,194,304, past it: both arms
+    # are counted before either is walked
     def no_leaf(*args):
         raise AssertionError("a leaf was built")
     monkeypatch.setattr(game, "build_trace", no_leaf)
     kind = ProtocolKind("trilemma-unsync", ProtocolParams(
-        n=3, l_max=4, beta=0.5, rounds=10))
+        n=3, l_max=5, beta=0.5))
     pair = ScenarioPair(make_batch([Communication(0, 2, 0)]),
                         make_batch([Communication(0, 2, 0),
-                                    Communication(1, 2, 1)]),
+                                    Communication(1, 2, 1),
+                                    Communication(1, 2, 2)]),
                         parse_notion("CO"))
+    attack = counting_attack(3)
+    assert len(protocols.enumerate_outcomes(
+        kind, pair, 0, attack_view(attack, pair))) == 524_288
     with pytest.raises(ResourceLimitError):
-        exact_advantage(kind, counting_attack(3), pair)
+        exact_advantage(kind, attack, pair)
 
 
 # ------------------------------------------------------ the verdict memo

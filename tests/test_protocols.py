@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds.core import (DELIVER, DROP, FORWARD, NO_COMM, SEND,
+from acnbounds.core import (DELIVER, DROP, FORWARD, SEND,
                             AdversaryCapability, Communication, ConfigError,
                             ProtocolParams, ResourceLimitError, View,
                             make_batch)
@@ -154,8 +154,10 @@ def test_broadcast_volume_is_cover_plus_the_delivered_rows():
     rows = tuple([Communication(s, 3, 100 + j) for j, s in
                   enumerate((first, 1, 2, 0, 1))] for first in (0, 1))
     pair = _pair(n, rows=rows)
+    # every row starts at t0 = l_max and is delivered a round later, so
+    # the run takes l_max + 1 rounds
     kind = ProtocolKind("broadcast-full-dummy",
-                        ProtocolParams(n=n, l_max=2, rounds=r))
+                        ProtocolParams(n=n, l_max=r - 1))
     evs = build_trace(arm(kind, pair, 0), ()).events
     # the wire volume is cover plus useful traffic: everyone sends every
     # round, and five of those sends carry the rows that get delivered
@@ -219,11 +221,26 @@ def test_dropping_relay_control_needs_full_coverage():
         assert any(e.kind == DELIVER for e in evs)
 
 
-def test_short_horizon_is_rejected():
-    params = ProtocolParams(n=2, l_max=3, rounds=2)
-    kind = ProtocolKind("trilemma-unsync", params)
-    with pytest.raises(ConfigError):
-        arm(kind, _pair(2), 0)
+@pytest.mark.parametrize("variant", protocols.VARIANTS)
+def test_the_horizon_is_the_last_round_the_run_needs(variant):
+    # `_schedule` derives the horizon from the variant and the batch, so
+    # every kind that builds has runnable arms: each send and delivery of
+    # a full trace lies in rounds 1..horizon, and some drawn outcome
+    # delivers in the last (an onion cover packet sent late is forwarded
+    # past it, into no delivery)
+    rows = tuple([Communication(first, 1, 0), Communication(1, 0, 1)]
+                 for first in (0, 1))
+    kind = ProtocolKind(variant, ProtocolParams(n=2, l_max=3, beta=0.5,
+                                                relays=2))
+    for b in (0, 1):
+        side = arm(kind, _pair(2, rows=rows), b)
+        rng = random.Random(b)
+        events = [e for seed in range(20) for e in build_trace(
+            side, sample_outcome(side, rng, trial_key(seed))).events]
+        sends = [e.round for e in events if e.kind == SEND]
+        delivered = [e.round for e in events if e.kind == DELIVER]
+        assert 1 <= min(sends) and max(sends) <= side.horizon
+        assert max(delivered) == side.horizon
 
 
 def _count_resolves(monkeypatch):
@@ -274,9 +291,9 @@ def test_an_exact_solve_resolves_its_arms_whatever_its_leaf_count(
         monkeypatch, variant, attack):
     pair = _pair(2)
     counts, leaves = [], []
-    for rounds in (None, 6):
+    for l_max in (2, 3):
         kind = ProtocolKind(variant, ProtocolParams(
-            n=2, l_max=2, beta=0.5, relays=2, rounds=rounds))
+            n=2, l_max=l_max, beta=0.5, relays=2))
         leaves.append(len(enumerate_outcomes(kind, pair, 0)))
         with monkeypatch.context() as m:
             calls = _count_resolves(m)
@@ -435,8 +452,10 @@ def test_cover_coins_are_pinned_for_one_key_and_user():
     # user 1's coins are the little-endian 64-bit words of
     # shake_128(key + b"c" + u64le(1)), one per free slot in round order
     key = b"known-answer key"
+    # user 1 sends nothing of arm 0, so every one of its 2*l_max - 1 = 41
+    # rounds is a free slot
     kind = ProtocolKind("trilemma-unsync",
-                        ProtocolParams(n=3, l_max=3, beta=0.5, rounds=40))
+                        ProtocolParams(n=3, l_max=21, beta=0.5))
     view = View(frozenset({1}))
     outcome = sample_outcome(arm(kind, _pair(3), 0, view), random.Random(0),
                              key)
@@ -444,12 +463,13 @@ def test_cover_coins_are_pinned_for_one_key_and_user():
               30, 32, 36, 37, 38, 39]
     assert outcome[1] == tuple((t, 1) for t in rounds)
     stream = hashlib.shake_128(key + b"c" + (1).to_bytes(8, "little"))
-    words = struct.unpack("<40Q", stream.digest(320))
-    assert rounds == [t for t, w in zip(range(1, 41), words)
+    words = struct.unpack("<41Q", stream.digest(328))
+    assert rounds == [t for t, w in zip(range(1, 42), words)
                       if (w >> 11) * 2 ** -53 < 0.5]
-    # a full onion draw picks each path from the firing user's own stream
+    # a full onion draw picks each path from the firing user's own stream,
+    # over l_max + l_exp - 1 = 12 rounds
     kind = ProtocolKind("onion-path", ProtocolParams(
-        n=3, l_max=3, beta=0.5, relays=4, rounds=12))
+        n=3, l_max=10, l_exp=3, beta=0.5, relays=4))
     outcome = sample_outcome(arm(kind, _pair(3), 0), random.Random(0), key)
     assert [x for x in outcome[1] if x[0][1] == 1] == [
         ((2, 1), (3, 1)), ((6, 1), (3, 0)), ((7, 1), (2, 3)),

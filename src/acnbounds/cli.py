@@ -11,10 +11,6 @@ Subcommands:
 
 Exit codes: 0 on success, 2 when a verification check fails, 1 for usage
 or configuration errors.
-
-A JSON file given via --config supplies flat key/value defaults (keys are
-the option names with underscores); explicit flags always win.  Each value
-must have the type its flag takes in the running subcommand.
 """
 
 from __future__ import annotations
@@ -138,7 +134,6 @@ _REFERENCES = {
 
 
 def _add_common(sp, n=2, point=True, lam=True, poly_lambda=True):
-    sp.add_argument("--config", help="JSON file with flat default values")
     sp.add_argument("--n", type=int, default=n)
     if point:
         sp.add_argument("--lmax", type=int, default=1)
@@ -205,49 +200,11 @@ def _build_parser():
     return top, sub.choices
 
 
-def _load_config(path, commands, command):
-    """A --config file's values, each held to the flag of the same dest in
-    the running subcommand: an int flag takes a JSON integer, a float flag
-    a number, a switch a bool, a flag with choices one of them, any other
-    flag a string.  null is taken only where the default is None.  A key
-    no subcommand has a flag for is rejected; one only another subcommand
-    has is not read."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a flat JSON object")
-    flags = {name: {a.dest: a for a in sp._actions if a.option_strings}
-             for name, sp in commands.items()}
-    known = set().union(*flags.values()) - {"help", "config"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        flag = flags[command].get(key)
-        if flag is None or (value is None and flag.default is None):
-            continue
-        if flag.choices is not None:
-            want = "one of " + ", ".join(flag.choices)
-            ok = isinstance(value, str) and value in flag.choices
-        elif flag.nargs == 0:
-            want, ok = "true or false", isinstance(value, bool)
-        elif flag.type is int:
-            want, ok = "an integer", type(value) is int
-        elif flag.type is float:
-            want, ok = "a number", type(value) in (int, float)
-        else:
-            want, ok = "a string", isinstance(value, str)
-        if not ok:
-            raise ConfigError(f"config key {key!r} needs {want}, "
-                              f"got {json.dumps(value)}")
-    return cfg
-
-
 def _given(ns, sp):
-    """The flags typed off the subcommand's defaults (config values count
-    as defaults), so a mode can refuse a flag that it does not read."""
+    """The flags typed off the subcommand's defaults, so a mode can refuse
+    a flag that it does not read."""
     return {dest for dest, value in vars(ns).items()
-            if value != sp.get_default(dest)} - {"command", "config"}
+            if value != sp.get_default(dest)} - {"command"}
 
 
 def _refuse(what, dests):
@@ -259,10 +216,8 @@ def _refuse(what, dests):
 
 def _protocol_params(ns, given) -> ProtocolParams:
     beta = ns.beta
-    if "p" in given:
+    if ns.p is not None:
         _refuse("--p (shorthand for --beta)", given & {"beta"})
-    # a typed --p wins over a config-file beta
-    if ns.p is not None and ("p" in given or beta is None):
         beta = ns.p
     return ProtocolParams(
         n=ns.n, l_max=ns.lmax, beta=beta or 0.0,
@@ -407,19 +362,25 @@ def _cmd_region(ns, given) -> int:
     return 0
 
 
+def _range(flag, text, form, *types):
+    """A range's fields, or exit 1 naming its flag and the form it takes."""
+    try:
+        lo, hi, *steps = fields = [
+            t(x) for t, x in zip(types, text.split(":"), strict=True)]
+        if lo <= hi and all(s >= 1 for s in steps):
+            return fields
+    except ValueError:
+        pass
+    raise ConfigError(f"{flag} takes {form}, got {text!r}")
+
+
 def _parse_ranges(ns):
-    lo, hi = (int(x) for x in ns.lmax_range.split(":"))
-    lmaxes = range(lo, hi + 1)
-    a, b, steps = ns.beta_range.split(":")
-    a, b, steps = float(a), float(b), int(steps)
-    if hi < lo or b < a or steps < 1:
-        raise ConfigError("a range lo:hi[:steps] needs lo <= hi and at "
-                          "least one step")
-    if steps < 2:
-        betas = [a]
-    else:
-        betas = [a + (b - a) * i / (steps - 1) for i in range(steps)]
-    return lmaxes, betas
+    lo, hi = _range("--lmax-range", ns.lmax_range, "lo:hi with lo <= hi",
+                    int, int)
+    a, b, steps = _range("--beta-range", ns.beta_range, "lo:hi:steps with "
+                         "lo <= hi and steps >= 1", float, float, int)
+    betas = [a + (b - a) * i / max(steps - 1, 1) for i in range(steps)]
+    return range(lo, hi + 1), betas
 
 
 def _cmd_atlas(ns, given) -> int:
@@ -451,12 +412,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        if args.config:
-            # the file's values become the subcommand's defaults; parsing
-            # again lets explicit flags win over them
-            commands[args.command].set_defaults(
-                **_load_config(args.config, commands, args.command))
-            args = parser.parse_args(argv)
         return _COMMANDS[args.command](
             args, _given(args, commands[args.command]))
     except (ConfigError, CapabilityError, ValueError, OSError) as exc:

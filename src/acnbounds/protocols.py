@@ -737,7 +737,9 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     adversary physically removes packets; everywhere else observation is
     passive and filtering happens afterwards.
 
-    Under an arm without a view the trace is the full (unfiltered) one.
+    Under an arm without a view the trace is the full (unfiltered) one,
+    every event in rounds 1..horizon: a late onion cover packet's hops
+    stop at the horizon.
     Under a `View`, only the events it names are emitted, each the way every
     capability sees it: the senders' sends, without their real/dummy flag
     and payload (`filter_trace` masks both on every send) and, but for a
@@ -818,10 +820,14 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
                     if row is None else
                     (t, _SEND, u, q, SEND, real, None, None,
                      row.message if full else None))
-            if row is None and not full:
-                # a cover packet feeds no delivery, so no rule reads its
-                # hops: a view holds its send alone
-                continue
+            if row is None:
+                if not full:
+                    # a cover packet feeds no delivery, so no rule reads
+                    # its hops: a view holds its send alone
+                    continue
+                # the run ends at the horizon: a late cover packet is
+                # forwarded no further
+                path = path[:horizon - t]
             prev, ploc = q, u
             for k in path:
                 t += 1

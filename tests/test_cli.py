@@ -71,62 +71,9 @@ def test_simulate_record(capsys):
     assert rec["ci"][0] <= rec["point"] <= rec["ci"][1]
 
 
-def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n": 10, "lmax": 2, "beta": 0.1}))
-    code, out, _ = _run(capsys, "bound", "--kind", "trilemma-sync",
-                        "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["delta"] == pytest.approx(7 / 9)
-    code, out, _ = _run(capsys, "bound", "--kind", "trilemma-sync",
-                        "--config", str(cfg), "--beta", "0.9")
-    assert code == 0
-    assert json.loads(out)["delta"] == 0.0
-
-
-@pytest.mark.parametrize("key", ["warp", "workers", "config", "threshold",
-                                 "p_real"])
-def test_config_rejects_unknown_keys(tmp_path, capsys, key):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"n": 10, key: 9}))
-    code, _, err = _run(capsys, "bound", "--kind", "trilemma-sync",
-                        "--config", str(cfg))
-    assert code == 1
-    assert key in err
-
-
 _SIMULATE = ["simulate", "--protocol", "trilemma-unsync", "--attack",
              "timing-interval", "--n", "4", "--lmax", "2", "--p", "0.4",
              "--trials", "200"]
-
-
-@pytest.mark.parametrize("cfg,key", [
-    ({"integrated": "no"}, "integrated"),
-    ({"seed": "7"}, "seed"),
-    ({"trials": "5000"}, "trials"),
-    ({"n": 4.0}, "n"),
-    ({"beta": "0.3"}, "beta"),
-    ({"trials": None}, "trials"),
-    ({"attack": "bogus"}, "attack"),
-    ({"notion": 3}, "notion"),
-], ids=["bool-as-string", "seed-as-string", "trials-as-string",
-        "n-as-float", "beta-as-string", "null-without-null-default",
-        "attack-off-choices", "notion-as-number"])
-def test_config_values_must_have_their_flags_type(tmp_path, capsys, cfg,
-                                                  key):
-    path = tmp_path / "typed.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = _run(capsys, *_SIMULATE, "--config", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith(f"acnbounds: config key {key!r} ")
-
-
-def test_config_must_be_an_object(tmp_path, capsys):
-    cfg = tmp_path / "list.json"
-    cfg.write_text("[1, 2]")
-    code, _, err = _run(capsys, "bound", "--kind", "trilemma-sync",
-                        "--config", str(cfg))
-    assert code == 1 and "flat" in err
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -287,21 +234,28 @@ def test_zero_users_exit_one_before_any_output(capsys, argv):
     assert err == "acnbounds: need n >= 1\n"
 
 
-@pytest.mark.parametrize("flags", [
-    ["--n", "1"],
-    ["--poly-lambda", "0.5"],
-    ["--lam", "1"],
-    ["--lmax-range", "0:2"],
-    ["--beta-range", "0:2:3"],
-    ["--lmax-range", "3:2"],
-    ["--beta-range", "0.9:0.1:3"],
-    ["--beta-range", "0:1:0"],
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "1"], ""),
+    (["--poly-lambda", "0.5"], ""),
+    (["--lam", "1"], ""),
+    (["--lmax-range", "0:2"], ""),
+    (["--beta-range", "0:2:3"], ""),
+    (["--lmax-range", "3:2"], "--lmax-range takes lo:hi "),
+    (["--beta-range", "0.9:0.1:3"], "--beta-range takes lo:hi:steps "),
+    (["--beta-range", "0:1:0"], "--beta-range takes lo:hi:steps "),
+    (["--beta-range", "0.1:0.5"], "--beta-range takes lo:hi:steps "),
+    (["--lmax-range", "2"], "--lmax-range takes lo:hi "),
+    (["--lmax-range", "a:b"], "--lmax-range takes lo:hi "),
+    (["--beta-range", "0:1:x"], "--beta-range takes lo:hi:steps "),
 ], ids=["one-user", "poly-lambda", "lam", "lmax-range", "beta-range",
-        "lmax-hi-below-lo", "beta-hi-below-lo", "no-beta-steps"])
-def test_bad_grid_values_exit_one_before_any_output(capsys, flags):
+        "lmax-hi-below-lo", "beta-hi-below-lo", "no-beta-steps",
+        "beta-range-two-fields", "lmax-range-one-field",
+        "lmax-range-not-integers", "beta-steps-not-integer"])
+def test_bad_grid_values_exit_one_before_any_output(capsys, flags, named):
     code, out, err = _run(capsys, "atlas", "--grid", *flags)
     assert code == 1 and out == ""
-    assert err.startswith("acnbounds: ")
+    # a malformed range names its flag and the form the flag takes
+    assert err.startswith("acnbounds: ") and named in err
 
 
 def _usage_error(capsys, argv):
@@ -334,10 +288,16 @@ _VERIFY = ["verify", *_DROPPING, "--copies", "2"]
     ["simulate", "--protocol", "trilemma-sync", "--attack",
      "timing-interval", "--n", "4", "--lmax", "2", "--beta", "0.25",
      "--trials", "200", "--p-real", "0.5"],
+    _BOUND + ["--config", "x.json"],
+    _SIMULATE + ["--config", "x.json"],
+    _VERIFY + ["--config", "x.json"],
+    ["region", "--bound", "trilemma", "--config", "x.json"],
+    ["atlas", "--config", "x.json"],
 ], ids=["bound-poly-lambda", "simulate-lam", "simulate-poly-lambda",
         "verify-lam", "verify-poly-lambda", "atlas-lmax", "atlas-beta",
         "atlas-p", "atlas-cp", "simulate-threshold", "simulate-p-real",
-        "verify-p-real", "simulate-sync-p-real"])
+        "verify-p-real", "simulate-sync-p-real", "bound-config",
+        "simulate-config", "verify-config", "region-config", "atlas-config"])
 def test_unread_flags_are_not_declared(capsys, argv):
     code, out, err = _usage_error(capsys, argv)
     assert code == 1 and out == ""
@@ -379,21 +339,6 @@ def test_typed_p_with_another_rate_exits_one(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("acnbounds: --p ")
-
-
-def test_config_rates_yield_to_typed_rates(tmp_path, capsys):
-    argv = [x for x in _SIMULATE if x not in ("--p", "0.4")]
-    _, plain, _ = _run(capsys, *argv, "--p", "0.3")
-    cfg = tmp_path / "p.json"
-    cfg.write_text(json.dumps({"p": 0.3}))
-    code, out, _ = _run(capsys, *argv, "--config", str(cfg))
-    assert code == 0 and out == plain
-    code, out, _ = _run(capsys, *argv, "--config", str(cfg), "--beta", "0.2")
-    assert code == 0 and json.loads(out)["params"]["beta"] == 0.2
-    # a typed --p wins over a config-file beta, as every typed flag does
-    cfg.write_text(json.dumps({"beta": 0.1}))
-    code, out, _ = _run(capsys, *argv, "--config", str(cfg), "--p", "0.3")
-    assert code == 0 and out == plain
 
 
 @pytest.mark.parametrize("argv", [

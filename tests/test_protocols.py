@@ -224,10 +224,9 @@ def test_dropping_relay_control_needs_full_coverage():
 @pytest.mark.parametrize("variant", protocols.VARIANTS)
 def test_the_horizon_is_the_last_round_the_run_needs(variant):
     # `_schedule` derives the horizon from the variant and the batch, so
-    # every kind that builds has runnable arms: each send and delivery of
-    # a full trace lies in rounds 1..horizon, and some drawn outcome
-    # delivers in the last (an onion cover packet sent late is forwarded
-    # past it, into no delivery)
+    # every kind that builds has runnable arms: every event of a full
+    # trace, forwards included, lies in rounds 1..horizon, and some drawn
+    # outcome delivers in the last
     rows = tuple([Communication(first, 1, 0), Communication(1, 0, 1)]
                  for first in (0, 1))
     kind = ProtocolKind(variant, ProtocolParams(n=2, l_max=3, beta=0.5,
@@ -237,9 +236,9 @@ def test_the_horizon_is_the_last_round_the_run_needs(variant):
         rng = random.Random(b)
         events = [e for seed in range(20) for e in build_trace(
             side, sample_outcome(side, rng, trial_key(seed))).events]
-        sends = [e.round for e in events if e.kind == SEND]
+        rounds = [e.round for e in events]
         delivered = [e.round for e in events if e.kind == DELIVER]
-        assert 1 <= min(sends) and max(sends) <= side.horizon
+        assert 1 <= min(rounds) and max(rounds) <= side.horizon
         assert max(delivered) == side.horizon
 
 

@@ -130,8 +130,8 @@ TRACES = {
         "90c49390408168b6b98dff272a10f166609dd535b2a5edcf85cc6cca824f6d87",
         "bd0fbb9377c0b45097a8d3d2e9da9b02a7a5c9be762eb4d993f57fec14da960a"),
     "onion-path": (
-        "b89788a5996b8f0f6f990638e8884d51d340cdaf610c803b2c4c09c4c4016f42",
-        "2f36dbf2191b15b3923de4127d7139375d1614c6cb2c3055ece88bc2f564e0fc"),
+        "012abaa555ff0824ff926b25c97a970e7f422f80fb7670e6352c1aaf4d7153e3",
+        "b78230a3c5cca7805e9a655e11c476f33285f2d9b9fe5f890611b169f24e5714"),
     "trilemma-sync": (
         "9f2290941feddc5a10e9d4a2929981c8064c61f7287a76e90ea2f9911e1c8bac",
         "c85966210053164128baf7e8def90e436dad2e77c5d7151967a5038cb25f7579"),

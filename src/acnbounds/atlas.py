@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import (counting_min_beta, dropping_min_p, impossibility_region,
-                     trilemma_min_beta)
+                     security_parameter, trilemma_min_beta)
 
 GRID_HEADER = ("l_max,beta,counting_min_beta,trilemma_min_beta,"
                "dropping_min_p,counting_verdict,trilemma_verdict,"
@@ -46,9 +46,8 @@ class AcnPreset:
     superposed: bool = False       # send rounds are shared, latency one round
     parallel_required: bool = False
     full_rate: bool = False        # every client transmits every round
-    hops_rule: str = "const"       # const | sqrt-lam | log-lam | threshold
+    hops_rule: str = "const"       # const | sqrt-lam | log-lam
     hops: int = 3
-    threshold: int = 0
     note: str = ""
 
     def point_params(self, n: int, lam: float) -> dict:
@@ -56,9 +55,6 @@ class AcnPreset:
             hops = math.ceil(math.sqrt(lam))
         elif self.hops_rule == "log-lam":
             hops = math.ceil(math.log2(lam))
-        elif self.hops_rule == "threshold":
-            # a message can queue behind threshold-1 others
-            hops = self.threshold
         else:
             hops = self.hops
         l_max = 1 if self.superposed else hops + 1
@@ -74,7 +70,7 @@ PRESETS = {p.name: p for p in (
     AcnPreset("hornet", PerRound(), PerRound(1.0),
               note="network-layer onion routing, no cover traffic"),
     AcnPreset("threshold-mix", PerRound(), PerRound(1.0),
-              hops_rule="threshold", threshold=10,
+              hops=10,  # a message can queue behind nine others
               note="flushes once enough messages queue up"),
     AcnPreset("herd", PerRound(const=1.0), PerRound(1.0),
               note="constant chaff near the client zone"),
@@ -169,8 +165,7 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if poly_lambda is None:
-        poly_lambda = float(n)
+    poly_lambda = security_parameter(n, poly_lambda)
     rows = []
     for l_max in l_max_values:
         cb = counting_min_beta(poly_lambda)

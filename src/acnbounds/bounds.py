@@ -19,10 +19,6 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-SYNC = "sync"
-UNSYNC_ORIGINAL = "unsync-original"
-UNSYNC_IMPROVED = "unsync-improved"
-
 
 def _clamp(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
@@ -41,56 +37,54 @@ def covered_fraction(x: float, n: int, beta: float) -> float:
     return min(1.0, x * (1.0 + beta * n) / (n - 1))
 
 
-def trilemma_advantage(setting: str, l_max: int, beta=None, p=None, n=None):
-    """Minimum advantage forced by latency l_max and the given send rates."""
+def _check_path(l_max, c_p=0, relays=0):
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    if setting == SYNC:
-        _check_rate("beta", beta)
-        if n is None or n < 2:
-            raise ValueError("sync setting needs n >= 2")
-        return _clamp(1.0 - covered_fraction(l_max - 1, n, beta))
-    if setting == UNSYNC_ORIGINAL:
-        _check_rate("p", p)
-        # the adversary may have to split its bet with a half guess
-        return _clamp((1.0 - p) ** (l_max - 1) - 0.5)
-    if setting == UNSYNC_IMPROVED:
-        _check_rate("p", p)
-        return _clamp((1.0 - p) ** (l_max - 1))
-    raise ValueError(f"unknown setting {setting!r}")
+    if not 0 <= c_p <= relays:
+        raise ValueError("need 0 <= c_p <= relays")
 
 
-def trilemma_compromising(setting: str, l_max: int, beta=None, p=None,
-                          n=None, c_p: int = 0, relays: int = 1):
-    """Advantage bound when c_p of the relays leak their mappings.
+def trilemma_sync(l_max: int, beta: float, n: int, c_p: int = 0,
+                  relays: int = 1) -> float:
+    """Minimum advantage under synchronized cover at dummy rate beta when
+    c_p of the relays leak their mappings; c_p = 0 is the base bound.
 
     Two regimes: with c_p >= l_max - 1 the whole path can land inside the
     compromised set; below that the adversary only shortens the effective
     transit window.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    if not 0 <= c_p <= relays:
-        raise ValueError("need 0 <= c_p <= relays")
-    if setting == SYNC:
-        _check_rate("beta", beta)
-        if n is None or n < 2:
-            raise ValueError("sync setting needs n >= 2")
-        if c_p >= l_max - 1:
-            hit = comb(c_p, l_max - 1) / comb(relays, l_max - 1)
-            return _clamp(1.0 - (1.0 - hit) * covered_fraction(l_max - 1, n, beta))
-        miss = 1.0 - 1.0 / comb(relays, c_p)
-        return _clamp(1.0 - miss * covered_fraction(c_p, n, beta)
-                      - covered_fraction(l_max - 1 - c_p, n, beta))
-    if setting == UNSYNC_IMPROVED:
-        _check_rate("p", p)
-        if c_p >= l_max - 1:
-            hit = comb(c_p, l_max - 1) / comb(relays, l_max - 1)
-            return _clamp(1.0 - (1.0 - hit) * (1.0 - (1.0 - p) ** (l_max - 1)))
-        miss = 1.0 - 1.0 / comb(relays, c_p)
-        return _clamp((1.0 - p) ** (l_max - 1 - c_p)
-                      * (1.0 - (1.0 - (1.0 - p) ** c_p) * miss))
-    raise ValueError(f"no compromising form for setting {setting!r}")
+    _check_path(l_max, c_p, relays)
+    _check_rate("beta", beta)
+    if n < 2:
+        raise ValueError("sync cover needs n >= 2")
+    if c_p >= l_max - 1:
+        hit = comb(c_p, l_max - 1) / comb(relays, l_max - 1)
+        return _clamp(1.0 - (1.0 - hit) * covered_fraction(l_max - 1, n, beta))
+    miss = 1.0 - 1.0 / comb(relays, c_p)
+    return _clamp(1.0 - miss * covered_fraction(c_p, n, beta)
+                  - covered_fraction(l_max - 1 - c_p, n, beta))
+
+
+def trilemma_unsync(l_max: int, p: float, c_p: int = 0,
+                    relays: int = 1) -> float:
+    """The improved unsynchronized-cover bound at send rate p, in the
+    regimes of `trilemma_sync`; c_p = 0 is (1 - p)^(l_max - 1)."""
+    _check_path(l_max, c_p, relays)
+    _check_rate("p", p)
+    if c_p >= l_max - 1:
+        hit = comb(c_p, l_max - 1) / comb(relays, l_max - 1)
+        return _clamp(1.0 - (1.0 - hit) * (1.0 - (1.0 - p) ** (l_max - 1)))
+    miss = 1.0 - 1.0 / comb(relays, c_p)
+    return _clamp((1.0 - p) ** (l_max - 1 - c_p)
+                  * (1.0 - (1.0 - (1.0 - p) ** c_p) * miss))
+
+
+def trilemma_unsync_original(l_max: int, p: float) -> float:
+    """The original unsynchronized bound: the adversary may have to split
+    its bet with a half guess."""
+    _check_path(l_max)
+    _check_rate("p", p)
+    return _clamp((1.0 - p) ** (l_max - 1) - 0.5)
 
 
 # ------------------------------------------------------------ traffic side
@@ -121,6 +115,17 @@ class RegionVerdict:
 
     def impossible(self) -> bool:
         return self.verdict == "impossible"
+
+
+def security_parameter(n: int, poly_lambda=None) -> float:
+    """The polynomial the region tests measure slack against: poly_lambda
+    when given, else the population n, which must then exceed 1."""
+    if poly_lambda is not None:
+        return poly_lambda
+    if n <= 1:
+        raise ValueError(f"n={n} leaves no security parameter above 1 (it "
+                         "defaults to n)")
+    return float(n)
 
 
 def counting_min_beta(poly_lambda: float) -> float:
@@ -170,8 +175,7 @@ def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
     for name, rate in (("beta", beta), ("p", p)):
         if rate is not None:
             _check_rate(name, rate)
-    if poly_lambda is None:
-        poly_lambda = float(n)
+    poly_lambda = security_parameter(n, poly_lambda)
     slack = 1.0 - 1.0 / poly_lambda
 
     if bound == "counting":

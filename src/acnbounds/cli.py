@@ -48,25 +48,16 @@ class _Parser(argparse.ArgumentParser):
 # beside the kind, from the parsed flags and the rates beta and p, 0.0 when
 # not given)
 _BOUNDS = {
-    "trilemma-sync": (("n", "lmax", "beta"), lambda ns, beta, p: {
-        "delta": bounds.trilemma_advantage(bounds.SYNC, ns.lmax, beta=beta,
-                                           n=ns.n)}),
-    "trilemma-unsync-original": (("lmax", "p"), lambda ns, beta, p: {
-        "delta": bounds.trilemma_advantage(bounds.UNSYNC_ORIGINAL, ns.lmax,
-                                           p=p)}),
-    "trilemma-unsync-improved": (("lmax", "p"), lambda ns, beta, p: {
-        "delta": bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED, ns.lmax,
-                                           p=p)}),
-    "compromising-sync": (
+    "trilemma-sync": (
         ("n", "lmax", "beta", "cp", "relays"), lambda ns, beta, p: {
-            "delta": bounds.trilemma_compromising(
-                bounds.SYNC, ns.lmax, beta=beta, n=ns.n, c_p=ns.cp,
-                relays=ns.relays)}),
-    "compromising-unsync": (
+            "delta": bounds.trilemma_sync(ns.lmax, beta, ns.n, c_p=ns.cp,
+                                          relays=ns.relays)}),
+    "trilemma-unsync-original": (("lmax", "p"), lambda ns, beta, p: {
+        "delta": bounds.trilemma_unsync_original(ns.lmax, p)}),
+    "trilemma-unsync-improved": (
         ("lmax", "p", "cp", "relays"), lambda ns, beta, p: {
-            "delta": bounds.trilemma_compromising(
-                bounds.UNSYNC_IMPROVED, ns.lmax, p=p, c_p=ns.cp,
-                relays=ns.relays)}),
+            "delta": bounds.trilemma_unsync(ns.lmax, p, c_p=ns.cp,
+                                            relays=ns.relays)}),
     "counting": (("out", "hops"),
                  lambda ns, beta, p: _counting(ns.out, ns.hops)),
     "onion-cost": (
@@ -108,15 +99,13 @@ _PROTOCOL_READS = {
 _REFERENCES = {
     ("trilemma-unsync", "timing-interval"): (
         "floor",
-        lambda p, cap: bounds.trilemma_advantage(bounds.UNSYNC_IMPROVED,
-                                                 p.l_max, p=p.beta),
+        lambda p, cap: bounds.trilemma_unsync(p.l_max, p.beta),
         "trilemma-unsync timing n={n} l_max={lmax} p={p}",
         [f"--n {n} --lmax {l_max} --p {p}" for n, l_max, p
          in itertools.product((2, 10), (2, 3), (0.1, 0.5))]),
     ("trilemma-sync", "timing-interval"): (
         "floor",
-        lambda p, cap: bounds.trilemma_advantage(bounds.SYNC, p.l_max,
-                                                 beta=p.beta, n=p.n),
+        lambda p, cap: bounds.trilemma_sync(p.l_max, p.beta, p.n),
         "trilemma-sync timing n={n} beta={beta}",
         [f"--n {n} --lmax 2 --beta {beta}"
          for n, beta in ((10, 0.2), (10, 0.9), (20, 0.5))]),
@@ -130,6 +119,14 @@ _REFERENCES = {
         "dropping-model c_a={ca} copies={copies} pool={relays}",
         [f"--n 3 --lmax 1 --relays 4 --copies 2 --ca {c_a}"
          for c_a in (0, 1, 2, 4)]),
+}
+
+
+# region --bound -> the flags it reads besides --bound
+_REGION_READS = {
+    "counting": ("n", "lmax", "beta", "p", "poly_lambda"),
+    "trilemma": ("n", "lmax", "beta", "p", "cp", "poly_lambda"),
+    "dropping": ("n", "lmax", "p", "lam", "poly_lambda"),
 }
 
 
@@ -186,7 +183,7 @@ def _build_parser():
 
     r = sub.add_parser("region", help="possible/impossible at a point")
     _add_common(r, n=1000)
-    r.add_argument("--bound", choices=("counting", "trilemma", "dropping"))
+    r.add_argument("--bound", choices=_REGION_READS)
 
     a = sub.add_parser("atlas", help="preset verdicts or a CSV grid")
     _add_common(a, n=1000, point=False)
@@ -352,6 +349,8 @@ def _sweep(ns, given) -> int:
 def _cmd_region(ns, given) -> int:
     if ns.bound is None:
         raise ConfigError("region needs --bound")
+    _refuse(f"region --bound {ns.bound}",
+            given - {"bound", *_REGION_READS[ns.bound]})
     verdict = bounds.impossibility_region(
         ns.bound, ns.n, ns.lmax, beta=ns.beta, p=ns.p,
         poly_lambda=ns.poly_lambda, lam=ns.lam, c_p=ns.cp)

@@ -44,12 +44,11 @@ NO_COMM = _NoComm()
 
 @dataclass(frozen=True)
 class Communication:
-    """One sender-to-receiver message; payload and aux tag are opaque ids."""
+    """One sender-to-receiver message; the payload is an opaque id."""
 
     sender: int
     receiver: int
     message: int
-    aux: object = None
 
 
 @dataclass(frozen=True)

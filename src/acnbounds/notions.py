@@ -99,8 +99,8 @@ def _aligned(b0: Batch, b1: Batch):
 
 
 # the field a row may change -> the fields it keeps
-_KEPT = {"sender": attrgetter("receiver", "message", "aux"),
-         "receiver": attrgetter("sender", "message", "aux")}
+_KEPT = {"sender": attrgetter("receiver", "message"),
+         "receiver": attrgetter("sender", "message")}
 
 
 def _only_changes(rows, free: str) -> bool:
@@ -219,8 +219,7 @@ def valid_under_reindexing(notion: Notion, b0: Batch, b1: Batch):
 
 
 def enumerate_batches(users: int, messages: int, max_len: int):
-    """All batches over a small universe, NO_COMM rows included; auxiliary
-    tags are left at None."""
+    """All batches over a small universe, NO_COMM rows included."""
     rows = [Communication(s, r, m) for s in range(users) for r in range(users)
             for m in range(messages)]
     rows.append(NO_COMM)
@@ -360,8 +359,8 @@ def generate_pair(notion: Notion, params: ProtocolParams, seed: int,
             return picks
         return [rng.randrange(n) for _ in range(length)]
 
-    impartial_x1 = notion.x1 and _X1_CLASS[notion.kind] == "impartial"
-    if impartial_x1:
+    if notion.x1 and _X1_CLASS[notion.kind] != "sender":
+        # x1 pins each receiver to one row
         receivers = list(range(n))
         rng.shuffle(receivers)
     else:
@@ -400,9 +399,15 @@ def generate_pair(notion: Notion, params: ProtocolParams, seed: int,
             new_senders = _force_differ(senders, n)
         rows1 = [Communication(new_senders[i], receivers[i], messages[i]) for i in range(length)]
     elif kind == RO:
-        new_recv = [rng.randrange(n) for _ in range(length)]
-        if new_recv == receivers:
-            new_recv[0] = (receivers[0] + 1) % n
+        if notion.x1:
+            # another permutation, so each receiver keeps its one row
+            new_recv = rng.sample(receivers, length)
+            if new_recv == receivers:
+                new_recv[0], new_recv[1] = new_recv[1], new_recv[0]
+        else:
+            new_recv = [rng.randrange(n) for _ in range(length)]
+            if new_recv == receivers:
+                new_recv[0] = (receivers[0] + 1) % n
         rows1 = [Communication(senders[i], new_recv[i], messages[i]) for i in range(length)]
     elif kind == MO_ML:
         rows1 = [Communication(senders[i], receivers[i],

@@ -36,10 +36,10 @@ import pytest
 from acnbounds.adversaries import (attack_view, counting_attack, decide,
                                    dropping_attack, timing_attack)
 from acnbounds.atlas import PRESETS, classify
-from acnbounds.bounds import (SYNC, UNSYNC_IMPROVED, UNSYNC_ORIGINAL,
-                              counting_bound, counting_min_beta,
-                              dropping_min_p, trilemma_advantage,
-                              trilemma_compromising, trilemma_min_beta)
+from acnbounds.bounds import (counting_bound, counting_min_beta,
+                              dropping_min_p, trilemma_min_beta,
+                              trilemma_sync, trilemma_unsync,
+                              trilemma_unsync_original)
 from acnbounds.core import (FORWARD, SEND, Communication, ProtocolParams,
                             filter_trace, make_batch)
 from acnbounds.game import estimate_advantage, exact_advantage
@@ -87,9 +87,9 @@ def test_c01_unit_latency_leaks_everything():
     kind = ProtocolKind("trilemma-unsync", params)
     adv = exact_advantage(kind, timing_attack(2), _so_pair(2))
     ok = (adv == 1
-          and trilemma_advantage(SYNC, 1, beta=0.5, n=10) == 1.0
-          and trilemma_advantage(UNSYNC_ORIGINAL, 1, p=1.0) == 0.5
-          and trilemma_advantage(UNSYNC_IMPROVED, 1, p=1.0) == 1.0)
+          and trilemma_sync(1, 0.5, 10) == 1.0
+          and trilemma_unsync_original(1, 1.0) == 0.5
+          and trilemma_unsync(1, 1.0) == 1.0)
     _report(1, "unit latency identifies the sender despite full cover", ok)
 
 
@@ -101,7 +101,7 @@ def test_c02_full_synchronized_cover_blacks_out_the_adversary():
         kind = ProtocolKind("trilemma-sync", params)
         adv = exact_advantage(kind, timing_attack(n), _so_pair(n))
         ok = ok and adv == 0
-        ok = ok and trilemma_advantage(SYNC, 2, beta=beta, n=n) == 0.0
+        ok = ok and trilemma_sync(2, beta, n) == 0.0
     _report(2, "cover from every other user forces advantage zero", ok)
 
 
@@ -142,29 +142,32 @@ def test_c04_improved_bound_dominates_the_original():
     for i in range(50):
         p = i / 49
         for l_max in range(1, 51):
-            orig = trilemma_advantage(UNSYNC_ORIGINAL, l_max, p=p)
-            imp = trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p)
+            orig = trilemma_unsync_original(l_max, p)
+            imp = trilemma_unsync(l_max, p)
             ok = ok and imp >= orig
-    strict = (trilemma_advantage(UNSYNC_IMPROVED, 3, p=0.3)
-              > trilemma_advantage(UNSYNC_ORIGINAL, 3, p=0.3))
+    strict = trilemma_unsync(3, 0.3) > trilemma_unsync_original(3, 0.3)
     _report(4, "improved form dominates on a 50x50 grid, strictly at "
             "p=0.3, l_max=3", ok and strict)
 
 
 def test_c05_zero_compromise_reduces_to_the_base_bound():
+    # the base floors written out: (1-p)^(l_max-1) under unsynchronized
+    # cover, 1 - covered_fraction(l_max-1, n, beta) clamped under
+    # synchronized cover
     ok = True
     ps = [i / 10 for i in range(11)]
+    n = 10
     for relays in range(1, 11):
         for l_max in range(1, 9):
             for p in ps:
-                ok = ok and (trilemma_compromising(UNSYNC_IMPROVED, l_max,
-                                                   p=p, c_p=0, relays=relays)
-                             == trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p))
+                ok = ok and (trilemma_unsync(l_max, p, c_p=0, relays=relays)
+                             == (1.0 - p) ** (l_max - 1))
             for beta in ps:
-                ok = ok and (trilemma_compromising(SYNC, l_max, beta=beta,
-                                                   n=10, c_p=0, relays=relays)
-                             == trilemma_advantage(SYNC, l_max, beta=beta,
-                                                   n=10))
+                base = 1.0 - min(1.0, (l_max - 1) * (1.0 + beta * n)
+                                 / (n - 1))
+                ok = ok and (trilemma_sync(l_max, beta, n, c_p=0,
+                                           relays=relays)
+                             == min(1.0, max(0.0, base)))
     _report(5, "c_p=0 compromising form is bit-identical to the base", ok)
 
 
@@ -174,7 +177,7 @@ def test_c06_simulation_reaches_the_unsync_closed_form():
     kind = ProtocolKind("trilemma-unsync", params)
     est = estimate_advantage(kind, timing_attack(10), _so_pair(10),
                              trials=100_000, master_seed=0)
-    expected = trilemma_advantage(UNSYNC_IMPROVED, 3, p=0.3)
+    expected = trilemma_unsync(3, 0.3)
     ok = abs(est.point - expected) <= 0.02
     # the exact twin of the seeded check, at its point
     ok = ok and exact_advantage(kind, timing_attack(10),

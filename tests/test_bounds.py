@@ -3,12 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acnbounds.bounds import (SYNC, UNSYNC_IMPROVED, UNSYNC_ORIGINAL,
-                              counting_bound, counting_min_beta,
+from acnbounds.bounds import (counting_bound, counting_min_beta,
                               covered_fraction, dropping_min_p,
                               impossibility_region, onion_cost,
-                              trilemma_advantage, trilemma_compromising,
-                              trilemma_min_beta)
+                              trilemma_min_beta,
+                              trilemma_sync, trilemma_unsync,
+                              trilemma_unsync_original)
 
 rates = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -22,101 +22,101 @@ def test_covered_fraction():
 
 
 def test_sync_advantage_frozen_values():
-    assert trilemma_advantage(SYNC, 2, beta=0.1, n=10) == pytest.approx(7 / 9)
-    assert trilemma_advantage(SYNC, 3, beta=0.1, n=100) == pytest.approx(77 / 99)
-    assert trilemma_advantage(SYNC, 1, beta=0.0, n=10) == 1.0
+    assert trilemma_sync(2, 0.1, 10) == pytest.approx(7 / 9)
+    assert trilemma_sync(3, 0.1, 100) == pytest.approx(77 / 99)
+    assert trilemma_sync(1, 0.0, 10) == 1.0
     # full cover: a dummy from every other user each round
-    assert trilemma_advantage(SYNC, 2, beta=9 / 10, n=10) == 0.0
+    assert trilemma_sync(2, 9 / 10, 10) == 0.0
 
 
 def test_unsync_advantage_frozen_values():
-    assert trilemma_advantage(UNSYNC_ORIGINAL, 3, p=0.2) == pytest.approx(0.14)
-    assert trilemma_advantage(UNSYNC_IMPROVED, 3, p=0.2) == pytest.approx(0.64)
-    assert trilemma_advantage(UNSYNC_ORIGINAL, 1, p=0.9) == 0.5
-    assert trilemma_advantage(UNSYNC_IMPROVED, 1, p=0.9) == 1.0
-    assert trilemma_advantage(UNSYNC_IMPROVED, 5, p=1.0) == 0.0
+    assert trilemma_unsync_original(3, 0.2) == pytest.approx(0.14)
+    assert trilemma_unsync(3, 0.2) == pytest.approx(0.64)
+    assert trilemma_unsync_original(1, 0.9) == 0.5
+    assert trilemma_unsync(1, 0.9) == 1.0
+    assert trilemma_unsync(5, 1.0) == 0.0
 
 
 def test_advantage_validation():
     with pytest.raises(ValueError):
-        trilemma_advantage("postal", 2, p=0.5)
+        trilemma_unsync(0, 0.5)
     with pytest.raises(ValueError):
-        trilemma_advantage(UNSYNC_IMPROVED, 0, p=0.5)
+        trilemma_unsync_original(0, 0.5)
     with pytest.raises(ValueError):
-        trilemma_advantage(UNSYNC_IMPROVED, 2, p=1.5)
+        trilemma_unsync(2, 1.5)
     with pytest.raises(ValueError):
-        trilemma_advantage(SYNC, 2, beta=0.5)
+        trilemma_unsync_original(2, 1.5)
+    with pytest.raises(ValueError):
+        trilemma_sync(2, 0.5, 1)
+    with pytest.raises(ValueError):
+        trilemma_sync(2, -0.1, 10)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=rates, l_max=st.integers(1, 30))
 def test_improved_dominates_the_original_form(p, l_max):
-    orig = trilemma_advantage(UNSYNC_ORIGINAL, l_max, p=p)
-    imp = trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p)
+    orig = trilemma_unsync_original(l_max, p)
+    imp = trilemma_unsync(l_max, p)
     assert 0.0 <= orig <= imp <= 1.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=rates, l_max=st.integers(1, 20))
 def test_more_cover_or_latency_never_helps_the_adversary(p, l_max):
-    a = trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p)
-    assert trilemma_advantage(UNSYNC_IMPROVED, l_max + 1, p=p) <= a
-    assert trilemma_advantage(UNSYNC_IMPROVED, l_max, p=min(1.0, p + 0.1)) <= a
+    a = trilemma_unsync(l_max, p)
+    assert trilemma_unsync(l_max + 1, p) <= a
+    assert trilemma_unsync(l_max, min(1.0, p + 0.1)) <= a
 
 
 @settings(max_examples=200, deadline=None)
 @given(beta=rates, l_max=st.integers(1, 20), n=st.integers(2, 50))
 def test_sync_advantage_shrinks_with_cover(beta, l_max, n):
-    a = trilemma_advantage(SYNC, l_max, beta=beta, n=n)
+    a = trilemma_sync(l_max, beta, n)
     assert 0.0 <= a <= 1.0
-    assert trilemma_advantage(SYNC, l_max + 1, beta=beta, n=n) <= a
+    assert trilemma_sync(l_max + 1, beta, n) <= a
 
 
 def test_compromising_frozen_values():
     # deep compromise: whole path may hide inside the corrupted set
-    got = trilemma_compromising(SYNC, 2, beta=0.1, n=10, c_p=1, relays=2)
-    assert got == pytest.approx(8 / 9)
-    got = trilemma_compromising(SYNC, 2, beta=0.1, n=100, c_p=2, relays=4)
+    assert trilemma_sync(2, 0.1, 10, c_p=1, relays=2) == pytest.approx(8 / 9)
+    got = trilemma_sync(2, 0.1, 100, c_p=2, relays=4)
     assert got == pytest.approx(1 - 0.5 * (11 / 99))
-    got = trilemma_compromising(SYNC, 3, beta=0.0, n=10, c_p=2, relays=4)
+    got = trilemma_sync(3, 0.0, 10, c_p=2, relays=4)
     assert got == pytest.approx(22 / 27)
     # shallow compromise only shortens the transit window
-    got = trilemma_compromising(SYNC, 4, beta=0.1, n=10, c_p=1, relays=3)
+    got = trilemma_sync(4, 0.1, 10, c_p=1, relays=3)
     assert got == pytest.approx(11 / 27)
-    got = trilemma_compromising(UNSYNC_IMPROVED, 4, p=0.3, c_p=1, relays=3)
-    assert got == pytest.approx(0.392)
-    got = trilemma_compromising(UNSYNC_IMPROVED, 2, p=0.5, c_p=1, relays=2)
-    assert got == pytest.approx(0.75)
+    assert trilemma_unsync(4, 0.3, c_p=1, relays=3) == pytest.approx(0.392)
+    assert trilemma_unsync(2, 0.5, c_p=1, relays=2) == pytest.approx(0.75)
 
 
 def test_compromising_reduces_to_the_base_bound_without_corruption():
+    # the base formulas, written out; the pool size is not read at c_p = 0
     for l_max in range(1, 8):
         for p in (0.0, 0.15, 0.5, 0.9, 1.0):
-            base = trilemma_advantage(UNSYNC_IMPROVED, l_max, p=p)
-            got = trilemma_compromising(UNSYNC_IMPROVED, l_max, p=p,
-                                        c_p=0, relays=5)
-            assert got == base
+            assert (trilemma_unsync(l_max, p, c_p=0, relays=5)
+                    == (1.0 - p) ** (l_max - 1))
         for beta in (0.0, 0.2, 0.7):
-            base = trilemma_advantage(SYNC, l_max, beta=beta, n=12)
-            got = trilemma_compromising(SYNC, l_max, beta=beta, n=12,
-                                        c_p=0, relays=5)
-            assert got == base
+            base = 1.0 - min(1.0, (l_max - 1) * (1.0 + beta * 12) / 11)
+            assert (trilemma_sync(l_max, beta, 12, c_p=0, relays=5)
+                    == min(1.0, max(0.0, base)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(p=rates, l_max=st.integers(1, 10), c_p=st.integers(0, 6),
        extra=st.integers(0, 6))
 def test_compromising_stays_a_probability(p, l_max, c_p, extra):
-    got = trilemma_compromising(UNSYNC_IMPROVED, l_max, p=p, c_p=c_p,
-                                relays=c_p + extra + 1)
+    got = trilemma_unsync(l_max, p, c_p=c_p, relays=c_p + extra + 1)
     assert 0.0 <= got <= 1.0
 
 
 def test_compromising_validation():
     with pytest.raises(ValueError):
-        trilemma_compromising(UNSYNC_IMPROVED, 2, p=0.5, c_p=3, relays=2)
+        trilemma_unsync(2, 0.5, c_p=3, relays=2)
     with pytest.raises(ValueError):
-        trilemma_compromising(UNSYNC_ORIGINAL, 2, p=0.5)
+        trilemma_sync(2, 0.5, 10, c_p=3, relays=2)
+    with pytest.raises(ValueError):
+        trilemma_unsync(2, 0.5, c_p=-1)
 
 
 def test_counting_bound_and_matching_overhead():

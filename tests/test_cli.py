@@ -148,6 +148,31 @@ def test_region_defaults_to_a_population(capsys):
     assert rec["threshold"] == pytest.approx(0.4995)
 
 
+# a point each region bound decides, with every flag it reads typed; the
+# refusal names every unread flag, so none of these may appear in it
+_REGION_POINTS = {
+    "counting": "--n 10 --lmax 3 --beta 0.5 --p 0.9 --poly-lambda 5",
+    "trilemma": "--n 10 --lmax 3 --beta 0.2 --p 0.2 --cp 1 --poly-lambda 5",
+    "dropping": "--n 10 --lmax 3 --p 0.5 --lam 16 --poly-lambda 5",
+}
+
+
+@pytest.mark.parametrize("bound,flag,typed", [
+    ("counting", "cp", "--cp 3"),
+    ("counting", "lam", "--lam 4"),
+    ("trilemma", "lam", "--lam 4"),
+    ("dropping", "beta", "--beta 0.9"),
+    ("dropping", "cp", "--cp 3"),
+], ids=["counting-cp", "counting-lam", "trilemma-lam", "dropping-beta",
+        "dropping-cp"])
+def test_region_refuses_a_flag_its_bound_does_not_read(capsys, bound, flag,
+                                                       typed):
+    code, out, err = _run(capsys, "region", "--bound", bound,
+                          *_REGION_POINTS[bound].split(), *typed.split())
+    assert code == 1 and out == ""
+    assert err == f"acnbounds: region --bound {bound} takes no --{flag}\n"
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["--lmax", "0", "--beta", "0.2", "--bound", "trilemma"], "l_max"),
     (["--lmax", "0", "--beta", "0.2", "--bound", "counting"], "l_max"),
@@ -232,6 +257,19 @@ def test_zero_users_exit_one_before_any_output(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "acnbounds: need n >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--bound", "counting", "--n", "1", "--beta", "0.5"],
+    ["atlas", "--n", "1"],
+    ["atlas", "--grid", "--n", "1"],
+], ids=["region", "atlas", "atlas-grid"])
+def test_one_user_names_the_default_security_parameter(capsys, argv):
+    # no --poly-lambda was typed, so the error must not name it
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == ("acnbounds: n=1 leaves no security parameter above 1 "
+                   "(it defaults to n)\n")
 
 
 @pytest.mark.parametrize("flags,named", [
@@ -352,7 +390,7 @@ def test_flags_a_mode_does_not_read_exit_one(capsys, argv):
     assert " takes no --" in err
 
 
-_COMPROMISING = ["bound", "--kind", "compromising-sync", "--n", "10",
+_COMPROMISING = ["bound", "--kind", "trilemma-sync", "--n", "10",
                  "--lmax", "3", "--beta", "0.2"]
 
 
@@ -365,12 +403,12 @@ def test_bound_takes_a_typed_zero_relays(capsys):
 
 @pytest.mark.parametrize("argv,want", [
     (_COMPROMISING + ["--cp", "2"],
-     '{"delta": 1.0, "kind": "compromising-sync"}\n'),
+     '{"delta": 1.0, "kind": "trilemma-sync"}\n'),
     (_COMPROMISING + ["--cp", "1"],
-     '{"delta": 0.6666666666666667, "kind": "compromising-sync"}\n'),
-    (["bound", "--kind", "compromising-unsync", "--lmax", "3", "--p", "0.2",
-      "--cp", "1"],
-     '{"delta": 0.8, "kind": "compromising-unsync"}\n'),
+     '{"delta": 0.6666666666666667, "kind": "trilemma-sync"}\n'),
+    (["bound", "--kind", "trilemma-unsync-improved", "--lmax", "3", "--p",
+      "0.2", "--cp", "1"],
+     '{"delta": 0.8, "kind": "trilemma-unsync-improved"}\n'),
 ], ids=["sync-cp-2", "sync-cp-1", "unsync-cp-1"])
 def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
                                                            want):
@@ -378,6 +416,32 @@ def test_bound_without_relays_holds_the_compromised_relays(capsys, argv,
     code, out, err = _run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == want
+
+
+@pytest.mark.parametrize("argv,want", [
+    (_COMPROMISING + ["--cp", "1", "--relays", "2"],
+     '{"delta": 0.5, "kind": "trilemma-sync"}\n'),
+    (["bound", "--kind", "trilemma-sync", "--n", "10", "--lmax", "4",
+      "--beta", "0.1", "--cp", "1", "--relays", "3"],
+     '{"delta": 0.40740740740740744, "kind": "trilemma-sync"}\n'),
+    (["bound", "--kind", "trilemma-unsync-improved", "--lmax", "4", "--p",
+      "0.3", "--cp", "1", "--relays", "3"],
+     '{"delta": 0.3919999999999999, "kind": "trilemma-unsync-improved"}\n'),
+], ids=["sync-cp-1-relays-2", "sync-cp-1-relays-3", "unsync-cp-1-relays-3"])
+def test_trilemma_kinds_print_the_compromised_relay_bound(capsys, argv,
+                                                          want):
+    # the compromised-relay floor over a typed pool of relays
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == want
+
+
+@pytest.mark.parametrize("kind", ["compromising-sync", "compromising-unsync"])
+def test_the_compromising_kinds_are_gone(capsys, kind):
+    code, out, err = _usage_error(capsys, ["bound", "--kind", kind,
+                                           "--lmax", "3", "--cp", "1"])
+    assert code == 1 and out == ""
+    assert f"invalid choice: '{kind}'" in err
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -424,11 +488,9 @@ def test_an_unread_or_missing_flag_exits_one(capsys, argv, reason):
 # what each bound kind reads besides --kind, and a typed value off the
 # default for every flag of `bound`
 _BOUND_READS = {
-    "trilemma-sync": ("n", "lmax", "beta"),
+    "trilemma-sync": ("n", "lmax", "beta", "cp", "relays"),
     "trilemma-unsync-original": ("lmax", "p"),
-    "trilemma-unsync-improved": ("lmax", "p"),
-    "compromising-sync": ("n", "lmax", "beta", "cp", "relays"),
-    "compromising-unsync": ("lmax", "p", "cp", "relays"),
+    "trilemma-unsync-improved": ("lmax", "p", "cp", "relays"),
     "counting": ("out", "hops"),
     "onion-cost": ("basis", "n", "lam", "p", "lexp"),
 }

@@ -1,10 +1,11 @@
 import pytest
 
 from acnbounds.core import NO_COMM, Communication, ProtocolParams, make_batch
-from acnbounds.notions import (Notion, ScenarioPair, _force_differ,
-                               enumerate_batches, generate_pair,
-                               hierarchy_subset_check, is_valid_pair,
-                               parse_notion, valid_under_reindexing)
+from acnbounds.notions import (KINDS, SO_NMAX, Notion, ScenarioPair,
+                               _force_differ, enumerate_batches,
+                               generate_pair, hierarchy_subset_check,
+                               is_valid_pair, parse_notion,
+                               valid_under_reindexing)
 
 C = Communication
 
@@ -193,6 +194,20 @@ def test_generated_pairs_are_valid_for_every_kind():
             rows = pair.batch0.rows, pair.batch1.rows
             assert len(rows[0]) == len(rows[1]), (text, seed)
             assert any(r0 != r1 for r0, r1 in zip(*rows)), (text, seed)
+
+
+@pytest.mark.parametrize("x1", ["", "_1"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_notion_generates_a_valid_pair_at_n4(kind, x1):
+    # x1 pins each user of its class to one row, so under RO_1 both
+    # batches' receivers are permutations of the users
+    params = ProtocolParams(n=4, l_max=2)
+    text = ("SO_nmax:1" if kind == SO_NMAX else kind) + x1
+    notion = parse_notion(text)
+    for seed in range(10):
+        pair = generate_pair(notion, params, seed)
+        assert is_valid_pair(notion, pair.batch0, pair.batch1), (text, seed)
+        assert pair.batch0.rows != pair.batch1.rows, (text, seed)
 
 
 def test_generated_pairs_repeat_under_the_same_seed():

@@ -501,10 +501,20 @@ _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
                "basis": "--basis counting"}
 
 
-@pytest.mark.parametrize("kind", sorted(_BOUND_READS))
-def test_each_bound_kind_refuses_each_flag_it_does_not_read(capsys, kind):
+# each case is a kind and what is typed before the flag under test; the
+# compromising cases are the compromised-relay setting (c_p > 0) of the two
+# kinds that read --cp, which must refuse the same flags
+_BOUND_CASES = {kind: (kind, ()) for kind in _BOUND_READS}
+_BOUND_CASES["compromising-sync"] = ("trilemma-sync", ("--cp", "2"))
+_BOUND_CASES["compromising-unsync"] = ("trilemma-unsync-improved",
+                                       ("--cp", "2"))
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_CASES))
+def test_each_bound_kind_refuses_each_flag_it_does_not_read(capsys, case):
+    kind, before = _BOUND_CASES[case]
     for flag, typed in _BOUND_ARGS.items():
-        code, out, err = _run(capsys, "bound", "--kind", kind,
+        code, out, err = _run(capsys, "bound", "--kind", kind, *before,
                               *typed.split())
         if flag in _BOUND_READS[kind]:
             assert code == 0 and err == "", (flag, err)

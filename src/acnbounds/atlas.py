@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (counting_min_beta, dropping_min_p, impossibility_region,
-                     security_parameter, trilemma_min_beta)
+from .bounds import (counting_min_beta, counting_region, dropping_min_p,
+                     dropping_region, security_parameter, trilemma_min_beta,
+                     trilemma_region)
 
 GRID_HEADER = ("l_max,beta,counting_min_beta,trilemma_min_beta,"
                "dropping_min_p,counting_verdict,trilemma_verdict,"
@@ -112,8 +113,7 @@ def classify(preset: AcnPreset, mode: str = "general", n: int = 1000,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    poly_lambda = security_parameter(n, poly_lambda)
     dummy = preset.dummy
     if mode == "special":
         dummy = preset.dummy_special or dummy
@@ -124,16 +124,14 @@ def classify(preset: AcnPreset, mode: str = "general", n: int = 1000,
         trilemma = "not-applicable"
         tri_why = "needs many parallel communications"
     else:
-        region = impossibility_region("trilemma", n, pt["l_max"], p=pt["p"],
-                                      poly_lambda=poly_lambda)
+        region = trilemma_region(n, pt["l_max"], pt["p"], poly_lambda)
         if region.verdict == "not-applicable":
             trilemma, tri_why = "not-applicable", region.condition
         else:
             trilemma = "falls-short" if region.impossible() else "meets"
             tri_why = region.condition
 
-    drop = impossibility_region("dropping", n, pt["l_max"], p=pt["p"],
-                                poly_lambda=poly_lambda, lam=lam)
+    drop = dropping_region(pt["l_max"], pt["p"], lam, poly_lambda)
     dropping = "falls-short" if drop.impossible() else "meets"
 
     return {
@@ -163,8 +161,6 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
     the header is yielded, so a bad value raises ValueError before any
     output.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     poly_lambda = security_parameter(n, poly_lambda)
     rows = []
     for l_max in l_max_values:
@@ -172,12 +168,9 @@ def emit_grid(l_max_values, beta_values, n: int = 1000, lam: float = 256.0,
         tb = trilemma_min_beta(l_max, poly_lambda)
         dp = dropping_min_p(l_max, lam, poly_lambda)
         for beta in beta_values:
-            cv = impossibility_region("counting", n, l_max, beta=beta,
-                                      poly_lambda=poly_lambda)
-            tv = impossibility_region("trilemma", n, l_max, beta=beta,
-                                      poly_lambda=poly_lambda)
-            dv = impossibility_region("dropping", n, l_max, p=beta,
-                                      poly_lambda=poly_lambda, lam=lam)
+            cv = counting_region(beta, poly_lambda)
+            tv = trilemma_region(n, l_max, beta, poly_lambda)
+            dv = dropping_region(l_max, beta, lam, poly_lambda)
             rows.append(",".join([
                 str(l_max), _fmt(beta), _fmt(cb), _fmt(tb), _fmt(dp),
                 cv.verdict, tv.verdict, dv.verdict,

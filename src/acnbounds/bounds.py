@@ -117,9 +117,16 @@ class RegionVerdict:
         return self.verdict == "impossible"
 
 
+def _check_users(n):
+    if n < 1:
+        raise ValueError("need n >= 1")
+
+
 def security_parameter(n: int, poly_lambda=None) -> float:
     """The polynomial the region tests measure slack against: poly_lambda
-    when given, else the population n, which must then exceed 1."""
+    when given, else the population n, which must then exceed 1.  Every
+    region and atlas path resolves it first, so n < 1 is refused here."""
+    _check_users(n)
     if poly_lambda is not None:
         return poly_lambda
     if n <= 1:
@@ -160,78 +167,75 @@ def dropping_min_p(l_max: int, lam: float, poly_lambda: float) -> float:
     return math.log(lam, 2.0) / (poly_lambda * l_max)
 
 
-def impossibility_region(bound: str, n: int, l_max: int, beta=None, p=None,
-                         poly_lambda=None, lam=None,
-                         c_p: int = 0) -> RegionVerdict:
-    """Classify one parameter point: can strong privacy survive there.
-
-    Raises ValueError for a point no protocol can have: n < 1, l_max < 1,
-    or a beta or p outside [0, 1].
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    for name, rate in (("beta", beta), ("p", p)):
-        if rate is not None:
-            _check_rate(name, rate)
-    poly_lambda = security_parameter(n, poly_lambda)
-    slack = 1.0 - 1.0 / poly_lambda
-
-    if bound == "counting":
-        rate = beta if beta is not None else p
-        thr = counting_min_beta(poly_lambda)
-        if rate is None:
-            raise ValueError("counting region needs beta or p")
-        if rate < thr or (p is not None and p < 1.0):
-            return RegionVerdict("impossible", thr,
-                                 "cover volume cannot hide who communicates")
-        return RegionVerdict("possible", thr, "cover matches useful volume")
-
-    if bound == "trilemma":
-        rate = beta if beta is not None else p
-        if rate is None:
-            raise ValueError("trilemma region needs beta or p")
-        thr = trilemma_min_beta(l_max, poly_lambda, c_p)
-        if l_max <= 1:
-            return RegionVerdict("not-applicable", thr,
-                                 "no transit window at l_max <= 1")
-        window = _trilemma_window(l_max, c_p)
-        cond = "short window" if c_p < l_max - 1 else \
-            "path can hide only inside the compromised set"
-        if 2.0 * window * rate <= slack and rate * n >= 1.0:
-            return RegionVerdict("impossible", thr, cond)
-        if rate * n < 1.0:
-            return RegionVerdict("impossible", thr,
-                                 "well under one message of cover per round")
-        return RegionVerdict("possible", thr, cond)
-
-    if bound == "dropping":
-        if p is None:
-            raise ValueError("dropping region needs p")
-        if lam is None:
-            raise ValueError("dropping region needs lam")
-        thr = dropping_min_p(l_max, lam, poly_lambda)
-        if p <= thr:
-            return RegionVerdict("impossible", thr,
-                                 "too little cover to survive targeted drops")
-        return RegionVerdict("possible", thr,
-                             "cover outlasts the drop budget")
-
-    raise ValueError(f"unknown bound {bound!r}")
+def counting_region(beta: float, poly_lambda: float) -> RegionVerdict:
+    """Counting verdict at dummy rate beta: cover must match the useful
+    volume up to the 1/poly_lambda slack."""
+    _check_rate("beta", beta)
+    thr = counting_min_beta(poly_lambda)
+    if beta < thr:
+        return RegionVerdict("impossible", thr,
+                             "cover volume cannot hide who communicates")
+    return RegionVerdict("possible", thr, "cover matches useful volume")
 
 
-def onion_cost(bound: str, n: int, lam: float, p: float = 1.0,
+def trilemma_region(n: int, l_max: int, beta: float, poly_lambda: float,
+                    c_p: int = 0) -> RegionVerdict:
+    """Trilemma verdict at cover rate beta for n users, with c_p of the
+    relays compromised; the verdict is the same whether beta is a dummy
+    rate or a send rate."""
+    _check_path(l_max)
+    if c_p < 0:
+        raise ValueError(f"need c_p >= 0, got {c_p}")
+    _check_rate("beta", beta)
+    thr = trilemma_min_beta(l_max, poly_lambda, c_p)
+    if l_max <= 1:
+        return RegionVerdict("not-applicable", thr,
+                             "no transit window at l_max <= 1")
+    window = _trilemma_window(l_max, c_p)
+    cond = "short window" if c_p < l_max - 1 else \
+        "path can hide only inside the compromised set"
+    if beta * n < 1.0:
+        return RegionVerdict("impossible", thr,
+                             "well under one message of cover per round")
+    if 2.0 * window * beta <= 1.0 - 1.0 / poly_lambda:
+        return RegionVerdict("impossible", thr, cond)
+    return RegionVerdict("possible", thr, cond)
+
+
+def dropping_region(l_max: int, p: float, lam: float,
+                    poly_lambda: float) -> RegionVerdict:
+    """Dropping verdict at send rate p: cover must outlast an actively
+    dropping adversary (see `dropping_min_p`)."""
+    _check_rate("p", p)
+    thr = dropping_min_p(l_max, lam, poly_lambda)
+    if p <= thr:
+        return RegionVerdict("impossible", thr,
+                             "too little cover to survive targeted drops")
+    return RegionVerdict("possible", thr, "cover outlasts the drop budget")
+
+
+def _check_onion(n, lam):
+    _check_users(n)
+    if lam <= 1:
+        raise ValueError(f"need lam > 1, got {lam}")
+
+
+def onion_cost(n: int, lam: float, p: float = 1.0,
                l_exp: float = None) -> dict:
-    """Messages required under each bound when circuits are l_exp hops."""
+    """Messages n users send at rate p over circuits of l_exp hops (log2 lam
+    by default); p = 1 is the counting cost n * l_exp."""
+    _check_onion(n, lam)
+    _check_rate("p", p)
     if l_exp is None:
         l_exp = math.log2(lam)
-    if bound == "trilemma":
-        per_user = n * p * l_exp
-    elif bound == "counting":
-        per_user = n * l_exp
-    elif bound == "dropping":
-        per_user = math.log2(lam)
-    else:
-        raise ValueError(f"unknown bound {bound!r}")
+    elif l_exp < 1:
+        raise ValueError(f"need l_exp >= 1, got {l_exp}")
+    per_user = n * p * l_exp
+    return {"per-user": per_user, "network": n * per_user}
+
+
+def onion_cost_dropping(n: int, lam: float) -> dict:
+    """Messages required against a dropping adversary: log2 lam per user."""
+    _check_onion(n, lam)
+    per_user = math.log2(lam)
     return {"per-user": per_user, "network": n * per_user}

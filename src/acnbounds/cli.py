@@ -60,10 +60,12 @@ _BOUNDS = {
                                             relays=ns.relays)}),
     "counting": (("out", "hops"),
                  lambda ns, beta, p: _counting(ns.out, ns.hops)),
-    "onion-cost": (
-        ("basis", "n", "lam", "p", "lexp"), lambda ns, beta, p:
-        bounds.onion_cost(ns.basis, ns.n, ns.lam,
-                          p=1.0 if ns.p is None else p, l_exp=ns.lexp)),
+    "onion-cost": (("n", "lam", "p", "lexp"), lambda ns, beta, p:
+                   bounds.onion_cost(ns.n, ns.lam,
+                                     p=1.0 if ns.p is None else p,
+                                     l_exp=ns.lexp)),
+    "onion-cost-dropping": (("n", "lam"), lambda ns, beta, p:
+                            bounds.onion_cost_dropping(ns.n, ns.lam)),
 }
 
 # --attack -> (the flags of `_MODEL_FLAGS` it reads, the attack)
@@ -74,9 +76,6 @@ _ATTACKS = {
     "dropping": (("ca",), lambda ns: dropping_attack(ns.n, ns.ca)),
     "random-guess": ((), lambda ns: random_guess_attack()),
 }
-
-# the `simulate` flags that only some protocols or attacks read
-_MODEL_FLAGS = set("beta p relays lexp copies integrated cp ca".split())
 
 # --protocol -> the flags of `_MODEL_FLAGS` it reads; a model with cover
 # reads its one rate, beta (--p is its shorthand), the dropping model
@@ -90,6 +89,10 @@ _PROTOCOL_READS = {
     "onion-path": ("relays", "lexp", *_RATES),
     "dropping-model": ("relays", "copies", "integrated"),
 }
+
+# the `simulate` flags that only some protocols or attacks read
+_MODEL_FLAGS = set(itertools.chain(*_PROTOCOL_READS.values(),
+                                   *(reads for reads, _ in _ATTACKS.values())))
 
 # (protocol, attack) -> (check, value(params, capability), label, points):
 # `verify` holds a run to its row's value, `floor` a lower bound the
@@ -122,11 +125,18 @@ _REFERENCES = {
 }
 
 
-# region --bound -> the flags it reads besides --bound
-_REGION_READS = {
-    "counting": ("n", "lmax", "beta", "p", "poly_lambda"),
-    "trilemma": ("n", "lmax", "beta", "p", "cp", "poly_lambda"),
-    "dropping": ("n", "lmax", "p", "lam", "poly_lambda"),
+# region --bound -> (the flags it reads besides --bound, its verdict from
+# the parsed flags and the security parameter); --n is read for the default
+# security parameter, and by trilemma for the cover volume
+_REGIONS = {
+    "counting": (("n", "beta", "poly_lambda"), lambda ns, poly_lambda:
+                 bounds.counting_region(ns.beta, poly_lambda)),
+    "trilemma": (("n", "lmax", "beta", "cp", "poly_lambda"),
+                 lambda ns, poly_lambda: bounds.trilemma_region(
+                     ns.n, ns.lmax, ns.beta, poly_lambda, c_p=ns.cp)),
+    "dropping": (("n", "lmax", "p", "lam", "poly_lambda"),
+                 lambda ns, poly_lambda: bounds.dropping_region(
+                     ns.lmax, ns.p, ns.lam, poly_lambda)),
 }
 
 
@@ -158,8 +168,6 @@ def _build_parser():
     b.add_argument("--out", type=int, default=1, help="delivered messages")
     b.add_argument("--hops", type=int, default=1)
     b.add_argument("--lexp", type=float)
-    b.add_argument("--basis", choices=("trilemma", "counting", "dropping"),
-                   default="trilemma")
 
     for name in ("simulate", "verify"):
         s = sub.add_parser(name, help=f"{name} an attack's advantage")
@@ -183,7 +191,7 @@ def _build_parser():
 
     r = sub.add_parser("region", help="possible/impossible at a point")
     _add_common(r, n=1000)
-    r.add_argument("--bound", choices=_REGION_READS)
+    r.add_argument("--bound", choices=_REGIONS)
 
     a = sub.add_parser("atlas", help="preset verdicts or a CSV grid")
     _add_common(a, n=1000, point=False)
@@ -349,11 +357,9 @@ def _sweep(ns, given) -> int:
 def _cmd_region(ns, given) -> int:
     if ns.bound is None:
         raise ConfigError("region needs --bound")
-    _refuse(f"region --bound {ns.bound}",
-            given - {"bound", *_REGION_READS[ns.bound]})
-    verdict = bounds.impossibility_region(
-        ns.bound, ns.n, ns.lmax, beta=ns.beta, p=ns.p,
-        poly_lambda=ns.poly_lambda, lam=ns.lam, c_p=ns.cp)
+    reads, evaluate = _REGIONS[ns.bound]
+    _refuse(f"region --bound {ns.bound}", given - {"bound", *reads})
+    verdict = evaluate(ns, bounds.security_parameter(ns.n, ns.poly_lambda))
     print(json.dumps({
         "bound": ns.bound, "n": ns.n, "l_max": ns.lmax, "beta": ns.beta,
         "p": ns.p, "verdict": verdict.verdict, "threshold": verdict.threshold,

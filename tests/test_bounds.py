@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acnbounds.bounds import (counting_bound, counting_min_beta,
-                              covered_fraction, dropping_min_p,
-                              impossibility_region, onion_cost,
-                              trilemma_min_beta,
+                              counting_region, covered_fraction,
+                              dropping_min_p, dropping_region, onion_cost,
+                              onion_cost_dropping, security_parameter,
+                              trilemma_min_beta, trilemma_region,
                               trilemma_sync, trilemma_unsync,
                               trilemma_unsync_original)
 
@@ -157,68 +158,86 @@ def test_threshold_frozen_values():
 
 
 def test_region_verdicts():
-    r = impossibility_region("trilemma", n=1000, l_max=2, beta=0.3)
+    r = trilemma_region(1000, 2, 0.3, 1000.0)
     assert r.impossible() and r.threshold == pytest.approx(0.4995)
-    r = impossibility_region("trilemma", n=1000, l_max=2, beta=0.6)
+    r = trilemma_region(1000, 2, 0.6, 1000.0)
     assert r.verdict == "possible"
-    r = impossibility_region("trilemma", n=1000, l_max=1, beta=0.6)
+    r = trilemma_region(1000, 1, 0.6, 1000.0)
     assert r.verdict == "not-applicable" and r.threshold == math.inf
     # starvation: less than one message of cover per round in total
-    r = impossibility_region("trilemma", n=2, l_max=2, beta=0.3)
+    r = trilemma_region(2, 2, 0.3, 2.0)
     assert r.impossible()
 
-    r = impossibility_region("counting", n=1000, l_max=2, beta=0.5)
+    r = counting_region(0.5, 1000.0)
     assert r.impossible() and r.threshold == pytest.approx(0.999)
-    r = impossibility_region("counting", n=1000, l_max=2, beta=1.0)
+    r = counting_region(1.0, 1000.0)
     assert r.verdict == "possible"
-    r = impossibility_region("counting", n=1000, l_max=2, p=0.9995)
-    assert r.impossible()
 
-    r = impossibility_region("dropping", n=1000, l_max=2, p=0.004, lam=256.0)
+    r = dropping_region(2, 0.004, 256.0, 1000.0)
     assert r.impossible() and r.threshold == pytest.approx(0.004)
-    r = impossibility_region("dropping", n=1000, l_max=2, p=0.0041, lam=256.0)
+    r = dropping_region(2, 0.0041, 256.0, 1000.0)
     assert r.verdict == "possible"
 
     with pytest.raises(ValueError):
-        impossibility_region("teleport", n=10, l_max=2, beta=0.5)
-    with pytest.raises(ValueError):
-        impossibility_region("counting", n=10, l_max=2)
-    with pytest.raises(ValueError):
-        impossibility_region("dropping", n=10, l_max=2, p=0.5)
+        counting_region(None, 10.0)
+
+
+# a point each region function decides, and the value of each case that
+# moves it off what a protocol can have
+_REGIONS = {"counting": counting_region, "trilemma": trilemma_region,
+            "dropping": dropping_region}
+_REGION_POINTS = {
+    "counting": dict(beta=0.2, poly_lambda=10.0),
+    "trilemma": dict(n=10, l_max=3, beta=0.2, poly_lambda=10.0),
+    "dropping": dict(l_max=3, p=0.2, lam=256.0, poly_lambda=10.0),
+}
 
 
 @pytest.mark.parametrize("bound,kw", [
-    ("trilemma", dict(l_max=0, beta=0.2)),
-    ("counting", dict(l_max=0, beta=0.2)),
-    ("dropping", dict(l_max=0, p=0.2, lam=256.0)),
-    ("trilemma", dict(l_max=3, beta=1.5)),
-    ("counting", dict(l_max=3, beta=-0.1)),
-    ("trilemma", dict(l_max=3, p=1.5)),
-    ("dropping", dict(l_max=3, p=-0.5, lam=256.0)),
+    ("trilemma", dict(l_max=0)),
+    ("counting", dict(poly_lambda=1.0)),
+    ("dropping", dict(l_max=0)),
+    ("trilemma", dict(beta=1.5)),
+    ("counting", dict(beta=-0.1)),
+    ("trilemma", dict(c_p=-1)),
+    ("dropping", dict(p=-0.5)),
 ])
 def test_region_rejects_impossible_points(bound, kw):
+    _REGIONS[bound](**_REGION_POINTS[bound])
     with pytest.raises(ValueError):
-        impossibility_region(bound, n=10, **kw)
+        _REGIONS[bound](**{**_REGION_POINTS[bound], **kw})
 
 
 def test_region_uses_n_as_the_default_polynomial():
-    strict = impossibility_region("trilemma", n=1000, l_max=2, beta=0.49)
-    loose = impossibility_region("trilemma", n=1000, l_max=2, beta=0.49,
-                                 poly_lambda=1.5)
+    assert security_parameter(1000) == 1000.0
+    assert security_parameter(1000, 1.5) == 1.5
+    strict = trilemma_region(1000, 2, 0.49, security_parameter(1000))
+    loose = trilemma_region(1000, 2, 0.49, security_parameter(1000, 1.5))
     assert strict.impossible() and not loose.impossible()
+    for n, poly_lambda in ((0, None), (0, 5.0), (-3, 5.0), (1, None)):
+        with pytest.raises(ValueError):
+            security_parameter(n, poly_lambda)
 
 
 def test_onion_cost_frozen_values():
-    got = onion_cost("trilemma", n=100, lam=256.0, p=0.1, l_exp=5)
+    got = onion_cost(100, 256.0, p=0.1, l_exp=5)
     assert got == {"per-user": pytest.approx(50.0),
                    "network": pytest.approx(5000.0)}
-    got = onion_cost("counting", n=100, lam=256.0, l_exp=5)
+    # every user sending in every round is the counting cost n * l_exp
+    got = onion_cost(100, 256.0, l_exp=5)
     assert got["per-user"] == pytest.approx(500.0)
     # default expected path length is log2(lam)
-    got = onion_cost("counting", n=10, lam=256.0)
+    got = onion_cost(10, 256.0)
     assert got["per-user"] == pytest.approx(80.0)
-    got = onion_cost("dropping", n=100, lam=256.0)
+    got = onion_cost_dropping(100, 256.0)
     assert got == {"per-user": pytest.approx(8.0),
                    "network": pytest.approx(800.0)}
-    with pytest.raises(ValueError):
-        onion_cost("postal", n=10, lam=256.0)
+
+
+@given(st.integers(1, 10**6), st.floats(1.0, 1e6))
+def test_onion_cost_at_full_rate_is_the_counting_cost(n, l_exp):
+    # p = 1 is the counting cost n * l_exp, to the last bit
+    want = n * l_exp
+    assert onion_cost(n, 256.0, l_exp=l_exp) == {"per-user": want,
+                                                  "network": n * want}
+

@@ -151,8 +151,8 @@ def test_region_defaults_to_a_population(capsys):
 # a point each region bound decides, with every flag it reads typed; the
 # refusal names every unread flag, so none of these may appear in it
 _REGION_POINTS = {
-    "counting": "--n 10 --lmax 3 --beta 0.5 --p 0.9 --poly-lambda 5",
-    "trilemma": "--n 10 --lmax 3 --beta 0.2 --p 0.2 --cp 1 --poly-lambda 5",
+    "counting": "--n 10 --beta 0.5 --poly-lambda 5",
+    "trilemma": "--n 10 --lmax 3 --beta 0.2 --cp 1 --poly-lambda 5",
     "dropping": "--n 10 --lmax 3 --p 0.5 --lam 16 --poly-lambda 5",
 }
 
@@ -163,8 +163,11 @@ _REGION_POINTS = {
     ("trilemma", "lam", "--lam 4"),
     ("dropping", "beta", "--beta 0.9"),
     ("dropping", "cp", "--cp 3"),
+    ("trilemma", "p", "--p 0.01"),
+    ("counting", "p", "--p 0.9"),
+    ("counting", "lmax", "--lmax 7"),
 ], ids=["counting-cp", "counting-lam", "trilemma-lam", "dropping-beta",
-        "dropping-cp"])
+        "dropping-cp", "trilemma-p", "counting-p", "counting-lmax"])
 def test_region_refuses_a_flag_its_bound_does_not_read(capsys, bound, flag,
                                                        typed):
     code, out, err = _run(capsys, "region", "--bound", bound,
@@ -175,7 +178,8 @@ def test_region_refuses_a_flag_its_bound_does_not_read(capsys, bound, flag,
 
 @pytest.mark.parametrize("argv,reason", [
     (["--lmax", "0", "--beta", "0.2", "--bound", "trilemma"], "l_max"),
-    (["--lmax", "0", "--beta", "0.2", "--bound", "counting"], "l_max"),
+    (["--lmax", "0", "--beta", "0.2", "--bound", "counting"],
+     "region --bound counting takes no --lmax"),
     (["--lmax", "3", "--beta", "1.5", "--bound", "trilemma"], "beta"),
 ], ids=["lmax-zero-trilemma", "lmax-zero-counting", "beta-over-one"])
 def test_region_rejects_impossible_points(capsys, argv, reason):
@@ -252,7 +256,12 @@ def test_impossible_runs_exit_one(capsys, argv, reason):
      "--beta", "0.3", "--poly-lambda", "10"],
     ["atlas", "--n", "0", "--poly-lambda", "10"],
     ["atlas", "--grid", "--n", "0"],
-], ids=["region-counting", "region-trilemma", "atlas", "atlas-grid"])
+    ["region", "--bound", "counting", "--n", "0", "--beta", "0.3",
+     "--poly-lambda", "5"],
+    ["region", "--bound", "dropping", "--n", "0", "--p", "0.3",
+     "--poly-lambda", "5"],
+], ids=["region-counting", "region-trilemma", "atlas", "atlas-grid",
+        "region-counting-poly-lambda", "region-dropping-poly-lambda"])
 def test_zero_users_exit_one_before_any_output(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -331,11 +340,13 @@ _VERIFY = ["verify", *_DROPPING, "--copies", "2"]
     _VERIFY + ["--config", "x.json"],
     ["region", "--bound", "trilemma", "--config", "x.json"],
     ["atlas", "--config", "x.json"],
+    ["bound", "--kind", "onion-cost", "--basis", "counting"],
 ], ids=["bound-poly-lambda", "simulate-lam", "simulate-poly-lambda",
         "verify-lam", "verify-poly-lambda", "atlas-lmax", "atlas-beta",
         "atlas-p", "atlas-cp", "simulate-threshold", "simulate-p-real",
         "verify-p-real", "simulate-sync-p-real", "bound-config",
-        "simulate-config", "verify-config", "region-config", "atlas-config"])
+        "simulate-config", "verify-config", "region-config", "atlas-config",
+        "bound-basis"])
 def test_unread_flags_are_not_declared(capsys, argv):
     code, out, err = _usage_error(capsys, argv)
     assert code == 1 and out == ""
@@ -367,6 +378,36 @@ def test_onion_cost_takes_a_typed_zero_rate(capsys):
     # without --p every user sends in every round
     code, out, _ = _run(capsys, *argv)
     assert code == 0 and json.loads(out)["per-user"] == 80.0
+
+
+def test_onion_cost_dropping_is_its_own_kind(capsys):
+    code, out, err = _run(capsys, "bound", "--kind", "onion-cost-dropping",
+                          "--n", "10", "--lam", "256")
+    assert code == 0 and err == ""
+    assert out == ('{"kind": "onion-cost-dropping", "network": 80.0, '
+                   '"per-user": 8.0}\n')
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["region", "--bound", "trilemma", "--lmax", "3", "--beta", "0.3",
+      "--cp", "-1"], "need c_p >= 0, got -1"),
+    (["bound", "--kind", "onion-cost", "--n", "-3"], "need n >= 1"),
+    (["bound", "--kind", "onion-cost", "--p", "2"],
+     "p must lie in [0, 1], got 2.0"),
+    (["bound", "--kind", "onion-cost", "--lam", "0"],
+     "need lam > 1, got 0.0"),
+    (["bound", "--kind", "onion-cost", "--lexp", "0"],
+     "need l_exp >= 1, got 0.0"),
+    (["bound", "--kind", "onion-cost-dropping", "--n", "0"], "need n >= 1"),
+    (["bound", "--kind", "onion-cost-dropping", "--lam", "1"],
+     "need lam > 1, got 1.0"),
+], ids=["region-cp-negative", "onion-n-negative", "onion-p-over-one",
+        "onion-lam-zero", "onion-lexp-zero", "dropping-n-zero",
+        "dropping-lam-one"])
+def test_each_read_value_is_checked(capsys, argv, reason):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"acnbounds: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -492,13 +533,13 @@ _BOUND_READS = {
     "trilemma-unsync-original": ("lmax", "p"),
     "trilemma-unsync-improved": ("lmax", "p", "cp", "relays"),
     "counting": ("out", "hops"),
-    "onion-cost": ("basis", "n", "lam", "p", "lexp"),
+    "onion-cost": ("n", "lam", "p", "lexp"),
+    "onion-cost-dropping": ("n", "lam"),
 }
 _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
                "p": "--p 0.2", "cp": "--cp 1", "lam": "--lam 16",
                "relays": "--relays 2", "out": "--out 5", "hops": "--hops 3",
-               "lexp": "--lexp 2",
-               "basis": "--basis counting"}
+               "lexp": "--lexp 2"}
 
 
 # each case is a kind and what is typed before the flag under test; the
@@ -521,6 +562,63 @@ def test_each_bound_kind_refuses_each_flag_it_does_not_read(capsys, case):
         else:
             assert code == 1 and out == "", flag
             assert err == f"acnbounds: bound --kind {kind} takes no --{flag}\n"
+
+
+# a point per bound kind and region bound, as the flags typed at it, and a
+# second value for every flag of `bound` and `region`: a flag typed alone at
+# its second value must change the result or be refused, so no flag is read
+# at one point and dropped at another without a word.  The points sit where
+# each read flag matters: --cp 1 so that --relays moves the trilemma floors,
+# rates on the near side of each threshold
+_READ_POINTS = {
+    ("bound", "trilemma-sync"): "--n 10 --lmax 4 --beta 0.1 --cp 1 "
+                                "--relays 3",
+    ("bound", "trilemma-unsync-original"): "--lmax 4 --p 0.1",
+    ("bound", "trilemma-unsync-improved"): "--lmax 4 --p 0.1 --cp 1 "
+                                           "--relays 3",
+    ("bound", "counting"): "--out 5 --hops 3",
+    ("bound", "onion-cost"): "--n 10 --lam 256",
+    ("bound", "onion-cost-dropping"): "--n 10 --lam 256",
+    ("region", "counting"): "--n 10 --beta 0.5",
+    ("region", "trilemma"): "--n 10 --lmax 4 --beta 0.1 --cp 1",
+    ("region", "dropping"): "--n 10 --lmax 4 --p 0.1 --lam 256",
+}
+_SECOND = {"n": "20", "lmax": "3", "beta": "0.95", "p": "0.6", "cp": "2",
+           "relays": "5", "lam": "16", "out": "6", "hops": "4", "lexp": "2",
+           "poly_lambda": "5"}
+
+
+def _result(capsys, command, selector, flags):
+    code, out, err = _run(capsys, command, *selector, *(
+        x for f, v in flags.items() for x in ("--" + f.replace("_", "-"), v)))
+    if code == 0 and command == "region":
+        # the verdict, without the typed values the record echoes
+        out = {k: json.loads(out)[k]
+               for k in ("verdict", "threshold", "condition")}
+    return code, out, err
+
+
+@pytest.mark.parametrize("command,choice", sorted(_READ_POINTS))
+def test_every_flag_changes_the_result_or_is_refused(capsys, command,
+                                                     choice):
+    selector = ("--kind", choice) if command == "bound" else \
+        ("--bound", choice)
+    fields = _READ_POINTS[command, choice].split()
+    base = dict(zip((f[2:] for f in fields[::2]), fields[1::2]))
+    code, want, err = _result(capsys, command, selector, base)
+    assert code == 0 and err == ""
+    flags = set(vars(cli._build_parser()[0].parse_args([command])))
+    flags -= {"command", selector[0][2:]}
+    assert flags <= set(_SECOND)
+    for flag in sorted(flags):
+        code, got, err = _result(capsys, command, selector,
+                                 {**base, flag: _SECOND[flag]})
+        if code == 0:
+            assert got != want, flag
+        else:
+            assert code == 1 and got == "", flag
+            assert err.endswith(f" takes no --{flag.replace('_', '-')}\n"), \
+                (flag, err)
 
 
 _UNSYNC = ["--protocol", "trilemma-unsync", "--attack", "timing-interval",

@@ -89,20 +89,13 @@ def trilemma_unsync_original(l_max: int, p: float) -> float:
 
 # ------------------------------------------------------------ traffic side
 
-@dataclass(frozen=True)
-class CountingBound:
-    min_messages: int          # total messages the network must move
-    overhead_fraction: float   # share of that total that is overhead
-
-
-def counting_bound(out_r: int, hops: int) -> CountingBound:
+def counting_bound(out_r: int, hops: int) -> dict:
     """Moving out_r delivered messages over `hops` stages costs at least
     out_r * hops transmissions; all but one stage per message is overhead."""
     if out_r < 0 or hops < 1:
         raise ValueError("need out_r >= 0 and hops >= 1")
-    return CountingBound(
-        min_messages=out_r * hops,
-        overhead_fraction=(hops - 1) / hops)
+    return {"min_messages": out_r * hops,
+            "overhead_fraction": (hops - 1) / hops}
 
 
 # --------------------------------------------------------- parameter space
@@ -226,10 +219,11 @@ def onion_cost(n: int, lam: float, p: float = 1.0,
     by default); p = 1 is the counting cost n * l_exp."""
     _check_onion(n, lam)
     _check_rate("p", p)
+    name = "l_exp"
     if l_exp is None:
-        l_exp = math.log2(lam)
-    elif l_exp < 1:
-        raise ValueError(f"need l_exp >= 1, got {l_exp}")
+        l_exp, name = math.log2(lam), "log2 lam"
+    if l_exp < 1:
+        raise ValueError(f"need {name} >= 1, got {l_exp}")
     per_user = n * p * l_exp
     return {"per-user": per_user, "network": n * per_user}
 

@@ -45,26 +45,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --kind -> (the flags it reads besides --kind, the fields `bound` prints
-# beside the kind, from the parsed flags and the rates beta and p, 0.0 when
-# not given)
+# beside the kind, from the parsed flags); a kind reads its rate as its
+# closed form names it, beta for synchronized cover and p for
+# unsynchronized, and an untyped rate exits 1 in its floor's check
 _BOUNDS = {
-    "trilemma-sync": (
-        ("n", "lmax", "beta", "cp", "relays"), lambda ns, beta, p: {
-            "delta": bounds.trilemma_sync(ns.lmax, beta, ns.n, c_p=ns.cp,
-                                          relays=ns.relays)}),
-    "trilemma-unsync-original": (("lmax", "p"), lambda ns, beta, p: {
-        "delta": bounds.trilemma_unsync_original(ns.lmax, p)}),
-    "trilemma-unsync-improved": (
-        ("lmax", "p", "cp", "relays"), lambda ns, beta, p: {
-            "delta": bounds.trilemma_unsync(ns.lmax, p, c_p=ns.cp,
-                                            relays=ns.relays)}),
+    "trilemma-sync": (("n", "lmax", "beta", "cp", "relays"), lambda ns: {
+        "delta": bounds.trilemma_sync(ns.lmax, ns.beta, ns.n, c_p=ns.cp,
+                                      relays=ns.relays)}),
+    "trilemma-unsync-original": (("lmax", "p"), lambda ns: {
+        "delta": bounds.trilemma_unsync_original(ns.lmax, ns.p)}),
+    "trilemma-unsync-improved": (("lmax", "p", "cp", "relays"), lambda ns: {
+        "delta": bounds.trilemma_unsync(ns.lmax, ns.p, c_p=ns.cp,
+                                        relays=ns.relays)}),
     "counting": (("out", "hops"),
-                 lambda ns, beta, p: _counting(ns.out, ns.hops)),
-    "onion-cost": (("n", "lam", "p", "lexp"), lambda ns, beta, p:
-                   bounds.onion_cost(ns.n, ns.lam,
-                                     p=1.0 if ns.p is None else p,
-                                     l_exp=ns.lexp)),
-    "onion-cost-dropping": (("n", "lam"), lambda ns, beta, p:
+                 lambda ns: bounds.counting_bound(ns.out, ns.hops)),
+    # without --p every user sends in every round: the counting cost
+    "onion-cost": (("n", "lam", "p", "lexp"), lambda ns: bounds.onion_cost(
+        ns.n, ns.lam, p=1.0 if ns.p is None else ns.p, l_exp=ns.lexp)),
+    "onion-cost-dropping": (("n", "lam"), lambda ns:
                             bounds.onion_cost_dropping(ns.n, ns.lam)),
 }
 
@@ -78,15 +76,15 @@ _ATTACKS = {
 }
 
 # --protocol -> the flags of `_MODEL_FLAGS` it reads; a model with cover
-# reads its one rate, beta (--p is its shorthand), the dropping model
-# reads --relays only as its first-hop pool, which --integrated replaces,
-# and --cp is read only with --relays: without a relay pool path tracing
-# plays as timing
-_RATES = ("beta", "p")
+# reads its one rate under the name of its closed form, beta for
+# synchronized cover and p for unsynchronized, the dropping model reads
+# --relays only as its first-hop pool, which --integrated replaces, and
+# --cp is read only with --relays: without a relay pool path tracing plays
+# as timing
 _PROTOCOL_READS = {
-    "trilemma-sync": _RATES,
-    "trilemma-unsync": _RATES,
-    "onion-path": ("relays", "lexp", *_RATES),
+    "trilemma-sync": ("beta",),
+    "trilemma-unsync": ("p",),
+    "onion-path": ("relays", "lexp", "p"),
     "dropping-model": ("relays", "copies", "integrated"),
 }
 
@@ -146,8 +144,7 @@ def _add_common(sp, n=2, point=True, lam=True, poly_lambda=True):
         sp.add_argument("--lmax", type=int, default=1)
         sp.add_argument("--beta", type=float)
         sp.add_argument("--p", type=float,
-                        help="unsync cover rate; in simulate and verify, "
-                        "shorthand for --beta")
+                        help="unsynchronized send rate")
         sp.add_argument("--cp", type=int, default=0,
                         help="passively compromised relays")
     if lam:
@@ -219,34 +216,15 @@ def _refuse(what, dests):
             "--" + d.replace("_", "-") for d in sorted(dests)))
 
 
-def _protocol_params(ns, given) -> ProtocolParams:
-    beta = ns.beta
-    if ns.p is not None:
-        _refuse("--p (shorthand for --beta)", given & {"beta"})
-        beta = ns.p
-    return ProtocolParams(
-        n=ns.n, l_max=ns.lmax, beta=beta or 0.0,
-        l_exp=ns.lexp, relays=ns.relays, copies=ns.copies,
-        integrated=ns.integrated)
-
-
-def _counting(out, hops):
-    r = bounds.counting_bound(out, hops)
-    return {"min_messages": r.min_messages,
-            "overhead_fraction": r.overhead_fraction}
-
-
 def _cmd_bound(ns, given) -> int:
     if ns.kind is None:
         raise ConfigError("bound needs --kind")
     reads, evaluate = _BOUNDS[ns.kind]
     _refuse(f"bound --kind {ns.kind}", given - {"kind", *reads})
-    beta = ns.beta if ns.beta is not None else 0.0
-    p = ns.p if ns.p is not None else 0.0
     if ns.relays is None:
         # the smallest pool that holds the c_p compromised relays
         ns.relays = max(ns.cp, 1)
-    out = {"kind": ns.kind, **evaluate(ns, beta, p)}
+    out = {"kind": ns.kind, **evaluate(ns)}
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -254,10 +232,8 @@ def _cmd_bound(ns, given) -> int:
 def _game(ns, given):
     """The protocol and attack the flags name; a flag of `_MODEL_FLAGS`
     that neither reads exits 1."""
-    params = _protocol_params(ns, given)
     if ns.protocol is None:
         raise ConfigError(f"{ns.command} needs --protocol")
-    kind = ProtocolKind(ns.protocol, params)
     if ns.attack is None:
         raise ConfigError(f"{ns.command} needs --attack")
     reads, attack = _ATTACKS[ns.attack]
@@ -267,7 +243,12 @@ def _game(ns, given):
     if "relays" not in reads:
         reads.discard("cp")
     _refuse(f"{ns.protocol} with {ns.attack}", given & _MODEL_FLAGS - reads)
-    return kind, attack(ns)
+    # the refusal leaves at most the model's own rate typed
+    rate = ns.beta if ns.p is None else ns.p
+    params = ProtocolParams(
+        n=ns.n, l_max=ns.lmax, beta=rate or 0.0, l_exp=ns.lexp,
+        relays=ns.relays, copies=ns.copies, integrated=ns.integrated)
+    return ProtocolKind(ns.protocol, params), attack(ns)
 
 
 def _pair(ns, params):

@@ -11,7 +11,7 @@ determinism.
 The counting floor (c03) is held against the traffic the onion model
 builds: at each point of a 20x20 grid of delivered rows and path stages,
 one seeded full trace per arm at zero cover must hold exactly
-`counting_bound(out_r, hops).min_messages` sends and relay forwards.
+`counting_bound(out_r, hops)["min_messages"]` sends and relay forwards.
 
 The two advantage definitions (c12) are checked on the leaves of every
 pinned case of `test_exact_route`: each arm's leaf probabilities must sum
@@ -129,7 +129,7 @@ def test_c03_counting_bound_meets_its_matching_protocol():
     # hops - 1 forwards, so the model meets the floor exactly
     t0 = time.perf_counter()
     ok = all(_onion_volumes(out_r, hops)
-             == [counting_bound(out_r, hops).min_messages] * 2
+             == [counting_bound(out_r, hops)["min_messages"]] * 2
              for out_r in range(1, 21) for hops in range(1, 21))
     elapsed = time.perf_counter() - t0
     _report(3, "necessary volume equals the sends and forwards of built "

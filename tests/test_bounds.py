@@ -122,13 +122,13 @@ def test_compromising_validation():
 
 def test_counting_bound_and_matching_overhead():
     cb = counting_bound(5, 3)
-    assert cb.min_messages == 15
-    assert cb.overhead_fraction == pytest.approx(2 / 3)
+    assert cb["min_messages"] == 15
+    assert cb["overhead_fraction"] == pytest.approx(2 / 3)
     # the overhead is every stage past each message's first
     for out_r in range(1, 21):
         for hops in range(1, 21):
             cb = counting_bound(out_r, hops)
-            assert (cb.overhead_fraction * cb.min_messages
+            assert (cb["overhead_fraction"] * cb["min_messages"]
                     == pytest.approx(out_r * (hops - 1)))
     with pytest.raises(ValueError):
         counting_bound(3, 0)
@@ -137,8 +137,8 @@ def test_counting_bound_and_matching_overhead():
 
 
 def test_degenerate_volumes_cost_nothing():
-    assert counting_bound(0, 5).min_messages == 0
-    assert counting_bound(4, 1).overhead_fraction == 0.0
+    assert counting_bound(0, 5)["min_messages"] == 0
+    assert counting_bound(4, 1)["overhead_fraction"] == 0.0
 
 
 def test_threshold_frozen_values():

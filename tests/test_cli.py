@@ -66,7 +66,7 @@ def test_simulate_record(capsys):
     assert rec["attack"] == "timing-interval"
     assert rec["notion"] == "SO"
     assert rec["trials"] == 200
-    # --p is shorthand for --beta
+    # the unsync send rate p is the model's cover rate
     assert rec["params"]["beta"] == pytest.approx(0.25)
     assert rec["ci"][0] <= rec["point"] <= rec["ci"][1]
 
@@ -237,7 +237,7 @@ def test_bad_parameter_exits_one(capsys):
 
 @pytest.mark.parametrize("argv,reason", [
     (["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
-      "--lmax", "3", "--relays", "2", "--cp", "9", "--beta", "0.25"],
+      "--lmax", "3", "--relays", "2", "--cp", "9", "--p", "0.25"],
      "c_p=9"),
     (["--protocol", "dropping-model", "--attack", "dropping", "--n", "3",
       "--relays", "4", "--copies", "2", "--ca", "9"], "c_a=9"),
@@ -398,12 +398,22 @@ def test_onion_cost_dropping_is_its_own_kind(capsys):
      "need lam > 1, got 0.0"),
     (["bound", "--kind", "onion-cost", "--lexp", "0"],
      "need l_exp >= 1, got 0.0"),
+    (["bound", "--kind", "onion-cost", "--lam", "1.5"],
+     "need log2 lam >= 1, got 0.5849625007211562"),
     (["bound", "--kind", "onion-cost-dropping", "--n", "0"], "need n >= 1"),
     (["bound", "--kind", "onion-cost-dropping", "--lam", "1"],
      "need lam > 1, got 1.0"),
+    # a rate is read only as typed, never as 0 when it is not
+    (["bound", "--kind", "trilemma-sync", "--n", "10", "--lmax", "2"],
+     "beta must lie in [0, 1], got None"),
+    (["bound", "--kind", "trilemma-unsync-original", "--lmax", "3"],
+     "p must lie in [0, 1], got None"),
+    (["bound", "--kind", "trilemma-unsync-improved", "--lmax", "3", "--cp",
+      "1"], "p must lie in [0, 1], got None"),
 ], ids=["region-cp-negative", "onion-n-negative", "onion-p-over-one",
-        "onion-lam-zero", "onion-lexp-zero", "dropping-n-zero",
-        "dropping-lam-one"])
+        "onion-lam-zero", "onion-lexp-zero", "onion-lam-under-two",
+        "dropping-n-zero", "dropping-lam-one", "sync-without-beta",
+        "original-without-p", "improved-without-p"])
 def test_each_read_value_is_checked(capsys, argv, reason):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
@@ -415,9 +425,11 @@ def test_each_read_value_is_checked(capsys, argv, reason):
     ["verify", *_SIMULATE[1:], "--beta", "0.2"],
 ], ids=["simulate-beta", "verify-beta"])
 def test_typed_p_with_another_rate_exits_one(capsys, argv):
+    # trilemma-unsync reads its rate as --p only
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("acnbounds: --p ")
+    assert err == ("acnbounds: trilemma-unsync with timing-interval takes "
+                   "no --beta\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -542,13 +554,20 @@ _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
                "lexp": "--lexp 2"}
 
 
-# each case is a kind and what is typed before the flag under test; the
-# compromising cases are the compromised-relay setting (c_p > 0) of the two
+# each case is a kind and what is typed before the flag under test: the
+# rate of a kind that reads one, which it must have, and in the
+# compromising cases the compromised-relay setting (c_p > 0) of the two
 # kinds that read --cp, which must refuse the same flags
 _BOUND_CASES = {kind: (kind, ()) for kind in _BOUND_READS}
-_BOUND_CASES["compromising-sync"] = ("trilemma-sync", ("--cp", "2"))
+_BOUND_CASES["trilemma-sync"] = ("trilemma-sync", ("--beta", "0.2"))
+_BOUND_CASES["trilemma-unsync-original"] = ("trilemma-unsync-original",
+                                            ("--p", "0.2"))
+_BOUND_CASES["trilemma-unsync-improved"] = ("trilemma-unsync-improved",
+                                            ("--p", "0.2"))
+_BOUND_CASES["compromising-sync"] = ("trilemma-sync",
+                                     ("--beta", "0.2", "--cp", "2"))
 _BOUND_CASES["compromising-unsync"] = ("trilemma-unsync-improved",
-                                       ("--cp", "2"))
+                                       ("--p", "0.2", "--cp", "2"))
 
 
 @pytest.mark.parametrize("case", sorted(_BOUND_CASES))
@@ -664,11 +683,11 @@ def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
 
 
 # what each variant and attack reads of the flags that only some pairs read,
-# and one valid argv per variant that types none of them beyond its reads
-_RATES = ("beta", "p")
+# a cover model its one rate under its closed form's name, and one valid
+# argv per variant that types none of them beyond its reads
 _PROTOCOL_READS = {
-    "trilemma-sync": _RATES, "trilemma-unsync": _RATES,
-    "onion-path": ("relays", "lexp", *_RATES),
+    "trilemma-sync": ("beta",), "trilemma-unsync": ("p",),
+    "onion-path": ("relays", "lexp", "p"),
     "dcnet-round": (), "broadcast-full-dummy": (),
     "dropping-model": ("relays", "copies", "integrated"),
 }
@@ -703,11 +722,11 @@ def test_each_protocol_refuses_each_flag_it_does_not_read(capsys, variant,
 
 @pytest.mark.parametrize("attack,flag", [
     (a, f) for a, reads in _ATTACK_READS.items() for f in _FLAG_ARGS
-    if f not in reads + _PROTOCOL_READS["trilemma-unsync"]])
+    if f not in (*reads, "beta", "p")])
 def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     # trilemma-unsync reads none of these flags, so the refusal is the
     # attack's alone (timing-interval's row is checked above); no attack
-    # reads a rate
+    # reads a rate, and the protocol's refusal of --beta is checked above
     code, out, err = _run(capsys, "simulate", "--protocol", "trilemma-unsync",
                           "--attack", attack,
                           *_BASE["trilemma-unsync"].split(),
@@ -722,19 +741,13 @@ def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     ("dropping-model", "random-guess", "integrated"),
     ("onion-path", "path-tracing", "cp"),
     ("dropping-model", "dropping", "ca"),
-    ("trilemma-sync", "random-guess", "p"),
-    ("trilemma-unsync", "random-guess", "beta"),
-    ("onion-path", "random-guess", "beta"),
+    ("onion-path", "random-guess", "p"),
 ])
 def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
     base = _BASE[protocol].split()
     if flag == "integrated":
         # the integrated link replaces the first-hop pool that --relays sizes
         base = base[:base.index("--relays")]
-    if flag in _RATES and base[-2] in ("--beta", "--p"):
-        # the rate replaces the base's: --p is shorthand for --beta, so
-        # it may not be typed beside it
-        base = base[:-2]
     code, out, err = _run(capsys, "simulate", "--protocol", protocol,
                           "--attack", attack, *base,
                           *_FLAG_ARGS[flag].split(), "--trials", "200")

@@ -243,7 +243,10 @@ def _game(ns, given):
     if "relays" not in reads:
         reads.discard("cp")
     _refuse(f"{ns.protocol} with {ns.attack}", given & _MODEL_FLAGS - reads)
-    # the refusal leaves at most the model's own rate typed
+    # the refusal leaves at most the model's own rate, which must be typed
+    for flag in reads & {"beta", "p"}:
+        if getattr(ns, flag) is None:
+            raise ConfigError(f"{ns.protocol} needs --{flag}")
     rate = ns.beta if ns.p is None else ns.p
     params = ProtocolParams(
         n=ns.n, l_max=ns.lmax, beta=rate or 0.0, l_exp=ns.lexp,

@@ -19,7 +19,8 @@ first trial (`exact_advantage` through `enumerate_outcomes`, whose
 leaves carry their arm and are held to `ENUM_LIMIT` before either arm
 is walked).  Each arm carries its schedule, the window its view keeps
 cover in (timing and tracing: the rounds the transit windows of each
-outcome's own arrivals can reach), its fields of draws and the view to
+outcome's own arrivals can reach, memoized per delays with the cover's
+draw plan), its fields of draws compiled into one draw, and the view to
 `sample_outcome` (or the leaves), which draw or list only the randomness
 the view shows, and to `build_trace`, which emits only its events,
 already as the capability sees them; then `filter_trace` (which finds

@@ -36,25 +36,23 @@ value per field: unsync (delays, fired), sync (delays, cohorts), onion
 deterministic given the schedule, ().  A random send time, too, would be
 a field of draws.
 
-Every field has a `draw`, and `options()`, its denominator and its table
-of values with integer weights over it, as a `(weights, values)` pair of
-tuples, whose product `enumerate_outcomes` streams as exact Fractions
-without holding it; so the two routes cannot drift apart.  Each field's
-draw is bound when the arm is built (`_bind`), into one draw of the
-outcome that `sample_outcome` calls, so a trial runs only the hash calls
-and the rng reads.  The cover is drawn in a window of rounds (see
-below), and the unsync cover `reads` the delays, the first field, to
-place it, so its `draw` takes their value and its `options` and `size`
-the window's rounds.  The picks read the solve's `random.Random` with a
-fixed call sequence: a transit delay equals `rng.choice`, and a k-sample
-(an onion path, a sync cohort, a dropping copy's first hops) equals
-`rng.sample`, each leaving the rng in the same state, also where
-`_Choice` runs `Random.choice`'s rejection loop and `_sampler`
-`Random.sample`'s small-pool loop itself.  The cover reads no rng: each
-user's coins come from their own stream under the per-trial `key`, the
-words of shake_128(key + tag(user)), one 64-bit word per free slot in
-round order, and a coin fires when `random() < beta` would on that
-word's top 53 bits.  A full onion cover's paths come from a
+Every field has `options()`, its denominator and its table of values
+with integer weights over it, as a `(weights, values)` pair of tuples,
+whose product `enumerate_outcomes` streams as exact Fractions without
+holding it; so the two routes cannot drift apart.  `arm` compiles an
+outcome's draw into one closure, which `sample_outcome` calls: the
+picks' draws, then the cover's, one lookup of the window's draw plan in
+the arm's one per-delays memo (`_Window`), the hash calls and one pass
+over the words (`_Cover.bind`).  The picks read the solve's
+`random.Random` with a fixed call sequence: a transit delay equals
+`rng.choice`, and a k-sample (an onion path, a sync cohort, a dropping
+copy's first hops) equals `rng.sample`, each leaving the rng in the same
+state, also where `_Choice` runs `Random.choice`'s rejection loop and
+`_sampler` `Random.sample`'s small-pool loop itself.  The cover reads no
+rng: each user's coins come from their own stream under the per-trial
+`key`, the words of shake_128(key + tag(user)), one 64-bit word per free
+slot in round order, and a coin fires when `random() < beta` would on
+that word's top 53 bits.  A full onion cover's paths come from a
 `random.Random` seeded by the firing user's own path stream.  `size`
 counts a field's values without listing them, and `_Window.spread`
 counts the delays options per window, so the `ENUM_LIMIT` guard trips
@@ -66,19 +64,17 @@ An outcome drawn or listed under a view (an arm's, or the `view` that
 `enumerate_outcomes` takes) holds only the watched senders' cover slots,
 and only in the arm's `window` of that outcome: when the view sets
 `window` (timing and tracing, see `core.View`), the rounds that the
-transit windows of the outcome's own arrivals can reach, from the
-earliest arrival's window to the round before the latest, so an unsync
-outcome's cover is placed by the delays it drew (see `_Window`); else the
-whole horizon.  An onion cover slot holds `(slot, None)` in place of its
-path: a cover packet feeds no delivery, so no rule reads its hops.  A
-projected draw reads only the watched users' streams, up to their last
-kept word, and the full cover is the same draw over every user and
-round, so a watched user's fired slots in a round are the same under
-every view that keeps it, and the rng ends where the full draw leaves
-it.  A trial's cover costs the slots the view watches within its window,
-and enumeration lists, per delays option, the exact marginal of the
-slots in that option's window, one window's table at a time, so its leaf
-count grows with the view and the transit window, not with
+transit windows of the outcome's own arrivals can reach (`_Window`);
+else the whole horizon.  An onion cover slot holds `(slot, None)` in
+place of its path: a cover packet feeds no delivery, so no rule reads
+its hops.  A projected draw reads only the watched users' streams, up to
+their last kept word, and the full cover is the same draw over every
+user and round, so a watched user's fired slots in a round are the
+same under every view that keeps it, and the rng ends where the full
+draw leaves it.  A trial's cover costs the slots the view watches within
+its window, and enumeration lists, per delays option, the exact marginal
+of the slots in that option's window, one window's table at a time, so
+its leaf count grows with the view and the transit window, not with
 `n x horizon`, with the rounds every delay could reach, or with the
 paths a cover packet could take.
 
@@ -95,7 +91,7 @@ the full trace.
 pair resolved once by `arm`: its batch, the schedule that the variant's
 `_TIMING` row gives it (`_schedule`), the window its view keeps cover in
 per outcome (`_Window`), its fields of draws projected onto the view
-(`_fields`), their one bound draw (`_bind`) and the view.
+(`_fields`), their one compiled draw and the view.
 """
 
 from __future__ import annotations
@@ -194,8 +190,8 @@ def _schedule(kind: ProtocolKind, batch):
                    t0 + step * (len(batch.rows) - 1) + transit(params))
 
 
-# delays values per window whose rounds it keeps, so that no trial count
-# grows a window further
+# delays values per window whose rounds and draw plan it keeps, so that no
+# trial count grows a window further
 WINDOW_CAP = 1 << 12
 
 
@@ -213,11 +209,13 @@ class _Window:
     horizon reaches the latest arrival.  Else, and in the dropping model,
     which sends no cover, they are the whole horizon.
 
-    A window holds its arm's only per-delays memo, delays -> rounds, which
-    the cover's draw and `build_trace` both read, so each trial places its
-    window with one lookup; the cover keys its plans by the rounds alone.
-    The memo stops taking entries at `WINDOW_CAP` and only answers lookups
-    after that, so no trial count grows it further.
+    A window holds its arm's one per-delays memo: delays (None for the
+    fixed transit, and for any delays when the rounds ignore them) ->
+    [rounds, plan], where `build_trace` reads the rounds and the cover's
+    draw the plan, built on its first draw there (`_Cover.plan`), so an
+    exact walk builds none.  Delays with the same rounds share one entry,
+    so a plan is built once per window.  The memo stops taking entries at
+    `WINDOW_CAP` and only answers lookups after that.
     """
 
     def __init__(self, kind: ProtocolKind, slots, horizon, view):
@@ -231,20 +229,26 @@ class _Window:
             self.rounds = self._reach(min(starts) + lag, max(starts) + lag)
         else:
             self.rounds = range(1, horizon + 1)
-        # None asks for the fixed transit's rounds
-        self._memo = {None: self.rounds}
+        self.memo, self._entries = {}, {}
 
     def __call__(self, delays=None):
+        return self.entry(delays)[0]
+
+    def entry(self, delays=None):
+        """The memo's [rounds, plan] of `delays`, kept while there is room."""
         if not self.on:
-            return self.rounds
-        rounds = self._memo.get(delays)
-        if rounds is None:
-            arrivals = [s + d for s, d in zip(self.slots, delays)
-                        if s is not None]
-            rounds = self._reach(min(arrivals), max(arrivals))
-            if len(self._memo) < WINDOW_CAP:
-                self._memo[delays] = rounds
-        return rounds
+            delays = None
+        at = self.memo.get(delays)
+        if at is None:
+            rounds = self.rounds
+            if delays is not None:
+                arrivals = [s + d for s, d in zip(self.slots, delays)
+                            if s is not None]
+                rounds = self._reach(min(arrivals), max(arrivals))
+            at = self._entries.setdefault(rounds, [rounds, None])
+            if len(self.memo) < WINDOW_CAP:
+                self.memo[delays] = at
+        return at
 
     def _reach(self, first, last):
         return range(first - self.l_max + 1, last)
@@ -391,8 +395,11 @@ class _Picks:
         self.picks = tuple(picks)
         self.size = prod(x.size for x in self.picks if x is not None)
         draws = tuple(_nothing if x is None else x.draw for x in self.picks)
-        # bound once: a draw is the picks' own draws, in row order
-        self.draw = lambda rng: tuple([d(rng) for d in draws])
+        # bound once: a draw is the picks' own draws, in row order; the
+        # key is the cover's, so an arm with no cover draws with this alone
+        one = draws[0] if len(draws) == 1 else None
+        self.draw = ((lambda rng, key=None: (one(rng),)) if one else
+                     (lambda rng, key=None: tuple([d(rng) for d in draws])))
 
     def options(self):
         opts = [(1, ((1,), (None,))) if x is None else x.options()
@@ -420,31 +427,21 @@ class _Cover:
     beta.  The field is the tuple of fired slots in (round, user) order, each
     paired with a fresh `payload` pick when there is one (an onion path).
 
-    Each user's coins come from their own stream, not from the solve's
-    rng: user u's are the little-endian 64-bit words of
-    shake_128(key + tag(u)), one per free slot of u in round order, and a
-    word fires below `_threshold(beta)`.  An onion cover path is drawn with
-    the payload's `draw` from a `random.Random` seeded by the firing
-    user's path stream, one per user that fired, in round order.
+    User u's coins are the little-endian 64-bit words of
+    shake_128(key + tag(u)), not the solve's rng, one per free slot of u
+    in round order, and a word fires below `_threshold(beta)`.  An onion
+    cover path is drawn with the payload's `draw` from a `random.Random`
+    seeded by the firing user's path stream, in round order.
 
     The field is the projection onto the users in `watch` and the rounds
-    of the arm's `window`, and the full cover is the projection onto every
-    user and round (`watch=None` and the whole horizon).  When the cover
-    `reads` the delays, the first field, each outcome's cover is drawn in
-    the window of its own delays, which `draw` takes; else in the window
-    of the fixed transit; the arm's one per-delays memo, the window's
-    (see `_Window`), gives the rounds.  `size` and `options` take a
-    window's rounds.  Each window's plan is built once, keyed by its
-    rounds alone, when first asked for: the watched users with a slot in
-    it, one parser of their streams' digests, joined in user order, into
-    the kept words, skipping each stream's words before its first kept
-    one unparsed, and the kept slots.  Word i of a stream still belongs
-    to that user's i-th free slot over the whole horizon, so a kept slot
-    fires as in the full draw, a stream is digested up to its last kept
-    word, and `options` lists the kept slots' exact marginal.  A draw is
-    then the hash calls and one pass over the joined words.  Under a view
-    an onion slot is `(slot, None)` and no path stream is read, because
-    no rule reads a cover packet's hops.
+    of the arm's `window`: those of each outcome's own delays when the
+    cover `reads` them (the first field), else of the fixed transit; the
+    full cover is the projection onto every user and round.  Word i of a
+    stream still belongs to that user's i-th free slot over the whole
+    horizon, so a kept slot fires as in the full draw, and `options`
+    lists the kept slots' exact marginal.  Under a view an onion slot is
+    `(slot, None)` and no path stream is read: no rule reads a cover
+    packet's hops.
     """
 
     def __init__(self, free, params, window, payload=None, watch=None,
@@ -464,59 +461,71 @@ class _Cover:
         self.rate = params.beta_exact
         paths = 1 if payload is None else payload.size
         self.choices = int(self.rate < 1) + paths * int(self.rate > 0)
-        # the plan of each window's rounds
-        self._at = {}
 
-    def at(self, rounds):
-        """The plan of the window `rounds`, built once: the tag of each
-        watched coin stream with a slot in it and its length in bytes up
-        to the last kept word; one parser of those streams' digests, joined
-        in user order, into the kept words; the kept slots in that order,
-        each as the draw returns it when fired; and every kept slot in
-        (round, user) order."""
-        plan = self._at.get(rounds)
-        if plan is None:
+    def kept(self, rounds):
+        """The watched slots in `rounds`, in (round, user) order."""
+        return sorted(sl for _, mine in self.mine for sl in mine
+                      if sl[0] in rounds)
+
+    def size(self, rounds):
+        return self.choices ** len(self.kept(rounds))
+
+    def plan(self, delays):
+        """The draw plan of the window of `delays`, built into its memo
+        entry on the first draw there: each watched coin stream with a
+        slot in the window, as its tag and its bytes up to the last kept
+        word; one parser of their digests, joined in user order, that
+        skips each stream's words before its first kept one; the
+        permutation of the words into (round, user) order (`tuple` when
+        they are in it); and the kept slots in that order, as drawn."""
+        at = self.window.entry(delays)
+        if at[1] is None:
             streams, skips, kept = [], [], []
             for u, sl in self.mine:
-                at = [i for i, (t, _) in enumerate(sl) if t in rounds]
-                if at:
-                    lo, hi = at[0], at[-1] + 1
+                hit = [i for i, (t, _) in enumerate(sl) if t in at[0]]
+                if hit:
+                    lo, hi = hit[0], hit[-1] + 1
                     streams.append((_TAG(_COINS, u), 8 * hi))
                     skips.append(f"{8 * lo}x{hi - lo}Q")
                     kept += sl[lo:hi]
-            # a view's onion slot is drawn without its path
-            fired = ([(sl, None) for sl in kept]
-                     if self.paired and self.payload is None else kept)
-            plan = self._at[rounds] = (
-                tuple(streams), struct.Struct("<" + "".join(skips)).unpack,
-                tuple(fired), tuple(sorted(kept)))
-        return plan
+            order = sorted(range(len(kept)), key=kept.__getitem__)
+            if self.paired and self.payload is None:
+                # a view's onion slot is drawn without its path
+                kept = [(sl, None) for sl in kept]
+            at[1] = (tuple(streams),
+                     struct.Struct("<" + "".join(skips)).unpack,
+                     tuple if order == sorted(order) else itemgetter(*order),
+                     tuple([kept[i] for i in order]))
+        return at[1]
 
-    def size(self, rounds):
-        return self.choices ** len(self.at(rounds)[3])
+    def bind(self, first):
+        """An outcome's draw, (first field, fired slots), as one function
+        of `(rng, key)`: `first` reads `rng`, then one lookup of the
+        window's plan, the hash calls and one pass over the words, with
+        no sort; a full onion cover pairs each fired slot with a path."""
+        fires, plan, get = self.cut.__gt__, self.plan, self.window.memo.get
+        # the delays key the memo only when they place the window
+        on = self.reads and self.window.on
+        shake, pick = hashlib.shake_128, self.payload and self.payload.draw
 
-    def draw(self, rng, key, delays=None):
-        """The fired slots under the per-trial `key`; `rng` is not read."""
-        rounds = self.window(delays)
-        streams, words, kept, _ = self._at.get(rounds) or self.at(rounds)
-        shake = hashlib.shake_128
-        fired = list(compress(kept, map(self.cut.__gt__, words(b"".join(
-            [shake(key + tag).digest(size) for tag, size in streams])))))
-        if self.payload is not None:
-            # each firing user's paths, in round order, from their own
-            # path stream
-            pick, paths = self.payload.draw, []
-            for u, hits in itertools.groupby(fired, itemgetter(1)):
-                own = random.Random(int.from_bytes(
-                    shake(key + _TAG(_PATHS, u)).digest(16), "little"))
-                paths += [(sl, pick(own)) for sl in hits]
-            fired = paths
-        # slots never repeat, so the sort never compares two paths
-        fired.sort()
-        return tuple(fired)
+        def draw(rng, key):
+            picks = first(rng)
+            at = get(d := picks if on else None)
+            streams, words, order, kept = at and at[1] or plan(d)
+            # via a list: tuple(iterator) sizes by a guess, then shrinks
+            fired = tuple([*compress(kept, map(fires, order(words(
+                b"".join([shake(key + tag).digest(size)
+                          for tag, size in streams])))))])
+            if pick is None:
+                return picks, fired
+            own = {u: random.Random(int.from_bytes(shake(
+                key + _TAG(_PATHS, u)).digest(16), "little"))
+                for u in {u for _, u in fired}}
+            return picks, tuple([(sl, pick(own[sl[1]])) for sl in fired])
+        return draw
 
     def options(self, rounds):
-        free = self.at(rounds)[3]
+        free = self.kept(rounds)
         pn, pd = self.rate.numerator, self.rate.denominator
         m, on = ((1, ((1,), (None,))) if self.payload is None
                  else self.payload.options())
@@ -577,8 +586,7 @@ class Arm(NamedTuple):
                      view's window for the arrivals the outcome draws, else
                      the horizon
     fields           its fields of draws, projected onto `view`
-    draw             one outcome's draw from `(rng, key)`, each field's
-                     bound once (see `_bind`)
+    draw             one outcome's draw from `(rng, key)` (`_Cover.bind`)
     view             the `View` its traces are built for, None for full
     target           the dropping model's target: the pair's suspect
                      under 1 (None in every other model)
@@ -596,20 +604,6 @@ class Arm(NamedTuple):
     target: Optional[int]
 
 
-def _bind(fields):
-    """The draw of one outcome of `fields`, as a function of `(rng, key)`
-    bound once per arm: the picks' draws read `rng`, and a cover its
-    `key`, and the unsync cover also the delays drawn before it, for its
-    window."""
-    draws = [f.draw for f in fields]
-    if fields and isinstance(fields[-1], _Cover):
-        first, cover = draws
-        if fields[-1].reads:
-            return lambda rng, key: ((d := first(rng)), cover(rng, key, d))
-        return lambda rng, key: (first(rng), cover(rng, key))
-    return lambda rng, key: tuple([f(rng) for f in draws])
-
-
 def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     """Arm b of the pair under `view` (None for the full outcome and
     trace)."""
@@ -619,17 +613,19 @@ def arm(kind: ProtocolKind, pair, b: int, view=None) -> Arm:
     window = _Window(kind, slots, horizon, view)
     target = pair.suspects()[1] if kind.variant == DROPPING else None
     fields = _fields(kind, batch, slots, horizon, watch, window)
+    draw = (fields[-1].bind(fields[0].draw)
+            if fields and isinstance(fields[-1], _Cover) else
+            _Picks(fields).draw)
     return Arm(kind.variant, kind.params, batch, slots, horizon, window,
-               fields, _bind(fields), view, target)
+               fields, draw, view, target)
 
 
 def sample_outcome(arm: Arm, rng: random.Random, key: bytes):
     """Draw one random outcome of the arm, each field in turn, with the
-    draw the arm bound when it was built (see `_bind`).  `rng` is a plain
-    `random.Random` (see `_Choice` and `_sampler`) and gives every field
-    but the cover, whose coins come from per-user streams under the
-    trial's `key` (see `_Cover`), in the rounds that the arm's one
-    per-delays memo, its `_Window`'s, gives for the delays drawn.
+    draw `arm` compiled.  `rng` is a plain `random.Random` (see `_Choice`
+    and `_sampler`) and gives every field but the cover, whose coins come
+    from per-user streams under the trial's `key` (see `_Cover`), in the
+    window that the arm's one per-delays memo gives for the delays drawn.
 
     Under the arm's `View` (None for the full outcome) the outcome is
     projected onto it, for `build_trace` of the same arm: the cover holds
@@ -739,18 +735,17 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
 
     Under an arm without a view the trace is the full (unfiltered) one,
     every event in rounds 1..horizon: a late onion cover packet's hops
-    stop at the horizon.
-    Under a `View`, only the events it names are emitted, each the way every
-    capability sees it: the senders' sends, without their real/dummy flag
-    and payload (`filter_trace` masks both on every send) and, but for a
-    batch row's own send, only in the arm's `window` of the outcome, the
-    forwards of batch rows' packets at relays below `view.relays` and the
-    receivers' deliveries; drops, user-node forwards and an onion cover
-    packet's hops are left out, so a projected outcome (cover paths None)
-    builds as well as a full one.  The ids of the events kept come from the same counter
-    as in the full trace, so they stay unique, and the dropping model
-    still applies its drops.  One branch per variant builds both traces,
-    appending its rows in place.
+    stop at the horizon.  Under a `View`, only the events it names are
+    emitted, each the way every capability sees it: the senders' sends,
+    without their real/dummy flag and payload (`filter_trace` masks both
+    on every send) and, but for a batch row's own send, only in the arm's
+    `window` of the outcome, the forwards of batch rows' packets at relays
+    below `view.relays` and the receivers' deliveries; drops, user-node
+    forwards and an onion cover packet's hops are left out, so a projected
+    outcome (cover paths None) builds as well as a full one.  The ids of
+    the events kept come from the same counter as in the full trace, so
+    they stay unique, and the dropping model still applies its drops.  One
+    branch per variant builds both traces, appending its rows in place.
 
     Events are emitted as raw rows `(round, kind order, location, packet,
     kind, is_real, origin, in_packet, msg)` with construction-order packet

@@ -230,9 +230,9 @@ def test_workers_flag_is_a_usage_error(capsys):
 def test_bad_parameter_exits_one(capsys):
     code, _, err = _run(capsys, "simulate", "--protocol", "trilemma-unsync",
                         "--attack", "timing-interval", "--n", "1",
-                        "--lmax", "2", "--trials", "200")
+                        "--lmax", "2", "--p", "0.25", "--trials", "200")
     assert code == 1
-    assert "acnbounds:" in err
+    assert err == "acnbounds: need n >= 2 users\n"
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -242,7 +242,8 @@ def test_bad_parameter_exits_one(capsys):
     (["--protocol", "dropping-model", "--attack", "dropping", "--n", "3",
       "--relays", "4", "--copies", "2", "--ca", "9"], "c_a=9"),
     (["--protocol", "trilemma-unsync", "--attack", "timing-interval",
-      "--n", "4", "--lmax", "2", "--length", "0"], "at least one row"),
+      "--n", "4", "--lmax", "2", "--p", "0.25", "--length", "0"],
+     "at least one row"),
 ], ids=["cp-over-relays", "ca-over-pool", "no-rows"])
 def test_impossible_runs_exit_one(capsys, argv, reason):
     code, out, err = _run(capsys, "simulate", *argv, "--trials", "200")
@@ -522,7 +523,7 @@ def test_the_compromising_kinds_are_gone(capsys, kind):
      "verify needs --attack"),
     (["region", "--lmax", "2", "--beta", "0.3"], "region needs --bound"),
     (["simulate", "--protocol", "onion-path", "--attack", "timing-interval",
-      "--n", "4", "--lmax", "3"],
+      "--n", "4", "--lmax", "3", "--p", "0.25"],
      "onion routing needs at least one relay"),
     (["simulate", "--protocol", "broadcast-full-dummy", "--attack",
       "counting", "--n", "3", "--lmax", "1", "--trials", "200"],
@@ -658,8 +659,8 @@ _INTEGRATED = ["--protocol", "dropping-model", "--attack", "dropping",
     (["simulate", *_INTEGRATED, "--relays", "4"], "--relays"),
     (["simulate", *_DROPPING, "--cp", "1"], "--cp"),
     (["simulate", "--protocol", "onion-path", "--attack", "path-tracing",
-      "--n", "4", "--lmax", "3", "--relays", "3", "--trials", "200",
-      "--ca", "1"], "--ca"),
+      "--n", "4", "--lmax", "3", "--relays", "3", "--p", "0.25",
+      "--trials", "200", "--ca", "1"], "--ca"),
 ], ids=["copies", "verify-copies", "relays", "lexp", "integrated", "cp",
         "ca", "copies-and-cp", "integrated-relays", "dropping-cp",
         "tracing-ca"])
@@ -672,8 +673,8 @@ def test_flags_a_protocol_or_attack_does_not_read_exit_one(capsys, argv,
 
 @pytest.mark.parametrize("argv", [
     ["--protocol", "onion-path", "--attack", "path-tracing", "--n", "4",
-     "--lmax", "3", "--relays", "3", "--lexp", "2", "--cp", "1",
-     "--trials", "200"],
+     "--lmax", "3", "--relays", "3", "--lexp", "2", "--cp", "1", "--p",
+     "0.25", "--trials", "200"],
     [*_INTEGRATED, "--copies", "2", "--ca", "1"],
     [*_DROPPING, "--copies", "2", "--ca", "1"],
 ], ids=["onion-tracing", "integrated", "dropping"])
@@ -695,7 +696,7 @@ _ATTACK_READS = {"counting": (), "path-tracing": ("cp",), "dropping": ("ca",)}
 _BASE = {
     "trilemma-sync": "--n 4 --lmax 3 --beta 0.4",
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
-    "onion-path": "--n 4 --lmax 3 --relays 3",
+    "onion-path": "--n 4 --lmax 3 --relays 3 --p 0.4",
     "dcnet-round": "--n 4 --lmax 1",
     "broadcast-full-dummy": "--n 4 --lmax 2",
     "dropping-model": "--n 3 --lmax 1 --relays 4",
@@ -748,11 +749,30 @@ def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
     if flag == "integrated":
         # the integrated link replaces the first-hop pool that --relays sizes
         base = base[:base.index("--relays")]
+    if flag == "p":
+        # the rate typed on its own, in place of the base's
+        base = base[:base.index("--p")]
     code, out, err = _run(capsys, "simulate", "--protocol", protocol,
                           "--attack", attack, *base,
                           *_FLAG_ARGS[flag].split(), "--trials", "200")
     assert code == 0 and err == ""
     assert json.loads(out)["protocol"] == protocol
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("protocol", ["trilemma-sync", "trilemma-unsync",
+                                      "onion-path"])
+def test_a_model_with_cover_exits_one_without_its_rate(capsys, command,
+                                                       protocol):
+    # an untyped rate is never run as no cover, as in `bound`
+    flag, = {"beta", "p"} & set(_PROTOCOL_READS[protocol])
+    base = _BASE[protocol].split()
+    base = base[:base.index(f"--{flag}")]
+    code, out, err = _run(capsys, command, "--protocol", protocol,
+                          "--attack", "timing-interval", *base,
+                          "--trials", "200")
+    assert code == 1 and out == ""
+    assert err == f"acnbounds: {protocol} needs --{flag}\n"
 
 
 # sha256 of README's command examples' stdout; a change to the flags must

@@ -256,15 +256,64 @@ def test_a_full_window_memo_answers_but_takes_no_more_entries(monkeypatch):
 
     monkeypatch.setattr(game, "arm", recorded)
     want = estimate_advantage(kind, attack, pair, 3000, 4)
-    assert all(len(side.window._memo) > 100 for side in made)
+    for side in made:
+        # delays with one window share its entry, so its plan is built once
+        entries = side.window.memo.values()
+        assert len(entries) > 100
+        assert len({id(at) for at in entries}) == \
+            len({rounds for rounds, _ in entries}) < 20
     made.clear()
     monkeypatch.setattr(protocols, "WINDOW_CAP", 3)
     drawn, _ = _count_layers(monkeypatch)
     assert estimate_advantage(kind, attack, pair, 3000, 4) == want
     assert len(made) == 2
-    assert all(len(side.window._memo) == 3 for side in made)
     for side in made:
+        # each kept entry holds its delays' rounds and the plan of the
+        # draws that met it, and every other delays value is looked up
+        # afresh on each trial
+        memo = side.window.memo
+        assert len(memo) == 3
+        assert all(plan is not None for _, plan in memo.values())
+        assert all(rounds == side.window(delays)
+                   for delays, (rounds, _) in memo.items())
         assert len({o[0] for s, o in drawn if s is side}) > 100
+
+
+# sha256 of `estimate_advantage`'s record at each benchmark workload shape,
+# 2,000 trials, per seed: any change to the trial stream (the rng calls,
+# the cover coins' streams or their windows) shows here
+WORKLOAD_RECORDS = {
+    "small": (
+        ("9e409727ea63223bc0e314301b56ffd7"
+         "7281a2b276860092fd69590eb8e529b0"),
+        ("0a60d234adb5a9b9b32502054daec8dc"
+         "6fb78e67949b2a105538328e7c0f1499"),
+        ("6d17e9a8652abb7ab8bb4225cf030192"
+         "598e588df457f91e453ca3b10e5cf9cf")),
+    "wide": (
+        ("a902cf0f83f2514ee116394f1393638f"
+         "e97311ca8a69450a2179f848b1522901"),
+        ("5466ef3ce3137092f0d6b3bf1ca4f75b"
+         "13835b7bcd551f7f2b64a94ab0b4a373"),
+        ("737683f482d28c4da62c17ce64b24d10"
+         "fe76898f642135be40594fb04a21c146")),
+    "onion": (
+        ("6ded3be2454e414e3cc43eba9143bcd1"
+         "fcf1db447f4acc35b1276ad5a0742ecb"),
+        ("27a9d81ae0f6b2f665eb2bcd378953c7"
+         "b9add23b3759b5e2842d47b158fad011"),
+        ("7ef30d959ec608d3ccd13afbbc2b4102"
+         "b84be84d15d3cca1e453b3fcd3288cb7")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_RECORDS))
+def test_workload_shape_records_are_pinned(name):
+    kind, attack, pair = _workload_shape(name)
+    for seed, digest in enumerate(WORKLOAD_RECORDS[name]):
+        est = estimate_advantage(kind, attack, pair, 2000, seed)
+        record = record_json(result_record(kind, attack, pair, est, seed))
+        assert hashlib.sha256(record.encode()).hexdigest() == digest, seed
 
 
 @pytest.mark.parametrize("seed", [0, -5, 10 ** 12])

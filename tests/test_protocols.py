@@ -439,10 +439,14 @@ def test_a_cover_coin_fires_exactly_when_random_would(monkeypatch, p):
             return struct.pack(f"<{len(words)}Q", *words)
 
     monkeypatch.setattr(hashlib, "shake_128", Fixed)
-    free = tuple((t, 0) for t in range(1, len(words) + 1))
-    cover = protocols._Cover(free, ProtocolParams(n=2, l_max=2, beta=p),
-                             lambda delays=None: range(1, len(words) + 1))
-    fired = cover.draw(None, b"key")
+    # one user's free slots over a horizon of one round per word
+    kind = ProtocolKind("trilemma-unsync",
+                        ProtocolParams(n=2, l_max=2, beta=p))
+    window = protocols._Window(kind, (None,), len(words), None)
+    free = tuple((t, 0) for t in window())
+    draw = protocols._Cover(free, kind.params, window).bind(lambda rng: ())
+    picks, fired = draw(None, b"key")
+    assert picks == ()
     assert [sl in fired for sl in free] == \
         [(w >> 11) * 2 ** -53 < p for w in words]
 

@@ -14,10 +14,12 @@ projected leaves are the exact marginals of the full ones.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
 import random
+import struct
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -32,7 +34,7 @@ from acnbounds.adversaries import (COUNTING, AttackKind,
 from acnbounds.core import (NO_COMM, SEND, AdversaryCapability,
                             Communication, ProtocolParams, ResourceLimitError,
                             View, filter_trace)
-from acnbounds import game
+from acnbounds import game, protocols
 from acnbounds.game import exact_advantage
 from acnbounds.notions import generate_pair, parse_notion
 from acnbounds.protocols import (BROADCAST, DCNET, DROPPING, ONION_PATH,
@@ -327,6 +329,84 @@ def test_projected_cover_is_the_full_draw_restricted(n):
             views = _unsync_views(n, pair)
             for b, seed in itertools.product((0, 1), range(3)):
                 check_same_draw(kind, pair, b, seed, views)
+
+
+def _stream(key, domain, user, size):
+    """`size` bytes of a user's stream: shake_128(key + domain + u64le)."""
+    return hashlib.shake_128(
+        key + domain + user.to_bytes(8, "little")).digest(size)
+
+
+def _reference_draw(kind, pair, b, view, rng, key):
+    """Arm b's outcome under `view`, from the stream definition: the
+    picks as `rng.choice` (a delay) or `rng.sample` (a path) give them,
+    and each watched user's coins as the words of its coin stream, one
+    per free slot of that user over the horizon in round order, fired
+    below `_threshold(beta)`, kept in the window of the drawn delays and
+    sorted by slot.  Without a view an onion slot carries a path sampled
+    by a `random.Random` seeded with the user's path stream, one per
+    fired slot in round order; under one it carries None."""
+    params = kind.params
+    side = arm(kind, pair, b, view)
+    onion = kind.variant == ONION_PATH
+    if onion:
+        relays = range(params.relays)
+        picks = tuple(None if s is None else
+                      tuple(rng.sample(relays, params.l_exp - 1))
+                      for s in side.slots)
+        rounds = side.window()
+    else:
+        delays = range(1, params.l_max) if params.l_max > 1 else (0,)
+        picks = tuple(None if s is None else rng.choice(delays)
+                      for s in side.slots)
+        rounds = side.window(picks)
+    busy = {(t, row.sender) for t, row in zip(side.slots, pair.batch(b).rows)
+            if t is not None}
+    cut = protocols._threshold(params.beta)
+    fired = []
+    for u in range(params.n) if view is None else view.senders:
+        free = [t for t in range(1, side.horizon + 1) if (t, u) not in busy]
+        words = struct.unpack(f"<{len(free)}Q",
+                              _stream(key, b"c", u, 8 * len(free)))
+        mine = [(t, u) for t, w in zip(free, words)
+                if w < cut and t in rounds]
+        if onion and view is None:
+            own = random.Random(int.from_bytes(_stream(key, b"p", u, 16),
+                                               "little"))
+            mine = [(sl, tuple(own.sample(relays, params.l_exp - 1)))
+                    for sl in mine]
+        elif onion:
+            mine = [(sl, None) for sl in mine]
+        fired += mine
+    return picks, tuple(sorted(fired))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(onion=st.booleans(), n=st.integers(2, 4), l_max=st.integers(1, 4),
+       beta=st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]),
+       notion=st.sampled_from(["SO", "SML", "RO", "CO"]),
+       seed=st.integers(0, 3), data=st.data())
+def test_every_draw_is_the_stream_definition(onion, n, l_max, beta, notion,
+                                             seed, data):
+    # every variant with a cover, under every stock attack's view and
+    # under none, over several trials of one rng, as the game reads them
+    l_exp = data.draw(st.integers(1, l_max)) if onion else None
+    relays = data.draw(st.integers(max(1, l_exp - 1), 3)) if onion else 0
+    params = ProtocolParams(n=n, l_max=l_max, beta=beta, relays=relays,
+                            l_exp=l_exp)
+    kind = ProtocolKind(ONION_PATH if onion else TRILEMMA_UNSYNC, params)
+    length = 2 if notion == "SML" else data.draw(st.integers(1, 3))
+    pair = generate_pair(parse_notion(notion), params, seed, length)
+    views = [None] + [attack_view(a, pair) for a in stock_attacks(params)]
+    for view, b in itertools.product(views, (0, 1)):
+        side = arm(kind, pair, b, view)
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for i in range(6):
+            key = trial_key(seed, i)
+            assert (sample_outcome(side, mine, key)
+                    == _reference_draw(kind, pair, b, view, theirs, key)), \
+                (view, b, i)
+            assert mine.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("n,l_max,beta", [

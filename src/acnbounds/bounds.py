@@ -213,11 +213,14 @@ def _check_onion(n, lam):
         raise ValueError(f"need lam > 1, got {lam}")
 
 
-def onion_cost(n: int, lam: float, p: float = 1.0,
+def onion_cost(n: int, lam: float, p: float = None,
                l_exp: float = None) -> dict:
     """Messages n users send at rate p over circuits of l_exp hops (log2 lam
-    by default); p = 1 is the counting cost n * l_exp."""
+    by default).  p = None, the default, means every user sends in every
+    round, as p = 1 does: the counting cost n * l_exp.  "per-user" is
+    n * p * l_exp, which grows with n, and "network" n times it."""
     _check_onion(n, lam)
+    p = 1.0 if p is None else p
     _check_rate("p", p)
     name = "l_exp"
     if l_exp is None:

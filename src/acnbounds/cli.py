@@ -44,53 +44,44 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# --kind -> (the flags it reads besides --kind, the fields `bound` prints
-# beside the kind, from the parsed flags); a kind reads its rate as its
-# closed form names it, beta for synchronized cover and p for
-# unsynchronized, and an untyped rate exits 1 in its floor's check
-_BOUNDS = {
-    "trilemma-sync": (("n", "lmax", "beta", "cp", "relays"), lambda ns: {
-        "delta": bounds.trilemma_sync(ns.lmax, ns.beta, ns.n, c_p=ns.cp,
-                                      relays=ns.relays)}),
-    "trilemma-unsync-original": (("lmax", "p"), lambda ns: {
-        "delta": bounds.trilemma_unsync_original(ns.lmax, ns.p)}),
-    "trilemma-unsync-improved": (("lmax", "p", "cp", "relays"), lambda ns: {
-        "delta": bounds.trilemma_unsync(ns.lmax, ns.p, c_p=ns.cp,
-                                        relays=ns.relays)}),
-    "counting": (("out", "hops"),
-                 lambda ns: bounds.counting_bound(ns.out, ns.hops)),
-    # without --p every user sends in every round: the counting cost
-    "onion-cost": (("n", "lam", "p", "lexp"), lambda ns: bounds.onion_cost(
-        ns.n, ns.lam, p=1.0 if ns.p is None else ns.p, l_exp=ns.lexp)),
-    "onion-cost-dropping": (("n", "lam"), lambda ns:
-                            bounds.onion_cost_dropping(ns.n, ns.lam)),
-}
+# a parameter of a closed form, an attack or `ProtocolParams` -> the flag
+# it is typed as, where the two names differ; a function reads the flags
+# of its positional parameters (`_reads`), and is called on their values
+_FLAG = {"l_max": "lmax", "c_p": "cp", "c_a": "ca", "out_r": "out",
+         "l_exp": "lexp"}
 
-# --attack -> (the flags of `_MODEL_FLAGS` it reads, the attack)
-_ATTACKS = {
-    "counting": ((), lambda ns: counting_attack(ns.n)),
-    "timing-interval": ((), lambda ns: timing_attack(ns.n)),
-    "path-tracing": (("cp",), lambda ns: tracing_attack(ns.n, ns.cp)),
-    "dropping": (("ca",), lambda ns: dropping_attack(ns.n, ns.ca)),
-    "random-guess": ((), lambda ns: random_guess_attack()),
-}
 
-# --protocol -> the flags of `_MODEL_FLAGS` it reads; a model with cover
-# reads its one rate under the name of its closed form, beta for
-# synchronized cover and p for unsynchronized, the dropping model reads
-# --relays only as its first-hop pool, which --integrated replaces, and
-# --cp is read only with --relays: without a relay pool path tracing plays
-# as timing
-_PROTOCOL_READS = {
-    "trilemma-sync": ("beta",),
-    "trilemma-unsync": ("p",),
-    "onion-path": ("relays", "lexp", "p"),
-    "dropping-model": ("relays", "copies", "integrated"),
-}
+def _flags(*names):
+    return tuple(_FLAG.get(name, name) for name in names if name)
+
+
+def _reads(fn):
+    code = fn.__code__
+    return _flags(*code.co_varnames[:code.co_argcount])
+
+
+def _call(fn, ns):
+    return fn(*(getattr(ns, flag) for flag in _reads(fn)))
+
+
+# --kind -> its closed form, whose parameters are the flags the kind reads
+# besides --kind (`_reads`); an untyped cover rate exits 1 in its check
+_BOUNDS = {"trilemma-sync": bounds.trilemma_sync,
+           "trilemma-unsync-original": bounds.trilemma_unsync_original,
+           "trilemma-unsync-improved": bounds.trilemma_unsync,
+           "counting": bounds.counting_bound, "onion-cost": bounds.onion_cost,
+           "onion-cost-dropping": bounds.onion_cost_dropping}
+
+# --attack -> the attack, whose parameters but n are the flags of
+# `_MODEL_FLAGS` it reads
+_ATTACKS = {"counting": counting_attack, "timing-interval": timing_attack,
+            "path-tracing": tracing_attack, "dropping": dropping_attack,
+            "random-guess": random_guess_attack}
 
 # the `simulate` flags that only some protocols or attacks read
-_MODEL_FLAGS = set(itertools.chain(*_PROTOCOL_READS.values(),
-                                   *(reads for reads, _ in _ATTACKS.values())))
+_MODEL_FLAGS = set().union(
+    *(_flags(row.rate, *row.reads) for row in VARIANTS.values()),
+    *map(_reads, _ATTACKS.values())) - {"n"}
 
 # (protocol, attack) -> (check, value(params, capability), label, points):
 # `verify` holds a run to its row's value, `floor` a lower bound the
@@ -123,19 +114,12 @@ _REFERENCES = {
 }
 
 
-# region --bound -> (the flags it reads besides --bound, its verdict from
-# the parsed flags and the security parameter); --n is read for the default
-# security parameter, and by trilemma for the cover volume
-_REGIONS = {
-    "counting": (("n", "beta", "poly_lambda"), lambda ns, poly_lambda:
-                 bounds.counting_region(ns.beta, poly_lambda)),
-    "trilemma": (("n", "lmax", "beta", "cp", "poly_lambda"),
-                 lambda ns, poly_lambda: bounds.trilemma_region(
-                     ns.n, ns.lmax, ns.beta, poly_lambda, c_p=ns.cp)),
-    "dropping": (("n", "lmax", "p", "lam", "poly_lambda"),
-                 lambda ns, poly_lambda: bounds.dropping_region(
-                     ns.lmax, ns.p, ns.lam, poly_lambda)),
-}
+# region --bound -> its verdict, whose parameters are the flags the bound
+# reads besides --bound and --n (`_reads`); every bound reads --n for the
+# default security parameter, which `_cmd_region` resolves before the call
+_REGIONS = {"counting": bounds.counting_region,
+            "trilemma": bounds.trilemma_region,
+            "dropping": bounds.dropping_region}
 
 
 def _add_common(sp, n=2, point=True, lam=True, poly_lambda=True):
@@ -219,39 +203,40 @@ def _refuse(what, dests):
 def _cmd_bound(ns, given) -> int:
     if ns.kind is None:
         raise ConfigError("bound needs --kind")
-    reads, evaluate = _BOUNDS[ns.kind]
-    _refuse(f"bound --kind {ns.kind}", given - {"kind", *reads})
+    floor = _BOUNDS[ns.kind]
+    _refuse(f"bound --kind {ns.kind}", given - {"kind", *_reads(floor)})
     if ns.relays is None:
         # the smallest pool that holds the c_p compromised relays
         ns.relays = max(ns.cp, 1)
-    out = {"kind": ns.kind, **evaluate(ns)}
-    print(json.dumps(out, sort_keys=True))
+    value = _call(floor, ns)
+    out = value if isinstance(value, dict) else {"delta": value}
+    print(json.dumps({"kind": ns.kind, **out}, sort_keys=True))
     return 0
 
 
 def _game(ns, given):
     """The protocol and attack the flags name; a flag of `_MODEL_FLAGS`
-    that neither reads exits 1."""
+    that neither reads, or an untyped rate the protocol reads, exits 1."""
     if ns.protocol is None:
         raise ConfigError(f"{ns.command} needs --protocol")
     if ns.attack is None:
         raise ConfigError(f"{ns.command} needs --attack")
-    reads, attack = _ATTACKS[ns.attack]
-    reads = {*reads, *_PROTOCOL_READS.get(ns.protocol, ())}
+    attack, row = _ATTACKS[ns.attack], VARIANTS[ns.protocol]
+    reads = {*_reads(attack), *_flags(row.rate, *row.reads)}
+    # --integrated replaces the pool --relays sizes; without a relay pool
+    # path tracing plays as timing, so --cp is read only with --relays
     if ns.integrated and "integrated" in reads:
         reads.remove("relays")
     if "relays" not in reads:
         reads.discard("cp")
     _refuse(f"{ns.protocol} with {ns.attack}", given & _MODEL_FLAGS - reads)
     # the refusal leaves at most the model's own rate, which must be typed
-    for flag in reads & {"beta", "p"}:
-        if getattr(ns, flag) is None:
-            raise ConfigError(f"{ns.protocol} needs --{flag}")
-    rate = ns.beta if ns.p is None else ns.p
-    params = ProtocolParams(
-        n=ns.n, l_max=ns.lmax, beta=rate or 0.0, l_exp=ns.lexp,
-        relays=ns.relays, copies=ns.copies, integrated=ns.integrated)
-    return ProtocolKind(ns.protocol, params), attack(ns)
+    rate = getattr(ns, row.rate) if row.rate else 0.0
+    if rate is None:
+        raise ConfigError(f"{ns.protocol} needs --{row.rate}")
+    params = ProtocolParams(ns.n, ns.lmax, rate, **{
+        name: getattr(ns, _FLAG.get(name, name)) for name in row.reads})
+    return ProtocolKind(ns.protocol, params), _call(attack, ns)
 
 
 def _pair(ns, params):
@@ -341,13 +326,17 @@ def _sweep(ns, given) -> int:
 def _cmd_region(ns, given) -> int:
     if ns.bound is None:
         raise ConfigError("region needs --bound")
-    reads, evaluate = _REGIONS[ns.bound]
+    verdict_of = _REGIONS[ns.bound]
+    reads = {"n", *_reads(verdict_of)}
     _refuse(f"region --bound {ns.bound}", given - {"bound", *reads})
-    verdict = evaluate(ns, bounds.security_parameter(ns.n, ns.poly_lambda))
-    print(json.dumps({
-        "bound": ns.bound, "n": ns.n, "l_max": ns.lmax, "beta": ns.beta,
-        "p": ns.p, "verdict": verdict.verdict, "threshold": verdict.threshold,
-        "condition": verdict.condition}, sort_keys=True))
+    ns.poly_lambda = bounds.security_parameter(ns.n, ns.poly_lambda)
+    verdict = _call(verdict_of, ns)
+    # the point values the bound reads, under the closed forms' names
+    point = {name: getattr(ns, _FLAG.get(name, name))
+             for name in ("n", "l_max", "beta", "p")
+             if _FLAG.get(name, name) in reads}
+    print(json.dumps({"bound": ns.bound, **point, **vars(verdict)},
+                     sort_keys=True))
     return 0
 
 

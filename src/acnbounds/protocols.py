@@ -10,7 +10,7 @@ Shared conventions:
 * Rounds are integers starting at 1.  Batch rows enter the network at
   t0 = l_max (simultaneous batches all at t0, slotted models one row per
   round from t0 on), which leaves room below t0 for every transit window
-  an attack may inspect.  Each variant's timing is one row of `_TIMING`.
+  an attack may inspect.  Each variant's timing is its `VARIANTS` row.
 * Transit delay is uniform on {1, ..., l_max-1} rounds.  l_max = 1 means
   direct same-round delivery and the delivered packet keeps its id; any
   longer path re-randomizes ids, so linkage exists only via timing.
@@ -89,7 +89,7 @@ the full trace.
 
 `sample_outcome` and `build_trace` take an `Arm`, one side of a challenge
 pair resolved once by `arm`: its batch, the schedule that the variant's
-`_TIMING` row gives it (`_schedule`), the window its view keeps cover in
+`VARIANTS` row gives it (`_schedule`), the window its view keeps cover in
 per outcome (`_Window`), its fields of draws projected onto the view
 (`_fields`), their one compiled draw and the view.
 """
@@ -119,21 +119,29 @@ DCNET = "dcnet-round"
 BROADCAST = "broadcast-full-dummy"
 DROPPING = "dropping-model"
 
-VARIANTS = (TRILEMMA_SYNC, TRILEMMA_UNSYNC, ONION_PATH, DCNET, BROADCAST,
-            DROPPING)
 
-# Per variant: the rounds between successive batch rows' starts (1: one
-# per round from t0, 0: all at t0), and the longest transit in rounds,
-# which the trilemma models draw up to (their delays field) and the others
-# always take.  The dropping model (no transit) sends in round 1,
-# forwards in round 2 and delivers in round 3 whatever the schedule.
-_TIMING = {
-    TRILEMMA_SYNC: (1, lambda p: p.l_max - 1),
-    TRILEMMA_UNSYNC: (0, lambda p: p.l_max - 1),
-    ONION_PATH: (0, lambda p: p.l_exp - 1),
-    DCNET: (1, lambda p: 0),
-    BROADCAST: (0, lambda p: 1),
-    DROPPING: (0, None),
+class Variant(NamedTuple):
+    """A protocol variant's row: the rounds between successive batch rows'
+    starts (1: one per round from t0, 0: all at t0); the longest transit
+    in rounds, which the trilemma models draw up to (their delays field)
+    and the others always take, None in the dropping model, which sends in
+    round 1, forwards in round 2 and delivers in round 3; the closed-form
+    name of the cover rate `ProtocolParams.beta` holds, None without
+    cover; the other `ProtocolParams` fields only some variants read."""
+
+    step: int
+    transit: Optional[Callable]
+    rate: Optional[str]
+    reads: tuple
+
+
+VARIANTS = {
+    TRILEMMA_SYNC: Variant(1, lambda p: p.l_max - 1, "beta", ()),
+    TRILEMMA_UNSYNC: Variant(0, lambda p: p.l_max - 1, "p", ()),
+    ONION_PATH: Variant(0, lambda p: p.l_exp - 1, "p", ("relays", "l_exp")),
+    DCNET: Variant(1, lambda p: 0, None, ()),
+    BROADCAST: Variant(0, lambda p: 1, None, ()),
+    DROPPING: Variant(0, None, None, ("relays", "copies", "integrated")),
 }
 
 ENUM_LIMIT = 2_000_000
@@ -157,7 +165,7 @@ class ProtocolKind:
             if p.first_hops < p.copies:
                 raise ConfigError("need at least `copies` distinct first hops")
         if v == BROADCAST and p.l_max < 2:
-            # its transit is one round whatever l_max (`_TIMING`)
+            # its transit is one round whatever l_max (its `VARIANTS` row)
             raise ConfigError("broadcast delivers one round after the send, "
                               "so it needs l_max >= 2")
 
@@ -178,11 +186,11 @@ def _noise_slots(kind: ProtocolKind, batch, slots, horizon):
 
 
 def _schedule(kind: ProtocolKind, batch):
-    """(slots, horizon) of one arm, read off the variant's `_TIMING` row:
+    """(slots, horizon) of one arm, read off the variant's `VARIANTS` row:
     each batch row's start round (None for a row with nothing to send) and
     the last round the run needs."""
     params = kind.params
-    step, transit = _TIMING[kind.variant]
+    step, transit, _, _ = VARIANTS[kind.variant]
     t0 = params.l_max
     slots = tuple(None if row is NO_COMM else t0 + step * k
                   for k, row in enumerate(batch.rows))
@@ -220,7 +228,7 @@ class _Window:
 
     def __init__(self, kind: ProtocolKind, slots, horizon, view):
         params = kind.params
-        transit = _TIMING[kind.variant][1]
+        transit = VARIANTS[kind.variant].transit
         self.slots, self.l_max = slots, params.l_max
         self.on = view is not None and view.window and transit is not None
         if self.on:
@@ -840,7 +848,7 @@ def build_trace(arm: Arm, outcome, capability=None) -> ObservationTrace:
     elif v in (DCNET, BROADCAST):
         # every user sends every round, the real senders among them; each
         # real message is delivered after the variant's transit
-        lag, rounds = _TIMING[v][1](params), window()
+        lag, rounds = VARIANTS[v].transit(params), window()
         real_at = {}
         for j, s in enumerate(slots):
             if s is not None:

@@ -241,3 +241,14 @@ def test_onion_cost_at_full_rate_is_the_counting_cost(n, l_exp):
     assert onion_cost(n, 256.0, l_exp=l_exp) == {"per-user": want,
                                                   "network": n * want}
 
+
+
+@given(st.integers(1, 10**6), st.floats(2.0, 1e6),
+       st.none() | st.floats(1.0, 1e6))
+def test_onion_cost_without_a_rate_is_every_user_every_round(n, lam, l_exp):
+    # p = None, the default, is p = 1, to the last bit; "per-user" is
+    # n * p * l_exp, which grows with n
+    got = onion_cost(n, lam, l_exp=l_exp)
+    assert got == onion_cost(n, lam, p=1.0, l_exp=l_exp)
+    assert got == onion_cost(n, lam, None, l_exp)
+    assert onion_cost(n + 1, lam, l_exp=l_exp)["per-user"] > got["per-user"]

@@ -1,16 +1,79 @@
 import hashlib
+import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from acnbounds import cli
 from acnbounds.atlas import GRID_HEADER
+from acnbounds.protocols import VARIANTS
 
 
 def _run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_table(header):
+    """The rows of README's two-column table whose header row is `header`,
+    each as (the first backticked text of its first cell, the list of its
+    second cell's)."""
+    lines = README.read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])
+    return [(re.findall("`([^`]+)`", first)[0],
+             re.findall("`([^`]+)`", second))
+            for first, second in (row.strip("|").split("|") for row in rows)]
+
+
+def _dests(flags):
+    """The parsed names of the flags in `flags`, as `_given` names them."""
+    return {flag[2:].replace("-", "_") for flag in flags.split()}
+
+
+def _readme_model_reads():
+    """(protocol -> flags, attack -> flags) off README's `flag | read by`
+    table, each name of `VARIANTS` and `cli._ATTACKS` present: a reader is
+    a protocol or `--attack <name>`, and a flag among the readers is a
+    condition, not a reader."""
+    protocols = {v: set() for v in VARIANTS}
+    attacks = {a: set() for a in cli._ATTACKS}
+    for flags, readers in _readme_table("| flag | read by |"):
+        for reader in readers:
+            if reader.startswith("--attack "):
+                attacks.setdefault(reader.split()[1], set()).update(
+                    _dests(flags))
+            elif not reader.startswith("--"):
+                protocols.setdefault(reader, set()).update(_dests(flags))
+    return protocols, attacks
+
+
+# what README says each bound kind and region bound reads besides its
+# selector, and each protocol and attack of the flags only some read
+_README_KINDS = {kind: _dests(*flags)
+                 for kind, flags in _readme_table("| `--kind` | reads |")}
+_README_REGIONS = {bound: _dests(*flags) for bound, flags
+                   in _readme_table("| `--bound` | reads |")}
+_README_PROTOCOLS, _README_ATTACKS = _readme_model_reads()
+
+
+def test_readme_reads_tables_are_the_reads_the_cli_derives():
+    # a bound kind, region bound or attack reads its callee's parameters,
+    # a protocol its `VARIANTS` row's cover rate and other fields
+    assert _README_KINDS == {kind: set(cli._reads(floor))
+                             for kind, floor in cli._BOUNDS.items()}
+    assert _README_REGIONS == {bound: {"n", *cli._reads(verdict)}
+                               for bound, verdict in cli._REGIONS.items()}
+    assert _README_ATTACKS == {attack: set(cli._reads(fn)) - {"n"}
+                               for attack, fn in cli._ATTACKS.items()}
+    assert _README_PROTOCOLS == {v: set(cli._flags(row.rate, *row.reads))
+                                 for v, row in VARIANTS.items()}
 
 
 def test_bound_sync(capsys):
@@ -174,6 +237,24 @@ def test_region_refuses_a_flag_its_bound_does_not_read(capsys, bound, flag,
                           *_REGION_POINTS[bound].split(), *typed.split())
     assert code == 1 and out == ""
     assert err == f"acnbounds: region --bound {bound} takes no --{flag}\n"
+
+
+@pytest.mark.parametrize("bound,point", [
+    ("counting", {"n": 10, "beta": 0.5}),
+    ("trilemma", {"n": 10, "l_max": 3, "beta": 0.2}),
+    ("dropping", {"n": 10, "l_max": 3, "p": 0.5}),
+])
+def test_a_region_record_echoes_only_the_point_values_its_bound_reads(
+        capsys, bound, point):
+    code, out, err = _run(capsys, "region", "--bound", bound,
+                          *_REGION_POINTS[bound].split())
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert set(rec) == {"bound", "verdict", "threshold", "condition", *point}
+    assert {k: rec[k] for k in point} == point
+    # the point's keys are the closed forms' names of the flags it reads
+    assert {cli._FLAG.get(k, k) for k in point} == \
+        _README_REGIONS[bound] & {"n", "lmax", "beta", "p"}
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -539,16 +620,7 @@ def test_an_unread_or_missing_flag_exits_one(capsys, argv, reason):
     assert err == f"acnbounds: {reason}\n"
 
 
-# what each bound kind reads besides --kind, and a typed value off the
-# default for every flag of `bound`
-_BOUND_READS = {
-    "trilemma-sync": ("n", "lmax", "beta", "cp", "relays"),
-    "trilemma-unsync-original": ("lmax", "p"),
-    "trilemma-unsync-improved": ("lmax", "p", "cp", "relays"),
-    "counting": ("out", "hops"),
-    "onion-cost": ("n", "lam", "p", "lexp"),
-    "onion-cost-dropping": ("n", "lam"),
-}
+# a typed value off the default for every flag of `bound`
 _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
                "p": "--p 0.2", "cp": "--cp 1", "lam": "--lam 16",
                "relays": "--relays 2", "out": "--out 5", "hops": "--hops 3",
@@ -559,7 +631,7 @@ _BOUND_ARGS = {"n": "--n 10", "lmax": "--lmax 3", "beta": "--beta 0.2",
 # rate of a kind that reads one, which it must have, and in the
 # compromising cases the compromised-relay setting (c_p > 0) of the two
 # kinds that read --cp, which must refuse the same flags
-_BOUND_CASES = {kind: (kind, ()) for kind in _BOUND_READS}
+_BOUND_CASES = {kind: (kind, ()) for kind in _README_KINDS}
 _BOUND_CASES["trilemma-sync"] = ("trilemma-sync", ("--beta", "0.2"))
 _BOUND_CASES["trilemma-unsync-original"] = ("trilemma-unsync-original",
                                             ("--p", "0.2"))
@@ -577,7 +649,7 @@ def test_each_bound_kind_refuses_each_flag_it_does_not_read(capsys, case):
     for flag, typed in _BOUND_ARGS.items():
         code, out, err = _run(capsys, "bound", "--kind", kind, *before,
                               *typed.split())
-        if flag in _BOUND_READS[kind]:
+        if flag in _README_KINDS[kind]:
             assert code == 0 and err == "", (flag, err)
         else:
             assert code == 1 and out == "", flag
@@ -683,16 +755,8 @@ def test_flags_a_protocol_or_attack_reads_are_taken(capsys, argv):
     assert code == 0 and err == ""
 
 
-# what each variant and attack reads of the flags that only some pairs read,
-# a cover model its one rate under its closed form's name, and one valid
-# argv per variant that types none of them beyond its reads
-_PROTOCOL_READS = {
-    "trilemma-sync": ("beta",), "trilemma-unsync": ("p",),
-    "onion-path": ("relays", "lexp", "p"),
-    "dcnet-round": (), "broadcast-full-dummy": (),
-    "dropping-model": ("relays", "copies", "integrated"),
-}
-_ATTACK_READS = {"counting": (), "path-tracing": ("cp",), "dropping": ("ca",)}
+# one valid argv per variant that types none of the flags only some pairs
+# read beyond its reads (README's `flag | read by` table)
 _BASE = {
     "trilemma-sync": "--n 4 --lmax 3 --beta 0.4",
     "trilemma-unsync": "--n 4 --lmax 3 --p 0.4",
@@ -707,7 +771,7 @@ _FLAG_ARGS = {"beta": "--beta 0.2", "p": "--p 0.2", "relays": "--relays 3",
 
 
 @pytest.mark.parametrize("variant,flag", [
-    (v, f) for v, reads in _PROTOCOL_READS.items() for f in _FLAG_ARGS
+    (v, f) for v, reads in _README_PROTOCOLS.items() for f in _FLAG_ARGS
     if f not in reads])
 def test_each_protocol_refuses_each_flag_it_does_not_read(capsys, variant,
                                                           flag):
@@ -722,12 +786,14 @@ def test_each_protocol_refuses_each_flag_it_does_not_read(capsys, variant,
 
 
 @pytest.mark.parametrize("attack,flag", [
-    (a, f) for a, reads in _ATTACK_READS.items() for f in _FLAG_ARGS
-    if f not in (*reads, "beta", "p")])
+    (a, f) for a, reads in _README_ATTACKS.items() for f in _FLAG_ARGS
+    if a not in ("timing-interval", "random-guess")
+    and f not in (*reads, "beta", "p")])
 def test_each_attack_refuses_each_flag_it_does_not_read(capsys, attack, flag):
     # trilemma-unsync reads none of these flags, so the refusal is the
-    # attack's alone (timing-interval's row is checked above); no attack
-    # reads a rate, and the protocol's refusal of --beta is checked above
+    # attack's alone (timing-interval's row is checked above, and
+    # random-guess is the protocol refusals' attack); no attack reads a
+    # rate, and the protocol's refusal of --beta is checked above
     code, out, err = _run(capsys, "simulate", "--protocol", "trilemma-unsync",
                           "--attack", attack,
                           *_BASE["trilemma-unsync"].split(),
@@ -765,7 +831,7 @@ def test_each_read_flag_is_taken_on_its_own(capsys, protocol, attack, flag):
 def test_a_model_with_cover_exits_one_without_its_rate(capsys, command,
                                                        protocol):
     # an untyped rate is never run as no cover, as in `bound`
-    flag, = {"beta", "p"} & set(_PROTOCOL_READS[protocol])
+    flag, = {"beta", "p"} & _README_PROTOCOLS[protocol]
     base = _BASE[protocol].split()
     base = base[:base.index(f"--{flag}")]
     code, out, err = _run(capsys, command, "--protocol", protocol,
@@ -787,7 +853,7 @@ README_SHA256 = {
     "--lmax 3 --p 0.3 --trials 20000 --seed 0 --tol 0.02":
         "4c0b591782aee110a8cb022bd5cb44444c12aea790ea32eda2cd392ce20eaf42",
     "region --bound trilemma --lmax 2 --beta 0.3":
-        "5b4a28aecf48bc0df6a03448bc811d5a2223b37c54693456e6ecd161dda80a45",
+        "3d8091e598880dfc047c9d2cc6f9a87442f280de148e58e86fdc02b9a46e44b6",
     "atlas":
         "3d6d6b4671568c04f83999bdec1b0b4294b1a30dd17972476a75fb0d34d6f33d",
     "atlas --grid --lmax-range 2:10 --beta-range 0.01:0.99:25":
